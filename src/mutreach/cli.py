@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import random
 import sys
 
 from .net import NetError, load_net, parse_config
@@ -76,8 +75,6 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-unfoldings", type=int, default=5000)
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for enumeration shards (deterministic merge)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized internals (all current internals are deterministic)")
 
 
 def _report_exact_parameters(net):
@@ -95,7 +92,6 @@ def cmd_check_mutual(args) -> int:
     x = parse_config(args.x, net.dim)
     y = parse_config(args.y, net.dim)
     params = _params_from(args)
-    random.seed(args.seed)
     _report_exact_parameters(net)
     result = search_witness(net, x, y, params, budget=args.budget, limits=_limits_from(args))
 
@@ -139,18 +135,10 @@ def cmd_check_mutual(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
-def _mutual_shard(payload):
-    net, params, limits, index_set = payload
-    from .presburger import _compile_mutual_for_index_set
-
-    return _compile_mutual_for_index_set(net, params, limits, index_set)
-
-
 def cmd_compile(args) -> int:
     net = load_net(args.net)
     params = _params_from(args)
     limits = _limits_from(args)
-    random.seed(args.seed)
     _report_exact_parameters(net)
     formats = [f.strip() for f in args.formats.split(",") if f.strip()]
     bad = [f for f in formats if f not in ("text", "smtlib", "json")]

@@ -202,10 +202,13 @@ def _build(node) -> Formula:
 
 def from_sexpr(text: str) -> Formula:
     tokens = _tokenize(text)
-    tree, pos = _parse_tokens(tokens, 0)
-    if pos != len(tokens):
-        raise FormulaError("trailing tokens in formula text")
-    return _build(tree)
+    try:
+        tree, pos = _parse_tokens(tokens, 0)
+        if pos != len(tokens):
+            raise FormulaError("trailing tokens in formula text")
+        return _build(tree)
+    except (IndexError, TypeError):
+        raise FormulaError(f"malformed formula text {text!r}") from None
 
 
 # --- SMT-LIB ------------------------------------------------------------------

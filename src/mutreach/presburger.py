@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .formula import (
     And,
-    BoolConst,
     CompareAtom,
     DivAtom,
     Formula,
@@ -31,24 +30,18 @@ from .formula import (
     to_sexpr,
     to_smtlib,
 )
-from .intlinalg import IntMatrix, hermite_normal_form, kernel_basis
+from .intlinalg import IntMatrix, LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
 from .net import PetriNet
 from .ratlp import FEASIBLE, solve_standard
 from .unfolding import (
     EnumLimits,
     EnumStats,
-    Unfolding,
     elementary_path,
     enumerate_unfoldings,
-    bounded_states,
-    i_fires,
+    index_sets,
     lattice_of_unfolding,
-    _connected_subsets,
-    _strongly_connected,
-    _circulation_rows,
 )
-from .ratlp import positive_circulation
 from .vectors import Vec, restrict, vadd, vec, vge, vsub
 from .witness import PumpingParams, upward_basis
 
@@ -91,7 +84,7 @@ def _compile_mutual_for_index_set(
     stats = EnumStats()
     for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
         certified = certified and params.certified_for(net, g)
-        rep = lattice_of_unfolding(g, limits.simple_cycle_cap)
+        rep = lattice_of_unfolding(g)
         bases = {}
         for q in g.states:
             basis = upward_basis(g, q, params)
@@ -128,21 +121,17 @@ def compile_mutual(
     identical for any worker count.
     """
     limits = limits or EnumLimits()
-    dims = range(net.dim)
-    index_sets = [
-        index_set
-        for size in range(net.dim + 1)
-        for index_set in itertools.combinations(dims, size)
-    ]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(
-                pool.map(_shard_entry, [(net, params, limits, ix) for ix in index_sets])
+                pool.map(_shard_entry, [(net, params, limits, ix) for ix in index_sets(net.dim)])
             )
     else:
-        shards = [_compile_mutual_for_index_set(net, params, limits, ix) for ix in index_sets]
+        shards = [
+            _compile_mutual_for_index_set(net, params, limits, ix) for ix in index_sets(net.dim)
+        ]
 
     disjuncts: list[Disjunct] = []
     seen: set = set()
@@ -254,45 +243,106 @@ def mutual_to_text(f: MutualFormula) -> str:
 
 
 def mutual_from_text(text: str) -> MutualFormula:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "kind mutual":
-        raise CompileError("not a mutual formula file")
-    header = {}
-    pos = 1
-    while pos < len(lines) and lines[pos] != "disjunct":
-        key, _, val = lines[pos].partition(" ")
-        header[key] = val
-        pos += 1
-    dim = int(header["dim"])
+    lines, pos, header, dim = _parse_header(text, "mutual", _MUTUAL_HEADER, "disjunct")
     disjuncts = []
-    while pos < len(lines):
-        if lines[pos] != "disjunct":
-            raise CompileError(f"expected 'disjunct', got {lines[pos]!r}")
-        pos += 1
-        fields = {}
+    for fields in _blocks(lines, pos, "disjunct"):
+        vectors: dict[str, Vec] = {}
         pairs = []
-        while lines[pos] != "end":
-            key, _, val = lines[pos].partition(" ")
+        for key, val in fields:
             if key == "pair":
-                n_text, _, coeff_text = val.partition(":")
-                pairs.append((int(n_text), vec(int(t) for t in coeff_text.split())))
+                pairs.append(val)
+            elif key in ("a", "b", "v") and key not in vectors:
+                vectors[key] = _vector(val, key, dim)
             else:
-                fields[key] = vec(int(t) for t in val.split())
-            pos += 1
-        pos += 1
-        disjuncts.append(
-            Disjunct(
-                fields["a"], fields["b"], fields["v"], LatticeRepresentation(dim, tuple(pairs))
-            )
-        )
+                raise CompileError(f"unknown or repeated disjunct field {key!r}")
+        if len(vectors) != 3:
+            raise CompileError("disjunct lacks one of the fields 'a', 'b', 'v'")
+        rep = _lattice(dim, pairs)
+        disjuncts.append(Disjunct(vectors["a"], vectors["b"], vectors["v"], rep))
     return MutualFormula(
         dim=dim,
         disjuncts=tuple(disjuncts),
         provenance=header.get("provenance", "heuristic"),
-        complete=bool(int(header.get("complete", "0"))),
-        state_bound=int(header.get("state-bound", "1")),
-        cycle_len=int(header.get("cycle-len", "0")),
+        complete=header.get("complete") == "1",
+        state_bound=_int(header.get("state-bound", "1"), "state-bound"),
+        cycle_len=_int(header.get("cycle-len", "0"), "cycle-len"),
     )
+
+
+# --- parsing helpers: every malformed input raises CompileError --------------------
+
+_MUTUAL_HEADER = ("dim", "provenance", "complete", "state-bound", "cycle-len")
+_BOTTOM_HEADER = ("dim", "provenance", "complete")
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CompileError(f"{what}: expected an integer, got {text!r}") from None
+
+
+def _vector(text: str, what: str, length: int | None = None) -> Vec:
+    v = tuple(_int(t, what) for t in text.split())
+    if length is not None and len(v) != length:
+        raise CompileError(f"{what}: expected {length} entries, got {len(v)}")
+    return v
+
+
+def _lattice(dim: int, pair_texts: list[str]) -> LatticeRepresentation:
+    """The lattice of a block's `pair n : a1 ... ad` lines."""
+    pairs = []
+    for text in pair_texts:
+        n_text, sep, coeff_text = text.partition(":")
+        if not sep:
+            raise CompileError(f"pair: expected 'n : a1 ... ad', got {text!r}")
+        pairs.append((_int(n_text.strip(), "pair"), _vector(coeff_text, "pair")))
+    try:
+        return LatticeRepresentation(dim, tuple(pairs))
+    except LinalgError as exc:
+        raise CompileError(f"pair: {exc}") from None
+
+
+def _parse_header(
+    text: str, kind: str, known: tuple[str, ...], block: str
+) -> tuple[list[str], int, dict[str, str], int]:
+    """Non-empty lines, the position of the first block, the header
+    fields and the dimension."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    if not lines or lines[0] != f"kind {kind}":
+        raise CompileError(f"not a {kind} formula file")
+    header: dict[str, str] = {}
+    pos = 1
+    while pos < len(lines) and lines[pos] != block:
+        key, _, val = lines[pos].partition(" ")
+        if key not in known or key in header:
+            raise CompileError(f"unknown or repeated header field {key!r}")
+        header[key] = val
+        pos += 1
+    if "dim" not in header:
+        raise CompileError("missing header field 'dim'")
+    dim = _int(header["dim"], "dim")
+    if dim < 1:
+        raise CompileError(f"dim must be positive, got {dim}")
+    if header.get("provenance", "heuristic") not in ("certified", "heuristic"):
+        raise CompileError(f"unknown provenance {header['provenance']!r}")
+    if header.get("complete", "0") not in ("0", "1"):
+        raise CompileError(f"complete must be 0 or 1, got {header['complete']!r}")
+    return lines, pos, header, dim
+
+
+def _blocks(lines: list[str], pos: int, block: str) -> Iterator[list[tuple[str, str]]]:
+    """The (key, value) lines of each `block ... end` group from `pos` on."""
+    while pos < len(lines):
+        if lines[pos] != block:
+            raise CompileError(f"expected {block!r}, got {lines[pos]!r}")
+        end = pos + 1
+        while end < len(lines) and lines[end] != "end":
+            end += 1
+        if end == len(lines):
+            raise CompileError(f"unterminated {block!r} block")
+        yield [tuple(ln.partition(" ")[::2]) for ln in lines[pos + 1 : end]]
+        pos = end + 1
 
 
 # --- bottom configurations ------------------------------------------------------
@@ -329,57 +379,6 @@ class BottomFormula:
     complete: bool
 
 
-def _forward_closed_unfoldings(
-    net: PetriNet, index_set: tuple[int, ...], state_bound: int, limits: EnumLimits
-) -> tuple[list[Unfolding], bool]:
-    """Forward-closed structurally-reversible unfoldings: the transition
-    set is forced (all enabled edges), so only the state set is searched."""
-    all_states = bounded_states(index_set, state_bound)
-    state_set = set(all_states)
-    edges_all = []
-    for p in all_states:
-        for idx, a in enumerate(net.actions):
-            q = i_fires(a, index_set, p)
-            if q is not None:
-                edges_all.append((p, idx, q))
-    pos = {s: i for i, s in enumerate(all_states)}
-    undirected: list[set[int]] = [set() for _ in all_states]
-    for p, _, q in edges_all:
-        if p != q and q in state_set:
-            undirected[pos[p]].add(pos[q])
-            undirected[pos[q]].add(pos[p])
-    found: list[Unfolding] = []
-    truncated = False
-    for subset in _connected_subsets(undirected, limits.max_states):
-        states = tuple(all_states[i] for i in subset)
-        sset = set(states)
-        edges = []
-        closed = True
-        for p in states:
-            for idx, a in enumerate(net.actions):
-                q = i_fires(a, index_set, p)
-                if q is None:
-                    continue
-                if q not in sset:
-                    closed = False
-                    break
-                edges.append((p, idx, q))
-            if not closed:
-                break
-        if not closed:
-            continue
-        if len(states) > 1 and not _strongly_connected(states, edges)[0]:
-            continue
-        g = Unfolding(net, index_set, states, tuple(sorted(edges)))
-        if positive_circulation(_circulation_rows(g), len(g.transitions)) is None:
-            continue
-        found.append(g)
-        if len(found) >= limits.max_unfoldings:
-            truncated = True
-            break
-    return found, truncated
-
-
 def compile_bottom(
     net: PetriNet, params: PumpingParams, limits: EnumLimits | None = None
 ) -> BottomFormula:
@@ -393,60 +392,60 @@ def compile_bottom(
     tuples: list[BottomTuple] = []
     certified = True
     complete = True
-    dims = range(net.dim)
-    for size in range(net.dim + 1):
-        for index_set in itertools.combinations(dims, size):
-            gs, truncated = _forward_closed_unfoldings(net, index_set, params.state_bound, limits)
-            complete = complete and not truncated
-            for g in gs:
-                certified = certified and params.certified_for(net, g)
-                rep = lattice_of_unfolding(g, limits.simple_cycle_cap)
-                bases = {}
-                for q in g.states:
-                    basis = upward_basis(g, q, params)
-                    complete = complete and not basis.truncated
-                    bases[q] = basis
-                for r in g.states:
-                    offsets = tuple(
-                        (p, elementary_path(g, r, p).displacement(net)) for p in g.states
-                    )
-                    vp = dict(offsets)
-                    implications = []
-                    for (p, aidx, q) in g.transitions:
-                        a = net.actions[aidx]
-                        ants = tuple(
-                            sorted(
-                                tuple(max(m.vector[i], a.pre[i]) - vp[p][i] for i in range(net.dim))
-                                for m in bases[p].elements
-                            )
-                        )
-                        cons = tuple(
-                            sorted(
-                                tuple(m.vector[i] - a.displacement[i] - vp[p][i] for i in range(net.dim))
-                                for m in bases[q].elements
-                            )
-                        )
-                        implications.append((ants, cons))
-                    phi = And(
-                        tuple(
-                            Implies(
-                                Or(tuple(conj_ge(w, net.dim) for w in ants)),
-                                Or(tuple(conj_ge(w, net.dim) for w in cons)),
-                            )
-                            for ants, cons in implications
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g in enumerate_unfoldings(
+            net, index_set, params.state_bound, limits, stats, forward_closed=True
+        ):
+            certified = certified and params.certified_for(net, g)
+            rep = lattice_of_unfolding(g)
+            bases = {}
+            for q in g.states:
+                basis = upward_basis(g, q, params)
+                complete = complete and not basis.truncated
+                bases[q] = basis
+            for r in g.states:
+                offsets = tuple(
+                    (p, elementary_path(g, r, p).displacement(net)) for p in g.states
+                )
+                vp = dict(offsets)
+                implications = []
+                for (p, aidx, q) in g.transitions:
+                    a = net.actions[aidx]
+                    ants = tuple(
+                        sorted(
+                            tuple(max(m.vector[i], a.pre[i]) - vp[p][i] for i in range(net.dim))
+                            for m in bases[p].elements
                         )
                     )
-                    tuples.append(
-                        BottomTuple(
-                            index_set=tuple(index_set),
-                            state=r,
-                            rep=rep,
-                            membership=tuple(m.vector for m in bases[r].elements),
-                            implications=tuple(implications),
-                            offsets=offsets,
-                            phi=phi,
+                    cons = tuple(
+                        sorted(
+                            tuple(m.vector[i] - a.displacement[i] - vp[p][i] for i in range(net.dim))
+                            for m in bases[q].elements
                         )
                     )
+                    implications.append((ants, cons))
+                phi = And(
+                    tuple(
+                        Implies(
+                            Or(tuple(conj_ge(w, net.dim) for w in ants)),
+                            Or(tuple(conj_ge(w, net.dim) for w in cons)),
+                        )
+                        for ants, cons in implications
+                    )
+                )
+                tuples.append(
+                    BottomTuple(
+                        index_set=tuple(index_set),
+                        state=r,
+                        rep=rep,
+                        membership=tuple(m.vector for m in bases[r].elements),
+                        implications=tuple(implications),
+                        offsets=offsets,
+                        phi=phi,
+                    )
+                )
+        complete = complete and not stats.truncated
     return BottomFormula(
         dim=net.dim,
         tuples=tuple(tuples),
@@ -745,63 +744,49 @@ def bottom_to_text(f: BottomFormula) -> str:
 
 
 def bottom_from_text(text: str) -> BottomFormula:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or lines[0] != "kind bottom":
-        raise CompileError("not a bottom formula file")
-    header = {}
-    pos = 1
-    while pos < len(lines) and lines[pos] != "tuple":
-        key, _, val = lines[pos].partition(" ")
-        header[key] = val
-        pos += 1
-    dim = int(header["dim"])
+    lines, pos, header, dim = _parse_header(text, "bottom", _BOTTOM_HEADER, "tuple")
     tuples = []
-    while pos < len(lines):
-        assert lines[pos] == "tuple"
-        pos += 1
-        index_set: tuple[int, ...] = ()
-        state: Vec = ()
+    for fields in _blocks(lines, pos, "tuple"):
+        single: dict[str, str] = {}
         pairs = []
         membership = []
         imps = []
         offsets = []
-        phi = BoolConst(True)
-        while lines[pos] != "end":
-            key, _, val = lines[pos].partition(" ")
-            if key == "index-set":
-                index_set = tuple(int(t) for t in val.split())
-            elif key == "state":
-                state = vec(int(t) for t in val.split())
-            elif key == "pair":
-                n_text, _, coeff_text = val.partition(":")
-                pairs.append((int(n_text), vec(int(t) for t in coeff_text.split())))
+        for key, val in fields:
+            if key == "pair":
+                pairs.append(val)
             elif key == "member":
-                membership.append(vec(int(t) for t in val.split()))
+                membership.append(_vector(val, "member", dim))
             elif key == "imp":
-                lhs, _, rhs = val.partition("=>")
-                ants = tuple(
-                    vec(int(t) for t in part.split()) for part in lhs.split(";") if part.strip()
-                )
-                cons = tuple(
-                    vec(int(t) for t in part.split()) for part in rhs.split(";") if part.strip()
+                lhs, sep, rhs = val.partition("=>")
+                if not sep:
+                    raise CompileError(f"imp: expected 'antecedents => consequents', got {val!r}")
+                ants, cons = (
+                    tuple(_vector(w, "imp", dim) for w in side.split(";") if w.strip())
+                    for side in (lhs, rhs)
                 )
                 imps.append((ants, cons))
             elif key == "offset":
                 st_text, _, off_text = val.partition(":")
-                offsets.append(
-                    (vec(int(t) for t in st_text.split()), vec(int(t) for t in off_text.split()))
-                )
-            elif key == "phi":
-                phi = from_sexpr(val)
+                offsets.append((_vector(st_text, "offset"), _vector(off_text, "offset", dim)))
+            elif key in ("index-set", "state", "phi") and key not in single:
+                single[key] = val
             else:
-                raise CompileError(f"unknown field {key!r}")
-            pos += 1
-        pos += 1
+                raise CompileError(f"unknown or repeated tuple field {key!r}")
+        if len(single) != 3:
+            raise CompileError("tuple lacks one of the fields 'index-set', 'state', 'phi'")
+        index_set = _vector(single["index-set"], "index-set")
+        if list(index_set) != sorted(set(index_set)) or not all(0 <= i < dim for i in index_set):
+            raise CompileError(f"index-set: expected increasing coordinates below {dim}")
+        try:
+            phi = from_sexpr(single["phi"])
+        except ValueError as exc:
+            raise CompileError(f"phi: {exc}") from None
         tuples.append(
             BottomTuple(
                 index_set=index_set,
-                state=state,
-                rep=LatticeRepresentation(dim, tuple(pairs)),
+                state=_vector(single["state"], "state", len(index_set)),
+                rep=_lattice(dim, pairs),
                 membership=tuple(membership),
                 implications=tuple(imps),
                 offsets=tuple(offsets),
@@ -812,7 +797,7 @@ def bottom_from_text(text: str) -> BottomFormula:
         dim=dim,
         tuples=tuple(tuples),
         provenance=header.get("provenance", "heuristic"),
-        complete=bool(int(header.get("complete", "0"))),
+        complete=header.get("complete") == "1",
     )
 
 

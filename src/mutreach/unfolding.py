@@ -116,9 +116,6 @@ class Unfolding:
     def action(self, idx: int) -> Action:
         return self.net.actions[idx]
 
-    def out_edges(self, p: State) -> list[Transition]:
-        return [t for t in self.transitions if t[0] == p]
-
     def state_norm(self) -> int:
         return max((norm_inf(s) for s in self.states), default=0)
 
@@ -209,27 +206,29 @@ def validate_unfolding(
 # --- structural reversibility ----------------------------------------------
 
 
-def _circulation_rows(g: Unfolding) -> list[list[int]]:
+def _circulation_rows(
+    net: PetriNet, states: Sequence[State], edges: Sequence[Transition]
+) -> list[list[int]]:
     """Flow conservation per state plus zero total displacement per axis."""
     rows: list[list[int]] = []
-    tindex = {t: j for j, t in enumerate(g.transitions)}
-    for s in g.states:
-        row = [0] * len(g.transitions)
-        for t, j in tindex.items():
+    for s in states:
+        row = [0] * len(edges)
+        for j, t in enumerate(edges):
             if t[0] == s:
                 row[j] += 1
             if t[2] == s:
                 row[j] -= 1
         rows.append(row)
-    for i in range(g.net.dim):
-        rows.append([g.action(t[1]).displacement[i] for t in g.transitions])
+    for i in range(net.dim):
+        rows.append([net.actions[t[1]].displacement[i] for t in edges])
     return rows
 
 
 def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fraction] | None]:
     """Euler test: a strictly positive circulation with zero displacement."""
     if "reversible" not in g._cache:
-        flows = positive_circulation(_circulation_rows(g), len(g.transitions))
+        rows = _circulation_rows(g.net, g.states, g.transitions)
+        flows = positive_circulation(rows, len(g.transitions))
         if flows is None:
             g._cache["reversible"] = (False, None)
         else:
@@ -237,26 +236,13 @@ def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fra
     return g._cache["reversible"]
 
 
-def reversible_by_search(g: Unfolding, disp_bound: int, max_steps: int | None = None) -> bool:
-    """Definitional check: every edge has a zero-sum return path, found by
-    bounded search.  `disp_bound` clamps displacement entries."""
-    for t in g.transitions:
-        try:
-            reverse_path_for(g, t, disp_bound, _checked=False)
-        except UnfoldingError:
-            return False
-    return True
-
-
-def reverse_path_for(
-    g: Unfolding, t: Transition, bound: int, _checked: bool = True
-) -> UnfoldingPath:
+def reverse_path_for(g: Unfolding, t: Transition, bound: int) -> UnfoldingPath:
     """Path p from target(t) to source(t) with displacement(t p) = 0.
 
     Breadth-first over (state, partial displacement) with entries clamped
     to [-bound*m, bound*m]; raises when the window is exhausted.
     """
-    if _checked and not is_structurally_reversible(g)[0]:
+    if not is_structurally_reversible(g)[0]:
         raise UnfoldingError("unfolding is not structurally reversible")
     m = max(g.net.norm, 1)
     clamp = bound * m
@@ -498,9 +484,6 @@ def unfolding_from_sccc(net: PetriNet, configs: Iterable[Vec], index_set: Sequen
 class EnumLimits:
     max_states: int = 6
     max_unfoldings: int = 5000
-    transition_subsets: bool = False
-    max_edges_for_subsets: int = 14
-    simple_cycle_cap: int = 20000
 
 
 @dataclass
@@ -508,6 +491,11 @@ class EnumStats:
     emitted: int = 0
     truncated: bool = False
     reasons: list = field(default_factory=list)
+
+
+def index_sets(dim: int) -> list[tuple[int, ...]]:
+    """Every coordinate subset, by size and then lexicographically."""
+    return [ix for size in range(dim + 1) for ix in itertools.combinations(range(dim), size)]
 
 
 def _connected_subsets(neighbors: list[set[int]], max_size: int) -> Iterator[tuple[int, ...]]:
@@ -537,35 +525,24 @@ def bounded_states(index_set: Sequence[int], bound: int) -> list[State]:
     return sorted(itertools.product(range(bound), repeat=len(index_set)))
 
 
-def enabled_edges(net: PetriNet, index_set: Sequence[int], states: Sequence[State]) -> list[Transition]:
-    sset = set(states)
-    edges = []
-    for p in states:
-        for idx, a in enumerate(net.actions):
-            q = i_fires(a, index_set, p)
-            if q is not None and q in sset:
-                edges.append((p, idx, q))
-    return sorted(edges)
-
-
-def _spanning_strongly_connected(states: Sequence[State], edges: Sequence[Transition]) -> bool:
-    return _strongly_connected(states, edges)[0]
-
-
 def enumerate_unfoldings(
     net: PetriNet,
     index_set: Sequence[int],
     state_bound: int,
     limits: EnumLimits | None = None,
     stats: EnumStats | None = None,
+    forward_closed: bool = False,
 ) -> Iterator[Unfolding]:
     """Structurally-reversible unfoldings over states of norm < state_bound.
 
-    By default each qualifying state set yields its unique maximal
-    reversible transition set, which subsumes all smaller ones for
-    formula purposes: unions of positive circulations are positive
-    circulations, so lattice, cosets and pumping sets only grow.  With
-    `transition_subsets` every valid transition subset is emitted.
+    Each qualifying state set yields its unique maximal reversible
+    transition set, which subsumes all smaller ones for formula purposes:
+    unions of positive circulations are positive circulations, so
+    lattice, cosets and pumping sets only grow.
+
+    With `forward_closed` a state set that some enabled action leaves is
+    skipped, and the transition set is forced: all enabled edges must
+    carry a positive circulation together.
     """
     limits = limits or EnumLimits()
     stats = stats if stats is not None else EnumStats()
@@ -573,72 +550,54 @@ def enumerate_unfoldings(
     if state_bound < 1:
         raise UnfoldingError("state bound must be >= 1")
     all_states = bounded_states(index_set, state_bound)
-    all_edges = enabled_edges(net, index_set, all_states)
     pos = {s: i for i, s in enumerate(all_states)}
+    # Per state, the position of each I-enabled target; None marks a
+    # target outside the state bound.
+    targets: list[list[int | None]] = []
+    all_edges: list[Transition] = []
     undirected: list[set[int]] = [set() for _ in all_states]
-    for p, _, q in all_edges:
-        if p != q:
-            undirected[pos[p]].add(pos[q])
-            undirected[pos[q]].add(pos[p])
+    for i, p in enumerate(all_states):
+        fired: list[int | None] = []
+        for idx, a in enumerate(net.actions):
+            q = i_fires(a, index_set, p)
+            if q is None:
+                continue
+            j = pos.get(q)
+            fired.append(j)
+            if j is None:
+                continue
+            all_edges.append((p, idx, q))
+            if j != i:
+                undirected[i].add(j)
+                undirected[j].add(i)
+        targets.append(fired)
 
     for subset in _connected_subsets(undirected, limits.max_states):
-        if stats.truncated:
-            return
+        # The closed filter runs before any edge list is built: it rejects
+        # most subsets, and building edges first is markedly slower.
+        if forward_closed:
+            members = set(subset)
+            if any(j not in members for i in subset for j in targets[i]):
+                continue
         states = tuple(all_states[i] for i in subset)
         sset = set(states)
         edges = [t for t in all_edges if t[0] in sset and t[2] in sset]
-        if len(states) > 1 and not _spanning_strongly_connected(states, edges):
+        if len(states) > 1 and not _strongly_connected(states, edges)[0]:
             continue
-        if limits.transition_subsets:
-            if len(edges) > limits.max_edges_for_subsets:
-                stats.truncated = True
-                stats.reasons.append(("edge-subsets", states, len(edges)))
+        rows = _circulation_rows(net, states, edges)
+        if forward_closed:
+            if positive_circulation(rows, len(edges)) is None:
                 continue
-            for mask in range(1 if len(states) > 1 else 0, 1 << len(edges)):
-                chosen = [edges[j] for j in range(len(edges)) if mask >> j & 1]
-                if len(states) > 1 and not _spanning_strongly_connected(states, chosen):
-                    continue
-                support = max_positive_support(
-                    _rows_for(net, chosen, states), len(chosen)
-                )
-                if len(support) != len(chosen):
-                    continue
-                yield _emit(net, index_set, states, chosen, stats, limits)
-                if stats.emitted >= limits.max_unfoldings:
-                    stats.truncated = True
-                    stats.reasons.append(("max-unfoldings",))
-                    return
         else:
-            support = max_positive_support(_rows_for(net, edges, states), len(edges))
-            chosen = [edges[j] for j in support]
-            if len(states) > 1 and not _spanning_strongly_connected(states, chosen):
+            edges = [edges[j] for j in max_positive_support(rows, len(edges))]
+            if len(states) > 1 and not _strongly_connected(states, edges)[0]:
                 continue
-            yield _emit(net, index_set, states, chosen, stats, limits)
-            if stats.emitted >= limits.max_unfoldings:
-                stats.truncated = True
-                stats.reasons.append(("max-unfoldings",))
-                return
-
-
-def _rows_for(net: PetriNet, edges: Sequence[Transition], states: Sequence[State]) -> list[list[int]]:
-    rows = []
-    for s in states:
-        row = [0] * len(edges)
-        for j, t in enumerate(edges):
-            if t[0] == s:
-                row[j] += 1
-            if t[2] == s:
-                row[j] -= 1
-        rows.append(row)
-    for i in range(net.dim):
-        rows.append([net.actions[t[1]].displacement[i] for t in edges])
-    return rows
-
-
-def _emit(net, index_set, states, edges, stats: EnumStats, limits: EnumLimits) -> Unfolding:
-    g = Unfolding(net, index_set, tuple(states), tuple(edges))
-    stats.emitted += 1
-    return g
+        yield Unfolding(net, index_set, states, tuple(edges))
+        stats.emitted += 1
+        if stats.emitted >= limits.max_unfoldings:
+            stats.truncated = True
+            stats.reasons.append(("max-unfoldings",))
+            return
 
 
 def collect_unfoldings(
@@ -650,40 +609,6 @@ def collect_unfoldings(
     stats = EnumStats()
     gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, stats))
     return gs, stats
-
-
-def enumerate_candidate_unfoldings(
-    net: PetriNet,
-    index_set: Sequence[int],
-    state_bound: int,
-    limits: EnumLimits | None = None,
-) -> Iterator[Unfolding]:
-    """Valid I-unfoldings regardless of reversibility (test generator)."""
-    limits = limits or EnumLimits()
-    index_set = tuple(sorted(index_set))
-    all_states = bounded_states(index_set, state_bound)
-    all_edges = enabled_edges(net, index_set, all_states)
-    pos = {s: i for i, s in enumerate(all_states)}
-    undirected: list[set[int]] = [set() for _ in all_states]
-    for p, _, q in all_edges:
-        if p != q:
-            undirected[pos[p]].add(pos[q])
-            undirected[pos[q]].add(pos[p])
-    emitted = 0
-    for subset in _connected_subsets(undirected, limits.max_states):
-        states = tuple(all_states[i] for i in subset)
-        sset = set(states)
-        edges = [t for t in all_edges if t[0] in sset and t[2] in sset]
-        if len(edges) > limits.max_edges_for_subsets:
-            continue
-        for mask in range(1 << len(edges)):
-            chosen = tuple(edges[j] for j in range(len(edges)) if mask >> j & 1)
-            if len(states) > 1 and not _spanning_strongly_connected(states, chosen):
-                continue
-            yield Unfolding(net, index_set, states, chosen)
-            emitted += 1
-            if emitted >= limits.max_unfoldings:
-                return
 
 
 # --- DOT export --------------------------------------------------------------

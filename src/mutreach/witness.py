@@ -11,7 +11,6 @@ words.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -28,6 +27,7 @@ from .unfolding import (
     elementary_path,
     embed_simple_cycle,
     enumerate_unfoldings,
+    index_sets,
     lattice_of_unfolding,
     reverse_path_for,
     simple_cycles,
@@ -334,23 +334,21 @@ def search_witness(
     limits = limits or EnumLimits()
     examined = 0
     truncated = False
-    dims = range(net.dim)
-    for size in range(net.dim + 1):
-        for index_set in itertools.combinations(dims, size):
-            stats = EnumStats()
-            for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
-                examined += 1
-                if examined > budget:
-                    return SearchResult("not-found-budget", examined=examined)
-                sset = set(g.states)
-                if restrict(x, index_set) not in sset or restrict(y, index_set) not in sset:
-                    continue
-                try:
-                    w = check_witness(net, (x, y), g, params)
-                except WitnessRejected:
-                    continue
-                return SearchResult("found", w, examined=examined)
-            truncated = truncated or stats.truncated
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+            examined += 1
+            if examined > budget:
+                return SearchResult("not-found-budget", examined=examined)
+            sset = set(g.states)
+            if restrict(x, index_set) not in sset or restrict(y, index_set) not in sset:
+                continue
+            try:
+                w = check_witness(net, (x, y), g, params)
+            except WitnessRejected:
+                continue
+            return SearchResult("found", w, examined=examined)
+        truncated = truncated or stats.truncated
     return SearchResult(
         "not-found-budget" if truncated else "not-found-exhausted", examined=examined
     )

@@ -271,3 +271,54 @@ def definitional_reversible(g, length_budget: int, disp_bound: int) -> bool:
         if not found:
             return False
     return True
+
+
+# --- reference unfolding generators ----------------------------------------------
+
+
+def walked_state_sets(net, index_set, state_bound: int, max_states: int):
+    """(states, edges) for each connected state set, in the enumerator's
+    walk order, with every enabled edge that stays inside the set."""
+    from mutreach.unfolding import _connected_subsets, bounded_states, i_fires
+
+    index_set = tuple(sorted(index_set))
+    all_states = bounded_states(index_set, state_bound)
+    pos = {s: i for i, s in enumerate(all_states)}
+    all_edges = []
+    for p in all_states:
+        for idx, a in enumerate(net.actions):
+            q = i_fires(a, index_set, p)
+            if q in pos:
+                all_edges.append((p, idx, q))
+    undirected = [set() for _ in all_states]
+    for p, _, q in all_edges:
+        if p != q:
+            undirected[pos[p]].add(pos[q])
+            undirected[pos[q]].add(pos[p])
+    for subset in _connected_subsets(undirected, max_states):
+        states = tuple(all_states[i] for i in subset)
+        sset = set(states)
+        yield states, [t for t in all_edges if t[0] in sset and t[2] in sset]
+
+
+def candidate_unfoldings(
+    net, index_set, state_bound: int, max_states: int, max_edges: int, cap: int | None = None
+):
+    """Every strongly connected unfolding on every transition subset of
+    each walked state set with at most `max_edges` edges, reversible or
+    not; stops after `cap` unfoldings when a cap is given."""
+    from mutreach.unfolding import Unfolding, _strongly_connected
+
+    index_set = tuple(sorted(index_set))
+    emitted = 0
+    for states, edges in walked_state_sets(net, index_set, state_bound, max_states):
+        if len(edges) > max_edges:
+            continue
+        for mask in range(1 << len(edges)):
+            chosen = tuple(edges[j] for j in range(len(edges)) if mask >> j & 1)
+            if len(states) > 1 and not _strongly_connected(states, chosen)[0]:
+                continue
+            yield Unfolding(net, index_set, states, chosen)
+            emitted += 1
+            if cap is not None and emitted >= cap:
+                return

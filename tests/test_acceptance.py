@@ -13,6 +13,7 @@ from math import factorial
 
 from conftest import (
     brute_force_small_set,
+    candidate_unfoldings,
     definitional_reversible,
     enumerated_span_points,
     span_oracle,
@@ -37,7 +38,7 @@ from mutreach.steinitz import (
     prune_zero_subsequences,
     steinitz_permutation,
 )
-from mutreach.unfolding import EnumLimits, enumerate_candidate_unfoldings, is_structurally_reversible
+from mutreach.unfolding import index_sets, is_structurally_reversible
 from mutreach.vectors import norm_1, restrict, vsub
 from mutreach.witness import PumpingParams, search_witness, synthesize_path
 
@@ -155,14 +156,11 @@ def test_criterion_03_structural_reversibility(fixture_nets):
     checked = 0
     for name in ("token_swap", "consumer", "ring", "mixed3"):
         net = fixture_nets[name]
-        index_sets = [
-            ix
-            for size in range(net.dim + 1)
-            for ix in itertools.combinations(range(net.dim), size)
-        ]
-        for index_set in index_sets:
-            limits = EnumLimits(max_states=4, max_unfoldings=300, max_edges_for_subsets=12)
-            for g in enumerate_candidate_unfoldings(net, index_set, 4, limits):
+        for index_set in index_sets(net.dim):
+            candidates = candidate_unfoldings(
+                net, index_set, 4, max_states=4, max_edges=12, cap=300
+            )
+            for g in candidates:
                 lp, flows = is_structurally_reversible(g)
                 if lp:
                     scale = 1

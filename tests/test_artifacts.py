@@ -1,0 +1,54 @@
+"""The compiled artifacts are the behavioural contract.
+
+Digests of `mutreach compile` output for the four fixtures at default
+settings.  A change that alters these bytes on purpose updates the
+digests here and says why in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mutreach.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+DIGESTS = {
+    "token_swap-mutual.json": "ccbff5fe39c320ad70ac2d0d73f98c60f6c1c79420595cc91352d2062563ab39",
+    "token_swap-mutual.mrf": "ba51f74b34dbe49de8ca4143fecff95ada7271a5a281723e46d699c71cb05879",
+    "token_swap-mutual.smt2": "9100b3dec4bdb50e3e1bea34e31952bc52da9956c34eb05b4c6eb8c0d982a814",
+    "token_swap-bottom.btf": "90ec6615a3946d8f1edfff92bb3dec738baa1c3be4513d2be5180dec3b32ef2b",
+    "token_swap-bottom.json": "7e44f2c6460e4f951de1d23a11d2df6351944a3271974a66ec1b8e3d3671a647",
+    "token_swap-bottom.smt2": "74344d036e3d74c0714e348ac1dad0a02116ee3673824ec819202f8c96185ac9",
+    "consumer-mutual.json": "cbe22481170170954154af80f8670d40035ed00e70dfdc5592c6df05f3f18a0f",
+    "consumer-mutual.mrf": "e9c64ff355fa634bb7f6c6ea8b46a40252d56784e2128e6b081b20582d8759e1",
+    "consumer-mutual.smt2": "c1a87fc9f1bc7d23b008ba310933e29263f762dff01a44e0f04dbcb2badf5c88",
+    "consumer-bottom.btf": "0a29b50e49656e32afbf3ab09efc3d2951b6617d806d07d1a810026b231f3a45",
+    "consumer-bottom.json": "4b41044a6503def602ea75c11e2d2f8a033eaee3e1273a03a784c9a5d6838999",
+    "consumer-bottom.smt2": "286dd7b6b3a5a9b115344d9ebb27767a37c64385a81416541b7831dfddf2f808",
+    "ring-mutual.json": "fac75e1a20e1ec9f2e730a1e1a4bb88a64924f458a1b8c2e5ace688c8765dda2",
+    "ring-mutual.mrf": "904b64ab7237afc4bc67ccad85c8441eb210c9c8c4fadc0069e429e3495710d7",
+    "ring-mutual.smt2": "23ff3f529ed6818e0e387dc29b6a9ceccb01443ef7501eaadc125e4496dc73bd",
+    "ring-bottom.btf": "85f322d7db7b980f63f6e5daf648e970211c11540cdc465257cffbf10245aadb",
+    "ring-bottom.json": "8804d73d27532abef878eab6adfe192087f12863f3c0649e1b5a9950bd7f5be4",
+    "ring-bottom.smt2": "7632862148a1855ee466847473ada4bf5d675c0e96d90a2a6d53dd4fa2ca504a",
+    "mixed3-mutual.json": "274d6c769578d8e0431b4ced2cac7e1638811a420eb2ddc957803509cdfc473e",
+    "mixed3-mutual.mrf": "dbc61837495342c2e0487e3f3b6eb387e4cced325d8e4b42a8d877a69b94dccd",
+    "mixed3-mutual.smt2": "929b68d547b00cbdf91a51dd832bb412b1eb4e1d73ca7d3b4007bc27081691cf",
+    "mixed3-bottom.btf": "83f83ab8a39ef5337c9423da0b316036bfa567e7ea50836d19427c5f78b68572",
+    "mixed3-bottom.json": "b495cfd8cde18acca298796fb7ca0323077c40857171bf0e9967294d9d07c8da",
+    "mixed3-bottom.smt2": "297783ed7cb7bb869d21e61343d2061dfa4c96624f416b822d2430f4c0e2b399",
+}
+
+
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
+@pytest.mark.parametrize("mode", ["mutual", "bottom"])
+def test_default_artifacts_are_byte_identical(name, mode, tmp_path, capsys):
+    base = tmp_path / f"{name}-{mode}"
+    code = main(["compile", str(FIXTURES / f"{name}.net"), "--mode", mode, "--out", str(base)])
+    assert code == 0
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    expected = {k: v for k, v in DIGESTS.items() if k.startswith(f"{name}-{mode}.")}
+    assert len(expected) == 3
+    assert produced == expected

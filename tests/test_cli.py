@@ -122,6 +122,27 @@ def test_eval_malformed_point(net_path, tmp_path, capsys):
     assert main(["eval", str(base) + ".mrf", "--pair", "nonsense"]) == 1
 
 
+def test_eval_malformed_formula_exits_one(net_path, tmp_path, capsys):
+    base = tmp_path / "formula"
+    for mode in ("mutual", "bottom"):
+        main(["compile", net_path, "--mode", mode, "--out", str(base), "--formats", "text"])
+    mrf = (tmp_path / "formula.mrf").read_text().splitlines(keepends=True)
+    btf = (tmp_path / "formula.btf").read_text().splitlines(keepends=True)
+    cases = [
+        ("cut.mrf", "".join(mrf[:12]), ["--pair", "1 0 / 0 1"]),
+        ("cut.btf", "".join(btf[:9]), ["--point", "1 1"]),
+        ("junk.btf", "kind bottom\ndim 2\nfoo\n", ["--point", "1 1"]),
+    ]
+    capsys.readouterr()
+    for name, text, query in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["eval", str(path), *query]) == 1, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, name
+
+
 def test_eval_bottom_enumeration_can_be_inconclusive(net_path, tmp_path, capsys):
     base = tmp_path / "bottom"
     main(["compile", net_path, "--mode", "bottom", "--out", str(base)])

@@ -264,6 +264,72 @@ def test_bottom_serialization_round_trips(token_swap):
     assert "(set-logic LIA)" in smt and "forall" in smt
 
 
+@pytest.mark.parametrize(
+    "compile_, to_text, from_text, blocks",
+    [
+        (compile_mutual, mutual_to_text, mutual_from_text, lambda f: f.disjuncts),
+        (compile_bottom, bottom_to_text, bottom_from_text, lambda f: f.tuples),
+    ],
+    ids=["mrf", "btf"],
+)
+def test_truncated_formula_parses_or_raises(token_swap, compile_, to_text, from_text, blocks):
+    """A compiled file cut after any line either parses, to a prefix of
+    its blocks, or raises CompileError."""
+    full = compile_(token_swap, PumpingParams(state_bound=2, cycle_len=3))
+    lines = to_text(full).splitlines(keepends=True)
+    parsed = 0
+    for k in range(len(lines) + 1):
+        try:
+            f = from_text("".join(lines[:k]))
+        except CompileError:
+            continue
+        parsed += 1
+        assert blocks(f) == blocks(full)[: len(blocks(f))]
+    assert 1 < parsed < len(lines)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "kind mutual\nprovenance certified\n",
+        "kind mutual\ndim two\n",
+        "kind mutual\ndim 2\nbogus 1\n",
+        "kind mutual\ndim 2\ndim 2\n",
+        "kind mutual\ndim 2\ncomplete 2\n",
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nend\n",
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0\nend\n",
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\npair 1 1 0\nend\n",
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\npair 1 : 1 0\nend\n",
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\nw 1\nend\n",
+        "kind bottom\ndim 2\nfoo\n",
+        "kind bottom\ndim 2\nstate-bound 4\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 2\nstate 1\nphi (true)\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1 1\nphi (true)\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi (and\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi (true)\nimp 1 1\nend\n",
+    ],
+)
+def test_malformed_formula_raises_compile_error(text):
+    """Each text is one edit away from a file that parses (see below)."""
+    parse = mutual_from_text if text.startswith("kind mutual") else bottom_from_text
+    with pytest.raises(CompileError):
+        parse(text)
+
+
+def test_minimal_formulas_parse():
+    mutual = (
+        "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\npair 1 : 1 0\npair 0 : 0 1\nend\n"
+    )
+    assert len(mutual_from_text(mutual).disjuncts) == 1
+    bottom = (
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\npair 1 : 1 0\npair 1 : 0 1\n"
+        "phi (true)\nimp 1 1 => \nend\n"
+    )
+    assert bottom_from_text(bottom).tuples[0].state == (1,)
+
+
 # --- lattice point machinery ------------------------------------------------------
 
 

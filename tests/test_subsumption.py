@@ -8,12 +8,13 @@ evaluated relation.
 
 import itertools
 
+from conftest import candidate_unfoldings
 from mutreach.lattice import lattice_contains
 from mutreach.presburger import Disjunct, MutualFormula, compile_mutual, eval_mutual
 from mutreach.unfolding import (
-    EnumLimits,
     collect_unfoldings,
     elementary_path,
+    index_sets,
     is_structurally_reversible,
     lattice_of_unfolding,
 )
@@ -49,14 +50,12 @@ def test_transition_subsets_add_nothing(token_swap, ring, mixed3):
     for net in (token_swap, ring, mixed3):
         maximal = compile_mutual(net, params)
         extra = []
-        for size in range(net.dim + 1):
-            for index_set in itertools.combinations(range(net.dim), size):
-                limits = EnumLimits(
-                    max_states=3, transition_subsets=True, max_edges_for_subsets=10
-                )
-                gs, _ = collect_unfoldings(net, index_set, params.state_bound, limits)
-                for g in gs:
-                    assert is_structurally_reversible(g)[0]
+        for index_set in index_sets(net.dim):
+            candidates = candidate_unfoldings(
+                net, index_set, params.state_bound, max_states=3, max_edges=10
+            )
+            for g in candidates:
+                if is_structurally_reversible(g)[0]:
                     extra.extend(_disjuncts_for(net, g, params))
         enriched = _formula_from(net, tuple(maximal.disjuncts) + tuple(extra), params)
         pts = list(itertools.product(range(3), repeat=net.dim))
@@ -73,8 +72,9 @@ def test_maximal_lattice_contains_subset_lattices(token_swap):
     params = PumpingParams(state_bound=3, cycle_len=3)
     maximal, _ = collect_unfoldings(token_swap, (0, 1), 3)
     by_states = {g.states: g for g in maximal}
-    limits = EnumLimits(max_states=3, transition_subsets=True, max_edges_for_subsets=10)
-    subsets, _ = collect_unfoldings(token_swap, (0, 1), 3, limits)
+    candidates = candidate_unfoldings(token_swap, (0, 1), 3, max_states=3, max_edges=10)
+    subsets = [g for g in candidates if is_structurally_reversible(g)[0]]
+    assert subsets
     for g in subsets:
         big = by_states[g.states]
         assert set(g.transitions) <= set(big.transitions)

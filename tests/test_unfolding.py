@@ -1,17 +1,20 @@
 import pytest
 
-from conftest import definitional_reversible
+from conftest import candidate_unfoldings, definitional_reversible, walked_state_sets
 from mutreach.lattice import lattice_contains
 from mutreach.net import Action, PetriNet
 from mutreach.unfolding import (
     EnumLimits,
+    Unfolding,
     UnfoldingError,
     UnfoldingPath,
     collect_unfoldings,
     coset_between,
     elementary_path,
     embed_simple_cycle,
-    enumerate_candidate_unfoldings,
+    enumerate_unfoldings,
+    i_fires,
+    index_sets,
     is_structurally_reversible,
     lattice_of_unfolding,
     reverse_path_for,
@@ -86,9 +89,11 @@ def test_lp_matches_definitional_search_on_candidates(fixture_nets):
     checked = 0
     for name in ("token_swap", "ring", "consumer"):
         net = fixture_nets[name]
-        limits = EnumLimits(max_states=3, max_unfoldings=150, max_edges_for_subsets=8)
         for index_set in ([()], [(0,)], [(0, 1)]) if net.dim >= 2 else ([()], [(0,)]):
-            for g in enumerate_candidate_unfoldings(net, index_set[0], 3, limits):
+            candidates = candidate_unfoldings(
+                net, index_set[0], 3, max_states=3, max_edges=8, cap=150
+            )
+            for g in candidates:
                 lp, flows = is_structurally_reversible(g)
                 if lp:
                     total = sum(int(f * f.denominator) for f in flows.values())
@@ -341,8 +346,8 @@ def test_enumeration_truncation_flag(mixed3):
 
 
 def test_transition_subset_enumeration(token_swap):
-    limits = EnumLimits(max_states=2, transition_subsets=True)
-    gs, stats = collect_unfoldings(token_swap, (0,), 2, limits)
+    candidates = candidate_unfoldings(token_swap, (0,), 2, max_states=2, max_edges=14)
+    gs = [g for g in candidates if is_structurally_reversible(g)[0]]
     keys = [(g.states, g.transitions) for g in gs]
     assert len(keys) == len(set(keys))
     for g in gs:
@@ -350,6 +355,25 @@ def test_transition_subset_enumeration(token_swap):
     # the two-state set admits exactly one valid transition set (both edges)
     two_state = [g for g in gs if len(g.states) == 2]
     assert len(two_state) == 1 and len(two_state[0].transitions) == 2
+
+
+def test_forward_closed_enumeration_matches_reference(fixture_nets):
+    """Forward-closed mode yields, in walk order, exactly the state sets
+    that no enabled action leaves and whose full edge set is reversible."""
+    total = 0
+    for net in fixture_nets.values():
+        for index_set in index_sets(net.dim):
+            expected = []
+            for states, edges in walked_state_sets(net, index_set, 3, EnumLimits().max_states):
+                targets = {i_fires(a, index_set, p) for p in states for a in net.actions}
+                if not targets - {None} <= set(states):
+                    continue
+                if is_structurally_reversible(Unfolding(net, index_set, states, tuple(edges)))[0]:
+                    expected.append((states, tuple(edges)))
+            found = enumerate_unfoldings(net, index_set, 3, forward_closed=True)
+            assert [(g.states, g.transitions) for g in found] == expected, index_set
+            total += len(expected)
+    assert total > 10
 
 
 def test_dot_export(token_swap):
