@@ -23,6 +23,7 @@ from .presburger import (
     compile_mutual,
     eval_bottom,
     eval_mutual,
+    formula_lines,
     mutual_from_text,
     mutual_to_json,
     mutual_to_smtlib,
@@ -173,7 +174,7 @@ def cmd_compile(args) -> int:
 def _load_formula(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    head = next((ln for ln in text.splitlines() if ln.strip()), "")
+    head = next(iter(formula_lines(text)), "")
     if head == "kind mutual":
         return mutual_from_text(text)
     if head == "kind bottom":

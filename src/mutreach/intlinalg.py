@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlp import FEASIBLE, positive_circulation, solve_standard
-
 
 class LinalgError(ValueError):
     pass
@@ -272,64 +270,3 @@ def kernel_basis(m: IntMatrix) -> list[list[int]]:
     """Basis of the integer kernel of M, as column vectors."""
     res = hermite_normal_form(m)
     return [[res.u.at(i, j) for i in range(m.cols)] for j in range(res.rank, m.cols)]
-
-
-def rational_lp_feasible(
-    equalities: Sequence[tuple[Sequence, object]],
-    num_vars: int,
-) -> tuple[bool, list[Fraction] | None]:
-    """Feasibility of { A f = b, f > 0 } over the rationals.
-
-    The systems fed here are homogeneous (b = 0), so strict positivity is
-    solved as f >= 1; the witness returned is exact and strictly positive.
-    """
-    rows = []
-    for coeffs, rhs in equalities:
-        if Fraction(rhs) != 0:
-            raise LinalgError("only homogeneous systems are supported")
-        row = [Fraction(c) for c in coeffs]
-        if len(row) != num_vars:
-            raise LinalgError("coefficient row has wrong length")
-        rows.append(row)
-    witness = positive_circulation(rows, num_vars)
-    if witness is None:
-        return False, None
-    return True, witness
-
-
-def feasible_with_epsilon(
-    equalities: Sequence[Sequence],
-    num_vars: int,
-) -> Fraction | None:
-    """Best epsilon in (0, 1] with A f = 0 and f >= epsilon, or None.
-
-    Cross-check route for the f >= 1 homogenization: by scaling, a
-    positive epsilon exists exactly when f >= 1 is feasible.
-    """
-    if num_vars == 0:
-        return Fraction(1)
-    # Variables: f (num_vars), eps, slack per f_j - eps >= 0, slack for eps <= 1.
-    total = num_vars + 1 + num_vars + 1
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for coeffs in equalities:
-        rows.append([Fraction(c) for c in coeffs] + [Fraction(0)] * (total - num_vars))
-        b.append(Fraction(0))
-    for j in range(num_vars):
-        row = [Fraction(0)] * total
-        row[j] = Fraction(1)
-        row[num_vars] = Fraction(-1)
-        row[num_vars + 1 + j] = Fraction(-1)
-        rows.append(row)
-        b.append(Fraction(0))
-    row = [Fraction(0)] * total
-    row[num_vars] = Fraction(1)
-    row[total - 1] = Fraction(1)
-    rows.append(row)
-    b.append(Fraction(1))
-    objective = [Fraction(0)] * total
-    objective[num_vars] = Fraction(1)
-    status, x, value = solve_standard(rows, b, objective, maximize=True)
-    if status != FEASIBLE or value is None or value <= 0:
-        return None
-    return value

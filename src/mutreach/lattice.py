@@ -9,7 +9,7 @@ membership quantifier-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, gcd
 from typing import Sequence
 
 from .intlinalg import IntMatrix, LinalgError, comatrix, determinant, hermite_normal_form
@@ -121,7 +121,10 @@ def representation_from_generators(
             for j in range(r):
                 coeffs[j] = -prod.at(j, i)
             coeffs[r + i] = det_a
-            pairs_permuted.append((0, coeffs))
+            # An equality is unique only up to scale, and det(A) depends on
+            # the generators; dividing out the content makes it canonical.
+            content = gcd(*coeffs)
+            pairs_permuted.append((0, [c // content for c in coeffs]))
 
     # Undo the row permutation: permuted coordinate j is original row_perm[j].
     pairs = []

@@ -303,12 +303,17 @@ def _lattice(dim: int, pair_texts: list[str]) -> LatticeRepresentation:
         raise CompileError(f"pair: {exc}") from None
 
 
+def formula_lines(text: str) -> list[str]:
+    """The stripped lines of a formula file, without blanks and `#` comments."""
+    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+
+
 def _parse_header(
     text: str, kind: str, known: tuple[str, ...], block: str
 ) -> tuple[list[str], int, dict[str, str], int]:
-    """Non-empty lines, the position of the first block, the header
-    fields and the dimension."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Formula lines, the position of the first block, the header fields
+    and the dimension."""
+    lines = formula_lines(text)
     if not lines or lines[0] != f"kind {kind}":
         raise CompileError(f"not a {kind} formula file")
     header: dict[str, str] = {}

@@ -41,56 +41,39 @@ def i_fires(action: Action, index_set: Sequence[int], p: State) -> State | None:
     return vadd(p, delta)
 
 
-def _strongly_connected(states: Sequence[State], transitions: Sequence[Transition]) -> tuple[bool, tuple | None]:
-    """Tarjan over the induced graph; on failure returns a witness pair."""
-    order = {s: i for i, s in enumerate(states)}
-    succ: list[list[int]] = [[] for _ in states]
-    for p, _, q in transitions:
-        succ[order[p]].append(order[q])
-    n = len(states)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    roots: list[int] = []
+def _bfs_parents(
+    transitions: Iterable[Transition], root: State, forward: bool = True
+) -> dict[State, Transition | None]:
+    """Breadth-first tree at `root` along the edges (against them when not
+    `forward`): each reached state maps to the edge that reached it.
 
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for j in range(pi, len(succ[v])):
-                w = succ[v][j]
-                if index[w] == -1:
-                    work[-1] = (v, j + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                roots.append(v)
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-    if len(roots) == 1:
-        return True, None
-    return False, (states[roots[0]], states[roots[1]])
+    Edges are tried in the given order, so the tree is the one a plain
+    frontier-by-frontier search over that order discovers.
+    """
+    adjacent: dict[State, list[Transition]] = {}
+    for t in transitions:
+        adjacent.setdefault(t[0] if forward else t[2], []).append(t)
+    parents: dict[State, Transition | None] = {root: None}
+    queue = [root]
+    for s in queue:
+        for t in adjacent.get(s, ()):
+            nxt = t[2] if forward else t[0]
+            if nxt not in parents:
+                parents[nxt] = t
+                queue.append(nxt)
+    return parents
+
+
+def _strongly_connected(states: Sequence[State], transitions: Sequence[Transition]) -> tuple[bool, tuple | None]:
+    """Every state reached from and reaching states[0]; on failure returns
+    a pair (p, q) with no path p -> q."""
+    root = states[0]
+    for forward in (True, False):
+        reached = _bfs_parents(transitions, root, forward)
+        for s in states:
+            if s not in reached:
+                return False, (root, s) if forward else (s, root)
+    return True, None
 
 
 @dataclass(frozen=True)
@@ -281,83 +264,54 @@ def reverse_path_for(g: Unfolding, t: Transition, bound: int) -> UnfoldingPath:
 # --- cycles and the lattice L_G --------------------------------------------
 
 
-def simple_cycles(g: Unfolding, cap: int = 20000) -> tuple[list[UnfoldingPath], bool]:
-    """All simple cycles, anchored at their minimal state, in DFS order.
-
-    Returns (cycles, truncated); consumers must treat the spanned lattice
-    as an under-approximation when truncated.
-    """
-    key = ("simple_cycles", cap)
-    if key in g._cache:
-        return g._cache[key]
-    order = {s: i for i, s in enumerate(g.states)}
-    out: dict[State, list[Transition]] = {s: [] for s in g.states}
-    for t in g.transitions:
-        out[t[0]].append(t)
-    cycles: list[UnfoldingPath] = []
-    truncated = False
-
-    for anchor in g.states:
-        if truncated:
-            break
-        # DFS paths from anchor over states with order >= anchor, distinct
-        # internal states; closing edge returns to anchor.
-        stack: list[tuple[State, tuple[Transition, ...], frozenset]] = [
-            (anchor, (), frozenset([anchor]))
-        ]
-        while stack:
-            state, path, seen = stack.pop()
-            for t in reversed(out[state]):
-                if t[2] == anchor:
-                    if len(cycles) >= cap:
-                        truncated = True
-                        break
-                    cycles.append(UnfoldingPath(anchor, path + (t,)))
-                elif order[t[2]] > order[anchor] and t[2] not in seen:
-                    stack.append((t[2], path + (t,), seen | {t[2]}))
-            if truncated:
-                break
-    g._cache[key] = (cycles, truncated)
-    return cycles, truncated
+def _tree(g: Unfolding, root: State, forward: bool = True) -> dict[State, Transition | None]:
+    key = ("bfs", root, forward)
+    if key not in g._cache:
+        g._cache[key] = _bfs_parents(g.transitions, root, forward)
+    return g._cache[key]
 
 
-def lattice_of_unfolding(g: Unfolding, cap: int = 20000) -> LatticeRepresentation:
-    """Representation of the lattice spanned by simple-cycle displacements."""
-    if "lattice" in g._cache:
-        return g._cache["lattice"]
-    cycles, truncated = simple_cycles(g, cap)
-    if truncated:
-        raise UnfoldingError("simple-cycle enumeration truncated; lattice would be partial")
-    gens = sorted({c.displacement(g.net) for c in cycles})
-    rep = representation_from_generators(gens, g.net.dim)
-    g._cache["lattice"] = rep
-    return rep
+def _tree_path(parents: dict[State, Transition | None], s: State, forward: bool) -> list[Transition]:
+    """The tree edges between the root and s, in walking order."""
+    path: list[Transition] = []
+    while parents[s] is not None:
+        t = parents[s]
+        path.append(t)
+        s = t[0] if forward else t[2]
+    return path[::-1] if forward else path
 
 
 def elementary_path(g: Unfolding, p: State, q: State) -> UnfoldingPath:
-    """First breadth-first path p -> q; elementary because BFS trees are."""
-    if p == q:
-        return UnfoldingPath(p)
-    parents: dict[State, tuple[State, Transition] | None] = {p: None}
-    frontier = [p]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in g.transitions:
-                if t[0] != s or t[2] in parents:
-                    continue
-                parents[t[2]] = (s, t)
-                if t[2] == q:
-                    path = []
-                    cur = q
-                    while parents[cur] is not None:
-                        prev, edge = parents[cur]
-                        path.append(edge)
-                        cur = prev
-                    return UnfoldingPath(p, tuple(reversed(path)))
-                nxt.append(t[2])
-        frontier = nxt
-    raise UnfoldingError("states are not connected", (p, q))
+    """The out-tree path p -> q; elementary because BFS tree paths are."""
+    parents = _tree(g, p)
+    if q not in parents:
+        raise UnfoldingError("states are not connected", (p, q))
+    return UnfoldingPath(p, tuple(_tree_path(parents, q, True)))
+
+
+def cycle_walks(g: Unfolding) -> list[UnfoldingPath]:
+    """Closed walks on r = states[0] whose displacements span L_G.
+
+    With P the out-tree and Q the in-tree at r, the walks are P_p e Q_q
+    for each edge e = (p, q) and P_v Q_v for each state v.  Along any
+    closed walk the first kind sums to its displacement plus a sum of the
+    second kind, so together they generate the closed-walk lattice.
+    """
+    r = g.states[0]
+    out_tree, in_tree = _tree(g, r), _tree(g, r, forward=False)
+    there = {v: _tree_path(out_tree, v, True) for v in g.states}
+    back = {v: _tree_path(in_tree, v, False) for v in g.states}
+    walks = [(*there[p], (p, a, q), *back[q]) for p, a, q in g.transitions]
+    walks += [(*there[v], *back[v]) for v in g.states]
+    return [UnfoldingPath(r, w) for w in walks]
+
+
+def lattice_of_unfolding(g: Unfolding) -> LatticeRepresentation:
+    """Representation of the lattice spanned by closed-walk displacements."""
+    if "lattice" not in g._cache:
+        gens = sorted({w.displacement(g.net) for w in cycle_walks(g)})
+        g._cache["lattice"] = representation_from_generators(gens, g.net.dim)
+    return g._cache["lattice"]
 
 
 def coset_between(g: Unfolding, p: State, q: State) -> LatticeCoset:
@@ -592,12 +546,12 @@ def enumerate_unfoldings(
             edges = [edges[j] for j in max_positive_support(rows, len(edges))]
             if len(states) > 1 and not _strongly_connected(states, edges)[0]:
                 continue
-        yield Unfolding(net, index_set, states, tuple(edges))
-        stats.emitted += 1
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
             stats.reasons.append(("max-unfoldings",))
             return
+        yield Unfolding(net, index_set, states, tuple(edges))
+        stats.emitted += 1
 
 
 def collect_unfoldings(

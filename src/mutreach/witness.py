@@ -24,13 +24,13 @@ from .unfolding import (
     UnfoldingError,
     UnfoldingPath,
     coset_between,
+    cycle_walks,
     elementary_path,
     embed_simple_cycle,
     enumerate_unfoldings,
     index_sets,
     lattice_of_unfolding,
     reverse_path_for,
-    simple_cycles,
     unfolding_from_sccc,
     zero_full_state_cycle,
 )
@@ -423,9 +423,12 @@ def synthesize_path(
 
     theta_word: tuple[int, ...] = ()
     if target != zero(net.dim):
-        cycles, truncated = simple_cycles(g)
-        if truncated:
-            raise SynthesisError("simple-cycle enumeration truncated")
+        # Columns: the distinct simple pieces of the closed walks, in walk
+        # order.  With the raw walks as columns the solver tends to pick
+        # negative coefficients, each costing a `_reverse_cycle` search.
+        cycles = list(
+            dict.fromkeys(piece for w in cycle_walks(g) for piece in _decompose_into_simple(g, w))
+        )
         mat = IntMatrix.from_rows(
             [[c.displacement(net)[i] for c in cycles] for i in range(net.dim)]
         )

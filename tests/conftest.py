@@ -9,10 +9,14 @@ expansion, reversibility uses a plain displacement-bounded search.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
+from mutreach.intlinalg import LinalgError
 from mutreach.net import Action, PetriNet
+from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
 
 
 @pytest.fixture(scope="session")
@@ -322,3 +326,91 @@ def candidate_unfoldings(
             emitted += 1
             if cap is not None and emitted >= cap:
                 return
+
+
+def simple_cycles(g):
+    """All simple cycles, anchored at their minimal state, in DFS order:
+    the exponential reference for the closed-walk lattice generators."""
+    from mutreach.unfolding import UnfoldingPath
+
+    order = {s: i for i, s in enumerate(g.states)}
+    out = {s: [] for s in g.states}
+    for t in g.transitions:
+        out[t[0]].append(t)
+    cycles = []
+    for anchor in g.states:
+        # DFS paths from anchor over states with order >= anchor, distinct
+        # internal states; closing edge returns to anchor.
+        stack = [(anchor, (), frozenset([anchor]))]
+        while stack:
+            state, path, seen = stack.pop()
+            for t in reversed(out[state]):
+                if t[2] == anchor:
+                    cycles.append(UnfoldingPath(anchor, path + (t,)))
+                elif order[t[2]] > order[anchor] and t[2] not in seen:
+                    stack.append((t[2], path + (t,), seen | {t[2]}))
+    return cycles
+
+
+# --- LP cross-checks ------------------------------------------------------------
+
+
+def rational_lp_feasible(
+    equalities: Sequence[tuple[Sequence, object]],
+    num_vars: int,
+) -> tuple[bool, list[Fraction] | None]:
+    """Feasibility of { A f = b, f > 0 } over the rationals.
+
+    The systems fed here are homogeneous (b = 0), so strict positivity is
+    solved as f >= 1; the witness returned is exact and strictly positive.
+    """
+    rows = []
+    for coeffs, rhs in equalities:
+        if Fraction(rhs) != 0:
+            raise LinalgError("only homogeneous systems are supported")
+        row = [Fraction(c) for c in coeffs]
+        if len(row) != num_vars:
+            raise LinalgError("coefficient row has wrong length")
+        rows.append(row)
+    witness = positive_circulation(rows, num_vars)
+    if witness is None:
+        return False, None
+    return True, witness
+
+
+def feasible_with_epsilon(
+    equalities: Sequence[Sequence],
+    num_vars: int,
+) -> Fraction | None:
+    """Best epsilon in (0, 1] with A f = 0 and f >= epsilon, or None.
+
+    Cross-check route for the f >= 1 homogenization: by scaling, a
+    positive epsilon exists exactly when f >= 1 is feasible.
+    """
+    if num_vars == 0:
+        return Fraction(1)
+    # Variables: f (num_vars), eps, slack per f_j - eps >= 0, slack for eps <= 1.
+    total = num_vars + 1 + num_vars + 1
+    rows: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    for coeffs in equalities:
+        rows.append([Fraction(c) for c in coeffs] + [Fraction(0)] * (total - num_vars))
+        b.append(Fraction(0))
+    for j in range(num_vars):
+        row = [Fraction(0)] * total
+        row[j] = Fraction(1)
+        row[num_vars] = Fraction(-1)
+        row[num_vars + 1 + j] = Fraction(-1)
+        rows.append(row)
+        b.append(Fraction(0))
+    row = [Fraction(0)] * total
+    row[num_vars] = Fraction(1)
+    row[total - 1] = Fraction(1)
+    rows.append(row)
+    b.append(Fraction(1))
+    objective = [Fraction(0)] * total
+    objective[num_vars] = Fraction(1)
+    status, x, value = solve_standard(rows, b, objective, maximize=True)
+    if status != FEASIBLE or value is None or value <= 0:
+        return None
+    return value

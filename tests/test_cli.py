@@ -143,6 +143,22 @@ def test_eval_malformed_formula_exits_one(net_path, tmp_path, capsys):
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, name
 
 
+def test_eval_skips_leading_comment_lines(net_path, tmp_path, capsys):
+    base = tmp_path / "formula"
+    for mode in ("mutual", "bottom"):
+        main(["compile", net_path, "--mode", mode, "--out", str(base), "--formats", "text"])
+    for suffix, query in ((".mrf", ["--pair", "1 0 / 0 1", "--box", "2"]), (".btf", ["--box", "2"])):
+        plain = tmp_path / f"formula{suffix}"
+        commented = tmp_path / f"commented{suffix}"
+        commented.write_text("# note\n" + plain.read_text())
+        capsys.readouterr()
+        code = main(["eval", str(plain), *query])
+        expected = capsys.readouterr().out
+        assert code != 1 and expected.count("\n") > 1
+        assert main(["eval", str(commented), *query]) == code, suffix
+        assert capsys.readouterr().out == expected
+
+
 def test_eval_bottom_enumeration_can_be_inconclusive(net_path, tmp_path, capsys):
     base = tmp_path / "bottom"
     main(["compile", net_path, "--mode", "bottom", "--out", str(base)])

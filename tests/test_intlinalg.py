@@ -4,17 +4,15 @@ from math import factorial
 
 import pytest
 
-from conftest import leibniz_determinant
+from conftest import feasible_with_epsilon, leibniz_determinant, rational_lp_feasible
 from mutreach.intlinalg import (
     HnfResult,
     IntMatrix,
     LinalgError,
     comatrix,
     determinant,
-    feasible_with_epsilon,
     hermite_normal_form,
     kernel_basis,
-    rational_lp_feasible,
     solve_integer,
 )
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import factorial
 
@@ -37,6 +38,15 @@ def test_diagonal_lattice():
     assert lattice_contains(rep, (3, 3))
     assert not lattice_contains(rep, (3, 2))
     assert lattice_contains(rep, (-4, -4))
+
+
+def test_equality_pairs_do_not_depend_on_generator_scale():
+    """Equalities are unique up to scale; the generators must not pick it."""
+    small = representation_from_generators([(2, 2, 0)], 3)
+    assert small == representation_from_generators([(4, 4, 0), (6, 6, 0)], 3)
+    for n, a in small.pairs:
+        if n == 0:
+            assert math.gcd(*a) == 1
 
 
 def test_contains_rejects_wrong_dimension():

@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import candidate_unfoldings, definitional_reversible, walked_state_sets
-from mutreach.lattice import lattice_contains
+from conftest import candidate_unfoldings, definitional_reversible, simple_cycles, walked_state_sets
+from mutreach.lattice import lattice_contains, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.unfolding import (
     EnumLimits,
@@ -10,6 +10,7 @@ from mutreach.unfolding import (
     UnfoldingPath,
     collect_unfoldings,
     coset_between,
+    cycle_walks,
     elementary_path,
     embed_simple_cycle,
     enumerate_unfoldings,
@@ -19,7 +20,6 @@ from mutreach.unfolding import (
     lattice_of_unfolding,
     reverse_path_for,
     rotate_cycle,
-    simple_cycles,
     unfolding_from_sccc,
     unfolding_to_dot,
     validate_unfolding,
@@ -108,8 +108,7 @@ def test_lp_matches_definitional_search_on_candidates(fixture_nets):
 
 def test_simple_cycles_examples(token_swap):
     g = _level2(token_swap)
-    cycles, truncated = simple_cycles(g)
-    assert not truncated
+    cycles = simple_cycles(g)
     assert len(cycles) == 2  # the two level-adjacent back-and-forth loops
     for c in cycles:
         assert c.is_cycle()
@@ -117,7 +116,7 @@ def test_simple_cycles_examples(token_swap):
 
     two_loops = PetriNet(1, (Action((0,), (1,)), Action((1,), (0,))))
     g2 = validate_unfolding(two_loops, (), [()], [((), 0, ()), ((), 1, ())])
-    cycles2, _ = simple_cycles(g2)
+    cycles2 = simple_cycles(g2)
     assert len(cycles2) == 2
 
 
@@ -127,17 +126,39 @@ def test_simple_cycles_triangle(ring):
         [(2, 0), (1, 1), (0, 2)],
         [((2, 0), 0, (1, 1)), ((1, 1), 1, (0, 2)), ((0, 2), 2, (2, 0))],
     )
-    cycles, _ = simple_cycles(g)
+    cycles = simple_cycles(g)
     assert len(cycles) == 1
     assert len(cycles[0]) == 3
 
 
-def test_simple_cycles_cap_truncates(token_swap):
-    g = _level2(token_swap)
-    cycles, truncated = simple_cycles(g, cap=1)
-    assert truncated and len(cycles) == 1
-    with pytest.raises(UnfoldingError):
-        lattice_of_unfolding(g, cap=1)
+RING3 = PetriNet(
+    3, (Action((1, 0, 0), (0, 1, 0)), Action((0, 1, 0), (0, 0, 1)), Action((0, 0, 1), (1, 0, 0)))
+)
+
+
+@pytest.mark.parametrize("forward_closed", [False, True])
+def test_closed_walks_span_the_simple_cycle_lattice(fixture_nets, forward_closed):
+    """On every unfolding the |E| + |V| closed walks are genuine closed
+    walks on the first state and span what the simple cycles span."""
+    # ring3 is capped at four states: its six-state sets cost about 40 s of
+    # LPs, and the four-state ones already include the unfoldings whose
+    # equality pairs come out scaled before normalisation
+    nets = [(net, EnumLimits()) for net in fixture_nets.values()] + [(RING3, EnumLimits(max_states=4))]
+    checked = 0
+    for net, limits in nets:
+        for index_set in index_sets(net.dim):
+            for g in enumerate_unfoldings(net, index_set, 4, limits, forward_closed=forward_closed):
+                walks = cycle_walks(g)
+                assert len(walks) == len(g.transitions) + len(g.states)
+                edges = set(g.transitions)
+                for w in walks:
+                    assert w.source == w.target == g.states[0]
+                    assert set(w.transitions) <= edges
+                # the generators the simple-cycle lattice was built from
+                reference = sorted({c.displacement(net) for c in simple_cycles(g)})
+                assert lattice_of_unfolding(g) == representation_from_generators(reference, net.dim)
+                checked += 1
+    assert checked >= 20
 
 
 def test_lattice_of_unfolding_examples():
@@ -165,10 +186,8 @@ def test_lattice_of_unfolding_examples():
 def test_lattice_invariant_under_reversed_cycles(token_swap):
     g = _level2(token_swap)
     rep = lattice_of_unfolding(g)
-    cycles, _ = simple_cycles(g)
+    cycles = simple_cycles(g)
     gens = [c.displacement(token_swap) for c in cycles]
-    from mutreach.lattice import representation_from_generators
-
     doubled = representation_from_generators(
         gens + [tuple(-v for v in w) for w in gens], token_swap.dim
     )
@@ -273,7 +292,7 @@ def test_zero_full_state_cycle_on_ring(ring):
 def test_embed_simple_cycle(token_swap):
     g = _level2(token_swap)
     zero_c = zero_full_state_cycle(g, (1, 1))
-    cycles, _ = simple_cycles(g)
+    cycles = simple_cycles(g)
     for c in cycles:
         for anchor in g.states:
             emb = embed_simple_cycle(g, zero_c, c, anchor=anchor)
@@ -284,7 +303,7 @@ def test_embed_simple_cycle(token_swap):
 
 def test_rotate_cycle_requires_anchor_on_cycle(token_swap):
     g = _level2(token_swap)
-    cycles, _ = simple_cycles(g)
+    cycles = simple_cycles(g)
     with pytest.raises(UnfoldingError):
         rotate_cycle(cycles[0], (9, 9))
 
@@ -343,6 +362,18 @@ def test_enumeration_truncation_flag(mixed3):
     limits = EnumLimits(max_states=4, max_unfoldings=3)
     gs, stats = collect_unfoldings(mixed3, (0, 1), 4, limits)
     assert stats.truncated and len(gs) == 3
+
+
+def test_enumeration_truncation_flag_at_exact_limit(consumer, mixed3):
+    """A limit equal to the count truncates nothing; one below it does."""
+    gs, stats = collect_unfoldings(consumer, (0,), 1, EnumLimits(max_unfoldings=1))
+    assert len(gs) == 1 and not stats.truncated
+    full, _ = collect_unfoldings(mixed3, (0, 1), 4, EnumLimits(max_states=4))
+    n = len(full)
+    for limit, truncated in ((n, False), (n - 1, True)):
+        gs, stats = collect_unfoldings(mixed3, (0, 1), 4, EnumLimits(max_states=4, max_unfoldings=limit))
+        assert [g.states for g in gs] == [g.states for g in full[:limit]]
+        assert stats.truncated == truncated
 
 
 def test_transition_subset_enumeration(token_swap):

@@ -150,7 +150,8 @@ def test_basis_truncation_propagates_to_formula_completeness(token_swap):
     assert compile_mutual(token_swap, generous).complete
 
 
-def test_synthesis_with_nontrivial_cycle_lattice():
+@pytest.mark.parametrize("difference", [4, 12, 24])
+def test_synthesis_with_nontrivial_cycle_lattice(difference):
     """Witness whose difference must be repaid by nonzero-displacement
     cycles: two self-inverse actions moving pairs of tokens, whose cycle
     lattice is 2Z x {0}.  Exercises the integer cycle decomposition,
@@ -159,7 +160,7 @@ def test_synthesis_with_nontrivial_cycle_lattice():
     net = PetriNet(2, (Action((0, 0), (2, 0)), Action((2, 0), (0, 0))))
     tau = exact_off_threshold(net, singleton_unfolding(net, (0, 0)))
     x = (tau + 2, tau)
-    y = (tau + 6, tau)
+    y = (tau + 2 + difference, tau)
     params = PumpingParams(state_bound=1, cycle_len=2)
     res = search_witness(net, x, y, params)
     assert res.status == "found", res.status
@@ -172,7 +173,8 @@ def test_synthesis_with_nontrivial_cycle_lattice():
     assert fire(y, net.word(back)) == x
 
 
-def test_synthesis_multi_state_partial_index():
+@pytest.mark.parametrize("difference", [4, 12, 24])
+def test_synthesis_multi_state_partial_index(difference):
     """Two-state one-tracked-coordinate unfolding whose cycles move the
     untracked coordinate by two: the difference is repaid by cycles
     embedded into a full-state zero cycle, in both directions, and the
@@ -193,7 +195,7 @@ def test_synthesis_multi_state_partial_index():
     )
     tau = exact_off_threshold(net, g2)
     x = (1, tau + 84)
-    y = (1, tau + 88)
+    y = (1, tau + 84 + difference)
     res = search_witness(net, x, y, params)
     assert res.status == "found"
     w = res.witness
