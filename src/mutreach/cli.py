@@ -74,8 +74,6 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-states", type=int, default=6,
                    help="largest unfolding state-set size enumerated")
     p.add_argument("--max-unfoldings", type=int, default=5000)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for enumeration shards (deterministic merge)")
 
 
 def _report_exact_parameters(net):
@@ -184,9 +182,15 @@ def _load_formula(path):
 
 def cmd_eval(args) -> int:
     formula = _load_formula(args.formula)
+    mutual = isinstance(formula, MutualFormula)
+    wrong = args.point if mutual else args.pair
+    if wrong:
+        flag, kind = ("--point", "mutual") if mutual else ("--pair", "bottom")
+        print(f"error: {flag} does not apply to a {kind} formula", file=sys.stderr)
+        return EXIT_USAGE
     rows = []
     inconclusive = False
-    if isinstance(formula, MutualFormula):
+    if mutual:
         if args.pair:
             for pair_text in args.pair:
                 x_text, _, y_text = pair_text.partition("/")
@@ -285,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output base path (suffixes added)")
     p.add_argument("--formats", default="text,smtlib,json")
     _add_param_flags(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes for enumeration shards (deterministic merge)")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("eval", help="evaluate a compiled formula at points")

@@ -2,8 +2,8 @@
 
 A small two-phase simplex with Bland's rule, entirely in Fractions.
 Used for structural-reversibility flow systems and for maximal
-circulation supports; problems here stay tiny, so clarity wins over
-sparsity tricks.
+circulation supports, both posed as f >= 1 feasibility problems;
+problems here stay tiny, so clarity wins over sparsity tricks.
 """
 
 from __future__ import annotations
@@ -144,6 +144,30 @@ def solve_standard(
     return FEASIBLE, tab.solution(), obj
 
 
+def _circulation(
+    eq_rows: Sequence[Sequence],
+    nvars: int,
+    required: Sequence[int],
+) -> list[Fraction] | None:
+    """Find f with A f = 0, f >= 0 and f(j) >= 1 for j in `required`, or None."""
+    if nvars == 0:
+        return []
+    # Substitute f = g + 1_required with g >= 0:  A g = -A 1_required.
+    rows = _to_fraction_rows(eq_rows)
+    b = [-sum(row[j] for j in required) for row in rows]
+    if not rows:  # every g >= 0 solves it, and solve_standard cannot size g
+        g = [Fraction(0)] * nvars
+    else:
+        status, g, _ = solve_standard(rows, b)
+        if status != FEASIBLE:
+            return None
+        assert g is not None
+    f = g[:nvars]
+    for j in required:
+        f[j] += 1
+    return f
+
+
 def positive_circulation(
     eq_rows: Sequence[Sequence],
     nvars: int,
@@ -153,16 +177,7 @@ def positive_circulation(
     Strict positivity f > 0 is equivalent to f >= 1 here because the
     systems are homogeneous, so any positive solution scales up.
     """
-    if nvars == 0:
-        return []
-    # Substitute f = g + 1 with g >= 0:  A g = -A 1.
-    rows = _to_fraction_rows(eq_rows)
-    b = [-sum(row) for row in rows]
-    status, g, _ = solve_standard(rows, b)
-    if status != FEASIBLE:
-        return None
-    assert g is not None
-    return [x + 1 for x in g[:nvars]]
+    return _circulation(eq_rows, nvars, range(nvars))
 
 
 def max_positive_support(
@@ -171,36 +186,18 @@ def max_positive_support(
 ) -> list[int]:
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
-    Supports of such solutions are closed under addition, so the union is
-    realized by a single f and one LP finds it: maximize sum(s) subject to
-    0 <= s <= 1, s <= f, A f = 0.
+    Supports of such solutions are closed under addition, so the answer
+    is the union of the supports of f with f(j) >= 1, one LP per index j
+    not yet covered. The all-index LP runs first: it is the common case,
+    and a simplex vertex alone covers at most rank(A) indices.
     """
-    if nvars == 0:
-        return []
-    rows = _to_fraction_rows(eq_rows)
-    # Variables: f (nvars), s (nvars), slack u for f - s >= 0, slack w for s <= 1.
-    total = 4 * nvars
-    big_rows: list[Row] = []
-    big_b: list[Fraction] = []
-    for row in rows:
-        big_rows.append(list(row) + [Fraction(0)] * (3 * nvars))
-        big_b.append(Fraction(0))
+    if _circulation(eq_rows, nvars, range(nvars)) is not None:
+        return list(range(nvars))
+    support: set[int] = set()
     for j in range(nvars):
-        row = [Fraction(0)] * total
-        row[j] = Fraction(1)
-        row[nvars + j] = Fraction(-1)
-        row[2 * nvars + j] = Fraction(-1)
-        big_rows.append(row)
-        big_b.append(Fraction(0))
-        row = [Fraction(0)] * total
-        row[nvars + j] = Fraction(1)
-        row[3 * nvars + j] = Fraction(1)
-        big_rows.append(row)
-        big_b.append(Fraction(1))
-    objective = [Fraction(0)] * total
-    for j in range(nvars):
-        objective[nvars + j] = Fraction(1)
-    status, x, _ = solve_standard(big_rows, big_b, objective, maximize=True)
-    assert status == FEASIBLE, "max-support LP is always feasible (f = s = 0)"
-    assert x is not None
-    return [j for j in range(nvars) if x[nvars + j] == 1]
+        if j in support:
+            continue
+        f = _circulation(eq_rows, nvars, (j,))
+        if f is not None:
+            support.update(k for k, x in enumerate(f) if x > 0)
+    return sorted(support)

@@ -444,7 +444,6 @@ class EnumLimits:
 class EnumStats:
     emitted: int = 0
     truncated: bool = False
-    reasons: list = field(default_factory=list)
 
 
 def index_sets(dim: int) -> list[tuple[int, ...]]:
@@ -548,7 +547,6 @@ def enumerate_unfoldings(
                 continue
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
-            stats.reasons.append(("max-unfoldings",))
             return
         yield Unfolding(net, index_set, states, tuple(edges))
         stats.emitted += 1

@@ -414,3 +414,42 @@ def feasible_with_epsilon(
     if status != FEASIBLE or value is None or value <= 0:
         return None
     return value
+
+
+def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
+    """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
+
+    Reference for `ratlp.max_positive_support` by a different route: one
+    LP over 4n variables, maximize sum(s) subject to 0 <= s <= 1, s <= f,
+    A f = 0. Supports are closed under addition, so the optimum has s = 1
+    exactly on the maximal support.
+    """
+    if nvars == 0:
+        return []
+    rows = [[Fraction(c) for c in row] for row in eq_rows]
+    # Variables: f (nvars), s (nvars), slack u for f - s >= 0, slack w for s <= 1.
+    total = 4 * nvars
+    big_rows: list[list[Fraction]] = []
+    big_b: list[Fraction] = []
+    for row in rows:
+        big_rows.append(list(row) + [Fraction(0)] * (3 * nvars))
+        big_b.append(Fraction(0))
+    for j in range(nvars):
+        row = [Fraction(0)] * total
+        row[j] = Fraction(1)
+        row[nvars + j] = Fraction(-1)
+        row[2 * nvars + j] = Fraction(-1)
+        big_rows.append(row)
+        big_b.append(Fraction(0))
+        row = [Fraction(0)] * total
+        row[nvars + j] = Fraction(1)
+        row[3 * nvars + j] = Fraction(1)
+        big_rows.append(row)
+        big_b.append(Fraction(1))
+    objective = [Fraction(0)] * total
+    for j in range(nvars):
+        objective[nvars + j] = Fraction(1)
+    status, x, _ = solve_standard(big_rows, big_b, objective, maximize=True)
+    assert status == FEASIBLE, "max-support LP is always feasible (f = s = 0)"
+    assert x is not None
+    return [j for j in range(nvars) if x[nvars + j] == 1]

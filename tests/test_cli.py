@@ -71,6 +71,18 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["check-mutual", str(bad), "--x", "1", "--y", "2"]) == 1
 
 
+def test_check_mutual_rejects_workers_flag(capsys):
+    # --workers shards compilation only; check-mutual has no use for it
+    code = main(
+        ["check-mutual", str(FIXTURES / "token_swap.net"),
+         "--x", "1 0", "--y", "0 1", "--workers", "7"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --workers 7" in captured.err
+
+
 def test_compile_outputs_and_determinism(net_path, tmp_path, capsys):
     base1 = tmp_path / "one"
     base2 = tmp_path / "two"
@@ -141,6 +153,20 @@ def test_eval_malformed_formula_exits_one(net_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, name
+
+
+@pytest.mark.parametrize(
+    "mode, suffix, query",
+    [("mutual", ".mrf", ["--point", "1 1"]), ("bottom", ".btf", ["--pair", "1 0 / 0 1"])],
+)
+def test_eval_rejects_flags_for_the_other_kind(net_path, tmp_path, capsys, mode, suffix, query):
+    base = tmp_path / "formula"
+    main(["compile", net_path, "--mode", mode, "--out", str(base), "--formats", "text"])
+    capsys.readouterr()
+    assert main(["eval", str(base) + suffix, *query]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {query[0]} ") and captured.err.count("\n") == 1
 
 
 def test_eval_skips_leading_comment_lines(net_path, tmp_path, capsys):
