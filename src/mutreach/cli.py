@@ -2,6 +2,9 @@
 
 Exit codes: 0 when a verdict or artifact was produced, 2 when the result
 is inconclusive or a budget ran out, 1 for usage or parse errors.
+`eval` needs a query (`--pair` or `--box` for a mutual formula, `--point`
+or `--box` for a bottom one) and prints `?` for a bottom point whose
+lattice query stayed undecided.
 """
 
 from __future__ import annotations
@@ -183,10 +186,12 @@ def _load_formula(path):
 def cmd_eval(args) -> int:
     formula = _load_formula(args.formula)
     mutual = isinstance(formula, MutualFormula)
-    wrong = args.point if mutual else args.pair
-    if wrong:
-        flag, kind = ("--point", "mutual") if mutual else ("--pair", "bottom")
-        print(f"error: {flag} does not apply to a {kind} formula", file=sys.stderr)
+    kind, own, other = ("mutual", "pair", "point") if mutual else ("bottom", "point", "pair")
+    if getattr(args, other):
+        print(f"error: --{other} does not apply to a {kind} formula", file=sys.stderr)
+        return EXIT_USAGE
+    if not getattr(args, own) and args.box is None:
+        print(f"error: eval of a {kind} formula needs --{own} or --box", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     inconclusive = False
@@ -213,7 +218,7 @@ def cmd_eval(args) -> int:
         if args.box is not None:
             points.extend(itertools.product(range(args.box + 1), repeat=formula.dim))
         for c in points:
-            v = eval_bottom(formula, c, method=args.method, radius=args.radius)
+            v = eval_bottom(formula, c)
             inconclusive = inconclusive or v is None
             rows.append((c, v))
         header = "c,bottom"
@@ -300,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", action="append", default=[],
                    help="bottom formulas: 'c1 .. cd' (repeatable)")
     p.add_argument("--box", type=int, default=None, help="sweep all points up to this bound")
-    p.add_argument("--method", choices=("exact", "enumerate"), default="exact")
-    p.add_argument("--radius", type=int, default=8, help="enumeration radius for --method enumerate")
     p.add_argument("--csv", default=None, help="write the verdict table here")
     p.set_defaults(func=cmd_eval)
 

@@ -160,57 +160,6 @@ def to_sexpr(node: Formula) -> str:
     raise FormulaError(f"cannot render {node!r}")
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_tokens(tokens: list[str], pos: int) -> tuple[Formula | list, int]:
-    if tokens[pos] != "(":
-        return tokens[pos], pos + 1
-    pos += 1
-    items = []
-    while tokens[pos] != ")":
-        item, pos = _parse_tokens(tokens, pos)
-        items.append(item)
-    return items, pos + 1
-
-
-def _build(node) -> Formula:
-    if not isinstance(node, list) or not node:
-        raise FormulaError(f"malformed formula text near {node!r}")
-    head = node[0]
-    if head == "true":
-        return BoolConst(True)
-    if head == "false":
-        return BoolConst(False)
-    if head in ("ge", "eq"):
-        coeffs = tuple(int(t) for t in node[1])
-        return CompareAtom(coeffs, ">=" if head == "ge" else "==", int(node[2]))
-    if head == "div":
-        coeffs = tuple(int(t) for t in node[1])
-        return DivAtom(coeffs, int(node[2]), int(node[3]))
-    if head == "and":
-        return And(tuple(_build(c) for c in node[1:]))
-    if head == "or":
-        return Or(tuple(_build(c) for c in node[1:]))
-    if head == "not":
-        return Not(_build(node[1]))
-    if head == "=>":
-        return Implies(_build(node[1]), _build(node[2]))
-    raise FormulaError(f"unknown head {head!r}")
-
-
-def from_sexpr(text: str) -> Formula:
-    tokens = _tokenize(text)
-    try:
-        tree, pos = _parse_tokens(tokens, 0)
-        if pos != len(tokens):
-            raise FormulaError("trailing tokens in formula text")
-        return _build(tree)
-    except (IndexError, TypeError):
-        raise FormulaError(f"malformed formula text {text!r}") from None
-
-
 # --- SMT-LIB ------------------------------------------------------------------
 
 

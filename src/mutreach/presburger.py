@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .formula import (
@@ -23,8 +24,6 @@ from .formula import (
     Implies,
     Or,
     conj_ge,
-    eval_formula,
-    from_sexpr,
     max_threshold,
     smt_term,
     to_sexpr,
@@ -369,7 +368,26 @@ class BottomTuple:
     membership: tuple  # pumping basis at r, checked once at the point itself
     implications: tuple  # ((antecedent vectors), (consequent vectors)) per transition
     offsets: tuple  # (state, v_p) pairs, documentation of the construction
-    phi: Formula = field(compare=False)
+
+    @cached_property
+    def phi(self) -> Formula:
+        """The implications as one threshold formula: per transition,
+        covering some antecedent forces covering some consequent."""
+        d = self.rep.dim
+        return And(
+            tuple(
+                Implies(
+                    Or(tuple(conj_ge(w, d) for w in ants)),
+                    Or(tuple(conj_ge(w, d) for w in cons)),
+                )
+                for ants, cons in self.implications
+            )
+        )
+
+    @cached_property
+    def basis(self) -> list[Vec]:
+        """`lattice_basis(rep)`, computed once per tuple."""
+        return lattice_basis(self.rep)
 
     @property
     def threshold(self) -> int:
@@ -430,15 +448,6 @@ def compile_bottom(
                         )
                     )
                     implications.append((ants, cons))
-                phi = And(
-                    tuple(
-                        Implies(
-                            Or(tuple(conj_ge(w, net.dim) for w in ants)),
-                            Or(tuple(conj_ge(w, net.dim) for w in cons)),
-                        )
-                        for ants, cons in implications
-                    )
-                )
                 tuples.append(
                     BottomTuple(
                         index_set=tuple(index_set),
@@ -447,7 +456,6 @@ def compile_bottom(
                         membership=tuple(m.vector for m in bases[r].elements),
                         implications=tuple(implications),
                         offsets=offsets,
-                        phi=phi,
                     )
                 )
         complete = complete and not stats.truncated
@@ -460,6 +468,12 @@ def compile_bottom(
 
 
 # --- deciding the universal over a lattice ---------------------------------------
+
+# Largest integer box enumerated for a bounded rank >= 2 query; above it,
+# and for unbounded queries, only the window |t_j| <= WINDOW_RADIUS of
+# basis coefficients is scanned, which can find a point but not refute one.
+BOX_BUDGET = 50000
+WINDOW_RADIUS = 8
 
 
 def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
@@ -502,13 +516,14 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def lattice_box_feasible(
-    basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None], budget: int = 20000
+    basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None]
 ) -> bool | None:
     """Is there a lattice point v with lows <= v and v <= highs where set?
 
-    Exact for rank <= 1 and for bounded higher-rank instances; None means
-    the search was inconclusive (unbounded rank >= 2 with no point found
-    in the scanned window).
+    Exact for rank <= 1 and for bounded higher-rank instances of at most
+    BOX_BUDGET coefficient points; None means the search was inconclusive
+    (a larger or unbounded rank >= 2 box with no point found in the
+    scanned window).
     """
     d = len(lows)
     for i in range(d):
@@ -544,12 +559,12 @@ def lattice_box_feasible(
     if not feasible:
         return False
     if ranges is None:
-        return _window_scan(basis, lows, highs, radius=8)
+        return _window_scan(basis, lows, highs)
     total = 1
     for lo, hi in ranges:
         total *= max(0, hi - lo + 1)
-        if total > budget:
-            return _window_scan(basis, lows, highs, radius=8)
+        if total > BOX_BUDGET:
+            return _window_scan(basis, lows, highs)
     for t in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
         v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
         if all(lows[i] <= v[i] and (highs[i] is None or v[i] <= highs[i]) for i in range(d)):
@@ -602,17 +617,17 @@ def _rational_box_ranges(basis, lows, highs):
     return True, ranges
 
 
-def _window_scan(basis, lows, highs, radius: int) -> bool | None:
+def _window_scan(basis, lows, highs) -> bool | None:
     d = len(lows)
     rank = len(basis)
-    for t in itertools.product(range(-radius, radius + 1), repeat=rank):
+    for t in itertools.product(range(-WINDOW_RADIUS, WINDOW_RADIUS + 1), repeat=rank):
         v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
         if all(lows[i] <= v[i] and (highs[i] is None or v[i] <= highs[i]) for i in range(d)):
             return True
     return None
 
 
-def _violation_exists(tup: BottomTuple, c: Vec, budget: int = 50000) -> bool | None:
+def _violation_exists(tup: BottomTuple, c: Vec) -> bool | None:
     """Does some lattice point v make phi(c + v) false?
 
     The negation of phi is a disjunction over transitions of (antecedent
@@ -620,7 +635,6 @@ def _violation_exists(tup: BottomTuple, c: Vec, budget: int = 50000) -> bool | N
     coordinate per target basis element, giving an axis box intersected
     with the lattice.
     """
-    basis = lattice_basis(tup.rep)
     d = len(c)
     saw_inconclusive = False
     for ants, cons in tup.implications:
@@ -640,7 +654,7 @@ def _violation_exists(tup: BottomTuple, c: Vec, budget: int = 50000) -> bool | N
                         break
                 if not ok:
                     continue
-                res = lattice_box_feasible(basis, lows, highs, budget)
+                res = lattice_box_feasible(tup.basis, lows, highs)
                 if res is True:
                     return True
                 if res is None:
@@ -648,14 +662,12 @@ def _violation_exists(tup: BottomTuple, c: Vec, budget: int = 50000) -> bool | N
     return None if saw_inconclusive else False
 
 
-def eval_bottom(
-    f: BottomFormula, c: Sequence[int], method: str = "exact", radius: int = 8
-) -> bool | None:
+def eval_bottom(f: BottomFormula, c: Sequence[int]) -> bool | None:
     """True / False / None (inconclusive).
 
-    `exact` decides the per-tuple universal by lattice-box feasibility;
-    `enumerate` scans lattice points of norm <= radius for a violation
-    and cannot certify success on infinite lattices.
+    Each matching tuple's universal is decided by lattice-box
+    feasibility of a violation; None means some rank >= 2 query was
+    neither found nor refuted (see `lattice_box_feasible`).
     """
     c = vec(c)
     if len(c) != f.dim:
@@ -666,52 +678,12 @@ def eval_bottom(
             continue
         if not any(vge(c, m) for m in tup.membership):
             continue
-        if method == "exact":
-            vio = _violation_exists(tup, c)
-        elif method == "enumerate":
-            vio = _violation_by_enumeration(tup, c, radius)
-        else:
-            raise CompileError(f"unknown method {method!r}")
+        vio = _violation_exists(tup, c)
         if vio is False:
             return True
         if vio is None:
             saw_inconclusive = True
     return None if saw_inconclusive else False
-
-
-def _lattice_points_in_window(basis: list[Vec], radius: int, budget: int = 200000):
-    if not basis:
-        yield tuple()
-        return
-    rank = len(basis)
-    d = len(basis[0])
-    feasible, ranges = _rational_box_ranges(
-        basis, [-radius] * d, [radius] * d
-    )
-    if not feasible:
-        return
-    if ranges is None:
-        ranges = [(-radius, radius)] * rank
-    count = 0
-    for t in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        count += 1
-        if count > budget:
-            return
-        v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
-        if all(abs(x) <= radius for x in v):
-            yield v
-
-
-def _violation_by_enumeration(tup: BottomTuple, c: Vec, radius: int) -> bool | None:
-    basis = lattice_basis(tup.rep)
-    d = len(c)
-    if not basis:
-        return not eval_formula(tup.phi, c)
-    for v in _lattice_points_in_window(basis, radius):
-        point = vadd(c, v) if v else c
-        if not eval_formula(tup.phi, point):
-            return True
-    return None  # no violation seen, but the lattice is infinite
 
 
 # --- serialization ---------------------------------------------------------------
@@ -783,21 +755,17 @@ def bottom_from_text(text: str) -> BottomFormula:
         index_set = _vector(single["index-set"], "index-set")
         if list(index_set) != sorted(set(index_set)) or not all(0 <= i < dim for i in index_set):
             raise CompileError(f"index-set: expected increasing coordinates below {dim}")
-        try:
-            phi = from_sexpr(single["phi"])
-        except ValueError as exc:
-            raise CompileError(f"phi: {exc}") from None
-        tuples.append(
-            BottomTuple(
-                index_set=index_set,
-                state=_vector(single["state"], "state", len(index_set)),
-                rep=_lattice(dim, pairs),
-                membership=tuple(membership),
-                implications=tuple(imps),
-                offsets=tuple(offsets),
-                phi=phi,
-            )
+        tup = BottomTuple(
+            index_set=index_set,
+            state=_vector(single["state"], "state", len(index_set)),
+            rep=_lattice(dim, pairs),
+            membership=tuple(membership),
+            implications=tuple(imps),
+            offsets=tuple(offsets),
         )
+        if single["phi"] != to_sexpr(tup.phi):
+            raise CompileError("phi does not match the tuple's imp lines")
+        tuples.append(tup)
     return BottomFormula(
         dim=dim,
         tuples=tuple(tuples),

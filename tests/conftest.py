@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the code paths they check: span
 membership uses an incremental triangular basis with xgcd elimination
 (never the comatrix construction), determinants use the permutation
-expansion, reversibility uses a plain displacement-bounded search.
+expansion, reversibility uses a plain displacement-bounded search, and
+bottom membership evaluates phi at enumerated lattice points instead of
+solving lattice-box queries.
 """
 
 from __future__ import annotations
@@ -14,9 +16,12 @@ from typing import Sequence
 
 import pytest
 
+from mutreach.formula import eval_formula
 from mutreach.intlinalg import LinalgError
 from mutreach.net import Action, PetriNet
+from mutreach.presburger import _rational_box_ranges, lattice_basis
 from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
+from mutreach.vectors import restrict, vadd, vec, vge
 
 
 @pytest.fixture(scope="session")
@@ -453,3 +458,62 @@ def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
     assert status == FEASIBLE, "max-support LP is always feasible (f = s = 0)"
     assert x is not None
     return [j for j in range(nvars) if x[nvars + j] == 1]
+
+
+# --- bottom evaluation by enumeration ---------------------------------------------
+
+
+def lattice_points_in_window(basis, radius: int, budget: int = 200000):
+    if not basis:
+        yield tuple()
+        return
+    rank = len(basis)
+    d = len(basis[0])
+    feasible, ranges = _rational_box_ranges(
+        basis, [-radius] * d, [radius] * d
+    )
+    if not feasible:
+        return
+    if ranges is None:
+        ranges = [(-radius, radius)] * rank
+    count = 0
+    for t in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
+        count += 1
+        if count > budget:
+            return
+        v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
+        if all(abs(x) <= radius for x in v):
+            yield v
+
+
+def violation_by_enumeration(tup, c, radius: int) -> bool | None:
+    """Reference for `presburger._violation_exists`: evaluate the tuple's
+    phi at c + v for the lattice points v of norm <= radius.  It cannot
+    rule a violation out on an infinite lattice (None)."""
+    basis = lattice_basis(tup.rep)
+    d = len(c)
+    if not basis:
+        return not eval_formula(tup.phi, c)
+    for v in lattice_points_in_window(basis, radius):
+        point = vadd(c, v) if v else c
+        if not eval_formula(tup.phi, point):
+            return True
+    return None  # no violation seen, but the lattice is infinite
+
+
+def eval_bottom_by_enumeration(f, c, radius: int) -> bool | None:
+    """`eval_bottom` with each tuple's universal checked by
+    `violation_by_enumeration` instead of lattice-box feasibility."""
+    c = vec(c)
+    saw_inconclusive = False
+    for tup in f.tuples:
+        if restrict(c, tup.index_set) != tup.state:
+            continue
+        if not any(vge(c, m) for m in tup.membership):
+            continue
+        vio = violation_by_enumeration(tup, c, radius)
+        if vio is False:
+            return True
+        if vio is None:
+            saw_inconclusive = True
+    return None if saw_inconclusive else False

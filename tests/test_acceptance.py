@@ -16,6 +16,7 @@ from conftest import (
     candidate_unfoldings,
     definitional_reversible,
     enumerated_span_points,
+    eval_bottom_by_enumeration,
     span_oracle,
 )
 from mutreach.cli import main as cli_main
@@ -369,7 +370,8 @@ def test_criterion_10_path_synthesis(fixture_nets):
 @criterion(11, 120)
 def test_criterion_11_bottom_formula_vs_oracle(fixture_nets):
     """Bottom membership agrees with the oracle on all reliable
-    configurations; exact and enumeration methods agree when both decide."""
+    configurations, and so does evaluation by lattice-point enumeration
+    wherever it decides."""
     setups = {
         "token_swap": (5, 2),
         "consumer": (5, 4),
@@ -384,9 +386,9 @@ def test_criterion_11_bottom_formula_vs_oracle(fixture_nets):
             want = space.bottom(c)
             if want is None:
                 continue
-            got = eval_bottom(formula, c, method="exact")
+            got = eval_bottom(formula, c)
             assert got == want, (name, c, got, want)
-            enum = eval_bottom(formula, c, method="enumerate", radius=6)
+            enum = eval_bottom_by_enumeration(formula, c, radius=6)
             if enum is not None:
                 assert enum == got
     return ("four fixtures, reliable verdicts all match")

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mutreach.cli import main
+from mutreach.presburger import bottom_from_text, bottom_to_text, mutual_from_text, mutual_to_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -52,3 +53,10 @@ def test_default_artifacts_are_byte_identical(name, mode, tmp_path, capsys):
     expected = {k: v for k, v in DIGESTS.items() if k.startswith(f"{name}-{mode}.")}
     assert len(expected) == 3
     assert produced == expected
+    # the text form parses back to a formula that renders the same bytes
+    parse, render, suffix = {
+        "mutual": (mutual_from_text, mutual_to_text, ".mrf"),
+        "bottom": (bottom_from_text, bottom_to_text, ".btf"),
+    }[mode]
+    text = (tmp_path / f"{name}-{mode}{suffix}").read_text(encoding="utf-8")
+    assert render(parse(text)) == text

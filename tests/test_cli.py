@@ -185,23 +185,73 @@ def test_eval_skips_leading_comment_lines(net_path, tmp_path, capsys):
         assert capsys.readouterr().out == expected
 
 
-def test_eval_bottom_enumeration_can_be_inconclusive(net_path, tmp_path, capsys):
+def test_eval_bottom_decides_the_empty_index_tuple(net_path, tmp_path, capsys):
     base = tmp_path / "bottom"
     main(["compile", net_path, "--mode", "bottom", "--out", str(base)])
     capsys.readouterr()
     # a point only the empty-index tuple matches (and large enough to
-    # pass its pumping membership): the lattice is infinite and the
-    # nearest counterexample to the universal sits beyond the scanned
-    # radius, so enumeration reports '?' with exit code 2
-    code = main(["eval", str(base) + ".btf", "--point", "50 50", "--method", "enumerate"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "50 50,?" in out
-    # the exact method finds that counterexample and decides
-    code = main(["eval", str(base) + ".btf", "--point", "50 50", "--method", "exact"])
+    # pass its pumping membership): its lattice is infinite, and the
+    # counterexample to the universal is found and decides
+    code = main(["eval", str(base) + ".btf", "--point", "50 50"])
     out = capsys.readouterr().out
     assert code == 0
     assert "50 50,0" in out
+
+
+# Z^2 and an implication whose antecedent holds far out and whose
+# consequent never does: the violation at (100, 100) is unbounded in both
+# directions and lies outside the scanned window, so it is not decided.
+UNDECIDED_BTF = """kind bottom
+dim 2
+provenance heuristic
+complete 0
+tuple
+index-set
+state
+pair 1 : 1 0
+pair 1 : 0 1
+member 0 0
+imp 100 100 =>
+phi (and (=> (or (and (ge (1 0) 100) (ge (0 1) 100))) (or)))
+end
+"""
+
+
+def test_eval_bottom_reports_undecided_points(tmp_path, capsys):
+    path = tmp_path / "undecided.btf"
+    path.write_text(UNDECIDED_BTF)
+    code = main(["eval", str(path), "--point", "0 0"])
+    assert code == 2
+    assert capsys.readouterr().out == "c,bottom\n0 0,?\n"
+
+
+def test_eval_rejects_a_phi_line_that_disagrees(tmp_path, capsys):
+    path = tmp_path / "forged.btf"
+    path.write_text(UNDECIDED_BTF.replace("phi (and (=>", "phi (or (=>"))
+    assert main(["eval", str(path), "--point", "0 0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: phi ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode, suffix", [("mutual", ".mrf"), ("bottom", ".btf")])
+def test_eval_needs_a_query(net_path, tmp_path, capsys, mode, suffix):
+    base = tmp_path / "formula"
+    main(["compile", net_path, "--mode", mode, "--out", str(base), "--formats", "text"])
+    capsys.readouterr()
+    assert main(["eval", str(base) + suffix]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eval ") and captured.err.count("\n") == 1
+
+
+def test_eval_has_no_method_flag(tmp_path, capsys):
+    path = tmp_path / "undecided.btf"
+    path.write_text(UNDECIDED_BTF)
+    assert main(["eval", str(path), "--point", "0 0", "--method", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --method exact" in captured.err
 
 
 def test_explore_outputs(net_path, tmp_path, capsys):

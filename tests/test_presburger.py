@@ -1,6 +1,9 @@
 import itertools
 
 import pytest
+from conftest import eval_bottom_by_enumeration, violation_by_enumeration
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutreach.formula import (
     And,
@@ -12,15 +15,16 @@ from mutreach.formula import (
     Or,
     atom_count,
     eval_formula,
-    from_sexpr,
     max_threshold,
     to_sexpr,
     to_smtlib,
 )
-from mutreach.lattice import LatticeRepresentation
+from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import (
+    BottomFormula,
+    BottomTuple,
     CompileError,
     _violation_exists,
     bottom_from_text,
@@ -72,7 +76,7 @@ def test_formula_eval_connectives():
     assert eval_formula(BoolConst(True), ())
 
 
-def test_sexpr_round_trip():
+def test_sexpr_rendering():
     f = And(
         (
             Implies(
@@ -81,13 +85,14 @@ def test_sexpr_round_trip():
             ),
             DivAtom((2, -1), 0, 3),
             Not(CompareAtom((1, 1), "==", 0)),
+            BoolConst(False),
+            Or(()),
         )
     )
-    text = to_sexpr(f)
-    again = from_sexpr(text)
-    assert again == f
-    for values in itertools.product(range(-3, 4), repeat=2):
-        assert eval_formula(f, values) == eval_formula(again, values)
+    assert to_sexpr(f) == (
+        "(and (=> (or (ge (1 0) 3)) (or (ge (0 1) -2))) (div (2 -1) 0 3)"
+        " (not (eq (1 1) 0)) (false) (or))"
+    )
 
 
 def test_smtlib_formula_rendering():
@@ -208,8 +213,8 @@ def test_consumer_bottom_formula(consumer):
     space = BoundedStateSpace(consumer, 7)
     for c in range(5):
         want = space.bottom((c,))
-        assert eval_bottom(f, (c,), method="exact") == want
-        enum = eval_bottom(f, (c,), method="enumerate", radius=6)
+        assert eval_bottom(f, (c,)) == want
+        enum = eval_bottom_by_enumeration(f, (c,), radius=6)
         assert enum is None or enum == want
 
 
@@ -218,7 +223,7 @@ def test_token_swap_bottom_everywhere(token_swap):
     f = compile_bottom(token_swap, PumpingParams(state_bound=5, cycle_len=4))
     space = BoundedStateSpace(token_swap, 8)
     for c in itertools.product(range(3), repeat=2):
-        assert eval_bottom(f, c, method="exact") is True
+        assert eval_bottom(f, c) is True
         assert space.bottom(c) is True
 
 
@@ -227,7 +232,7 @@ def test_mixed_bottom_third_coordinate(mixed3):
     space = BoundedStateSpace(mixed3, 6)
     for c in itertools.product(range(3), repeat=3):
         want = space.bottom(c)
-        got = eval_bottom(f, c, method="exact")
+        got = eval_bottom(f, c)
         if want is not None:
             assert got == want, (c, got, want)
 
@@ -236,7 +241,7 @@ def test_no_enabled_action_every_config_bottom():
     blocked = PetriNet(2, (Action((9, 9), (0, 0)),))
     f = compile_bottom(blocked, PumpingParams(state_bound=4, cycle_len=1))
     for c in itertools.product(range(4), repeat=2):
-        assert eval_bottom(f, c, method="exact") is True
+        assert eval_bottom(f, c) is True
 
 
 def test_bottom_threshold_form(token_swap):
@@ -288,6 +293,11 @@ def test_truncated_formula_parses_or_raises(token_swap, compile_, to_text, from_
     assert 1 < parsed < len(lines)
 
 
+# the phi line derived from the single line `imp 1 1 => ` in dimension 2
+IMP_1_1 = "(and (=> (or (and (ge (1 0) 1) (ge (0 1) 1))) (or)))"
+PAIRS = "pair 1 : 1 0\npair 1 : 0 1\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -305,10 +315,12 @@ def test_truncated_formula_parses_or_raises(token_swap, compile_, to_text, from_
         "kind bottom\ndim 2\nstate-bound 4\n",
         "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n",
         "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 2\nstate 1\nphi (true)\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1 1\nphi (true)\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 2\nstate 1\nphi (and)\nend\n",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1 1\nphi (and)\nend\n",
         "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi (and\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi (true)\nimp 1 1\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi (true)\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi {IMP_1_1}\nimp 1 1\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi {IMP_1_1}\nimp 1 2 => \nend\n",
     ],
 )
 def test_malformed_formula_raises_compile_error(text):
@@ -324,10 +336,49 @@ def test_minimal_formulas_parse():
     )
     assert len(mutual_from_text(mutual).disjuncts) == 1
     bottom = (
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\npair 1 : 1 0\npair 1 : 0 1\n"
-        "phi (true)\nimp 1 1 => \nend\n"
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi {IMP_1_1}\nimp 1 1 => \nend\n"
     )
     assert bottom_from_text(bottom).tuples[0].state == (1,)
+
+
+VECTOR_ENTRY = st.integers(-5, 40)
+
+
+@st.composite
+def bottom_tuples(draw, dim):
+    vector = st.tuples(*[VECTOR_ENTRY] * dim)
+    index_set = tuple(i for i in range(dim) if draw(st.booleans()))
+    state = tuple(draw(st.integers(0, 9)) for _ in index_set)
+    generators = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3))
+    side = st.lists(vector, max_size=3).map(tuple)
+    return BottomTuple(
+        index_set=index_set,
+        state=state,
+        rep=representation_from_generators(generators, dim),
+        membership=tuple(draw(st.lists(vector, max_size=2))),
+        implications=tuple(draw(st.lists(st.tuples(side, side), max_size=3))),
+        offsets=tuple((state, w) for w in draw(st.lists(vector, max_size=2))),
+    )
+
+
+@st.composite
+def bottom_formulas(draw):
+    dim = draw(st.integers(1, 3))
+    return BottomFormula(
+        dim=dim,
+        tuples=tuple(draw(st.lists(bottom_tuples(dim), max_size=2))),
+        provenance=draw(st.sampled_from(["certified", "heuristic"])),
+        complete=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(bottom_formulas())
+def test_bottom_text_round_trip(f):
+    text = bottom_to_text(f)
+    again = bottom_from_text(text)
+    assert again == f
+    assert bottom_to_text(again) == text
 
 
 # --- lattice point machinery ------------------------------------------------------
@@ -381,9 +432,7 @@ def test_violation_search_matches_enumeration(token_swap):
             if restrict(c, tup.index_set) != tup.state:
                 continue
             exact = _violation_exists(tup, c)
-            from mutreach.presburger import _violation_by_enumeration
-
-            enum = _violation_by_enumeration(tup, c, radius=6)
+            enum = violation_by_enumeration(tup, c, radius=6)
             if exact is not None and enum is not None:
                 assert exact == enum
 
@@ -409,5 +458,5 @@ def test_bottom_wrapper(consumer, token_swap):
     space = BoundedStateSpace(token_swap, 6)
     bf = compile_bottom(token_swap, PumpingParams(state_bound=5, cycle_len=4))
     for c in itertools.product(range(3), repeat=2):
-        agreed = eval_bottom(bf, c, method="exact")
+        agreed = eval_bottom(bf, c)
         assert wt.bounded_eval(c, 4) == agreed == space.bottom(c)
