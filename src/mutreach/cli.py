@@ -149,7 +149,7 @@ def cmd_compile(args) -> int:
         return EXIT_USAGE
 
     if args.mode == "mutual":
-        formula = compile_mutual(net, params, limits, workers=args.workers)
+        formula = compile_mutual(net, params, limits)
         writers = {"text": (".mrf", mutual_to_text), "smtlib": (".smt2", mutual_to_smtlib),
                    "json": (".json", mutual_to_json)}
         print(f"{len(formula.disjuncts)} disjuncts ({formula.provenance}"
@@ -294,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output base path (suffixes added)")
     p.add_argument("--formats", default="text,smtlib,json")
     _add_param_flags(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes for enumeration shards (deterministic merge)")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("eval", help="evaluate a compiled formula at points")

@@ -38,6 +38,8 @@ class Action:
 
     pre: Config
     post: Config
+    # post - pre, computed once; derived, so not part of equality or hash
+    displacement: Vec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pre", vec(self.pre))
@@ -46,14 +48,11 @@ class Action:
             raise NetError(f"action dimension mismatch: {self.pre} vs {self.post}")
         if not (is_nonnegative(self.pre) and is_nonnegative(self.post)):
             raise NetError(f"action entries must be non-negative: {self.pre} -> {self.post}")
+        object.__setattr__(self, "displacement", vsub(self.post, self.pre))
 
     @property
     def dim(self) -> int:
         return len(self.pre)
-
-    @property
-    def displacement(self) -> Vec:
-        return vsub(self.post, self.pre)
 
     @property
     def norm(self) -> int:

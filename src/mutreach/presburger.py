@@ -76,7 +76,7 @@ class MutualFormula:
 def _compile_mutual_for_index_set(
     net: PetriNet, params: PumpingParams, limits: EnumLimits, index_set: tuple[int, ...]
 ) -> tuple[list[Disjunct], bool, bool]:
-    """One enumeration shard: disjuncts (ordered), certified, complete."""
+    """One index set's disjuncts (ordered), certified, complete."""
     disjuncts: list[Disjunct] = []
     certified = True
     complete = True
@@ -98,16 +98,10 @@ def _compile_mutual_for_index_set(
     return disjuncts, certified, complete and not stats.truncated
 
 
-def _shard_entry(payload):
-    net, params, limits, index_set = payload
-    return _compile_mutual_for_index_set(net, params, limits, index_set)
-
-
 def compile_mutual(
     net: PetriNet,
     params: PumpingParams,
     limits: EnumLimits | None = None,
-    workers: int = 1,
 ) -> MutualFormula:
     """One disjunct per unfolding, state pair, and pumping-basis pair.
 
@@ -116,30 +110,19 @@ def compile_mutual(
     set.  One canonical elementary path per state pair suffices because
     all path displacements fall in the same lattice coset.
 
-    Shards are index sets; merge order is canonical, so the output is
-    identical for any worker count.
+    Index sets are compiled in canonical order, and a repeated disjunct
+    is dropped after its first occurrence.
     """
     limits = limits or EnumLimits()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = list(
-                pool.map(_shard_entry, [(net, params, limits, ix) for ix in index_sets(net.dim)])
-            )
-    else:
-        shards = [
-            _compile_mutual_for_index_set(net, params, limits, ix) for ix in index_sets(net.dim)
-        ]
-
     disjuncts: list[Disjunct] = []
     seen: set = set()
     certified = True
     complete = True
-    for shard_disjuncts, shard_certified, shard_complete in shards:
-        certified = certified and shard_certified
-        complete = complete and shard_complete
-        for d in shard_disjuncts:
+    for ix in index_sets(net.dim):
+        part, part_certified, part_complete = _compile_mutual_for_index_set(net, params, limits, ix)
+        certified = certified and part_certified
+        complete = complete and part_complete
+        for d in part:
             key = (d.lower_x, d.lower_y, d.shift, d.rep)
             if key not in seen:
                 seen.add(key)

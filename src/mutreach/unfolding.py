@@ -193,17 +193,13 @@ def _circulation_rows(
     net: PetriNet, states: Sequence[State], edges: Sequence[Transition]
 ) -> list[list[int]]:
     """Flow conservation per state plus zero total displacement per axis."""
-    rows: list[list[int]] = []
-    for s in states:
-        row = [0] * len(edges)
-        for j, t in enumerate(edges):
-            if t[0] == s:
-                row[j] += 1
-            if t[2] == s:
-                row[j] -= 1
-        rows.append(row)
-    for i in range(net.dim):
-        rows.append([net.actions[t[1]].displacement[i] for t in edges])
+    position = {s: k for k, s in enumerate(states)}
+    rows: list[list[int]] = [[0] * len(edges) for _ in states]
+    for j, (p, _, q) in enumerate(edges):
+        rows[position[p]][j] += 1
+        rows[position[q]][j] -= 1
+    displacements = [net.actions[a].displacement for _, a, _ in edges]
+    rows.extend([d[i] for d in displacements] for i in range(net.dim))
     return rows
 
 
@@ -504,13 +500,15 @@ def enumerate_unfoldings(
         raise UnfoldingError("state bound must be >= 1")
     all_states = bounded_states(index_set, state_bound)
     pos = {s: i for i, s in enumerate(all_states)}
-    # Per state, the position of each I-enabled target; None marks a
-    # target outside the state bound.
+    # Per state, the position of each I-enabled target (None marks a
+    # target outside the state bound), and the in-bound out-edges with
+    # their target positions, in action order.
     targets: list[list[int | None]] = []
-    all_edges: list[Transition] = []
+    out_edges: list[list[tuple[int, Transition]]] = []
     undirected: list[set[int]] = [set() for _ in all_states]
     for i, p in enumerate(all_states):
         fired: list[int | None] = []
+        out: list[tuple[int, Transition]] = []
         for idx, a in enumerate(net.actions):
             q = i_fires(a, index_set, p)
             if q is None:
@@ -519,32 +517,43 @@ def enumerate_unfoldings(
             fired.append(j)
             if j is None:
                 continue
-            all_edges.append((p, idx, q))
+            out.append((j, (p, idx, q)))
             if j != i:
                 undirected[i].add(j)
                 undirected[j].add(i)
         targets.append(fired)
+        out_edges.append(out)
 
+    # The circulation rows depend only on edge incidence by state position
+    # and on action displacements, so one system recurs across many state
+    # sets; each distinct system is solved once per call.
+    solved: dict[tuple[tuple[int, ...], ...], list[int] | bool] = {}
     for subset in _connected_subsets(undirected, limits.max_states):
         # The closed filter runs before any edge list is built: it rejects
         # most subsets, and building edges first is markedly slower.
-        if forward_closed:
-            members = set(subset)
-            if any(j not in members for i in subset for j in targets[i]):
-                continue
+        members = set(subset)
+        if forward_closed and any(j not in members for i in subset for j in targets[i]):
+            continue
         states = tuple(all_states[i] for i in subset)
-        sset = set(states)
-        edges = [t for t in all_edges if t[0] in sset and t[2] in sset]
+        # Subsets are sorted, so edges keep the order of a full edge scan.
+        edges = [t for i in subset for j, t in out_edges[i] if j in members]
         if len(states) > 1 and not _strongly_connected(states, edges)[0]:
             continue
         rows = _circulation_rows(net, states, edges)
+        key = tuple(map(tuple, rows))
         if forward_closed:
-            if positive_circulation(rows, len(edges)) is None:
+            if key not in solved:
+                solved[key] = positive_circulation(rows, len(edges)) is not None
+            if not solved[key]:
                 continue
         else:
-            edges = [edges[j] for j in max_positive_support(rows, len(edges))]
-            if len(states) > 1 and not _strongly_connected(states, edges)[0]:
-                continue
+            if key not in solved:
+                solved[key] = max_positive_support(rows, len(edges))
+            support = solved[key]
+            if len(support) < len(edges):
+                edges = [edges[j] for j in support]
+                if len(states) > 1 and not _strongly_connected(states, edges)[0]:
+                    continue
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
             return

@@ -310,6 +310,53 @@ def walked_state_sets(net, index_set, state_bound: int, max_states: int):
         yield states, [t for t in all_edges if t[0] in sset and t[2] in sset]
 
 
+def reference_circulation_rows(net, states, edges) -> list[list[int]]:
+    """Flow conservation per state, then total displacement per axis,
+    built by scanning every edge for every state."""
+    rows = []
+    for s in states:
+        row = [0] * len(edges)
+        for j, t in enumerate(edges):
+            if t[0] == s:
+                row[j] += 1
+            if t[2] == s:
+                row[j] -= 1
+        rows.append(row)
+    for i in range(net.dim):
+        rows.append([net.actions[t[1]].displacement[i] for t in edges])
+    return rows
+
+
+def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forward_closed=False):
+    """The enumerator's loop without its shortcuts: each state set's edges
+    come from a full edge scan, and every circulation system is solved
+    afresh, with strong connectivity rechecked after every support LP."""
+    from mutreach.ratlp import max_positive_support
+    from mutreach.unfolding import Unfolding, _strongly_connected, i_fires
+
+    index_set = tuple(sorted(index_set))
+    for states, edges in walked_state_sets(net, index_set, state_bound, limits.max_states):
+        if forward_closed:
+            targets = {i_fires(a, index_set, p) for p in states for a in net.actions}
+            if not targets - {None} <= set(states):
+                continue
+        if len(states) > 1 and not _strongly_connected(states, edges)[0]:
+            continue
+        rows = reference_circulation_rows(net, states, edges)
+        if forward_closed:
+            if positive_circulation(rows, len(edges)) is None:
+                continue
+        else:
+            edges = [edges[j] for j in max_positive_support(rows, len(edges))]
+            if len(states) > 1 and not _strongly_connected(states, edges)[0]:
+                continue
+        if stats.emitted >= limits.max_unfoldings:
+            stats.truncated = True
+            return
+        yield Unfolding(net, index_set, states, tuple(edges))
+        stats.emitted += 1
+
+
 def candidate_unfoldings(
     net, index_set, state_bound: int, max_states: int, max_edges: int, cap: int | None = None
 ):

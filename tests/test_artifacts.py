@@ -1,8 +1,10 @@
 """The compiled artifacts are the behavioural contract.
 
 Digests of `mutreach compile` output for the four fixtures at default
-settings.  A change that alters these bytes on purpose updates the
-digests here and says why in CHANGES.md.
+settings, and for mixed3 at state bound 5 (the scaled setting, where
+many unfoldings share one circulation system).  A change that alters
+these bytes on purpose updates the digests here and says why in
+CHANGES.md.
 """
 
 import hashlib
@@ -42,6 +44,15 @@ DIGESTS = {
     "mixed3-bottom.smt2": "297783ed7cb7bb869d21e61343d2061dfa4c96624f416b822d2430f4c0e2b399",
 }
 
+SCALED_DIGESTS = {
+    "mixed3-sb5-mutual.json": "d7607d6a31c2f2a0220b148910da761adbbdbcb89dae8a32a01aed45ec2e2ab8",
+    "mixed3-sb5-mutual.mrf": "b2f8a7036ec6852a9c82f19a2f876d312d02e15b9c7cf3ce99450c05a0356224",
+    "mixed3-sb5-mutual.smt2": "eac8528dd51638534fe175b2293fee793d23833b85f4c39079ffe6e52b6e8ea4",
+    "mixed3-sb5-bottom.btf": "c8cd20c4583162f944cee4a72d4d57e3008270fc28bcc3dea7f5945ac997e3be",
+    "mixed3-sb5-bottom.json": "53820088ba53cbc499a9e48970802c319a9cb5e8b0991c09b64a926ff0703367",
+    "mixed3-sb5-bottom.smt2": "4277819948ddf18c7baadc3094f33785f579323a966c7c778c9d2d85bd502755",
+}
+
 
 @pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
 @pytest.mark.parametrize("mode", ["mutual", "bottom"])
@@ -60,3 +71,15 @@ def test_default_artifacts_are_byte_identical(name, mode, tmp_path, capsys):
     }[mode]
     text = (tmp_path / f"{name}-{mode}{suffix}").read_text(encoding="utf-8")
     assert render(parse(text)) == text
+
+
+@pytest.mark.parametrize("mode", ["mutual", "bottom"])
+def test_scaled_artifacts_are_byte_identical(mode, tmp_path, capsys):
+    base = tmp_path / f"mixed3-sb5-{mode}"
+    code = main(["compile", str(FIXTURES / "mixed3.net"), "--mode", mode,
+                 "--state-bound", "5", "--out", str(base)])
+    assert code == 0
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    expected = {k: v for k, v in SCALED_DIGESTS.items() if k.startswith(f"mixed3-sb5-{mode}.")}
+    assert len(expected) == 3
+    assert produced == expected

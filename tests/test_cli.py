@@ -71,18 +71,6 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["check-mutual", str(bad), "--x", "1", "--y", "2"]) == 1
 
 
-def test_check_mutual_rejects_workers_flag(capsys):
-    # --workers shards compilation only; check-mutual has no use for it
-    code = main(
-        ["check-mutual", str(FIXTURES / "token_swap.net"),
-         "--x", "1 0", "--y", "0 1", "--workers", "7"]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "error: unrecognized arguments: --workers 7" in captured.err
-
-
 def test_compile_outputs_and_determinism(net_path, tmp_path, capsys):
     base1 = tmp_path / "one"
     base2 = tmp_path / "two"
@@ -269,10 +257,3 @@ def test_explore_outputs(net_path, tmp_path, capsys):
     level2 = [[0, 2], [1, 1], [2, 0]]
     assert any(c["members"] == level2 and c["bottom"] for c in payload["components"])
 
-
-def test_workers_flag_deterministic(net_path, tmp_path):
-    base1 = tmp_path / "w1"
-    base2 = tmp_path / "w2"
-    main(["compile", net_path, "--mode", "mutual", "--out", str(base1), "--workers", "1"])
-    main(["compile", net_path, "--mode", "mutual", "--out", str(base2), "--workers", "2"])
-    assert (tmp_path / "w1.mrf").read_bytes() == (tmp_path / "w2.mrf").read_bytes()

@@ -26,6 +26,8 @@ from mutreach.presburger import (
     BottomFormula,
     BottomTuple,
     CompileError,
+    Disjunct,
+    MutualFormula,
     _violation_exists,
     bottom_from_text,
     bottom_to_json,
@@ -176,12 +178,6 @@ def test_mutual_serialization_round_trips(token_swap):
     assert '"kind": "mutual"' in js
     smt = mutual_to_smtlib(f)
     assert smt.count("declare-const") == 4
-
-
-def test_compile_workers_deterministic(ring):
-    f1 = compile_mutual(ring, PARAMS, workers=1)
-    f2 = compile_mutual(ring, PARAMS, workers=2)
-    assert f1 == f2
 
 
 def test_certified_thresholds_are_what_make_it_sound(ring):
@@ -379,6 +375,34 @@ def test_bottom_text_round_trip(f):
     again = bottom_from_text(text)
     assert again == f
     assert bottom_to_text(again) == text
+
+
+@st.composite
+def mutual_formulas(draw):
+    dim = draw(st.integers(1, 3))
+    vector = st.tuples(*[VECTOR_ENTRY] * dim)
+    generators = st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3)
+    disjunct = st.builds(
+        Disjunct, vector, vector, vector,
+        generators.map(lambda gens: representation_from_generators(gens, dim)),
+    )
+    return MutualFormula(
+        dim=dim,
+        disjuncts=tuple(draw(st.lists(disjunct, max_size=3))),
+        provenance=draw(st.sampled_from(["certified", "heuristic"])),
+        complete=draw(st.booleans()),
+        state_bound=draw(st.integers(1, 9)),
+        cycle_len=draw(st.integers(0, 9)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutual_formulas())
+def test_mutual_text_round_trip(f):
+    text = mutual_to_text(f)
+    again = mutual_from_text(text)
+    assert again == f
+    assert mutual_to_text(again) == text
 
 
 # --- lattice point machinery ------------------------------------------------------

@@ -1,13 +1,24 @@
 import pytest
 
-from conftest import candidate_unfoldings, definitional_reversible, simple_cycles, walked_state_sets
+from conftest import (
+    candidate_unfoldings,
+    definitional_reversible,
+    reference_circulation_rows,
+    reference_unfoldings,
+    simple_cycles,
+    walked_state_sets,
+)
+from mutreach import unfolding
 from mutreach.lattice import lattice_contains, representation_from_generators
 from mutreach.net import Action, PetriNet
+from mutreach.ratlp import max_positive_support
 from mutreach.unfolding import (
     EnumLimits,
+    EnumStats,
     Unfolding,
     UnfoldingError,
     UnfoldingPath,
+    _strongly_connected,
     collect_unfoldings,
     coset_between,
     cycle_walks,
@@ -405,6 +416,81 @@ def test_forward_closed_enumeration_matches_reference(fixture_nets):
             assert [(g.states, g.transitions) for g in found] == expected, index_set
             total += len(expected)
     assert total > 10
+
+
+@pytest.mark.parametrize("forward_closed", [False, True])
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3"])
+def test_enumeration_matches_unshortcut_reference(fixture_nets, name, forward_closed):
+    """Solving each circulation system once and building edge lists per
+    state yield the same unfoldings, in the same order, with the same
+    stats as a full edge scan that solves every system afresh."""
+    net = RING3 if name == "ring3" else fixture_nets[name]
+    limits = EnumLimits()
+    for index_set in index_sets(net.dim):
+        stats, expected_stats = EnumStats(), EnumStats()
+        found = enumerate_unfoldings(net, index_set, 4, limits, stats, forward_closed)
+        expected = reference_unfoldings(net, index_set, 4, limits, expected_stats, forward_closed)
+        assert [(g.states, g.transitions) for g in found] == [
+            (g.states, g.transitions) for g in expected
+        ], index_set
+        assert stats == expected_stats, index_set
+
+
+@pytest.mark.parametrize("forward_closed", [False, True])
+def test_enumeration_matches_reference_when_truncated(mixed3, forward_closed):
+    limits = EnumLimits(max_states=4, max_unfoldings=2)
+    stats, expected_stats = EnumStats(), EnumStats()
+    found = list(enumerate_unfoldings(mixed3, (0, 1, 2), 4, limits, stats, forward_closed))
+    expected = list(
+        reference_unfoldings(mixed3, (0, 1, 2), 4, limits, expected_stats, forward_closed)
+    )
+    assert [(g.states, g.transitions) for g in found] == [
+        (g.states, g.transitions) for g in expected
+    ]
+    assert stats == expected_stats == EnumStats(emitted=2, truncated=True)
+
+
+def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
+    calls = []
+
+    def counting(rows, nvars):
+        calls.append(tuple(map(tuple, rows)))
+        return max_positive_support(rows, nvars)
+
+    monkeypatch.setattr(unfolding, "max_positive_support", counting)
+    solved = state_sets = 0
+    for index_set in index_sets(mixed3.dim):
+        calls.clear()
+        list(enumerate_unfoldings(mixed3, index_set, 4))
+        systems = set()
+        for states, edges in walked_state_sets(mixed3, index_set, 4, EnumLimits().max_states):
+            if len(states) == 1 or _strongly_connected(states, edges)[0]:
+                systems.add(tuple(map(tuple, reference_circulation_rows(mixed3, states, edges))))
+                state_sets += 1
+        assert len(calls) == len(set(calls)), index_set
+        assert set(calls) == systems, index_set
+        solved += len(calls)
+    assert solved < state_sets  # systems do repeat across state sets
+
+
+def test_equal_incidence_with_different_displacements_is_solved_apart():
+    """Two state sets can share their flow rows and differ only in the
+    displacement rows; the answer for one must not be reused for the other."""
+    net = PetriNet(
+        3,
+        (
+            Action((0, 0, 0), (1, 0, 0)),  # east
+            Action((1, 0, 0), (0, 0, 1)),  # west, leaving a token on counter 2
+            Action((0, 0, 0), (0, 1, 0)),  # north
+            Action((0, 1, 0), (0, 0, 0)),  # south
+        ),
+    )
+    found = [(g.states, g.transitions) for g in enumerate_unfoldings(net, (0, 1), 2)]
+    expected = reference_unfoldings(net, (0, 1), 2, EnumLimits(), EnumStats())
+    assert found == [(g.states, g.transitions) for g in expected]
+    vertical = (((0, 0), (0, 1)), (((0, 0), 2, (0, 1)), ((0, 1), 3, (0, 0))))
+    assert vertical in found
+    assert not any(states == ((0, 0), (1, 0)) for states, _ in found)
 
 
 def test_dot_export(token_swap):
