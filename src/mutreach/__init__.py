@@ -43,7 +43,6 @@ from .witness import (
 from .presburger import (
     BottomFormula,
     MutualFormula,
-    bottom_wrapper,
     compile_bottom,
     compile_mutual,
     eval_bottom,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .net import NetError, load_net, parse_config
@@ -52,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _natural(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _params_from(args) -> PumpingParams:
@@ -138,15 +149,21 @@ def cmd_check_mutual(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    # each named format once, in the order given
+    formats = list(dict.fromkeys(f.strip() for f in args.formats.split(",") if f.strip()))
+    bad = [f for f in formats if f not in ("text", "smtlib", "json")]
+    if bad or not formats:
+        print(f"error: --formats needs some of text, smtlib, json; got {args.formats!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    out_dir = os.path.dirname(args.out) or "."
+    if not os.path.isdir(out_dir):
+        print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
+        return EXIT_USAGE
     net = load_net(args.net)
     params = _params_from(args)
     limits = _limits_from(args)
     _report_exact_parameters(net)
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    bad = [f for f in formats if f not in ("text", "smtlib", "json")]
-    if bad:
-        print(f"error: unknown formats {bad}", file=sys.stderr)
-        return EXIT_USAGE
 
     if args.mode == "mutual":
         formula = compile_mutual(net, params, limits)
@@ -283,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="target configuration")
     _add_param_flags(p)
     p.add_argument("--budget", type=int, default=10000, help="max unfoldings examined")
-    p.add_argument("--box", type=int, default=None, help="cross-check with the bounded oracle")
+    p.add_argument("--box", type=_natural, default=None,
+                   help="cross-check with the bounded oracle")
     p.add_argument("--witness-out", default=None, help="write the witness certificate here")
     p.add_argument("--synthesize", action="store_true", help="also synthesize firing words")
     p.set_defaults(func=cmd_check_mutual)
@@ -302,13 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mutual formulas: 'x1 .. xd / y1 .. yd' (repeatable)")
     p.add_argument("--point", action="append", default=[],
                    help="bottom formulas: 'c1 .. cd' (repeatable)")
-    p.add_argument("--box", type=int, default=None, help="sweep all points up to this bound")
+    p.add_argument("--box", type=_natural, default=None,
+                   help="sweep all points up to this bound")
     p.add_argument("--csv", default=None, help="write the verdict table here")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explore", help="bounded reachability graph, components, bottom report")
     p.add_argument("net")
-    p.add_argument("--box", type=int, required=True)
+    p.add_argument("--box", type=_natural, required=True)
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None)
     p.add_argument("--list-limit", type=int, default=20)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Sequence
 
 from .formula import (
@@ -27,7 +27,6 @@ from .formula import (
     max_threshold,
     smt_term,
     to_sexpr,
-    to_smtlib,
 )
 from .intlinalg import IntMatrix, LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
@@ -41,7 +40,7 @@ from .unfolding import (
     index_sets,
     lattice_of_unfolding,
 )
-from .vectors import Vec, restrict, vadd, vec, vge, vsub
+from .vectors import Vec, restrict, vec, vge, vsub
 from .witness import PumpingParams, upward_basis
 
 
@@ -149,62 +148,81 @@ def eval_mutual(f: MutualFormula, x: Sequence[int], y: Sequence[int]) -> bool:
     return False
 
 
-def mutual_to_ast(f: MutualFormula) -> Formula:
-    """Tree over variables x0..x{d-1}, y0..y{d-1}."""
-    d = f.dim
-    total = 2 * d
-    parts = []
-    for dis in f.disjuncts:
-        atoms: list = []
-        for i in range(d):
-            coeffs = tuple(1 if j == i else 0 for j in range(total))
-            atoms.append(CompareAtom(coeffs, ">=", dis.lower_x[i]))
-        for i in range(d):
-            coeffs = tuple(1 if j == d + i else 0 for j in range(total))
-            atoms.append(CompareAtom(coeffs, ">=", dis.lower_y[i]))
-        for n, a in dis.rep.pairs:
-            # a . (y - x - v) == 0 mod n (or exactly 0 when n == 0)
-            coeffs = tuple(-a[j] if j < d else a[j - d] for j in range(total))
-            constant = -sum(a[j] * dis.shift[j] for j in range(d))
-            if n == 0:
-                atoms.append(CompareAtom(coeffs, "==", -constant))
-            else:
-                atoms.append(DivAtom(coeffs, constant, n))
-        parts.append(And(tuple(atoms)))
-    return Or(tuple(parts))
-
-
 def mutual_var_names(dim: int) -> list[str]:
     return [f"x{i}" for i in range(dim)] + [f"y{i}" for i in range(dim)]
 
 
 def mutual_to_smtlib(f: MutualFormula) -> str:
+    """One QF_LIA assertion: the disjunction of x >= a, y >= b and the
+    lattice atoms of y - x - v.  Each distinct threshold vector and each
+    distinct (lattice, shift) part is rendered once per call."""
     names = mutual_var_names(f.dim)
-    return to_smtlib(mutual_to_ast(f), names, logic="QF_LIA", nonneg=names)
+
+    @cache
+    def thresholds(side: str, bound: Vec) -> str:
+        return " ".join(f"(>= {side}{i} {c})" for i, c in enumerate(bound))
+
+    @cache
+    def lattice_part(rep: LatticeRepresentation, shift: Vec) -> str:
+        # a . (y - x - v) == 0 mod n (or exactly 0 when n == 0), per pair
+        atoms = []
+        for n, a in rep.pairs:
+            coeffs = tuple(-c for c in a) + a
+            value = sum(c * s for c, s in zip(a, shift))
+            atoms.append(CompareAtom(coeffs, "==", value) if n == 0 else DivAtom(coeffs, -value, n))
+        return " ".join(smt_term(atom, names) for atom in atoms)
+
+    conjunctions = [
+        # with dim 0 every part is empty and the conjunction is true
+        f"(and {thresholds('x', d.lower_x)} {thresholds('y', d.lower_y)} "
+        f"{lattice_part(d.rep, d.shift)})" if f.dim else "true"
+        for d in f.disjuncts
+    ]
+    body = "(or " + " ".join(conjunctions) + ")" if conjunctions else "false"
+    lines = ["(set-logic QF_LIA)"]
+    lines += [f"(declare-const {n} Int)" for n in names]
+    lines += [f"(assert (>= {n} 0))" for n in names]
+    lines += [f"(assert {body})", "(check-sat)"]
+    return "\n".join(lines) + "\n"
+
+
+def _json_at(value: object, level: int) -> str:
+    """`json.dumps(value, indent=1)` for a value nested `level` deep."""
+    return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
 
 
 def mutual_to_json(f: MutualFormula) -> str:
-    payload = {
-        "kind": "mutual",
-        "dim": f.dim,
-        "provenance": f.provenance,
-        "complete": f.complete,
-        "state_bound": f.state_bound,
-        "cycle_len": f.cycle_len,
-        "disjuncts": [
-            {
-                "a": list(d.lower_x),
-                "b": list(d.lower_y),
-                "v": list(d.shift),
-                "gamma": [[n, list(a)] for n, a in d.rep.pairs],
-            }
-            for d in f.disjuncts
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """The text of `json.dumps(payload, sort_keys=True, indent=1)`, with
+    each distinct vector and each distinct gamma rendered once per call."""
+    header = json.dumps(
+        {
+            "kind": "mutual",
+            "dim": f.dim,
+            "provenance": f.provenance,
+            "complete": f.complete,
+            "state_bound": f.state_bound,
+            "cycle_len": f.cycle_len,
+            "disjuncts": [],
+        },
+        sort_keys=True,
+        indent=1,
+    )
+    # a disjunct's values sit three levels deep: payload, list, dict
+    vector = cache(lambda v: _json_at(list(v), 3))
+    gamma = cache(lambda rep: _json_at([[n, list(a)] for n, a in rep.pairs], 3))
+    items = [
+        f'  {{\n   "a": {vector(d.lower_x)},\n   "b": {vector(d.lower_y)},\n'
+        f'   "gamma": {gamma(d.rep)},\n   "v": {vector(d.shift)}\n  }}'
+        for d in f.disjuncts
+    ]
+    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    # "disjuncts" sorts before every string-valued key, so this is the key
+    return header.replace('"disjuncts": []', '"disjuncts": ' + listing, 1) + "\n"
 
 
 def mutual_to_text(f: MutualFormula) -> str:
+    row = cache(lambda v: " ".join(map(str, v)))
+    pair_lines = cache(lambda rep: tuple(f"pair {n} : {row(a)}" for n, a in rep.pairs))
     lines = [
         "kind mutual",
         f"dim {f.dim}",
@@ -214,12 +232,8 @@ def mutual_to_text(f: MutualFormula) -> str:
         f"cycle-len {f.cycle_len}",
     ]
     for d in f.disjuncts:
-        lines.append("disjunct")
-        lines.append("a " + " ".join(map(str, d.lower_x)))
-        lines.append("b " + " ".join(map(str, d.lower_y)))
-        lines.append("v " + " ".join(map(str, d.shift)))
-        for n, a in d.rep.pairs:
-            lines.append(f"pair {n} : " + " ".join(map(str, a)))
+        lines += ("disjunct", "a " + row(d.lower_x), "b " + row(d.lower_y), "v " + row(d.shift))
+        lines += pair_lines(d.rep)
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -839,55 +853,3 @@ def _smt_or(parts: list[str]) -> str:
     if len(parts) == 1:
         return parts[0]
     return "(or " + " ".join(parts) + ")"
-
-
-# --- the quantified wrapper over the mutual formula -------------------------------
-
-
-@dataclass(frozen=True)
-class BottomWrapper:
-    """For every action, configurations reachable in one step from a
-    mutual partner stay mutual partners; universally quantified over the
-    intermediate configuration."""
-
-    net: PetriNet
-    mutual: MutualFormula
-
-    def bounded_eval(self, c: Sequence[int], radius: int) -> bool:
-        """Instantiate the quantifier over the box [0, radius]^d only;
-        explicitly heuristic."""
-        c = vec(c)
-        d = self.net.dim
-        for x in itertools.product(range(radius + 1), repeat=d):
-            for a in self.net.actions:
-                if eval_mutual(self.mutual, c, x) and vge(x, a.pre):
-                    if not eval_mutual(self.mutual, c, vadd(x, a.displacement)):
-                        return False
-        return True
-
-    def to_smtlib(self) -> str:
-        d = self.net.dim
-        c_names = [f"c{i}" for i in range(d)]
-        x_names = [f"x{i}" for i in range(d)]
-        ast = mutual_to_ast(self.mutual)
-        conj = []
-        for a in self.net.actions:
-            step = [f"(+ {x} {delta})" if delta else x for x, delta in zip(x_names, a.displacement)]
-            phi_cx = smt_term(ast, c_names + x_names)
-            phi_cstep = smt_term(ast, c_names + step)
-            pre = _smt_and([f"(>= {x} {p})" for x, p in zip(x_names, a.pre)])
-            conj.append(f"(=> (and {phi_cx} {pre}) {phi_cstep})")
-        nonneg = _smt_and([f"(>= {x} 0)" for x in x_names])
-        body = f"(=> {nonneg} {_smt_and(conj)})"
-        quantified = "(forall (" + " ".join(f"({x} Int)" for x in x_names) + ") " + body + ")"
-        lines = ["(set-logic LIA)"]
-        for n in c_names:
-            lines.append(f"(declare-const {n} Int)")
-            lines.append(f"(assert (>= {n} 0))")
-        lines.append(f"(assert {quantified})")
-        lines.append("(check-sat)")
-        return "\n".join(lines) + "\n"
-
-
-def bottom_wrapper(net: PetriNet, mutual: MutualFormula) -> BottomWrapper:
-    return BottomWrapper(net, mutual)

@@ -435,6 +435,12 @@ class EnumLimits:
     max_states: int = 6
     max_unfoldings: int = 5000
 
+    def __post_init__(self):
+        # a state set has at least one state; a cap below 1 would still
+        # yield the singleton sets, which the walk emits before any check
+        if self.max_states < 1 or self.max_unfoldings < 0:
+            raise UnfoldingError("invalid parameters")
+
 
 @dataclass
 class EnumStats:

@@ -5,21 +5,32 @@ membership uses an incremental triangular basis with xgcd elimination
 (never the comatrix construction), determinants use the permutation
 expansion, reversibility uses a plain displacement-bounded search, and
 bottom membership evaluates phi at enumerated lattice points instead of
-solving lattice-box queries.
+solving lattice-box queries, and exported SMT-LIB scripts are evaluated
+from their text.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
-from mutreach.formula import eval_formula
+from mutreach.formula import And, CompareAtom, DivAtom, Or, eval_formula, smt_term, to_smtlib
 from mutreach.intlinalg import LinalgError
 from mutreach.net import Action, PetriNet
-from mutreach.presburger import _rational_box_ranges, lattice_basis
+from mutreach.presburger import (
+    MutualFormula,
+    _rational_box_ranges,
+    _smt_and,
+    eval_mutual,
+    lattice_basis,
+    mutual_var_names,
+)
 from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
 from mutreach.vectors import restrict, vadd, vec, vge
 
@@ -564,3 +575,168 @@ def eval_bottom_by_enumeration(f, c, radius: int) -> bool | None:
         if vio is None:
             saw_inconclusive = True
     return None if saw_inconclusive else False
+
+
+# --- mutual formula references -----------------------------------------------------
+
+
+def mutual_to_ast(f):
+    """Tree over variables x0..x{d-1}, y0..y{d-1}."""
+    d = f.dim
+    total = 2 * d
+    parts = []
+    for dis in f.disjuncts:
+        atoms: list = []
+        for i in range(d):
+            coeffs = tuple(1 if j == i else 0 for j in range(total))
+            atoms.append(CompareAtom(coeffs, ">=", dis.lower_x[i]))
+        for i in range(d):
+            coeffs = tuple(1 if j == d + i else 0 for j in range(total))
+            atoms.append(CompareAtom(coeffs, ">=", dis.lower_y[i]))
+        for n, a in dis.rep.pairs:
+            # a . (y - x - v) == 0 mod n (or exactly 0 when n == 0)
+            coeffs = tuple(-a[j] if j < d else a[j - d] for j in range(total))
+            constant = -sum(a[j] * dis.shift[j] for j in range(d))
+            if n == 0:
+                atoms.append(CompareAtom(coeffs, "==", -constant))
+            else:
+                atoms.append(DivAtom(coeffs, constant, n))
+        parts.append(And(tuple(atoms)))
+    return Or(tuple(parts))
+
+
+def reference_mutual_smtlib(f) -> str:
+    """The `.smt2` text rendered from the whole tree of `mutual_to_ast`."""
+    names = mutual_var_names(f.dim)
+    return to_smtlib(mutual_to_ast(f), names, logic="QF_LIA", nonneg=names)
+
+
+def reference_mutual_json(f) -> str:
+    """The `.json` text from one `json.dumps` over the whole payload."""
+    payload = {
+        "kind": "mutual",
+        "dim": f.dim,
+        "provenance": f.provenance,
+        "complete": f.complete,
+        "state_bound": f.state_bound,
+        "cycle_len": f.cycle_len,
+        "disjuncts": [
+            {
+                "a": list(d.lower_x),
+                "b": list(d.lower_y),
+                "v": list(d.shift),
+                "gamma": [[n, list(a)] for n, a in d.rep.pairs],
+            }
+            for d in f.disjuncts
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+class SmtScript:
+    """A QF_LIA script in the subset the mutual exporter writes, as a
+    predicate on the values of its declared constants.
+
+    Commands: `set-logic`, `declare-const NAME Int`, `assert`,
+    `check-sat`.  Terms: `and`, `or`, `true`, `false`, `>=`, `=`, `mod`
+    by a nonzero literal, `+`, `*`, integer literals (with the sign the
+    exporter writes them with) and the declared names.  Anything else
+    raises ValueError.  The assertions are translated term by term into
+    one Python expression, so a check over a box stays fast.
+    """
+
+    def __init__(self, text: str):
+        stack: list[list] = [[]]
+        for tok in re.findall(r"[()]|[^\s()]+", text):
+            if tok == "(":
+                stack.append([])
+            elif tok == ")" and len(stack) > 1:
+                done = stack.pop()
+                stack[-1].append(done)
+            else:
+                stack[-1].append(tok)
+        if len(stack) != 1:
+            raise ValueError("unbalanced parentheses")
+        self.names: list[str] = []
+        assertions: list = []
+        for command in stack[0]:
+            head = command[0] if isinstance(command, list) and command else None
+            if head == "declare-const" and command[2:] == ["Int"]:
+                self.names.append(command[1])
+            elif head == "assert" and len(command) == 2:
+                assertions.append(command[1])
+            elif head not in ("set-logic", "check-sat"):
+                raise ValueError(f"unexpected command {command!r}")
+        params = {n: f"v{i}" for i, n in enumerate(self.names)}
+        body = " and ".join(_smt_to_python(a, params) for a in assertions) or "True"
+        self.holds = eval(f"lambda {', '.join(params.values())}: bool({body})")
+
+
+def _smt_to_python(term, params: dict[str, str]) -> str:
+    if isinstance(term, str):
+        if term in ("true", "false"):
+            return str(term == "true")
+        return params.get(term) or str(int(term))
+    op, *args = term
+    parts = [_smt_to_python(a, params) for a in args]
+    if op in ("and", "or") and parts:
+        return "(" + f" {op} ".join(parts) + ")"
+    if op in (">=", "=") and len(parts) == 2:
+        return f"({parts[0]} {'>=' if op == '>=' else '=='} {parts[1]})"
+    if op == "mod" and len(parts) == 2 and isinstance(args[1], str) and int(args[1]) != 0:
+        return f"({parts[0]} % {abs(int(args[1]))})"  # SMT-LIB: 0 <= (mod m n) < |n|
+    if op in ("+", "*") and parts:
+        return "(" + f" {op} ".join(parts) + ")"
+    raise ValueError(f"outside the exported subset: {term!r}")
+
+
+# --- the quantified wrapper over the mutual formula -------------------------------
+
+
+@dataclass(frozen=True)
+class BottomWrapper:
+    """For every action, configurations reachable in one step from a
+    mutual partner stay mutual partners; universally quantified over the
+    intermediate configuration."""
+
+    net: PetriNet
+    mutual: MutualFormula
+
+    def bounded_eval(self, c: Sequence[int], radius: int) -> bool:
+        """Instantiate the quantifier over the box [0, radius]^d only;
+        explicitly heuristic."""
+        c = vec(c)
+        d = self.net.dim
+        for x in itertools.product(range(radius + 1), repeat=d):
+            for a in self.net.actions:
+                if eval_mutual(self.mutual, c, x) and vge(x, a.pre):
+                    if not eval_mutual(self.mutual, c, vadd(x, a.displacement)):
+                        return False
+        return True
+
+    def to_smtlib(self) -> str:
+        d = self.net.dim
+        c_names = [f"c{i}" for i in range(d)]
+        x_names = [f"x{i}" for i in range(d)]
+        ast = mutual_to_ast(self.mutual)
+        conj = []
+        for a in self.net.actions:
+            step = [f"(+ {x} {delta})" if delta else x for x, delta in zip(x_names, a.displacement)]
+            phi_cx = smt_term(ast, c_names + x_names)
+            phi_cstep = smt_term(ast, c_names + step)
+            pre = _smt_and([f"(>= {x} {p})" for x, p in zip(x_names, a.pre)])
+            conj.append(f"(=> (and {phi_cx} {pre}) {phi_cstep})")
+        nonneg = _smt_and([f"(>= {x} 0)" for x in x_names])
+        body = f"(=> {nonneg} {_smt_and(conj)})"
+        quantified = "(forall (" + " ".join(f"({x} Int)" for x in x_names) + ") " + body + ")"
+        lines = ["(set-logic LIA)"]
+        for n in c_names:
+            lines.append(f"(declare-const {n} Int)")
+            lines.append(f"(assert (>= {n} 0))")
+        lines.append(f"(assert {quantified})")
+        lines.append("(check-sat)")
+        return "\n".join(lines) + "\n"
+
+
+def bottom_wrapper(net: PetriNet, mutual: MutualFormula) -> BottomWrapper:
+    return BottomWrapper(net, mutual)

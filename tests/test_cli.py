@@ -257,3 +257,53 @@ def test_explore_outputs(net_path, tmp_path, capsys):
     level2 = [[0, 2], [1, 1], [2, 0]]
     assert any(c["members"] == level2 and c["bottom"] for c in payload["components"])
 
+
+
+def test_compile_rejects_an_empty_format_list(net_path, tmp_path, capsys):
+    base = tmp_path / "formula"
+    assert main(["compile", net_path, "--out", str(base), "--formats", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --formats ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]
+
+
+def test_compile_writes_each_format_once(net_path, tmp_path, capsys):
+    base = tmp_path / "formula"
+    code = main(["compile", net_path, "--out", str(base), "--formats", "text,json,text"])
+    assert code == 0
+    wrote = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+    assert wrote == [f"wrote {base}.mrf", f"wrote {base}.json"]
+
+
+def test_compile_checks_the_output_directory_first(net_path, tmp_path, capsys):
+    base = tmp_path / "missing" / "formula"
+    assert main(["compile", net_path, "--out", str(base)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing was compiled
+    assert captured.err.startswith("error: output directory ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--max-states", "0"), ("--max-unfoldings", "-1")])
+def test_compile_rejects_limits_that_give_silent_answers(net_path, tmp_path, capsys, flag, value):
+    base = tmp_path / "formula"
+    assert main(["compile", net_path, "--out", str(base), flag, value]) == 1
+    assert capsys.readouterr().err == "error: invalid parameters\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]
+
+
+@pytest.mark.parametrize("command", ["eval", "explore", "check-mutual"])
+def test_negative_box_exits_one(net_path, tmp_path, capsys, command):
+    if command == "eval":
+        base = tmp_path / "formula"
+        main(["compile", net_path, "--out", str(base), "--formats", "text"])
+        argv = ["eval", f"{base}.mrf", "--box", "-1"]
+    elif command == "explore":
+        argv = ["explore", net_path, "--box", "-1"]
+    else:
+        argv = ["check-mutual", net_path, "--x", "2 0", "--y", "0 2", "--box", "-1"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --box: expected a non-negative integer, got '-1'" in captured.err

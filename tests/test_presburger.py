@@ -1,7 +1,15 @@
 import itertools
 
 import pytest
-from conftest import eval_bottom_by_enumeration, violation_by_enumeration
+from conftest import (
+    SmtScript,
+    bottom_wrapper,
+    eval_bottom_by_enumeration,
+    mutual_to_ast,
+    reference_mutual_json,
+    reference_mutual_smtlib,
+    violation_by_enumeration,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +41,6 @@ from mutreach.presburger import (
     bottom_to_json,
     bottom_to_smtlib,
     bottom_to_text,
-    bottom_wrapper,
     compile_bottom,
     compile_mutual,
     eval_bottom,
@@ -41,7 +48,6 @@ from mutreach.presburger import (
     lattice_basis,
     lattice_box_feasible,
     mutual_from_text,
-    mutual_to_ast,
     mutual_to_json,
     mutual_to_smtlib,
     mutual_to_text,
@@ -166,6 +172,48 @@ def test_mutual_ast_agrees_with_eval(token_swap):
     for x in itertools.product(range(3), repeat=2):
         for y in itertools.product(range(3), repeat=2):
             assert eval_formula(ast, list(x) + list(y)) == eval_mutual(f, x, y)
+
+
+def test_smt_evaluator_reads_the_exported_subset():
+    script = SmtScript(
+        "(set-logic QF_LIA)\n(declare-const a Int)\n(declare-const b Int)\n"
+        "(assert (>= a 0))\n"
+        "(assert (or false (and true (= (mod (+ (* -1 a) b 1) 3) 0))))\n(check-sat)\n"
+    )
+    assert script.names == ["a", "b"]
+    assert script.holds(0, 2) and script.holds(4, 0)  # -3 mod 3 = 0
+    assert not script.holds(0, 1) and not script.holds(-1, 0)
+    for bad in ("(assert (< a 0))", "(assert (>= c 0))", "(assert (= (mod a 0) 0))", "(push 1)",
+                "()", ")", "(assert a"):
+        with pytest.raises(ValueError):
+            SmtScript("(declare-const a Int)\n" + bad)
+
+
+def _assert_smt_agrees_with_eval(f: MutualFormula, box: int):
+    script = SmtScript(mutual_to_smtlib(f))
+    assert script.names == mutual_var_names(f.dim)
+    pts = list(itertools.product(range(box + 1), repeat=f.dim))
+    accepted = 0
+    for x in pts:
+        for y in pts:
+            want = eval_mutual(f, x, y)
+            assert script.holds(*x, *y) == want, (x, y)
+            accepted += want
+    assert 0 < accepted < len(pts) ** 2
+
+
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
+def test_smt_export_agrees_with_eval(fixture_nets, name):
+    """Each fixture's default `.smt2`, evaluated from its text, holds
+    exactly where `eval_mutual` does on every pair of [0,3]^d."""
+    _assert_smt_agrees_with_eval(compile_mutual(fixture_nets[name], PARAMS), 3)
+
+
+def test_scaled_smt_export_agrees_with_eval(mixed3):
+    """The same for mixed3 at state bound 5, on [0,2]^3."""
+    _assert_smt_agrees_with_eval(
+        compile_mutual(mixed3, PumpingParams(state_bound=5, cycle_len=4)), 2
+    )
 
 
 def test_mutual_serialization_round_trips(token_swap):
@@ -378,17 +426,25 @@ def test_bottom_text_round_trip(f):
 
 
 @st.composite
-def mutual_formulas(draw):
-    dim = draw(st.integers(1, 3))
+def mutual_formulas(draw, min_dim=1):
+    """Disjuncts drawn from a small pool of vectors and lattices, so that
+    vectors and lattices recur as they do in compiled formulas.  A lattice
+    is spanned by generators or given by equality pairs only."""
+    dim = draw(st.integers(min_dim, 3))
     vector = st.tuples(*[VECTOR_ENTRY] * dim)
-    generators = st.lists(st.tuples(*[st.integers(-4, 4)] * dim), max_size=3)
-    disjunct = st.builds(
-        Disjunct, vector, vector, vector,
-        generators.map(lambda gens: representation_from_generators(gens, dim)),
+    row = st.tuples(*[st.integers(-4, 4)] * dim)
+    lattice = st.one_of(
+        st.lists(row, max_size=3).map(lambda gens: representation_from_generators(gens, dim)),
+        st.lists(row, min_size=dim, max_size=dim).map(
+            lambda rows: LatticeRepresentation(dim, tuple((0, r) for r in rows))
+        ),
     )
+    vectors = st.sampled_from(draw(st.lists(vector, min_size=1, max_size=5)))
+    lattices = st.sampled_from(draw(st.lists(lattice, min_size=1, max_size=3)))
+    disjunct = st.builds(Disjunct, vectors, vectors, vectors, lattices)
     return MutualFormula(
         dim=dim,
-        disjuncts=tuple(draw(st.lists(disjunct, max_size=3))),
+        disjuncts=tuple(draw(st.lists(disjunct, max_size=4))),
         provenance=draw(st.sampled_from(["certified", "heuristic"])),
         complete=draw(st.booleans()),
         state_bound=draw(st.integers(1, 9)),
@@ -403,6 +459,15 @@ def test_mutual_text_round_trip(f):
     again = mutual_from_text(text)
     assert again == f
     assert mutual_to_text(again) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutual_formulas(min_dim=0))
+def test_mutual_writers_match_whole_formula_rendering(f):
+    """The writers that render each distinct vector and lattice once give
+    the bytes of rendering the whole tree and the whole payload."""
+    assert mutual_to_smtlib(f) == reference_mutual_smtlib(f)
+    assert mutual_to_json(f) == reference_mutual_json(f)
 
 
 # --- lattice point machinery ------------------------------------------------------
