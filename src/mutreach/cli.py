@@ -65,12 +65,21 @@ def _natural(text: str) -> int:
     return value
 
 
+def _off_threshold(text: str) -> int | None:
+    """None for `exact`, else a non-negative integer."""
+    if text == "exact":
+        return None
+    try:
+        return _natural(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'exact' or a non-negative integer, got {text!r}"
+        ) from None
+
+
 def _params_from(args) -> PumpingParams:
-    off = None
-    if args.off_threshold != "exact":
-        off = int(args.off_threshold)
     return PumpingParams(
-        state_bound=args.state_bound, cycle_len=args.cycle_len, off_threshold=off
+        state_bound=args.state_bound, cycle_len=args.cycle_len, off_threshold=args.off_threshold
     )
 
 
@@ -83,7 +92,7 @@ def _add_param_flags(p: argparse.ArgumentParser):
                    help="enumerate unfolding states of norm strictly below this")
     p.add_argument("--cycle-len", type=int, default=4,
                    help="pumping cycle-word length cap")
-    p.add_argument("--off-threshold", default="exact",
+    p.add_argument("--off-threshold", type=_off_threshold, default="exact",
                    help="'exact' for the per-unfolding certified value, or an integer")
     p.add_argument("--max-states", type=int, default=6,
                    help="largest unfolding state-set size enumerated")
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", type=_natural, required=True)
     p.add_argument("--dot", default=None)
     p.add_argument("--json", default=None)
-    p.add_argument("--list-limit", type=int, default=20)
+    p.add_argument("--list-limit", type=_natural, default=20)
     p.set_defaults(func=cmd_explore)
     return parser
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
@@ -35,6 +35,7 @@ from .ratlp import FEASIBLE, solve_standard
 from .unfolding import (
     EnumLimits,
     EnumStats,
+    Unfolding,
     elementary_path,
     enumerate_unfoldings,
     index_sets,
@@ -72,29 +73,65 @@ class MutualFormula:
         return eval_mutual(self, x, y)
 
 
-def _compile_mutual_for_index_set(
-    net: PetriNet, params: PumpingParams, limits: EnumLimits, index_set: tuple[int, ...]
-) -> tuple[list[Disjunct], bool, bool]:
-    """One index set's disjuncts (ordered), certified, complete."""
-    disjuncts: list[Disjunct] = []
-    certified = True
-    complete = True
-    stats = EnumStats()
-    for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
-        certified = certified and params.certified_for(net, g)
-        rep = lattice_of_unfolding(g)
-        bases = {}
-        for q in g.states:
-            basis = upward_basis(g, q, params)
-            complete = complete and not basis.truncated
-            bases[q] = basis
-        for p in g.states:
-            for q in g.states:
-                v = elementary_path(g, p, q).displacement(net)
-                for ea in bases[p].elements:
-                    for eb in bases[q].elements:
-                        disjuncts.append(Disjunct(ea.vector, eb.vector, v, rep))
-    return disjuncts, certified, complete and not stats.truncated
+@dataclass(frozen=True)
+class _Parts:
+    """What the compilers need of one unfolding, by state position."""
+
+    rep: LatticeRepresentation
+    bases: tuple[tuple[Vec, ...], ...]  # pumping-basis vectors at each state
+    paths: tuple[tuple[Vec, ...], ...]  # paths[i][j]: elementary path i -> j
+    truncated: bool  # some basis walk ran out of budget
+
+
+def _with_state(v: Vec, index_set: tuple[int, ...], q: Vec) -> Vec:
+    """v with the values of q written onto the I coordinates."""
+    full = list(v)
+    for pos, i in enumerate(index_set):
+        full[i] = q[pos]
+    return tuple(full)
+
+
+def _compiled_unfoldings(
+    net: PetriNet,
+    params: PumpingParams,
+    limits: EnumLimits,
+    index_set: tuple[int, ...],
+    stats: EnumStats,
+    shapes: dict[tuple, _Parts],
+    forward_closed: bool = False,
+) -> Iterator[tuple[Unfolding, _Parts]]:
+    """Each unfolding of the index set with its lattice, pumping bases and
+    path displacements.
+
+    These depend only on the index set and the edges by state position,
+    not on the state values: `Unfolding` sorts its states and edges, so
+    equal shapes give the same BFS trees, cycle words and walks, and the
+    pumping threshold depends only on the size.  `shapes` holds them per
+    shape; only the I coordinates of the basis vectors, which are the
+    state's own values, are written afresh per unfolding.
+    """
+    for g in enumerate_unfoldings(
+        net, index_set, params.state_bound, limits, stats, forward_closed
+    ):
+        position = {s: k for k, s in enumerate(g.states)}
+        key = (g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions))
+        if key not in shapes:
+            bases = [upward_basis(g, q, params) for q in g.states]
+            shapes[key] = _Parts(
+                rep=lattice_of_unfolding(g),
+                bases=tuple(tuple(e.vector for e in b.elements) for b in bases),
+                paths=tuple(
+                    tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
+                    for p in g.states
+                ),
+                truncated=any(b.truncated for b in bases),
+            )
+        parts = shapes[key]
+        bases = tuple(
+            tuple(_with_state(v, g.index_set, q) for v in vectors)
+            for vectors, q in zip(parts.bases, g.states)
+        )
+        yield g, replace(parts, bases=bases)
 
 
 def compile_mutual(
@@ -114,18 +151,25 @@ def compile_mutual(
     """
     limits = limits or EnumLimits()
     disjuncts: list[Disjunct] = []
-    seen: set = set()
+    seen: set[Disjunct] = set()
     certified = True
     complete = True
-    for ix in index_sets(net.dim):
-        part, part_certified, part_complete = _compile_mutual_for_index_set(net, params, limits, ix)
-        certified = certified and part_certified
-        complete = complete and part_complete
-        for d in part:
-            key = (d.lower_x, d.lower_y, d.shift, d.rep)
-            if key not in seen:
-                seen.add(key)
-                disjuncts.append(d)
+    shapes: dict[tuple, _Parts] = {}
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g, parts in _compiled_unfoldings(net, params, limits, index_set, stats, shapes):
+            certified = certified and params.certified_for(net, g)
+            complete = complete and not parts.truncated
+            for i, a_vectors in enumerate(parts.bases):
+                for j, b_vectors in enumerate(parts.bases):
+                    v = parts.paths[i][j]
+                    for a in a_vectors:
+                        for b in b_vectors:
+                            d = Disjunct(a, b, v, parts.rep)
+                            if d not in seen:
+                                seen.add(d)
+                                disjuncts.append(d)
+        complete = complete and not stats.truncated
     return MutualFormula(
         dim=net.dim,
         disjuncts=tuple(disjuncts),
@@ -412,36 +456,30 @@ def compile_bottom(
     tuples: list[BottomTuple] = []
     certified = True
     complete = True
+    shapes: dict[tuple, _Parts] = {}
     for index_set in index_sets(net.dim):
         stats = EnumStats()
-        for g in enumerate_unfoldings(
-            net, index_set, params.state_bound, limits, stats, forward_closed=True
+        for g, parts in _compiled_unfoldings(
+            net, params, limits, index_set, stats, shapes, forward_closed=True
         ):
             certified = certified and params.certified_for(net, g)
-            rep = lattice_of_unfolding(g)
-            bases = {}
-            for q in g.states:
-                basis = upward_basis(g, q, params)
-                complete = complete and not basis.truncated
-                bases[q] = basis
-            for r in g.states:
-                offsets = tuple(
-                    (p, elementary_path(g, r, p).displacement(net)) for p in g.states
-                )
-                vp = dict(offsets)
+            complete = complete and not parts.truncated
+            for k, r in enumerate(g.states):
+                vp = parts.paths[k]
                 implications = []
                 for (p, aidx, q) in g.transitions:
                     a = net.actions[aidx]
+                    p_at, q_at = g.states.index(p), g.states.index(q)
                     ants = tuple(
                         sorted(
-                            tuple(max(m.vector[i], a.pre[i]) - vp[p][i] for i in range(net.dim))
-                            for m in bases[p].elements
+                            tuple(max(m[i], a.pre[i]) - vp[p_at][i] for i in range(net.dim))
+                            for m in parts.bases[p_at]
                         )
                     )
                     cons = tuple(
                         sorted(
-                            tuple(m.vector[i] - a.displacement[i] - vp[p][i] for i in range(net.dim))
-                            for m in bases[q].elements
+                            tuple(m[i] - a.displacement[i] - vp[p_at][i] for i in range(net.dim))
+                            for m in parts.bases[q_at]
                         )
                     )
                     implications.append((ants, cons))
@@ -449,10 +487,10 @@ def compile_bottom(
                     BottomTuple(
                         index_set=tuple(index_set),
                         state=r,
-                        rep=rep,
-                        membership=tuple(m.vector for m in bases[r].elements),
+                        rep=parts.rep,
+                        membership=parts.bases[k],
                         implications=tuple(implications),
-                        offsets=offsets,
+                        offsets=tuple(zip(g.states, vp)),
                     )
                 )
         complete = complete and not stats.truncated

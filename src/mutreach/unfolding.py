@@ -530,67 +530,62 @@ def enumerate_unfoldings(
         targets.append(fired)
         out_edges.append(out)
 
-    # The circulation rows depend only on edge incidence by state position
-    # and on action displacements, so one system recurs across many state
-    # sets; each distinct system is solved once per call.
+    # Whether a state set qualifies, and which of its edges carry a positive
+    # circulation, depend only on its shape: the edges as (local position,
+    # action index, local position) over the sorted states.  Each distinct
+    # shape is decided once per call.  In a connected subset every state
+    # touches an edge, so the shape also fixes the size.  The circulation
+    # rows are a function of the shape, but distinct shapes can share one
+    # system, so each distinct system is still solved once.
+    kept: dict[tuple[tuple[int, int, int], ...], list[int] | None] = {}
     solved: dict[tuple[tuple[int, ...], ...], list[int] | bool] = {}
-    for subset in _connected_subsets(undirected, limits.max_states):
-        # The closed filter runs before any edge list is built: it rejects
-        # most subsets, and building edges first is markedly slower.
-        members = set(subset)
-        if forward_closed and any(j not in members for i in subset for j in targets[i]):
-            continue
-        states = tuple(all_states[i] for i in subset)
-        # Subsets are sorted, so edges keep the order of a full edge scan.
-        edges = [t for i in subset for j, t in out_edges[i] if j in members]
-        if len(states) > 1 and not _strongly_connected(states, edges)[0]:
-            continue
-        rows = _circulation_rows(net, states, edges)
+
+    def decide(size: int, shape: tuple[tuple[int, int, int], ...]) -> list[int] | None:
+        """The indices of the shape's edges to keep, or None to skip it."""
+        positions = range(size)
+        if size > 1 and not _strongly_connected(positions, shape)[0]:
+            return None
+        rows = _circulation_rows(net, positions, shape)
         key = tuple(map(tuple, rows))
         if forward_closed:
             if key not in solved:
-                solved[key] = positive_circulation(rows, len(edges)) is not None
-            if not solved[key]:
+                solved[key] = positive_circulation(rows, len(shape)) is not None
+            return list(range(len(shape))) if solved[key] else None
+        if key not in solved:
+            solved[key] = max_positive_support(rows, len(shape))
+        support = solved[key]
+        if len(support) < len(shape) and size > 1:
+            if not _strongly_connected(positions, [shape[j] for j in support])[0]:
+                return None
+        return support
+
+    for subset in _connected_subsets(undirected, limits.max_states):
+        # The closed filter runs before any edge list is built: it rejects
+        # most subsets, and building edges first is markedly slower.
+        if forward_closed:
+            members = set(subset)
+            if any(j not in members for i in subset for j in targets[i]):
                 continue
-        else:
-            if key not in solved:
-                solved[key] = max_positive_support(rows, len(edges))
-            support = solved[key]
-            if len(support) < len(edges):
-                edges = [edges[j] for j in support]
-                if len(states) > 1 and not _strongly_connected(states, edges)[0]:
-                    continue
+        local = {i: k for k, i in enumerate(subset)}
+        # Subsets are sorted, so edges keep the order of a full edge scan.
+        edges: list[Transition] = []
+        shape: list[tuple[int, int, int]] = []
+        for k, i in enumerate(subset):
+            for j, t in out_edges[i]:
+                m = local.get(j)
+                if m is not None:
+                    edges.append(t)
+                    shape.append((k, t[1], m))
+        key = tuple(shape)
+        if key not in kept:
+            kept[key] = decide(len(subset), key)
+        support = kept[key]
+        if support is None:
+            continue
+        if len(support) < len(edges):
+            edges = [edges[j] for j in support]
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
             return
-        yield Unfolding(net, index_set, states, tuple(edges))
+        yield Unfolding(net, index_set, tuple(all_states[i] for i in subset), tuple(edges))
         stats.emitted += 1
-
-
-def collect_unfoldings(
-    net: PetriNet,
-    index_set: Sequence[int],
-    state_bound: int,
-    limits: EnumLimits | None = None,
-) -> tuple[list[Unfolding], EnumStats]:
-    stats = EnumStats()
-    gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, stats))
-    return gs, stats
-
-
-# --- DOT export --------------------------------------------------------------
-
-
-def unfolding_to_dot(g: Unfolding, name: str = "unfolding") -> str:
-    def label(s: State) -> str:
-        return "(" + ",".join(map(str, s)) + ")"
-
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  label="I={list(g.index_set)}";')
-    for s in g.states:
-        lines.append(f'  "{label(s)}";')
-    for p, a, q in g.transitions:
-        delta = g.action(a).displacement
-        lines.append(f'  "{label(p)}" -> "{label(q)}" [label="a{a} d={list(delta)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -71,7 +71,8 @@ class PumpingParams:
     walk_budget: int = 20000
 
     def __post_init__(self):
-        if self.state_bound < 1 or self.cycle_len < 0:
+        off_negative = self.off_threshold is not None and self.off_threshold < 0
+        if self.state_bound < 1 or self.cycle_len < 0 or off_negative:
             raise WitnessRejected("invalid parameters")
 
     def threshold_for(self, net: PetriNet, g: Unfolding) -> int:

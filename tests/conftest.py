@@ -16,14 +16,18 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 
 from mutreach.formula import And, CompareAtom, DivAtom, Or, eval_formula, smt_term, to_smtlib
 from mutreach.intlinalg import LinalgError
-from mutreach.net import Action, PetriNet
+from mutreach.net import Action, PetriNet, load_net
 from mutreach.presburger import (
+    BottomFormula,
+    BottomTuple,
+    Disjunct,
     MutualFormula,
     _rational_box_ranges,
     _smt_and,
@@ -32,7 +36,20 @@ from mutreach.presburger import (
     mutual_var_names,
 )
 from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
+from mutreach.unfolding import (
+    EnumLimits,
+    EnumStats,
+    State,
+    Unfolding,
+    elementary_path,
+    enumerate_unfoldings,
+    index_sets,
+    lattice_of_unfolding,
+)
 from mutreach.vectors import restrict, vadd, vec, vge
+from mutreach.witness import upward_basis
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -62,6 +79,12 @@ def mixed3():
             Action((0, 0, 1), (0, 0, 0)),
         ),
     )
+
+
+@pytest.fixture(scope="session")
+def ring3():
+    """The benchmark's ring of three counters: its bottom lattices have rank 2."""
+    return load_net(str(REPO / "perfbench" / "nets" / "ring3.net"))
 
 
 @pytest.fixture(scope="session")
@@ -575,6 +598,125 @@ def eval_bottom_by_enumeration(f, c, radius: int) -> bool | None:
         if vio is None:
             saw_inconclusive = True
     return None if saw_inconclusive else False
+
+
+# --- listing and drawing unfoldings --------------------------------------------------
+
+
+def collect_unfoldings(
+    net: PetriNet,
+    index_set: Sequence[int],
+    state_bound: int,
+    limits: EnumLimits | None = None,
+) -> tuple[list[Unfolding], EnumStats]:
+    stats = EnumStats()
+    gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, stats))
+    return gs, stats
+
+
+def unfolding_to_dot(g: Unfolding, name: str = "unfolding") -> str:
+    def label(s: State) -> str:
+        return "(" + ",".join(map(str, s)) + ")"
+
+    lines = [f"digraph {name} {{"]
+    lines.append(f'  label="I={list(g.index_set)}";')
+    for s in g.states:
+        lines.append(f'  "{label(s)}";')
+    for p, a, q in g.transitions:
+        delta = g.action(a).displacement
+        lines.append(f'  "{label(p)}" -> "{label(q)}" [label="a{a} d={list(delta)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# --- compiler references -----------------------------------------------------------
+
+
+def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
+    """`compile_mutual` with every lattice, pumping basis and elementary
+    path computed afresh for each unfolding."""
+    limits = limits or EnumLimits()
+    disjuncts = []
+    seen = set()
+    certified = complete = True
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+            certified = certified and params.certified_for(net, g)
+            rep = lattice_of_unfolding(g)
+            bases = {}
+            for q in g.states:
+                bases[q] = upward_basis(g, q, params)
+                complete = complete and not bases[q].truncated
+            for p in g.states:
+                for q in g.states:
+                    v = elementary_path(g, p, q).displacement(net)
+                    for ea in bases[p].elements:
+                        for eb in bases[q].elements:
+                            key = (ea.vector, eb.vector, v, rep)
+                            if key not in seen:
+                                seen.add(key)
+                                disjuncts.append(Disjunct(*key))
+        complete = complete and not stats.truncated
+    return MutualFormula(
+        dim=net.dim,
+        disjuncts=tuple(disjuncts),
+        provenance="certified" if certified else "heuristic",
+        complete=complete,
+        state_bound=params.state_bound,
+        cycle_len=params.cycle_len,
+    )
+
+
+def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
+    """`compile_bottom` with every lattice, pumping basis and elementary
+    path computed afresh for each unfolding."""
+    limits = limits or EnumLimits()
+    tuples = []
+    certified = complete = True
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g in enumerate_unfoldings(
+            net, index_set, params.state_bound, limits, stats, forward_closed=True
+        ):
+            certified = certified and params.certified_for(net, g)
+            rep = lattice_of_unfolding(g)
+            bases = {}
+            for q in g.states:
+                bases[q] = upward_basis(g, q, params)
+                complete = complete and not bases[q].truncated
+            for r in g.states:
+                offsets = tuple(
+                    (p, elementary_path(g, r, p).displacement(net)) for p in g.states
+                )
+                vp = dict(offsets)
+                implications = []
+                for p, aidx, q in g.transitions:
+                    a = net.actions[aidx]
+                    ants = tuple(sorted(
+                        tuple(max(m.vector[i], a.pre[i]) - vp[p][i] for i in range(net.dim))
+                        for m in bases[p].elements
+                    ))
+                    cons = tuple(sorted(
+                        tuple(m.vector[i] - a.displacement[i] - vp[p][i] for i in range(net.dim))
+                        for m in bases[q].elements
+                    ))
+                    implications.append((ants, cons))
+                tuples.append(BottomTuple(
+                    index_set=tuple(index_set),
+                    state=r,
+                    rep=rep,
+                    membership=tuple(m.vector for m in bases[r].elements),
+                    implications=tuple(implications),
+                    offsets=offsets,
+                ))
+        complete = complete and not stats.truncated
+    return BottomFormula(
+        dim=net.dim,
+        tuples=tuple(tuples),
+        provenance="certified" if certified else "heuristic",
+        complete=complete,
+    )
 
 
 # --- mutual formula references -----------------------------------------------------

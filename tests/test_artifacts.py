@@ -1,8 +1,9 @@
 """The compiled artifacts are the behavioural contract.
 
 Digests of `mutreach compile` output for the four fixtures at default
-settings, and for mixed3 at state bound 5 (the scaled setting, where
-many unfoldings share one circulation system).  A change that alters
+settings, for mixed3 at state bound 5 (the scaled setting, where many
+unfoldings share one circulation system), and for the benchmark's ring3
+net at default settings (the only net whose bottom lattices have rank 2).  A change that alters
 these bytes on purpose updates the digests here and says why in
 CHANGES.md.
 """
@@ -16,6 +17,7 @@ from mutreach.cli import main
 from mutreach.presburger import bottom_from_text, bottom_to_text, mutual_from_text, mutual_to_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+RING3 = FIXTURES.parent / "perfbench" / "nets" / "ring3.net"
 
 DIGESTS = {
     "token_swap-mutual.json": "ccbff5fe39c320ad70ac2d0d73f98c60f6c1c79420595cc91352d2062563ab39",
@@ -53,6 +55,15 @@ SCALED_DIGESTS = {
     "mixed3-sb5-bottom.smt2": "4277819948ddf18c7baadc3094f33785f579323a966c7c778c9d2d85bd502755",
 }
 
+RING3_DIGESTS = {
+    "ring3-mutual.json": "d57b888c9f9182e50a9483447debde06db02891850a9e46235b5ed59af6f4b60",
+    "ring3-mutual.mrf": "07b99c3801035bb7739b03333704b3d7290948d7650752f06ebe0ab1945edea6",
+    "ring3-mutual.smt2": "0f6f6f35293db5ef5b925ee66796e69240102376b62120b696054cdb76994082",
+    "ring3-bottom.btf": "0405315842537f2fbbe5f02134f4c11ac8c0d01fa4131ec95323a6f2ec775522",
+    "ring3-bottom.json": "d94650032dd4f30f8c0a7e883292de44a04872740394538a11629d994f106689",
+    "ring3-bottom.smt2": "e56ce04377385589e9852b47d0a83eb2e3c40d1eb08ba14ebdbab5bb44801bbc",
+}
+
 
 @pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
 @pytest.mark.parametrize("mode", ["mutual", "bottom"])
@@ -81,5 +92,16 @@ def test_scaled_artifacts_are_byte_identical(mode, tmp_path, capsys):
     assert code == 0
     produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     expected = {k: v for k, v in SCALED_DIGESTS.items() if k.startswith(f"mixed3-sb5-{mode}.")}
+    assert len(expected) == 3
+    assert produced == expected
+
+
+@pytest.mark.parametrize("mode", ["mutual", "bottom"])
+def test_ring3_artifacts_are_byte_identical(mode, tmp_path, capsys):
+    base = tmp_path / f"ring3-{mode}"
+    code = main(["compile", str(RING3), "--mode", mode, "--out", str(base)])
+    assert code == 0
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    expected = {k: v for k, v in RING3_DIGESTS.items() if k.startswith(f"ring3-{mode}.")}
     assert len(expected) == 3
     assert produced == expected

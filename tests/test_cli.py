@@ -307,3 +307,28 @@ def test_negative_box_exits_one(net_path, tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: argument --box: expected a non-negative integer, got '-1'" in captured.err
+
+
+def test_explore_list_limit_must_be_non_negative(capsys):
+    net = str(FIXTURES / "token_swap.net")
+    assert main(["explore", net, "--box", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "4 bottom components" in out and out.count("  bottom: ") == 4
+    assert main(["explore", net, "--box", "3", "--list-limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --list-limit: expected a non-negative integer, got '-1'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_off_threshold_takes_exact_or_a_non_negative_integer(net_path, tmp_path, capsys, value):
+    base = tmp_path / "formula"
+    assert main(["compile", net_path, "--out", str(base), "--off-threshold", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mutreach compile")
+    assert captured.err.endswith(
+        f"error: argument --off-threshold: expected 'exact' or a non-negative integer, "
+        f"got {value!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]

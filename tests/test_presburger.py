@@ -6,6 +6,8 @@ from conftest import (
     bottom_wrapper,
     eval_bottom_by_enumeration,
     mutual_to_ast,
+    reference_compile_bottom,
+    reference_compile_mutual,
     reference_mutual_json,
     reference_mutual_smtlib,
     violation_by_enumeration,
@@ -27,6 +29,7 @@ from mutreach.formula import (
     to_sexpr,
     to_smtlib,
 )
+from mutreach import presburger
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.oracle import BoundedStateSpace
@@ -53,6 +56,7 @@ from mutreach.presburger import (
     mutual_to_text,
     mutual_var_names,
 )
+from mutreach.unfolding import elementary_path, enumerate_unfoldings, index_sets
 from mutreach.witness import PumpingParams
 
 PARAMS = PumpingParams(state_bound=4, cycle_len=4)
@@ -247,6 +251,80 @@ def test_certified_thresholds_are_what_make_it_sound(ring):
         for y in pts:
             if eval_mutual(certified, x, y):
                 assert space.mutual(x, y) is True
+
+
+# --- one compilation per unfolding shape ------------------------------------------
+
+
+def _shape(g):
+    """The index set and the edges as (state position, action, state position)."""
+    position = {s: k for k, s in enumerate(g.states)}
+    return g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        pytest.param(name, PARAMS, id=name)
+        for name in ("token_swap", "consumer", "ring", "mixed3", "ring3")
+    ]
+    + [
+        pytest.param("ring", PumpingParams(4, 4, off_threshold=1), id="ring-heuristic"),
+        pytest.param("mixed3", PumpingParams(4, 4, walk_budget=5), id="mixed3-truncated"),
+    ],
+)
+def test_compilers_match_per_unfolding_references(fixture_nets, ring3, name, params):
+    """Computing lattices, pumping bases and paths once per shape gives the
+    formulas of computing them afresh for every unfolding."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    assert compile_mutual(net, params) == reference_compile_mutual(net, params)
+    assert compile_bottom(net, params) == reference_compile_bottom(net, params)
+
+
+def test_each_shape_is_compiled_once(mixed3, monkeypatch):
+    basis_calls, lattice_calls = [], []
+
+    def counting_basis(g, q, params):
+        basis_calls.append((_shape(g), g.states.index(q)))
+        return upward_basis(g, q, params)
+
+    def counting_lattice(g):
+        lattice_calls.append(_shape(g))
+        return lattice_of_unfolding(g)
+
+    upward_basis, lattice_of_unfolding = presburger.upward_basis, presburger.lattice_of_unfolding
+    monkeypatch.setattr(presburger, "upward_basis", counting_basis)
+    monkeypatch.setattr(presburger, "lattice_of_unfolding", counting_lattice)
+    compile_mutual(mixed3, PARAMS)
+    unfoldings = [g for ix in index_sets(mixed3.dim) for g in enumerate_unfoldings(mixed3, ix, 4)]
+    shapes = {_shape(g) for g in unfoldings}
+    assert len(shapes) < len(unfoldings)  # shapes do repeat
+    assert sorted(lattice_calls) == sorted(shapes)
+    assert sorted(basis_calls) == sorted({(_shape(g), k) for g in unfoldings for k in range(g.size)})
+
+
+def test_shapes_that_differ_only_in_action_labels_are_compiled_apart():
+    """Two state sets whose edges join the same positions with different
+    actions: the horizontal pair moves a token on counter 2, the vertical
+    pair does not, so their paths and pumping bases differ."""
+    net = PetriNet(
+        3,
+        (
+            Action((0, 0, 0), (1, 0, 1)),  # east, adding a token on counter 2
+            Action((1, 0, 1), (0, 0, 0)),  # west, taking it back
+            Action((0, 0, 0), (0, 1, 0)),  # north
+            Action((0, 1, 0), (0, 0, 0)),  # south
+        ),
+    )
+    params = PumpingParams(state_bound=2, cycle_len=4)
+    found = {g.states: g for g in enumerate_unfoldings(net, (0, 1), 2)}
+    horizontal, vertical = found[((0, 0), (1, 0))], found[((0, 0), (0, 1))]
+    unlabelled = [[(p, q) for p, _, q in _shape(g)[1]] for g in (horizontal, vertical)]
+    assert unlabelled[0] == unlabelled[1] and _shape(horizontal) != _shape(vertical)
+    assert elementary_path(horizontal, *horizontal.states).displacement(net) == (1, 0, 1)
+    assert elementary_path(vertical, *vertical.states).displacement(net) == (0, 1, 0)
+    assert compile_mutual(net, params) == reference_compile_mutual(net, params)
+    assert compile_bottom(net, params) == reference_compile_bottom(net, params)
 
 
 # --- bottom compile -------------------------------------------------------------

@@ -8,11 +8,10 @@ evaluated relation.
 
 import itertools
 
-from conftest import candidate_unfoldings
+from conftest import candidate_unfoldings, collect_unfoldings
 from mutreach.lattice import lattice_contains
 from mutreach.presburger import Disjunct, MutualFormula, compile_mutual, eval_mutual
 from mutreach.unfolding import (
-    collect_unfoldings,
     elementary_path,
     index_sets,
     is_structurally_reversible,

@@ -2,10 +2,12 @@ import pytest
 
 from conftest import (
     candidate_unfoldings,
+    collect_unfoldings,
     definitional_reversible,
     reference_circulation_rows,
     reference_unfoldings,
     simple_cycles,
+    unfolding_to_dot,
     walked_state_sets,
 )
 from mutreach import unfolding
@@ -19,7 +21,6 @@ from mutreach.unfolding import (
     UnfoldingError,
     UnfoldingPath,
     _strongly_connected,
-    collect_unfoldings,
     coset_between,
     cycle_walks,
     elementary_path,
@@ -32,7 +33,6 @@ from mutreach.unfolding import (
     reverse_path_for,
     rotate_cycle,
     unfolding_from_sccc,
-    unfolding_to_dot,
     validate_unfolding,
     zero_full_state_cycle,
 )

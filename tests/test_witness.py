@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import collect_unfoldings
 from mutreach.net import Action, PetriNet, fire
 from mutreach.unfolding import unfolding_from_sccc, validate_unfolding
 from mutreach.witness import (
@@ -46,8 +47,6 @@ def test_upward_basis_partial_index_threshold():
 def test_upward_basis_is_antichain(fixture_nets):
     params = PumpingParams(state_bound=3, cycle_len=3)
     for net in fixture_nets.values():
-        from mutreach.unfolding import collect_unfoldings
-
         gs, _ = collect_unfoldings(net, (0,), 3)
         for g in gs[:6]:
             for q in g.states:
@@ -243,6 +242,17 @@ def test_certified_flag_depends_on_threshold(token_swap):
     assert PumpingParams(2, 2, off_threshold=exact + 5).certified_for(token_swap, g)
     assert not PumpingParams(2, 2, off_threshold=exact - 1).certified_for(token_swap, g)
     assert PumpingParams(2, 2).certified_for(token_swap, g)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"state_bound": 0}, {"cycle_len": -1}, {"off_threshold": -1}],
+    ids=["state_bound", "cycle_len", "off_threshold"],
+)
+def test_pumping_params_reject_negative_values(kwargs):
+    with pytest.raises(WitnessRejected, match="invalid parameters"):
+        PumpingParams(**{"state_bound": 2, "cycle_len": 2, **kwargs})
+    assert PumpingParams(2, 2, off_threshold=0).off_threshold == 0
 
 
 def test_completeness_probe_fixtures(fixture_nets):
