@@ -55,14 +55,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _natural(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer_from(least: int, what: str):
+    """An argparse type: an integer of at least `least`, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_natural = _integer_from(0, "a non-negative integer")
+_positive = _integer_from(1, "a positive integer")
 
 
 def _off_threshold(text: str) -> int | None:
@@ -151,7 +160,10 @@ def cmd_check_mutual(args) -> int:
         print("not mutual (oracle)")
         return EXIT_OK
     if oracle_verdict is True:
-        print("oracle says mutual; raise --state-bound / --max-states to find a witness")
+        limit = {"not-found-budget": "--budget", "not-found-truncated": "--max-unfoldings"}.get(
+            result.status, "--state-bound / --max-states"
+        )
+        print(f"oracle says mutual; raise {limit} to find a witness")
         return EXIT_INCONCLUSIVE
     print("inconclusive (no oracle verdict available)")
     return EXIT_INCONCLUSIVE
@@ -308,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="source configuration, e.g. '2 0'")
     p.add_argument("--y", required=True, help="target configuration")
     _add_param_flags(p)
-    p.add_argument("--budget", type=int, default=10000, help="max unfoldings examined")
+    p.add_argument("--budget", type=_positive, default=10000, help="max unfoldings examined")
     p.add_argument("--box", type=_natural, default=None,
                    help="cross-check with the bounded oracle")
     p.add_argument("--witness-out", default=None, help="write the witness certificate here")

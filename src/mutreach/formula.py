@@ -163,6 +163,12 @@ def to_sexpr(node: Formula) -> str:
 # --- SMT-LIB ------------------------------------------------------------------
 
 
+def smt_numeral(n: int) -> str:
+    """An integer as an SMT-LIB term: numerals are non-negative, so a
+    negative n is written `(- |n|)`."""
+    return str(n) if n >= 0 else f"(- {-n})"
+
+
 def _linear_term(coeffs: Sequence[int], names: Sequence[str], constant: int = 0) -> str:
     parts = []
     for c, n in zip(coeffs, names, strict=True):
@@ -171,9 +177,9 @@ def _linear_term(coeffs: Sequence[int], names: Sequence[str], constant: int = 0)
         if c == 1:
             parts.append(n)
         else:
-            parts.append(f"(* {c} {n})")
+            parts.append(f"(* {smt_numeral(c)} {n})")
     if constant or not parts:
-        parts.append(str(constant))
+        parts.append(smt_numeral(constant))
     if len(parts) == 1:
         return parts[0]
     return "(+ " + " ".join(parts) + ")"
@@ -184,7 +190,7 @@ def smt_term(node: Formula, names: Sequence[str]) -> str:
         return "true" if node.value else "false"
     if isinstance(node, CompareAtom):
         op = ">=" if node.op == ">=" else "="
-        return f"({op} {_linear_term(node.coeffs, names)} {node.constant})"
+        return f"({op} {_linear_term(node.coeffs, names)} {smt_numeral(node.constant)})"
     if isinstance(node, DivAtom):
         term = _linear_term(node.coeffs, names, node.constant)
         return f"(= (mod {term} {node.modulus}) 0)"

@@ -25,6 +25,7 @@ from .formula import (
     Or,
     conj_ge,
     max_threshold,
+    smt_numeral,
     smt_term,
     to_sexpr,
 )
@@ -204,7 +205,7 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
 
     @cache
     def thresholds(side: str, bound: Vec) -> str:
-        return " ".join(f"(>= {side}{i} {c})" for i, c in enumerate(bound))
+        return " ".join(f"(>= {side}{i} {smt_numeral(c)})" for i, c in enumerate(bound))
 
     @cache
     def lattice_part(rep: LatticeRepresentation, shift: Vec) -> str:
@@ -853,7 +854,7 @@ def bottom_to_smtlib(f: BottomFormula) -> str:
         eqs.append(member_c)
         member = []
         for n, a in t.rep.pairs:
-            term_parts = [f"(* {a[i]} {v_names[i]})" for i in range(d) if a[i] != 0]
+            term_parts = [f"(* {smt_numeral(a[i])} {v_names[i]})" for i in range(d) if a[i] != 0]
             term = "(+ " + " ".join(term_parts) + ")" if len(term_parts) > 1 else (
                 term_parts[0] if term_parts else "0"
             )

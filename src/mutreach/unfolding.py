@@ -76,6 +76,20 @@ def _strongly_connected(states: Sequence[State], transitions: Sequence[Transitio
     return True, None
 
 
+def _component_roots(
+    states: Sequence[State], transitions: Sequence[Transition]
+) -> dict[State, State]:
+    """Each state's strongly connected component, named by its first
+    member in `states`: what that member both reaches and is reached from."""
+    roots: dict[State, State] = {}
+    for root in states:
+        if root not in roots:
+            reached = _bfs_parents(transitions, root).keys()
+            for s in reached & _bfs_parents(transitions, root, forward=False).keys():
+                roots[s] = root
+    return roots
+
+
 @dataclass(frozen=True)
 class Unfolding:
     net: PetriNet
@@ -511,8 +525,7 @@ def enumerate_unfoldings(
     # their target positions, in action order.
     targets: list[list[int | None]] = []
     out_edges: list[list[tuple[int, Transition]]] = []
-    undirected: list[set[int]] = [set() for _ in all_states]
-    for i, p in enumerate(all_states):
+    for p in all_states:
         fired: list[int | None] = []
         out: list[tuple[int, Transition]] = []
         for idx, a in enumerate(net.actions):
@@ -521,14 +534,31 @@ def enumerate_unfoldings(
                 continue
             j = pos.get(q)
             fired.append(j)
-            if j is None:
-                continue
-            out.append((j, (p, idx, q)))
-            if j != i:
-                undirected[i].add(j)
-                undirected[j].add(i)
+            if j is not None:
+                out.append((j, (p, idx, q)))
         targets.append(fired)
         out_edges.append(out)
+
+    # Every unfolding is strongly connected, so its states lie in one
+    # strongly connected component of the bounded graph, and the walk
+    # follows only edges inside a component.  The walk grows supersets, so
+    # this drops exactly the sets that span two components and keeps the
+    # order of the rest.  A closed, strongly connected set is a whole
+    # component that no enabled action leaves, so in `forward_closed` mode
+    # the walk also skips the edges of every other component.
+    roots = _component_roots(all_states, [t for out in out_edges for _, t in out])
+    component = [pos[roots[p]] for p in all_states]
+    leaky = set()
+    if forward_closed:
+        for i, fired in enumerate(targets):
+            if any(j is None or component[j] != component[i] for j in fired):
+                leaky.add(component[i])
+    undirected: list[set[int]] = [set() for _ in all_states]
+    for i, out in enumerate(out_edges):
+        for j, _ in out:
+            if j != i and component[j] == component[i] and component[i] not in leaky:
+                undirected[i].add(j)
+                undirected[j].add(i)
 
     # Whether a state set qualifies, and which of its edges carry a positive
     # circulation, depend only on its shape: the edges as (local position,

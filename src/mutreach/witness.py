@@ -295,7 +295,7 @@ def check_witness(
 
 @dataclass
 class SearchResult:
-    status: str  # found | not-found-exhausted | not-found-budget
+    status: str  # found | not-found-exhausted | not-found-budget | not-found-truncated
     witness: MutualWitness | None = None
     examined: int = 0
 
@@ -326,7 +326,10 @@ def search_witness(
     `not-found-exhausted` means the bounded space was fully searched; it
     refutes mutual reachability only when the parameters dominate the
     exact thresholds, which they never do at desk scale, so callers
-    should cross-check with the reachability oracle.
+    should cross-check with the reachability oracle.  `not-found-budget`
+    means `budget` unfoldings were examined and another one was left;
+    `not-found-truncated` means the enumeration stopped at
+    `limits.max_unfoldings` for some index set.
     """
     x, y = vec(x), vec(y)
     if x == y:
@@ -338,9 +341,9 @@ def search_witness(
     for index_set in index_sets(net.dim):
         stats = EnumStats()
         for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
-            examined += 1
-            if examined > budget:
+            if examined >= budget:
                 return SearchResult("not-found-budget", examined=examined)
+            examined += 1
             sset = set(g.states)
             if restrict(x, index_set) not in sset or restrict(y, index_set) not in sset:
                 continue
@@ -351,7 +354,7 @@ def search_witness(
             return SearchResult("found", w, examined=examined)
         truncated = truncated or stats.truncated
     return SearchResult(
-        "not-found-budget" if truncated else "not-found-exhausted", examined=examined
+        "not-found-truncated" if truncated else "not-found-exhausted", examined=examined
     )
 
 

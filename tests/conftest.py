@@ -21,7 +21,16 @@ from typing import Sequence
 
 import pytest
 
-from mutreach.formula import And, CompareAtom, DivAtom, Or, eval_formula, smt_term, to_smtlib
+from mutreach.formula import (
+    And,
+    CompareAtom,
+    DivAtom,
+    Or,
+    eval_formula,
+    smt_numeral,
+    smt_term,
+    to_smtlib,
+)
 from mutreach.intlinalg import LinalgError
 from mutreach.net import Action, PetriNet, load_net
 from mutreach.presburger import (
@@ -342,6 +351,29 @@ def walked_state_sets(net, index_set, state_bound: int, max_states: int):
         states = tuple(all_states[i] for i in subset)
         sset = set(states)
         yield states, [t for t in all_edges if t[0] in sset and t[2] in sset]
+
+
+def reach_components(net, index_set, state_bound: int) -> dict:
+    """The strongly connected component of each bounded I-state, as a
+    frozenset: the states it reaches that reach it back, from plain reach
+    sets over the I-firing relation inside the bound."""
+    from mutreach.unfolding import bounded_states, i_fires
+
+    index_set = tuple(sorted(index_set))
+    states = bounded_states(index_set, state_bound)
+    inside = set(states)
+    reach = {}
+    for p in states:
+        seen, todo = {p}, [p]
+        while todo:
+            s = todo.pop()
+            for a in net.actions:
+                q = i_fires(a, index_set, s)
+                if q in inside and q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        reach[p] = seen
+    return {p: frozenset(q for q in reach[p] if p in reach[q]) for p in states}
 
 
 def reference_circulation_rows(net, states, edges) -> list[list[int]]:
@@ -781,10 +813,11 @@ class SmtScript:
 
     Commands: `set-logic`, `declare-const NAME Int`, `assert`,
     `check-sat`.  Terms: `and`, `or`, `true`, `false`, `>=`, `=`, `mod`
-    by a nonzero literal, `+`, `*`, integer literals (with the sign the
-    exporter writes them with) and the declared names.  Anything else
-    raises ValueError.  The assertions are translated term by term into
-    one Python expression, so a check over a box stays fast.
+    by a nonzero literal, `+`, `*`, numerals, negated numerals `(- n)`
+    and the declared names.  Anything else, a bare `-1` included (SMT-LIB
+    reads it as a symbol), raises ValueError.  The assertions are
+    translated term by term into one Python expression, so a check over a
+    box stays fast.
     """
 
     def __init__(self, text: str):
@@ -818,8 +851,14 @@ def _smt_to_python(term, params: dict[str, str]) -> str:
     if isinstance(term, str):
         if term in ("true", "false"):
             return str(term == "true")
-        return params.get(term) or str(int(term))
+        if term in params:
+            return params[term]
+        if not (term.isascii() and term.isdigit()):
+            raise ValueError(f"not a declared name or a numeral: {term!r}")
+        return str(int(term))
     op, *args = term
+    if op == "-" and len(args) == 1 and isinstance(args[0], str) and args[0].isdigit():
+        return f"(-{_smt_to_python(args[0], params)})"
     parts = [_smt_to_python(a, params) for a in args]
     if op in ("and", "or") and parts:
         return "(" + f" {op} ".join(parts) + ")"
@@ -863,7 +902,8 @@ class BottomWrapper:
         ast = mutual_to_ast(self.mutual)
         conj = []
         for a in self.net.actions:
-            step = [f"(+ {x} {delta})" if delta else x for x, delta in zip(x_names, a.displacement)]
+            step = [f"(+ {x} {smt_numeral(delta)})" if delta else x
+                    for x, delta in zip(x_names, a.displacement)]
             phi_cx = smt_term(ast, c_names + x_names)
             phi_cstep = smt_term(ast, c_names + step)
             pre = _smt_and([f"(>= {x} {p})" for x, p in zip(x_names, a.pre)])

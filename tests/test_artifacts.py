@@ -5,10 +5,13 @@ settings, for mixed3 at state bound 5 (the scaled setting, where many
 unfoldings share one circulation system), and for the benchmark's ring3
 net at default settings (the only net whose bottom lattices have rank 2).  A change that alters
 these bytes on purpose updates the digests here and says why in
-CHANGES.md.
+CHANGES.md.  The `.smt2` digests last changed when negative integers
+became `(- n)` terms: SMT-LIB numerals are non-negative, and a strict
+parser reads a bare `-1` as a symbol.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -22,43 +25,43 @@ RING3 = FIXTURES.parent / "perfbench" / "nets" / "ring3.net"
 DIGESTS = {
     "token_swap-mutual.json": "ccbff5fe39c320ad70ac2d0d73f98c60f6c1c79420595cc91352d2062563ab39",
     "token_swap-mutual.mrf": "ba51f74b34dbe49de8ca4143fecff95ada7271a5a281723e46d699c71cb05879",
-    "token_swap-mutual.smt2": "9100b3dec4bdb50e3e1bea34e31952bc52da9956c34eb05b4c6eb8c0d982a814",
+    "token_swap-mutual.smt2": "266b455ef1a1f1b578bc1eeebf293dfe33263b0a50053e6742aab6ef2339a91e",
     "token_swap-bottom.btf": "90ec6615a3946d8f1edfff92bb3dec738baa1c3be4513d2be5180dec3b32ef2b",
     "token_swap-bottom.json": "7e44f2c6460e4f951de1d23a11d2df6351944a3271974a66ec1b8e3d3671a647",
-    "token_swap-bottom.smt2": "74344d036e3d74c0714e348ac1dad0a02116ee3673824ec819202f8c96185ac9",
+    "token_swap-bottom.smt2": "d5a3b9ade000135403f1a991d2134a0542548592cb247ad3ce8a1b263c0e59fc",
     "consumer-mutual.json": "cbe22481170170954154af80f8670d40035ed00e70dfdc5592c6df05f3f18a0f",
     "consumer-mutual.mrf": "e9c64ff355fa634bb7f6c6ea8b46a40252d56784e2128e6b081b20582d8759e1",
-    "consumer-mutual.smt2": "c1a87fc9f1bc7d23b008ba310933e29263f762dff01a44e0f04dbcb2badf5c88",
+    "consumer-mutual.smt2": "2ddf5b90c4cd563f8273b56d80b243a44909ab7f5b6108b75b1c1822cee0eeeb",
     "consumer-bottom.btf": "0a29b50e49656e32afbf3ab09efc3d2951b6617d806d07d1a810026b231f3a45",
     "consumer-bottom.json": "4b41044a6503def602ea75c11e2d2f8a033eaee3e1273a03a784c9a5d6838999",
     "consumer-bottom.smt2": "286dd7b6b3a5a9b115344d9ebb27767a37c64385a81416541b7831dfddf2f808",
     "ring-mutual.json": "fac75e1a20e1ec9f2e730a1e1a4bb88a64924f458a1b8c2e5ace688c8765dda2",
     "ring-mutual.mrf": "904b64ab7237afc4bc67ccad85c8441eb210c9c8c4fadc0069e429e3495710d7",
-    "ring-mutual.smt2": "23ff3f529ed6818e0e387dc29b6a9ceccb01443ef7501eaadc125e4496dc73bd",
+    "ring-mutual.smt2": "c4a6232d79a93038f408f3051fa9642ebe3230e2bfcf6876cc967d8b8b260a75",
     "ring-bottom.btf": "85f322d7db7b980f63f6e5daf648e970211c11540cdc465257cffbf10245aadb",
     "ring-bottom.json": "8804d73d27532abef878eab6adfe192087f12863f3c0649e1b5a9950bd7f5be4",
-    "ring-bottom.smt2": "7632862148a1855ee466847473ada4bf5d675c0e96d90a2a6d53dd4fa2ca504a",
+    "ring-bottom.smt2": "4f5a9eafb6e75936773c4e4c5ad33ad07f7303440b4a3d1c8adef13d00e8bf36",
     "mixed3-mutual.json": "274d6c769578d8e0431b4ced2cac7e1638811a420eb2ddc957803509cdfc473e",
     "mixed3-mutual.mrf": "dbc61837495342c2e0487e3f3b6eb387e4cced325d8e4b42a8d877a69b94dccd",
-    "mixed3-mutual.smt2": "929b68d547b00cbdf91a51dd832bb412b1eb4e1d73ca7d3b4007bc27081691cf",
+    "mixed3-mutual.smt2": "7dd43da6689167ae5b23fee09c8b9894be065e7a066eb83a7c17adcb381644d5",
     "mixed3-bottom.btf": "83f83ab8a39ef5337c9423da0b316036bfa567e7ea50836d19427c5f78b68572",
     "mixed3-bottom.json": "b495cfd8cde18acca298796fb7ca0323077c40857171bf0e9967294d9d07c8da",
-    "mixed3-bottom.smt2": "297783ed7cb7bb869d21e61343d2061dfa4c96624f416b822d2430f4c0e2b399",
+    "mixed3-bottom.smt2": "15e420694ab6298a7b8f3aae236cad20c959a28daa71aa7d18ac5745c8d31896",
 }
 
 SCALED_DIGESTS = {
     "mixed3-sb5-mutual.json": "d7607d6a31c2f2a0220b148910da761adbbdbcb89dae8a32a01aed45ec2e2ab8",
     "mixed3-sb5-mutual.mrf": "b2f8a7036ec6852a9c82f19a2f876d312d02e15b9c7cf3ce99450c05a0356224",
-    "mixed3-sb5-mutual.smt2": "eac8528dd51638534fe175b2293fee793d23833b85f4c39079ffe6e52b6e8ea4",
+    "mixed3-sb5-mutual.smt2": "dece7fbe6aef41537b2f5375ac4cf6da0693923cbf7f973a971253c06121efc3",
     "mixed3-sb5-bottom.btf": "c8cd20c4583162f944cee4a72d4d57e3008270fc28bcc3dea7f5945ac997e3be",
     "mixed3-sb5-bottom.json": "53820088ba53cbc499a9e48970802c319a9cb5e8b0991c09b64a926ff0703367",
-    "mixed3-sb5-bottom.smt2": "4277819948ddf18c7baadc3094f33785f579323a966c7c778c9d2d85bd502755",
+    "mixed3-sb5-bottom.smt2": "b92e16c346f1f4a6dbf5f786712247af98088f1ac2344a8d79d518a47669c072",
 }
 
 RING3_DIGESTS = {
     "ring3-mutual.json": "d57b888c9f9182e50a9483447debde06db02891850a9e46235b5ed59af6f4b60",
     "ring3-mutual.mrf": "07b99c3801035bb7739b03333704b3d7290948d7650752f06ebe0ab1945edea6",
-    "ring3-mutual.smt2": "0f6f6f35293db5ef5b925ee66796e69240102376b62120b696054cdb76994082",
+    "ring3-mutual.smt2": "522f28164d80e526c7cad05ecda28791f72e0072a7d1cb1e3b09a6eb2cbb1ea3",
     "ring3-bottom.btf": "0405315842537f2fbbe5f02134f4c11ac8c0d01fa4131ec95323a6f2ec775522",
     "ring3-bottom.json": "d94650032dd4f30f8c0a7e883292de44a04872740394538a11629d994f106689",
     "ring3-bottom.smt2": "e56ce04377385589e9852b47d0a83eb2e3c40d1eb08ba14ebdbab5bb44801bbc",
@@ -82,6 +85,20 @@ def test_default_artifacts_are_byte_identical(name, mode, tmp_path, capsys):
     }[mode]
     text = (tmp_path / f"{name}-{mode}{suffix}").read_text(encoding="utf-8")
     assert render(parse(text)) == text
+
+
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
+@pytest.mark.parametrize("mode", ["mutual", "bottom"])
+def test_smtlib_has_no_bare_negative_literals(name, mode, tmp_path, capsys):
+    """SMT-LIB numerals are non-negative and `-1` is a symbol there, so a
+    negative integer must be written `(- 1)`."""
+    base = tmp_path / f"{name}-{mode}"
+    code = main(["compile", str(FIXTURES / f"{name}.net"), "--mode", mode,
+                 "--formats", "smtlib", "--out", str(base)])
+    assert code == 0
+    text = (tmp_path / f"{name}-{mode}.smt2").read_text(encoding="utf-8")
+    assert re.search(r"-\d", text) is None
+    assert "(- 1)" in text or (name, mode) == ("consumer", "bottom")
 
 
 @pytest.mark.parametrize("mode", ["mutual", "bottom"])

@@ -63,6 +63,34 @@ def test_check_mutual_inconclusive_without_box(tmp_path, consumer, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["-5", "0", "abc"])
+def test_check_mutual_budget_must_be_positive(net_path, capsys, value):
+    argv = ["check-mutual", net_path, "--x", "2 0", "--y", "0 2", "--box", "5", "--budget", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mutreach check-mutual")
+    assert captured.err.endswith(
+        f"error: argument --budget: expected a positive integer, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, status, limit",
+    [
+        (["--budget", "3"], "not-found-budget, 3 unfoldings examined", "--budget"),
+        (["--max-unfoldings", "1"], "not-found-truncated, 4 unfoldings examined",
+         "--max-unfoldings"),
+    ],
+)
+def test_check_mutual_names_the_limit_that_ran_out(net_path, capsys, flags, status, limit):
+    argv = ["check-mutual", net_path, "--x", "2 0", "--y", "0 2", "--box", "5", *flags]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert f"no witness within bounds ({status})" in out
+    assert f"oracle says mutual; raise {limit} to find a witness" in out
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main(["no-such-command"]) == 1
     assert main(["check-mutual", str(tmp_path / "missing.net"), "--x", "1", "--y", "2"]) == 1

@@ -182,13 +182,15 @@ def test_smt_evaluator_reads_the_exported_subset():
     script = SmtScript(
         "(set-logic QF_LIA)\n(declare-const a Int)\n(declare-const b Int)\n"
         "(assert (>= a 0))\n"
-        "(assert (or false (and true (= (mod (+ (* -1 a) b 1) 3) 0))))\n(check-sat)\n"
+        "(assert (or false (and true (= (mod (+ (* (- 1) a) b 1) 3) 0))))\n"
+        "(assert (>= (* (- 2) b) (- 4)))\n(check-sat)\n"
     )
     assert script.names == ["a", "b"]
     assert script.holds(0, 2) and script.holds(4, 0)  # -3 mod 3 = 0
-    assert not script.holds(0, 1) and not script.holds(-1, 0)
+    assert not script.holds(0, 1) and not script.holds(-1, 0) and not script.holds(1, 3)
     for bad in ("(assert (< a 0))", "(assert (>= c 0))", "(assert (= (mod a 0) 0))", "(push 1)",
-                "()", ")", "(assert a"):
+                "()", ")", "(assert a", "(assert (>= a -1))", "(assert (>= (* -1 a) 0))",
+                "(assert (>= a (- a)))", "(assert (>= a (- 1 2)))"):
         with pytest.raises(ValueError):
             SmtScript("(declare-const a Int)\n" + bad)
 

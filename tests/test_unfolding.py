@@ -8,6 +8,7 @@ from conftest import (
     reference_unfoldings,
     simple_cycles,
     unfolding_to_dot,
+    reach_components,
     walked_state_sets,
 )
 from mutreach import unfolding
@@ -21,6 +22,7 @@ from mutreach.unfolding import (
     UnfoldingError,
     UnfoldingPath,
     _strongly_connected,
+    bounded_states,
     coset_between,
     cycle_walks,
     elementary_path,
@@ -418,22 +420,108 @@ def test_forward_closed_enumeration_matches_reference(fixture_nets):
     assert total > 10
 
 
+# Two reversible pairs of counters, a <-> b and c <-> d, joined by the
+# one-way action c -> b: connected state sets cross from the {c, d}
+# component into the {a, b} one, and the {c, d} component leaks.  The
+# one-way edge runs from a state to a later one in the walk's order.
+TWO_PAIRS = PetriNet(
+    4,
+    (
+        Action((1, 0, 0, 0), (0, 1, 0, 0)),
+        Action((0, 1, 0, 0), (1, 0, 0, 0)),
+        Action((0, 0, 1, 0), (0, 0, 0, 1)),
+        Action((0, 0, 0, 1), (0, 0, 1, 0)),
+        Action((0, 0, 1, 0), (0, 1, 0, 0)),
+    ),
+)
+
+
+@pytest.mark.parametrize("max_unfoldings", [5000, 2])
 @pytest.mark.parametrize("forward_closed", [False, True])
-@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3"])
-def test_enumeration_matches_unshortcut_reference(fixture_nets, name, forward_closed):
-    """Solving each circulation system once and building edge lists per
-    state yield the same unfoldings, in the same order, with the same
-    stats as a full edge scan that solves every system afresh."""
-    net = RING3 if name == "ring3" else fixture_nets[name]
-    limits = EnumLimits()
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3", "two_pairs"])
+def test_enumeration_matches_unshortcut_reference(fixture_nets, name, forward_closed,
+                                                  max_unfoldings):
+    """Walking only inside strongly connected components, solving each
+    circulation system once and building edge lists per state yield the
+    same unfoldings, in the same order, with the same stats as a full walk
+    with a full edge scan that solves every system afresh."""
+    net = {"ring3": RING3, "two_pairs": TWO_PAIRS}.get(name) or fixture_nets[name]
+    bound = 2 if name == "two_pairs" else 4
+    limits = EnumLimits(max_unfoldings=max_unfoldings)
     for index_set in index_sets(net.dim):
         stats, expected_stats = EnumStats(), EnumStats()
-        found = enumerate_unfoldings(net, index_set, 4, limits, stats, forward_closed)
-        expected = reference_unfoldings(net, index_set, 4, limits, expected_stats, forward_closed)
+        found = enumerate_unfoldings(net, index_set, bound, limits, stats, forward_closed)
+        expected = reference_unfoldings(
+            net, index_set, bound, limits, expected_stats, forward_closed
+        )
         assert [(g.states, g.transitions) for g in found] == [
             (g.states, g.transitions) for g in expected
         ], index_set
         assert stats == expected_stats, index_set
+
+
+def test_two_pairs_walk_crosses_components():
+    """The full walk reaches state sets that span the two components, and
+    only the closed {a, b} component yields a forward-closed unfolding."""
+    index_set = (0, 1, 2, 3)
+    components = reach_components(TWO_PAIRS, index_set, 2)
+    spanning = [
+        states
+        for states, _ in walked_state_sets(TWO_PAIRS, index_set, 2, EnumLimits().max_states)
+        if len({components[s] for s in states}) > 1
+    ]
+    assert ((0, 0, 1, 0), (0, 1, 0, 0)) in spanning
+    ab, cd = components[(1, 0, 0, 0)], components[(0, 0, 1, 0)]
+    assert ab == {(1, 0, 0, 0), (0, 1, 0, 0)} and cd == {(0, 0, 1, 0), (0, 0, 0, 1)}
+    closed = [g.states for g in enumerate_unfoldings(TWO_PAIRS, index_set, 2, forward_closed=True)]
+    assert tuple(sorted(ab)) in closed and tuple(sorted(cd)) not in closed
+
+
+@pytest.mark.parametrize(
+    "name, bound, forward_closed, walked, yielded",
+    [
+        ("mixed3", 5, False, 516, 516),
+        ("mixed3", 5, True, 256, 6),
+        ("two_pairs", 2, False, 181, 180),
+        ("two_pairs", 2, True, 82, 3),
+    ],
+)
+def test_walk_stays_inside_strongly_connected_components(
+    mixed3, monkeypatch, name, bound, forward_closed, walked, yielded
+):
+    """Every walked state set of two or more states lies in one strongly
+    connected component, in forward-closed mode one that no enabled action
+    leaves.  The full walk visits 12 117 sets in either mode on mixed3 at
+    state bound 5 and 446 on the two pairs at state bound 2; inside
+    components it visits just over the unfoldings in mutual mode and
+    mostly singletons in forward-closed mode."""
+    net = mixed3 if name == "mixed3" else TWO_PAIRS
+    subsets = []
+
+    def recording(neighbors, max_size):
+        for subset in connected_subsets(neighbors, max_size):
+            subsets.append(subset)
+            yield subset
+
+    connected_subsets = unfolding._connected_subsets
+    monkeypatch.setattr(unfolding, "_connected_subsets", recording)
+    total_walked = total_yielded = 0
+    for index_set in index_sets(net.dim):
+        subsets.clear()
+        total_yielded += sum(
+            1 for _ in enumerate_unfoldings(net, index_set, bound, forward_closed=forward_closed)
+        )
+        states = bounded_states(index_set, bound)
+        components = reach_components(net, index_set, bound)
+        for subset in subsets:
+            if len(subset) == 1:
+                continue
+            (component,) = {components[states[i]] for i in subset}
+            if forward_closed:
+                targets = {i_fires(a, index_set, p) for p in component for a in net.actions}
+                assert targets - {None} <= component, component
+        total_walked += len(subsets)
+    assert (total_walked, total_yielded) == (walked, yielded)
 
 
 @pytest.mark.parametrize("forward_closed", [False, True])

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import collect_unfoldings
 from mutreach.net import Action, PetriNet, fire
-from mutreach.unfolding import unfolding_from_sccc, validate_unfolding
+from mutreach.unfolding import EnumLimits, unfolding_from_sccc, validate_unfolding
 from mutreach.witness import (
     PumpingParams,
     SynthesisError,
@@ -108,10 +108,18 @@ def test_search_consumer_exhausts(consumer):
 
 
 def test_search_budget_status(token_swap):
-    res = search_witness(
-        token_swap, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4), budget=1
-    )
-    assert res.status == "not-found-budget"
+    params = PumpingParams(state_bound=4, cycle_len=4)
+    for budget in (1, 3):
+        res = search_witness(token_swap, (2, 0), (0, 2), params, budget=budget)
+        assert (res.status, res.examined) == ("not-found-budget", budget)
+
+
+def test_search_truncated_status(token_swap):
+    """The enumeration limit is not the budget: a search cut short by
+    `max_unfoldings` says so."""
+    res = search_witness(token_swap, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4),
+                         limits=EnumLimits(max_unfoldings=1))
+    assert (res.status, res.examined) == ("not-found-truncated", 4)
 
 
 def test_search_monotone_in_state_bound(token_swap):
