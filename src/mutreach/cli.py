@@ -4,7 +4,9 @@ Exit codes: 0 when a verdict or artifact was produced, 2 when the result
 is inconclusive or a budget ran out, 1 for usage or parse errors.
 `eval` needs a query (`--pair` or `--box` for a mutual formula, `--point`
 or `--box` for a bottom one) and prints `?` for a bottom point whose
-lattice query stayed undecided.
+lattice query stayed undecided.  When a `provenance heuristic` formula
+prints any `1` row, `eval` still prints the table, writes one `warning:`
+line to stderr and exits 2, because such a `1` is not certified.
 """
 
 from __future__ import annotations
@@ -270,6 +272,13 @@ def cmd_eval(args) -> int:
         print(f"wrote {args.csv} ({len(rows)} rows)")
     else:
         sys.stdout.write(out)
+    if formula.provenance == "heuristic":
+        ones = sum(1 for row in rows if row[-1])
+        if ones:
+            print(f"warning: {ones} row(s) print 1 from a heuristic formula (compiled below "
+                  "the certified pumping thresholds), so they are not certified",
+                  file=sys.stderr)
+            return EXIT_INCONCLUSIVE
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 

@@ -8,7 +8,6 @@ processed columns, which keeps entries small at the scales used here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -123,54 +122,17 @@ def comatrix(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(out)
 
 
-def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
-    """Rank plus pivot rows and pivot columns.
-
-    Rows are kept greedily in input order (so a full-row-rank matrix is
-    its own pivot block and the Hermite form below is canonical for the
-    given row order); pivot columns are then chosen greedily left to
-    right over the kept rows.
-    """
-    kept: list[tuple[int, list[Fraction]]] = []  # (row index, reduced row)
-    for i in range(m.rows):
-        row = [Fraction(x) for x in m.row(i)]
-        for _, prow in kept:
-            lead = next((j for j in range(m.cols) if prow[j] != 0), None)
-            if lead is not None and row[lead] != 0:
-                f = row[lead] / prow[lead]
-                row = [x - f * y for x, y in zip(row, prow)]
-        if any(row):
-            kept.append((i, row))
-    pivot_rows = [i for i, _ in kept]
-
-    work = [[Fraction(x) for x in m.row(i)] for i in pivot_rows]
-    pivot_cols: list[int] = []
-    used = [False] * len(work)
-    for j in range(m.cols):
-        pick = next((i for i in range(len(work)) if not used[i] and work[i][j] != 0), None)
-        if pick is None:
-            continue
-        used[pick] = True
-        pivot_cols.append(j)
-        inv = Fraction(1) / work[pick][j]
-        work[pick] = [x * inv for x in work[pick]]
-        for i in range(len(work)):
-            if i != pick and work[i][j] != 0:
-                f = work[i][j]
-                work[i] = [x - f * y for x, y in zip(work[i], work[pick])]
-    return len(pivot_rows), pivot_rows, pivot_cols
-
-
 @dataclass(frozen=True)
 class HnfResult:
-    """M[row_perm] @ U == [H | 0] with U unimodular and H lower triangular,
-    non-negative, each row's unique maximum on the diagonal."""
+    """M[row_perm] @ U == [H | 0] on its first `rank` rows, with U
+    unimodular and H lower triangular, non-negative, each row's unique
+    maximum on the diagonal; the remaining rows of M[row_perm] @ U are
+    zero beyond column `rank` too."""
 
     h: IntMatrix
     u: IntMatrix
     rank: int
     row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -186,60 +148,52 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def hermite_normal_form(m: IntMatrix) -> HnfResult:
     """Column-style HNF with explicit unimodular multiplier.
 
-    Rank-deficient input is handled by selecting independent rows first;
-    the zero matrix yields a rank-0 result with an empty H.
+    Rows are taken in input order.  A row with no nonzero entry at or
+    after the current rank column lies in the span of the pivot rows
+    before it and is skipped; every other row becomes the next pivot row.
+    The column operations depend only on the pivot rows, so H is the
+    Hermite form of the full-row-rank block of greedily kept rows.  The
+    zero matrix yields a rank-0 result with an empty H.
     """
-    rank, pivot_rows, pivot_cols = rank_profile(m)
-    rest_rows = [i for i in range(m.rows) if i not in pivot_rows]
-    rest_cols = [j for j in range(m.cols) if j not in pivot_cols]
-    row_perm = tuple(pivot_rows + rest_rows)
-    col_perm = tuple(pivot_cols + rest_cols)
     k = m.cols
-    if rank == 0:
-        return HnfResult(IntMatrix(0, 0, ()), IntMatrix.identity(k), 0, row_perm, col_perm)
-
-    w = [[m.at(i, j) for j in range(k)] for i in pivot_rows]
+    w = m.to_lists()
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
     def col_op_2(c1: int, c2: int, a: int, b: int, c: int, d: int):
         # (col c1, col c2) <- (a*c1 + b*c2, c*c1 + d*c2); ad - bc = +-1
-        for row in w:
-            x, y = row[c1], row[c2]
-            row[c1], row[c2] = a * x + b * y, c * x + d * y
-        for row in u:
+        for row in w + u:
             x, y = row[c1], row[c2]
             row[c1], row[c2] = a * x + b * y, c * x + d * y
 
-    def negate_col(c: int):
-        for row in w:
-            row[c] = -row[c]
-        for row in u:
-            row[c] = -row[c]
-
-    for r in range(rank):
+    pivot_rows: list[int] = []
+    rest_rows: list[int] = []
+    for i, pivot in enumerate(w):
+        r = len(pivot_rows)
+        if not any(pivot[r:]):
+            rest_rows.append(i)
+            continue
+        pivot_rows.append(i)
         for j in range(r + 1, k):
-            if w[r][j] == 0:
+            if pivot[j] == 0:
                 continue
-            if w[r][r] == 0:
+            if pivot[r] == 0:
                 col_op_2(r, j, 0, 1, -1, 0)
                 continue
-            g, s, t = _xgcd(w[r][r], w[r][j])
-            col_op_2(r, j, s, t, -(w[r][j] // g), w[r][r] // g)
-        if w[r][r] == 0:
-            raise LinalgError("internal: missing pivot on full-row-rank block")
-        if w[r][r] < 0:
-            negate_col(r)
-        # reduce the already-fixed columns so 0 <= w[r][j] < w[r][r] for j < r
+            g, s, t = _xgcd(pivot[r], pivot[j])
+            col_op_2(r, j, s, t, -(pivot[j] // g), pivot[r] // g)
+        if pivot[r] < 0:
+            for row in w + u:
+                row[r] = -row[r]
+        # reduce the already-fixed columns so 0 <= pivot[j] < pivot[r] for j < r
         for j in range(r):
-            q = w[r][j] // w[r][r]
+            q = pivot[j] // pivot[r]
             if q:
-                for row in w:
-                    row[j] -= q * row[r]
-                for row in u:
+                for row in w + u:
                     row[j] -= q * row[r]
 
-    h = IntMatrix.from_rows([row[:rank] for row in w])
-    return HnfResult(h, IntMatrix.from_rows(u), rank, row_perm, col_perm)
+    rank = len(pivot_rows)
+    h = IntMatrix(rank, rank, tuple(w[i][j] for i in pivot_rows for j in range(rank)))
+    return HnfResult(h, IntMatrix.from_rows(u), rank, tuple(pivot_rows + rest_rows))
 
 
 def solve_integer(m: IntMatrix, target: Sequence[int]) -> list[int] | None:

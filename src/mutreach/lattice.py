@@ -74,12 +74,16 @@ def representation_from_generators(
 ) -> LatticeRepresentation:
     """Representation of the span Z v1 + ... + Z vk.
 
-    Generators become the columns of a d x k matrix; a non-singular r x r
-    block A is exposed by recorded row/column permutations, the Hermite
-    form H of the full-row-rank block [A A'] yields r divisibility pairs
-    through its comatrix, and the remaining d - r rows give equality
-    pairs.  The result is expressed back in the original coordinate
-    order, and its norm is bounded by (d!)^2 m^d.
+    Generators become the columns of a d x k matrix L.  Its Hermite form
+    gives W = L[row_perm] U, whose first r rows are [H | 0] and whose
+    other rows are [R_i | 0], so the lattice is {(H t, R t) : t in Z^r}
+    in permuted coordinates.  H yields r divisibility pairs through its
+    comatrix (t = com(H)^T x' / det(H) must be integral), and each R_i
+    the equality det(H) x(r+i) = R_i com(H)^T x', divided by its content.
+    Both depend on the lattice alone, and every equality has a negative
+    coefficient at its own coordinate.  The result is expressed back in
+    the original coordinate order, and its norm is bounded by
+    (d!)^2 m^d.
     """
     gens = [vec(g) for g in generators]
     for g in gens:
@@ -91,40 +95,21 @@ def representation_from_generators(
         return LatticeRepresentation(dim, tuple((0, unit(i)) for i in range(dim)))
 
     k = len(gens)
-    l_mat = IntMatrix.from_rows([[gens[j][i] for j in range(k)] for i in range(dim)])
-    hnf = hermite_normal_form(l_mat)
+    hnf = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(dim)]))
     r = hnf.rank
-    pivot_rows = list(hnf.row_perm[:r])
-    rest_rows = list(hnf.row_perm[r:])
+    det_h = determinant(hnf.h)
+    com_h = comatrix(hnf.h)
 
-    h = hnf.h
-    det_h = determinant(h)
-    com_h = comatrix(h)
-
-    pairs_permuted: list[tuple[int, list[int]]] = []
     # det(H) divides every coefficient of [x(1)..x(r)] com(H).
-    for i in range(r):
-        coeffs = [0] * dim
-        for j in range(r):
-            coeffs[j] = com_h.at(j, i)
-        pairs_permuted.append((det_h, coeffs))
-
-    if r < dim:
-        # det(A) x(r+i) = [x(1)..x(r)] com(A) B^T, as equalities.
-        pivot_cols = list(hnf.col_perm[:r])
-        a_block = IntMatrix.from_rows([[l_mat.at(i, j) for j in pivot_cols] for i in pivot_rows])
-        b_block = IntMatrix.from_rows([[l_mat.at(i, j) for j in pivot_cols] for i in rest_rows])
-        det_a = determinant(a_block)
-        prod = comatrix(a_block).matmul(b_block.transpose())  # r x (d-r)
-        for i in range(dim - r):
-            coeffs = [0] * dim
-            for j in range(r):
-                coeffs[j] = -prod.at(j, i)
-            coeffs[r + i] = det_a
-            # An equality is unique only up to scale, and det(A) depends on
-            # the generators; dividing out the content makes it canonical.
-            content = gcd(*coeffs)
-            pairs_permuted.append((0, [c // content for c in coeffs]))
+    pairs_permuted = [(det_h, [com_h.at(j, i) for j in range(r)] + [0] * (dim - r))
+                      for i in range(r)]
+    for i, row in enumerate(hnf.row_perm[r:]):
+        r_i = [sum(gens[c][row] * hnf.u.at(c, t) for c in range(k)) for t in range(r)]
+        coeffs = [sum(com_h.at(j, t) * r_i[t] for t in range(r)) for j in range(r)]
+        coeffs += [0] * (dim - r)
+        coeffs[r + i] = -det_h
+        content = gcd(*coeffs)
+        pairs_permuted.append((0, [c // content for c in coeffs]))
 
     # Undo the row permutation: permuted coordinate j is original row_perm[j].
     pairs = []
@@ -138,19 +123,3 @@ def representation_from_generators(
     m = max(norm_inf(g) for g in gens)
     assert rep.norm <= factorial(dim) ** 2 * m**dim, "representation norm exceeds (d!)^2 m^d"
     return rep
-
-
-def format_representation(rep: LatticeRepresentation) -> str:
-    """One line per pair: `n : a1 ... ad`."""
-    return "\n".join(f"{n} : " + " ".join(map(str, a)) for n, a in rep.pairs) + "\n"
-
-
-def parse_representation(text: str, dim: int) -> LatticeRepresentation:
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        head, _, tail = line.partition(":")
-        pairs.append((int(head.strip()), vec(int(t) for t in tail.split())))
-    return LatticeRepresentation(dim, tuple(pairs))

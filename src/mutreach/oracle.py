@@ -226,7 +226,7 @@ def oracle_bottom(net: PetriNet, c: Vec, box) -> bool | None:
     return BoundedStateSpace(net, box).bottom(c)
 
 
-def reach_graph_to_dot(net: PetriNet, box, name: str = "reach") -> str:
+def reach_graph_to_dot(net: PetriNet, box) -> str:
     """Bounded reachability graph with components colored."""
     space = BoundedStateSpace(net, box)
     comps = space.components()
@@ -236,7 +236,7 @@ def reach_graph_to_dot(net: PetriNet, box, name: str = "reach") -> str:
     ]
     def label(c: Vec) -> str:
         return "(" + ",".join(map(str, c)) + ")"
-    lines = [f"digraph {name} {{", "  node [style=filled];"]
+    lines = ["digraph reach {", "  node [style=filled];"]
     for i, comp in enumerate(comps):
         color = palette[i % len(palette)]
         mark = "" if space.reliable(comp) else "?"

@@ -10,11 +10,11 @@ itself proves the prefix bound (sum of (1 - lambda_j) weights <= d).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .intlinalg import IntMatrix, kernel_basis
 from .vectors import Vec, norm_1, norm_inf, vadd, vec, zero
 
 
@@ -53,34 +53,6 @@ def _as_bag(vectors) -> VectorBag:
     return vectors if isinstance(vectors, VectorBag) else VectorBag(tuple(vectors))
 
 
-def _kernel_direction(columns: list[list[Fraction]], nrows: int) -> list[Fraction] | None:
-    """Nonzero rational kernel vector of the matrix with the given columns."""
-    ncols = len(columns)
-    rows = [[columns[j][i] for j in range(ncols)] for i in range(nrows)]
-    pivots: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
-    for i in range(nrows):
-        col = next((j for j in range(ncols) if j not in used_cols and rows[i][j] != 0), None)
-        if col is None:
-            continue
-        used_cols.add(col)
-        pivots.append((i, col))
-        inv = Fraction(1) / rows[i][col]
-        rows[i] = [x * inv for x in rows[i]]
-        for r in range(nrows):
-            if r != i and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
-    free = next((j for j in range(ncols) if j not in used_cols), None)
-    if free is None:
-        return None
-    w = [Fraction(0)] * ncols
-    w[free] = Fraction(1)
-    for i, col in pivots:
-        w[col] = -rows[i][free]
-    return w
-
-
 def _eject_order(vectors: Sequence[Vec], dim: int) -> list[int]:
     """Assign positions from the back, returning the full permutation."""
     k = len(vectors)
@@ -102,9 +74,10 @@ def _eject_order(vectors: Sequence[Vec], dim: int) -> list[int]:
         # fractional coordinates along kernel directions.
         while all(lam[j] != 0 for j in alive):
             frac = [j for j in alive if 0 < lam[j] < 1]
-            cols = [[Fraction(1)] + [Fraction(vectors[j][i]) for i in range(dim)] for j in frac]
-            w = _kernel_direction(cols, dim + 1)
-            assert w is not None, "no zero coordinate at a certificate vertex"
+            rows = [[1] * len(frac)] + [[vectors[j][i] for j in frac] for i in range(dim)]
+            kernel = kernel_basis(IntMatrix.from_rows(rows))
+            assert kernel, "no zero coordinate at a certificate vertex"
+            w = kernel[0]
             theta = None
             for idx, j in enumerate(frac):
                 if w[idx] < 0:
@@ -152,18 +125,8 @@ def steinitz_permutation(vectors) -> tuple[int, ...]:
         return tuple(range(k))
     perm = tuple(_eject_order(bag.vectors, bag.dim))
     if not check_prefix_bound(bag, perm):
-        if k <= 7:
-            perm = _brute_force_permutation(bag)
-        else:
-            raise SteinitzError("constructive reordering failed the prefix bound")
+        raise SteinitzError("constructive reordering failed the prefix bound")
     return perm
-
-
-def _brute_force_permutation(bag: VectorBag) -> tuple[int, ...]:
-    for perm in itertools.permutations(range(len(bag.vectors))):
-        if check_prefix_bound(bag, perm):
-            return perm
-    raise SteinitzError("no permutation satisfies the prefix bound")
 
 
 def prefix_safe_reorder(vectors) -> tuple[int, ...]:
@@ -228,7 +191,7 @@ def _zero_sum_subset(vectors: Sequence[Vec], budget: int) -> list[int] | None:
     return None
 
 
-def prune_zero_subsequences(vectors, max_rounds: int | None = None, dp_budget: int = 60000) -> tuple[int, ...]:
+def prune_zero_subsequences(vectors) -> tuple[int, ...]:
     """Index subset J with the same sum and |J| <= 2*|z|_1*(3dm)^d.
 
     Stage one reorders the zero-sum residual by the prefix-balancing
@@ -250,12 +213,8 @@ def prune_zero_subsequences(vectors, max_rounds: int | None = None, dp_budget: i
     work = [(j, tuple(flip[i] * v[i] for i in range(d))) for j, v in enumerate(bag.vectors)]
     target = tuple(flip[i] * total[i] for i in range(d))
 
-    rounds = 0
-    limit = max_rounds if max_rounds is not None else k0 + 1
+    # each round removes a nonempty run or stops, so at most k0 rounds run
     while work:
-        rounds += 1
-        if rounds > limit:
-            break
         ws = [w for _, w in work]
         es = _monotone_decomposition(ws, target)
         vs = [tuple(w[i] - e[i] for i in range(d)) for w, e in zip(ws, es)]
@@ -287,7 +246,7 @@ def prune_zero_subsequences(vectors, max_rounds: int | None = None, dp_budget: i
         work = [entry for entry, _, _ in kept]
 
     while work:
-        subset = _zero_sum_subset([w for _, w in work], dp_budget)
+        subset = _zero_sum_subset([w for _, w in work], budget=60000)
         if subset is None:
             break
         doomed = set(subset)

@@ -394,9 +394,7 @@ def _reverse_cycle(g: Unfolding, cycle: UnfoldingPath, bound: int) -> UnfoldingP
     return out
 
 
-def synthesize_path(
-    net: PetriNet, x: Vec, y: Vec, witness: MutualWitness, reverse_bound: int = 64
-) -> tuple[int, ...]:
+def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tuple[int, ...]:
     """A word firing x to y, assembled from the witness: pump up at x,
     walk an elementary path, repay the lattice difference by reordered
     full-state cycles, and pump down into y.
@@ -444,7 +442,7 @@ def synthesize_path(
             if h > 0:
                 pieces.extend([c] * h)
             elif h < 0:
-                rev = _reverse_cycle(g, c, reverse_bound)
+                rev = _reverse_cycle(g, c, bound=64)
                 for piece in _decompose_into_simple(g, rev):
                     pieces.extend([piece] * (-h))
         bag = [piece.displacement(net) for piece in pieces]

@@ -5,8 +5,9 @@ membership uses an incremental triangular basis with xgcd elimination
 (never the comatrix construction), determinants use the permutation
 expansion, reversibility uses a plain displacement-bounded search, and
 bottom membership evaluates phi at enumerated lattice points instead of
-solving lattice-box queries, and exported SMT-LIB scripts are evaluated
-from their text.
+solving lattice-box queries, exported SMT-LIB scripts are evaluated
+from their text, and the reference Hermite normal form picks its pivot
+rows by rational elimination before any integer column operation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from mutreach.formula import (
     smt_term,
     to_smtlib,
 )
-from mutreach.intlinalg import LinalgError
+from mutreach.intlinalg import IntMatrix, LinalgError
 from mutreach.net import Action, PetriNet, load_net
 from mutreach.presburger import (
     BottomFormula,
@@ -251,6 +252,116 @@ def enumerated_span_points(generators, dim: int, coeff_bound: int, box_bound: in
     mask = (np.abs(total) <= box_bound).all(axis=1)
     pts = np.unique(total[mask], axis=0)
     return {tuple(int(x) for x in row) for row in pts}
+
+
+# --- reference Hermite normal form ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceHnf:
+    h: IntMatrix
+    u: IntMatrix
+    rank: int
+    row_perm: tuple[int, ...]
+    col_perm: tuple[int, ...]
+
+
+def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
+    """Rank plus pivot rows and pivot columns.
+
+    Rows are kept greedily in input order (so a full-row-rank matrix is
+    its own pivot block and the Hermite form below is canonical for the
+    given row order); pivot columns are then chosen greedily left to
+    right over the kept rows.
+    """
+    kept: list[tuple[int, list[Fraction]]] = []  # (row index, reduced row)
+    for i in range(m.rows):
+        row = [Fraction(x) for x in m.row(i)]
+        for _, prow in kept:
+            lead = next((j for j in range(m.cols) if prow[j] != 0), None)
+            if lead is not None and row[lead] != 0:
+                f = row[lead] / prow[lead]
+                row = [x - f * y for x, y in zip(row, prow)]
+        if any(row):
+            kept.append((i, row))
+    pivot_rows = [i for i, _ in kept]
+
+    work = [[Fraction(x) for x in m.row(i)] for i in pivot_rows]
+    pivot_cols: list[int] = []
+    used = [False] * len(work)
+    for j in range(m.cols):
+        pick = next((i for i in range(len(work)) if not used[i] and work[i][j] != 0), None)
+        if pick is None:
+            continue
+        used[pick] = True
+        pivot_cols.append(j)
+        inv = Fraction(1) / work[pick][j]
+        work[pick] = [x * inv for x in work[pick]]
+        for i in range(len(work)):
+            if i != pick and work[i][j] != 0:
+                f = work[i][j]
+                work[i] = [x - f * y for x, y in zip(work[i], work[pick])]
+    return len(pivot_rows), pivot_rows, pivot_cols
+
+
+def reference_hnf(m: IntMatrix) -> ReferenceHnf:
+    """Column-style HNF with explicit unimodular multiplier, on the rows
+    and columns `rank_profile` picks by rational elimination first.
+
+    Rank-deficient input is handled by selecting independent rows first;
+    the zero matrix yields a rank-0 result with an empty H.
+    """
+    rank, pivot_rows, pivot_cols = rank_profile(m)
+    rest_rows = [i for i in range(m.rows) if i not in pivot_rows]
+    rest_cols = [j for j in range(m.cols) if j not in pivot_cols]
+    row_perm = tuple(pivot_rows + rest_rows)
+    col_perm = tuple(pivot_cols + rest_cols)
+    k = m.cols
+    if rank == 0:
+        return ReferenceHnf(IntMatrix(0, 0, ()), IntMatrix.identity(k), 0, row_perm, col_perm)
+
+    w = [[m.at(i, j) for j in range(k)] for i in pivot_rows]
+    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def col_op_2(c1: int, c2: int, a: int, b: int, c: int, d: int):
+        # (col c1, col c2) <- (a*c1 + b*c2, c*c1 + d*c2); ad - bc = +-1
+        for row in w:
+            x, y = row[c1], row[c2]
+            row[c1], row[c2] = a * x + b * y, c * x + d * y
+        for row in u:
+            x, y = row[c1], row[c2]
+            row[c1], row[c2] = a * x + b * y, c * x + d * y
+
+    def negate_col(c: int):
+        for row in w:
+            row[c] = -row[c]
+        for row in u:
+            row[c] = -row[c]
+
+    for r in range(rank):
+        for j in range(r + 1, k):
+            if w[r][j] == 0:
+                continue
+            if w[r][r] == 0:
+                col_op_2(r, j, 0, 1, -1, 0)
+                continue
+            g, s, t = _xgcd(w[r][r], w[r][j])
+            col_op_2(r, j, s, t, -(w[r][j] // g), w[r][r] // g)
+        if w[r][r] == 0:
+            raise LinalgError("internal: missing pivot on full-row-rank block")
+        if w[r][r] < 0:
+            negate_col(r)
+        # reduce the already-fixed columns so 0 <= w[r][j] < w[r][r] for j < r
+        for j in range(r):
+            q = w[r][j] // w[r][r]
+            if q:
+                for row in w:
+                    row[j] -= q * row[r]
+                for row in u:
+                    row[j] -= q * row[r]
+
+    h = IntMatrix.from_rows([row[:rank] for row in w])
+    return ReferenceHnf(h, IntMatrix.from_rows(u), rank, row_perm, col_perm)
 
 
 # --- other independent oracles ---------------------------------------------------

@@ -7,7 +7,11 @@ net at default settings (the only net whose bottom lattices have rank 2).  A cha
 these bytes on purpose updates the digests here and says why in
 CHANGES.md.  The `.smt2` digests last changed when negative integers
 became `(- n)` terms: SMT-LIB numerals are non-negative, and a strict
-parser reads a bare `-1` as a symbol.
+parser reads a bare `-1` as a symbol.  The ring3 digests last changed
+when lattice pairs came to be read off the Hermite normal form alone:
+ring3's totals equality, written `pair 0 : 1 1 1` before, is now
+`pair 0 : -1 -1 -1`, the sign every other equality here already had,
+because the sign no longer depends on the order of the generators.
 """
 
 import hashlib
@@ -59,12 +63,12 @@ SCALED_DIGESTS = {
 }
 
 RING3_DIGESTS = {
-    "ring3-mutual.json": "d57b888c9f9182e50a9483447debde06db02891850a9e46235b5ed59af6f4b60",
-    "ring3-mutual.mrf": "07b99c3801035bb7739b03333704b3d7290948d7650752f06ebe0ab1945edea6",
-    "ring3-mutual.smt2": "522f28164d80e526c7cad05ecda28791f72e0072a7d1cb1e3b09a6eb2cbb1ea3",
-    "ring3-bottom.btf": "0405315842537f2fbbe5f02134f4c11ac8c0d01fa4131ec95323a6f2ec775522",
-    "ring3-bottom.json": "d94650032dd4f30f8c0a7e883292de44a04872740394538a11629d994f106689",
-    "ring3-bottom.smt2": "e56ce04377385589e9852b47d0a83eb2e3c40d1eb08ba14ebdbab5bb44801bbc",
+    "ring3-mutual.json": "e645b1f4d2748fa0f7b9b18b642a387f13bebb82bd44fe33791d06828b2f4ff0",
+    "ring3-mutual.mrf": "8ecc191e016686b156534de053fc050ebd049958ef9a51a28d38d8b74478a771",
+    "ring3-mutual.smt2": "67e89c008af9a706b60fa4d2d4475953e0069acaae4b8751b806dc8a3783dc69",
+    "ring3-bottom.btf": "92eda96fbef3895898f749c1f982fd9b52dd2c8bd19bf8a7fe72f8ec14efcfc6",
+    "ring3-bottom.json": "2f1057795a22aa82c206ff9353cb0f6d103caccf054c1eaadcb30e194181f0eb",
+    "ring3-bottom.smt2": "48a2395c893f084844b0b441d6073cf957278518f724765d0a73d9fba6d5296a",
 }
 
 

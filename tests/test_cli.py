@@ -214,6 +214,27 @@ def test_eval_bottom_decides_the_empty_index_tuple(net_path, tmp_path, capsys):
     assert "50 50,0" in out
 
 
+def test_eval_of_a_heuristic_formula_warns_on_its_ones(tmp_path, capsys):
+    """Below the certified thresholds the ring formula accepts (0 1, 1 0),
+    which the oracle refutes; the table is printed, but a `1` from a
+    heuristic formula is not a verdict, so eval warns and exits 2."""
+    ring = str(FIXTURES / "ring.net")
+    heuristic, certified = tmp_path / "heuristic", tmp_path / "certified"
+    main(["compile", ring, "--off-threshold", "0", "--formats", "text", "--out", str(heuristic)])
+    main(["compile", ring, "--formats", "text", "--out", str(certified)])
+    capsys.readouterr()
+    assert main(["eval", str(heuristic) + ".mrf", "--pair", "0 1 / 1 0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "x,y,mutual\n0 1,1 0,1\n"
+    assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+    # the certified formula's ones stand, and so does a heuristic table of zeros
+    assert main(["eval", str(certified) + ".mrf", "--pair", "0 1 / 1 0", "--pair", "3 1 / 1 3"]) == 0
+    assert main(["eval", str(heuristic) + ".mrf", "--pair", "0 1 / 0 0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x,y,mutual\n0 1,1 0,0\n3 1,1 3,1\nx,y,mutual\n0 1,0 0,0\n"
+    assert captured.err == ""
+
+
 # Z^2 and an implication whose antecedent holds far out and whose
 # consequent never does: the violation at (100, 100) is unbounded in both
 # directions and lies outside the scanned window, so it is not decided.

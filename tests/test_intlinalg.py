@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from conftest import feasible_with_epsilon, leibniz_determinant, rational_lp_feasible
+from conftest import feasible_with_epsilon, leibniz_determinant, rational_lp_feasible, reference_hnf
 from mutreach.intlinalg import (
     HnfResult,
     IntMatrix,
@@ -85,6 +85,9 @@ def _check_hnf_shape(m: IntMatrix, res: HnfResult):
         for j in range(m.cols):
             want = h.at(i, j) if j < r else 0
             assert prod.at(i, j) == want
+    # the skipped rows lie in the span of the pivot rows
+    for i in range(r, m.rows):
+        assert not any(prod.at(i, j) for j in range(r, m.cols))
 
 
 def test_hnf_examples():
@@ -110,6 +113,28 @@ def test_hnf_random_shapes():
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols, 3)
         res = hermite_normal_form(m)
+        _check_hnf_shape(m, res)
+
+
+def test_hnf_matches_the_rational_row_selection_reference():
+    """Skipping rows in the span of the pivot rows before them picks the
+    rows a rational elimination picks, so H, U, the rank and the row
+    order are those of the reference; rank-deficient inputs included."""
+    rng = random.Random(12)
+    for trial in range(300):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        m = _random_matrix(rng, rows, cols, 3).to_lists()
+        if trial % 2:
+            # make some rows zero or combinations of earlier rows
+            for i in range(1, rows):
+                if rng.random() < 0.5:
+                    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                    j = rng.randrange(i)
+                    m[i] = [a * x + b * y for x, y in zip(m[j], m[rng.randrange(i)])]
+        m = IntMatrix.from_rows(m)
+        res, ref = hermite_normal_form(m), reference_hnf(m)
+        assert (res.h, res.u, res.rank, res.row_perm) == (ref.h, ref.u, ref.rank, ref.row_perm)
         _check_hnf_shape(m, res)
 
 
