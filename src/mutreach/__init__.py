@@ -48,7 +48,7 @@ from .presburger import (
     eval_bottom,
     eval_mutual,
 )
-from .oracle import BoundedStateSpace, bounded_reach, oracle_bottom, oracle_mutual, sccc_in_box
+from .oracle import BoundedStateSpace
 
 __version__ = "0.1.0"
 

@@ -125,8 +125,9 @@ def cmd_check_mutual(args) -> int:
     x = parse_config(args.x, net.dim)
     y = parse_config(args.y, net.dim)
     params = _params_from(args)
+    limits = _limits_from(args)
     _report_exact_parameters(net)
-    result = search_witness(net, x, y, params, budget=args.budget, limits=_limits_from(args))
+    result = search_witness(net, x, y, params, budget=args.budget, limits=limits)
 
     oracle_verdict = None
     if args.box is not None:
@@ -299,7 +300,7 @@ def cmd_explore(args) -> int:
         print("  bottom:", " | ".join(",".join(map(str, c)) for c in sorted(comp)))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(reach_graph_to_dot(net, args.box))
+            fh.write(reach_graph_to_dot(space))
         print(f"wrote {args.dot}")
     if args.json:
         payload = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from .net import PetriNet, step_targets
+from .unfolding import strongly_connected_components
 from .vectors import Vec, vec
 
 
@@ -58,9 +59,6 @@ class BoundedStateSpace:
     def successors(self, c: Vec) -> list[tuple[int, Vec]]:
         return self._succ[vec(c)]
 
-    def overflows(self, c: Vec) -> bool:
-        return vec(c) in self._overflow
-
     # --- components -----------------------------------------------------
 
     def components(self) -> list[frozenset]:
@@ -71,55 +69,14 @@ class BoundedStateSpace:
     def _compute_components(self):
         order = sorted(self._succ)
         index = {c: i for i, c in enumerate(order)}
-        n = len(order)
         succ = [[index[t] for _, t in self._succ[c]] for c in order]
-        idx = [-1] * n
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        counter = 0
-        comps: list[frozenset] = []
-        comp_of = [0] * n
-        for start in range(n):
-            if idx[start] != -1:
-                continue
-            work = [(start, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    idx[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for j in range(pi, len(succ[v])):
-                    w = succ[v][j]
-                    if idx[w] == -1:
-                        work[-1] = (v, j + 1)
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], idx[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == idx[v]:
-                    members = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        members.append(order[w])
-                        if w == v:
-                            break
-                    comp_id = len(comps)
-                    comps.append(frozenset(members))
-                    for m in members:
-                        comp_of[index[m]] = comp_id
+        comp_of = strongly_connected_components(succ)
+        members: list[list[Vec]] = [[] for _ in range(max(comp_of, default=-1) + 1)]
+        for c, comp_id in zip(order, comp_of):
+            members[comp_id].append(c)
+        comps = [frozenset(m) for m in members]
         self._components = comps
-        self._comp_of = {c: comp_of[index[c]] for c in order}
+        self._comp_of = dict(zip(order, comp_of))
 
         # A component's verdicts are trusted only if nothing reachable
         # from it can fire out of the box: taint flows backwards.
@@ -178,57 +135,8 @@ class BoundedStateSpace:
         return True
 
 
-def bounded_reach(net: PetriNet, x: Vec, box) -> tuple[set, bool]:
-    """Forward reachability from x restricted to the box.
-
-    The flag reports whether some firing left the box, in which case the
-    set is only a lower bound on true reachability.
-    """
-    space = BoundedStateSpace(net, box)
-    x = vec(x)
-    if not space.inside(x):
-        raise ValueError(f"{x} is outside the box")
-    seen = {x}
-    frontier = [x]
-    clipped = False
-    while frontier:
-        nxt = []
-        for c in frontier:
-            if space.overflows(c):
-                clipped = True
-            for _, t in space.successors(c):
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return seen, clipped
-
-
-def sccc_in_box(net: PetriNet, box) -> list[tuple[frozenset, bool]]:
-    """Components of the box-restricted graph with reliability flags."""
-    space = BoundedStateSpace(net, box)
-    return [(comp, space.reliable(comp)) for comp in space.components()]
-
-
-def oracle_mutual(net: PetriNet, x: Vec, y: Vec, box) -> bool | None:
-    """True / False / None (unreliable).
-
-    Same restricted component always means truly mutually reachable
-    (in-box paths are real).  Different components refute mutuality only
-    when at least one side's component is fully known.  For sweeps, build
-    one BoundedStateSpace and use its `mutual` method instead.
-    """
-    return BoundedStateSpace(net, box).mutual(x, y)
-
-
-def oracle_bottom(net: PetriNet, c: Vec, box) -> bool | None:
-    """Whether c's component is forward-closed; None when unreliable."""
-    return BoundedStateSpace(net, box).bottom(c)
-
-
-def reach_graph_to_dot(net: PetriNet, box) -> str:
+def reach_graph_to_dot(space: BoundedStateSpace) -> str:
     """Bounded reachability graph with components colored."""
-    space = BoundedStateSpace(net, box)
     comps = space.components()
     palette = [
         "lightblue", "lightgreen", "lightsalmon", "lightyellow", "plum",

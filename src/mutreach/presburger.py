@@ -16,19 +16,6 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .formula import (
-    And,
-    CompareAtom,
-    DivAtom,
-    Formula,
-    Implies,
-    Or,
-    conj_ge,
-    max_threshold,
-    smt_numeral,
-    smt_term,
-    to_sexpr,
-)
 from .intlinalg import IntMatrix, LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
 from .net import PetriNet
@@ -193,6 +180,24 @@ def eval_mutual(f: MutualFormula, x: Sequence[int], y: Sequence[int]) -> bool:
     return False
 
 
+def smt_numeral(n: int) -> str:
+    """An integer as an SMT-LIB term: numerals are non-negative, so a
+    negative n is written `(- |n|)`."""
+    return str(n) if n >= 0 else f"(- {-n})"
+
+
+def _linear_term(coeffs: Sequence[int], names: Sequence[str], constant: int = 0) -> str:
+    """sum(coeffs . names) + constant as an SMT-LIB term, zero terms left out."""
+    parts = [
+        n if c == 1 else f"(* {smt_numeral(c)} {n})"
+        for c, n in zip(coeffs, names, strict=True)
+        if c
+    ]
+    if constant or not parts:
+        parts.append(smt_numeral(constant))
+    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
+
+
 def mutual_var_names(dim: int) -> list[str]:
     return [f"x{i}" for i in range(dim)] + [f"y{i}" for i in range(dim)]
 
@@ -214,8 +219,11 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
         for n, a in rep.pairs:
             coeffs = tuple(-c for c in a) + a
             value = sum(c * s for c, s in zip(a, shift))
-            atoms.append(CompareAtom(coeffs, "==", value) if n == 0 else DivAtom(coeffs, -value, n))
-        return " ".join(smt_term(atom, names) for atom in atoms)
+            if n == 0:
+                atoms.append(f"(= {_linear_term(coeffs, names)} {smt_numeral(value)})")
+            else:
+                atoms.append(f"(= (mod {_linear_term(coeffs, names, -value)} {n}) 0)")
+        return " ".join(atoms)
 
     conjunctions = [
         # with dim 0 every part is empty and the conjunction is true
@@ -412,28 +420,25 @@ class BottomTuple:
     offsets: tuple  # (state, v_p) pairs, documentation of the construction
 
     @cached_property
-    def phi(self) -> Formula:
-        """The implications as one threshold formula: per transition,
-        covering some antecedent forces covering some consequent."""
+    def phi(self) -> str:
+        """The implications as one threshold formula, in s-expression form:
+        per transition, covering some antecedent forces covering some
+        consequent.  `(ge (0 1 0) k)` reads x1 >= k."""
         d = self.rep.dim
-        return And(
-            tuple(
-                Implies(
-                    Or(tuple(conj_ge(w, d) for w in ants)),
-                    Or(tuple(conj_ge(w, d) for w in cons)),
-                )
-                for ants, cons in self.implications
-            )
-        )
+        units = [" ".join("1" if j == i else "0" for j in range(d)) for i in range(d)]
+
+        def cover(w: Vec) -> str:
+            return "(and" + "".join(f" (ge ({u}) {k})" for u, k in zip(units, w)) + ")"
+
+        def some(ws) -> str:
+            return "(or" + "".join(" " + cover(w) for w in ws) + ")"
+
+        return "(and" + "".join(f" (=> {some(a)} {some(c)})" for a, c in self.implications) + ")"
 
     @cached_property
     def basis(self) -> list[Vec]:
         """`lattice_basis(rep)`, computed once per tuple."""
         return lattice_basis(self.rep)
-
-    @property
-    def threshold(self) -> int:
-        return max_threshold(self.phi)
 
 
 @dataclass(frozen=True)
@@ -751,7 +756,7 @@ def bottom_to_text(f: BottomFormula) -> str:
             lines.append(
                 "offset " + " ".join(map(str, p)) + " : " + " ".join(map(str, off))
             )
-        lines.append("phi " + to_sexpr(t.phi))
+        lines.append("phi " + t.phi)
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -799,7 +804,7 @@ def bottom_from_text(text: str) -> BottomFormula:
             implications=tuple(imps),
             offsets=tuple(offsets),
         )
-        if single["phi"] != to_sexpr(tup.phi):
+        if single["phi"] != tup.phi:
             raise CompileError("phi does not match the tuple's imp lines")
         tuples.append(tup)
     return BottomFormula(
@@ -826,7 +831,7 @@ def bottom_to_json(f: BottomFormula) -> str:
                     {"antecedents": [list(w) for w in ants], "consequents": [list(w) for w in cons]}
                     for ants, cons in t.implications
                 ],
-                "phi": to_sexpr(t.phi),
+                "phi": t.phi,
             }
             for t in f.tuples
         ],
@@ -863,7 +868,7 @@ def bottom_to_smtlib(f: BottomFormula) -> str:
             else:
                 member.append(f"(= (mod {term} {n}) 0)")
         shifted = [f"(+ {c} {v})" for c, v in zip(c_names, v_names)]
-        phi_term = smt_term(t.phi, shifted)
+        phi_term = _phi_smtlib(t.implications, shifted)
         body = f"(=> {_smt_and(member)} {phi_term})"
         quantified = (
             "(forall (" + " ".join(f"({v} Int)" for v in v_names) + ") " + body + ")"
@@ -876,6 +881,23 @@ def bottom_to_smtlib(f: BottomFormula) -> str:
     lines.append(f"(assert {_smt_or(parts)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
+
+
+def _phi_smtlib(implications: tuple, names: Sequence[str]) -> str:
+    """`BottomTuple.phi` over the given terms: each connective keeps its
+    children, however few, and an empty one is `true` or `false`."""
+
+    def junction(op: str, parts: list[str], empty: str) -> str:
+        return f"({op} " + " ".join(parts) + ")" if parts else empty
+
+    def some(ws) -> str:
+        covers = [
+            junction("and", [f"(>= {n} {smt_numeral(k)})" for n, k in zip(names, w)], "true")
+            for w in ws
+        ]
+        return junction("or", covers, "false")
+
+    return junction("and", [f"(=> {some(a)} {some(c)})" for a, c in implications], "true")
 
 
 def _smt_and(parts: list[str]) -> str:

@@ -76,18 +76,54 @@ def _strongly_connected(states: Sequence[State], transitions: Sequence[Transitio
     return True, None
 
 
-def _component_roots(
-    states: Sequence[State], transitions: Sequence[Transition]
-) -> dict[State, State]:
-    """Each state's strongly connected component, named by its first
-    member in `states`: what that member both reaches and is reached from."""
-    roots: dict[State, State] = {}
-    for root in states:
-        if root not in roots:
-            reached = _bfs_parents(transitions, root).keys()
-            for s in reached & _bfs_parents(transitions, root, forward=False).keys():
-                roots[s] = root
-    return roots
+def strongly_connected_components(succ: list[list[int]]) -> list[int]:
+    """The strongly connected component of each node of the graph on
+    0..n-1 with successor lists `succ` (iterative Tarjan).  Components are
+    numbered from 0 in the order they close, so a component's number is
+    above that of every other component it reaches."""
+    n = len(succ)
+    idx = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    component = [-1] * n
+    closed = 0
+    for start in range(n):
+        if idx[start] != -1:
+            continue
+        work = [(start, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                idx[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for j in range(pi, len(succ[v])):
+                w = succ[v][j]
+                if idx[w] == -1:
+                    work[-1] = (v, j + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], idx[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == idx[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component[w] = closed
+                    if w == v:
+                        break
+                closed += 1
+    return component
 
 
 @dataclass(frozen=True)
@@ -546,8 +582,7 @@ def enumerate_unfoldings(
     # order of the rest.  A closed, strongly connected set is a whole
     # component that no enabled action leaves, so in `forward_closed` mode
     # the walk also skips the edges of every other component.
-    roots = _component_roots(all_states, [t for out in out_edges for _, t in out])
-    component = [pos[roots[p]] for p in all_states]
+    component = strongly_connected_components([[j for j, _ in out] for out in out_edges])
     leaky = set()
     if forward_closed:
         for i, fired in enumerate(targets):

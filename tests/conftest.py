@@ -6,7 +6,8 @@ membership uses an incremental triangular basis with xgcd elimination
 expansion, reversibility uses a plain displacement-bounded search, and
 bottom membership evaluates phi at enumerated lattice points instead of
 solving lattice-box queries, exported SMT-LIB scripts are evaluated
-from their text, and the reference Hermite normal form picks its pivot
+from their text, the formula writers are compared with a syntax tree
+rendered whole, and the reference Hermite normal form picks its pivot
 rows by rational elimination before any integer column operation.
 """
 
@@ -22,16 +23,6 @@ from typing import Sequence
 
 import pytest
 
-from mutreach.formula import (
-    And,
-    CompareAtom,
-    DivAtom,
-    Or,
-    eval_formula,
-    smt_numeral,
-    smt_term,
-    to_smtlib,
-)
 from mutreach.intlinalg import IntMatrix, LinalgError
 from mutreach.net import Action, PetriNet, load_net
 from mutreach.presburger import (
@@ -39,11 +30,14 @@ from mutreach.presburger import (
     BottomTuple,
     Disjunct,
     MutualFormula,
+    _linear_term,
     _rational_box_ranges,
     _smt_and,
+    _smt_or,
     eval_mutual,
     lattice_basis,
     mutual_var_names,
+    smt_numeral,
 )
 from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
 from mutreach.unfolding import (
@@ -56,7 +50,7 @@ from mutreach.unfolding import (
     index_sets,
     lattice_of_unfolding,
 )
-from mutreach.vectors import restrict, vadd, vec, vge
+from mutreach.vectors import restrict, vadd, vdot, vec, vge
 from mutreach.witness import upward_basis
 
 REPO = Path(__file__).resolve().parent.parent
@@ -715,12 +709,12 @@ def violation_by_enumeration(tup, c, radius: int) -> bool | None:
     phi at c + v for the lattice points v of norm <= radius.  It cannot
     rule a violation out on an infinite lattice (None)."""
     basis = lattice_basis(tup.rep)
-    d = len(c)
+    phi = reference_bottom_phi(tup)
     if not basis:
-        return not eval_formula(tup.phi, c)
+        return not eval_formula(phi, c)
     for v in lattice_points_in_window(basis, radius):
         point = vadd(c, v) if v else c
-        if not eval_formula(tup.phi, point):
+        if not eval_formula(phi, point):
             return True
     return None  # no violation seen, but the lattice is infinite
 
@@ -860,6 +854,159 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
         provenance="certified" if certified else "heuristic",
         complete=complete,
     )
+
+
+# --- formula trees ------------------------------------------------------------------
+#
+# Quantifier-free Presburger syntax trees over positional integer variables,
+# with their evaluator and printers.  The writers render formulas straight
+# from the compiled data; these trees are the references they must match.
+
+
+@dataclass(frozen=True)
+class CompareAtom:
+    """sum(coeffs . vars) op constant, with op one of >= ==."""
+
+    coeffs: tuple[int, ...]
+    op: str
+    constant: int
+
+
+@dataclass(frozen=True)
+class DivAtom:
+    """modulus divides (coeffs . vars + constant); modulus >= 1."""
+
+    coeffs: tuple[int, ...]
+    constant: int
+    modulus: int
+
+
+@dataclass(frozen=True)
+class And:
+    children: tuple
+
+
+@dataclass(frozen=True)
+class Or:
+    children: tuple
+
+
+@dataclass(frozen=True)
+class Implies:
+    lhs: object
+    rhs: object
+
+
+def eval_formula(node, values: Sequence[int]) -> bool:
+    if isinstance(node, CompareAtom):
+        lhs = vdot(node.coeffs, values)
+        return lhs >= node.constant if node.op == ">=" else lhs == node.constant
+    if isinstance(node, DivAtom):
+        return (vdot(node.coeffs, values) + node.constant) % node.modulus == 0
+    if isinstance(node, And):
+        return all(eval_formula(c, values) for c in node.children)
+    if isinstance(node, Or):
+        return any(eval_formula(c, values) for c in node.children)
+    if isinstance(node, Implies):
+        return (not eval_formula(node.lhs, values)) or eval_formula(node.rhs, values)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def conj_ge(vector: Sequence[int], dim: int):
+    """x >= vector componentwise, as a conjunction of threshold atoms."""
+    atoms = []
+    for i, w in enumerate(vector):
+        coeffs = tuple(1 if j == i else 0 for j in range(dim))
+        atoms.append(CompareAtom(coeffs, ">=", int(w)))
+    return And(tuple(atoms))
+
+
+def to_sexpr(node) -> str:
+    if isinstance(node, CompareAtom):
+        op = "ge" if node.op == ">=" else "eq"
+        return f"({op} ({' '.join(map(str, node.coeffs))}) {node.constant})"
+    if isinstance(node, DivAtom):
+        return f"(div ({' '.join(map(str, node.coeffs))}) {node.constant} {node.modulus})"
+    if isinstance(node, And):
+        return "(and" + "".join(" " + to_sexpr(c) for c in node.children) + ")"
+    if isinstance(node, Or):
+        return "(or" + "".join(" " + to_sexpr(c) for c in node.children) + ")"
+    if isinstance(node, Implies):
+        return f"(=> {to_sexpr(node.lhs)} {to_sexpr(node.rhs)})"
+    raise TypeError(f"cannot render {node!r}")
+
+
+def smt_term(node, names: Sequence[str]) -> str:
+    if isinstance(node, CompareAtom):
+        op = ">=" if node.op == ">=" else "="
+        return f"({op} {_linear_term(node.coeffs, names)} {smt_numeral(node.constant)})"
+    if isinstance(node, DivAtom):
+        term = _linear_term(node.coeffs, names, node.constant)
+        return f"(= (mod {term} {node.modulus}) 0)"
+    if isinstance(node, And):
+        if not node.children:
+            return "true"
+        return "(and " + " ".join(smt_term(c, names) for c in node.children) + ")"
+    if isinstance(node, Or):
+        if not node.children:
+            return "false"
+        return "(or " + " ".join(smt_term(c, names) for c in node.children) + ")"
+    if isinstance(node, Implies):
+        return f"(=> {smt_term(node.lhs, names)} {smt_term(node.rhs, names)})"
+    raise TypeError(f"cannot render {node!r}")
+
+
+def to_smtlib(node, names: Sequence[str], logic: str = "QF_LIA", nonneg=()) -> str:
+    lines = [f"(set-logic {logic})"]
+    lines += [f"(declare-const {n} Int)" for n in names]
+    lines += [f"(assert (>= {n} 0))" for n in nonneg]
+    lines += [f"(assert {smt_term(node, names)})", "(check-sat)"]
+    return "\n".join(lines) + "\n"
+
+
+def reference_bottom_phi(tup: BottomTuple):
+    """A bottom tuple's phi as a tree: per transition, covering some
+    antecedent implies covering some consequent."""
+    d = tup.rep.dim
+    return And(
+        tuple(
+            Implies(
+                Or(tuple(conj_ge(w, d) for w in ants)),
+                Or(tuple(conj_ge(w, d) for w in cons)),
+            )
+            for ants, cons in tup.implications
+        )
+    )
+
+
+def reference_bottom_smtlib(f: BottomFormula) -> str:
+    """The bottom `.smt2` text with each phi rendered from its tree."""
+    d = f.dim
+    c_names = [f"c{i}" for i in range(d)]
+    v_names = [f"v{i}" for i in range(d)]
+    parts = []
+    for t in f.tuples:
+        eqs = [f"(= {c_names[i]} {t.state[pos]})" for pos, i in enumerate(t.index_set)]
+        eqs.append(
+            _smt_or([_smt_and([f"(>= {c} {m[i]})" for i, c in enumerate(c_names)])
+                     for m in t.membership])
+        )
+        member = []
+        for n, a in t.rep.pairs:
+            term_parts = [f"(* {smt_numeral(a[i])} {v_names[i]})" for i in range(d) if a[i]]
+            term = term_parts[0] if len(term_parts) == 1 else (
+                "(+ " + " ".join(term_parts) + ")" if term_parts else "0"
+            )
+            member.append(f"(= {term} 0)" if n == 0 else f"(= (mod {term} {n}) 0)")
+        shifted = [f"(+ {c} {v})" for c, v in zip(c_names, v_names)]
+        body = f"(=> {_smt_and(member)} {smt_term(reference_bottom_phi(t), shifted)})"
+        bound = " ".join(f"({v} Int)" for v in v_names)
+        parts.append(_smt_and(eqs + [f"(forall ({bound}) {body})"]))
+    lines = ["(set-logic LIA)"]
+    for n in c_names:
+        lines += [f"(declare-const {n} Int)", f"(assert (>= {n} 0))"]
+    lines += [f"(assert {_smt_or(parts)})", "(check-sat)"]
+    return "\n".join(lines) + "\n"
 
 
 # --- mutual formula references -----------------------------------------------------

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from mutreach.cli import main
+from mutreach.oracle import BoundedStateSpace
 from mutreach.net import format_net, load_net
 from mutreach.witnessio import verify_witness
 
@@ -308,6 +310,25 @@ def test_explore_outputs(net_path, tmp_path, capsys):
 
 
 
+def test_explore_builds_the_state_space_once(tmp_path, capsys, monkeypatch):
+    """`--dot` draws the space the command already built, and the DOT text
+    is the one pinned here (mixed3 in the box [0, 3]^3)."""
+    built = []
+    init = BoundedStateSpace.__init__
+
+    def counting_init(self, net, box):
+        built.append(box)
+        init(self, net, box)
+
+    monkeypatch.setattr(BoundedStateSpace, "__init__", counting_init)
+    dot = tmp_path / "graph.dot"
+    assert main(["explore", str(FIXTURES / "mixed3.net"), "--box", "3", "--dot", str(dot)]) == 0
+    assert built == [3]
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == (
+        "63de3ebc0ccb67f863eed594b3e6bbe2f750e3af1aad2b22e0b7c9b156de6fa3"
+    )
+
+
 def test_compile_rejects_an_empty_format_list(net_path, tmp_path, capsys):
     base = tmp_path / "formula"
     assert main(["compile", net_path, "--out", str(base), "--formats", ""]) == 1
@@ -339,6 +360,14 @@ def test_compile_rejects_limits_that_give_silent_answers(net_path, tmp_path, cap
     assert main(["compile", net_path, "--out", str(base), flag, value]) == 1
     assert capsys.readouterr().err == "error: invalid parameters\n"
     assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]
+
+
+def test_check_mutual_checks_its_limits_before_printing(capsys):
+    net = str(FIXTURES / "token_swap.net")
+    assert main(["check-mutual", net, "--x", "1 0", "--y", "0 1", "--max-states", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid parameters\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "explore", "check-mutual"])

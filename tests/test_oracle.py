@@ -1,40 +1,16 @@
 import itertools
 
-import pytest
-
 from mutreach.net import Action, PetriNet
-from mutreach.oracle import (
-    BoundedStateSpace,
-    bounded_reach,
-    oracle_bottom,
-    oracle_mutual,
-    reach_graph_to_dot,
-    sccc_in_box,
-)
+from mutreach.oracle import BoundedStateSpace, reach_graph_to_dot
 
 
-def test_bounded_reach_examples(token_swap, consumer):
-    blocked = PetriNet(1, (Action((9,), (0,)),))
-    seen, clipped = bounded_reach(blocked, (3,), 5)
-    assert seen == {(3,)} and not clipped
-
-    seen, clipped = bounded_reach(token_swap, (2, 0), 4)
-    assert seen == {(2, 0), (1, 1), (0, 2)} and not clipped
-
-    seen, clipped = bounded_reach(consumer, (3,), 4)
-    assert seen == {(3,), (2,), (1,), (0,)} and not clipped
-
-
-def test_bounded_reach_frontier_flag():
-    grower = PetriNet(1, (Action((0,), (1,)),))
-    seen, clipped = bounded_reach(grower, (0,), 3)
-    assert seen == {(0,), (1,), (2,), (3,)} and clipped
-    with pytest.raises(ValueError):
-        bounded_reach(grower, (9,), 3)
+def _flagged_components(net, box):
+    space = BoundedStateSpace(net, box)
+    return [(comp, space.reliable(comp)) for comp in space.components()]
 
 
 def test_sccc_level_sets(token_swap):
-    comps = sccc_in_box(token_swap, 3)
+    comps = _flagged_components(token_swap, 3)
     level2 = frozenset({(2, 0), (1, 1), (0, 2)})
     assert any(c == level2 and reliable for c, reliable in comps)
     # components whose closure needs states beyond the box are flagged
@@ -44,20 +20,20 @@ def test_sccc_level_sets(token_swap):
 
 
 def test_sccc_singletons(consumer):
-    comps = sccc_in_box(consumer, 4)
+    comps = _flagged_components(consumer, 4)
     assert all(len(c) == 1 for c, _ in comps)
     assert all(reliable for _, reliable in comps)
     empty = PetriNet(2, ())
-    comps = sccc_in_box(empty, 2)
+    comps = _flagged_components(empty, 2)
     assert all(len(c) == 1 and reliable for c, reliable in comps)
 
 
 def test_oracle_mutual_verdicts(token_swap):
-    assert oracle_mutual(token_swap, (2, 0), (0, 2), 4) is True
-    assert oracle_mutual(token_swap, (2, 0), (1, 0), 4) is False
-    # same tainted component still decides True (in-box paths are real)
-    assert oracle_mutual(token_swap, (4, 4), (4, 4), 4) is True
     space = BoundedStateSpace(token_swap, 4)
+    assert space.mutual((2, 0), (0, 2)) is True
+    assert space.mutual((2, 0), (1, 0)) is False
+    # same tainted component still decides True (in-box paths are real)
+    assert space.mutual((4, 4), (4, 4)) is True
     assert space.mutual((4, 1), (1, 4)) is True
 
 
@@ -93,11 +69,11 @@ def test_oracle_mutual_is_equivalence(fixture_nets):
 
 
 def test_oracle_bottom_examples(consumer, token_swap, mixed3):
-    assert oracle_bottom(consumer, (0,), 4) is True
-    assert oracle_bottom(consumer, (1,), 4) is False
-    assert oracle_bottom(token_swap, (2, 1), 6) is True
-    assert oracle_bottom(mixed3, (1, 1, 0), 4) is True
-    assert oracle_bottom(mixed3, (1, 1, 1), 4) is False
+    assert BoundedStateSpace(consumer, 4).bottom((0,)) is True
+    assert BoundedStateSpace(consumer, 4).bottom((1,)) is False
+    assert BoundedStateSpace(token_swap, 6).bottom((2, 1)) is True
+    assert BoundedStateSpace(mixed3, 4).bottom((1, 1, 0)) is True
+    assert BoundedStateSpace(mixed3, 4).bottom((1, 1, 1)) is False
 
 
 def test_oracle_bottom_constant_on_components(token_swap):
@@ -120,6 +96,6 @@ def test_reliability_monotone_in_box(token_swap):
 
 
 def test_dot_export(token_swap):
-    dot = reach_graph_to_dot(token_swap, 2)
+    dot = reach_graph_to_dot(BoundedStateSpace(token_swap, 2))
     assert dot.startswith("digraph")
     assert '"(1,0)" -> "(0,1)"' in dot

@@ -1,34 +1,31 @@
 import itertools
+import json
 
 import pytest
 from conftest import (
+    And,
+    CompareAtom,
+    DivAtom,
+    Implies,
+    Or,
     SmtScript,
     bottom_wrapper,
     eval_bottom_by_enumeration,
+    eval_formula,
     mutual_to_ast,
+    reference_bottom_phi,
+    reference_bottom_smtlib,
     reference_compile_bottom,
     reference_compile_mutual,
     reference_mutual_json,
     reference_mutual_smtlib,
+    to_sexpr,
+    to_smtlib,
     violation_by_enumeration,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutreach.formula import (
-    And,
-    BoolConst,
-    CompareAtom,
-    DivAtom,
-    Implies,
-    Not,
-    Or,
-    atom_count,
-    eval_formula,
-    max_threshold,
-    to_sexpr,
-    to_smtlib,
-)
 from mutreach import presburger
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
@@ -82,10 +79,10 @@ def test_formula_eval_connectives():
     assert eval_formula(And((a, b)), (5,))
     assert not eval_formula(And((a, b)), (2,))
     assert eval_formula(Or((a, b)), (2,))
-    assert eval_formula(Not(b), (2,))
+    assert not eval_formula(Or(()), (2,))
+    assert eval_formula(And(()), (2,))
     assert eval_formula(Implies(b, a), (2,))
     assert eval_formula(Implies(a, b), (0,))
-    assert eval_formula(BoolConst(True), ())
 
 
 def test_sexpr_rendering():
@@ -96,14 +93,12 @@ def test_sexpr_rendering():
                 Or((CompareAtom((0, 1), ">=", -2),)),
             ),
             DivAtom((2, -1), 0, 3),
-            Not(CompareAtom((1, 1), "==", 0)),
-            BoolConst(False),
+            CompareAtom((1, 1), "==", 0),
             Or(()),
         )
     )
     assert to_sexpr(f) == (
-        "(and (=> (or (ge (1 0) 3)) (or (ge (0 1) -2))) (div (2 -1) 0 3)"
-        " (not (eq (1 1) 0)) (false) (or))"
+        "(and (=> (or (ge (1 0) 3)) (or (ge (0 1) -2))) (div (2 -1) 0 3) (eq (1 1) 0) (or))"
     )
 
 
@@ -115,12 +110,6 @@ def test_smtlib_formula_rendering():
     assert "(>= a 3)" in script
     assert "(= (mod (+ (* 2 a) b 1) 4) 0)" in script
     assert script.strip().endswith("(check-sat)")
-
-
-def test_atom_count_and_threshold():
-    f = And((CompareAtom((1,), ">=", 7), Not(DivAtom((1,), 0, 2))))
-    assert atom_count(f) == (1, 1)
-    assert max_threshold(f) == 7
 
 
 # --- mutual compile -------------------------------------------------------------
@@ -372,9 +361,9 @@ def test_bottom_threshold_form(token_swap):
     f = compile_bottom(token_swap, PumpingParams(state_bound=4, cycle_len=4))
     for t in f.tuples:
         # implication-form threshold formulas with bounded constants
-        assert t.threshold <= 10**6
-        comparisons, divisibility = atom_count(t.phi)
-        assert divisibility == 0
+        entries = [k for side in t.implications for ws in side for w in ws for k in w]
+        assert max(map(abs, entries), default=0) <= 10**6
+        assert "(div" not in t.phi and "(eq" not in t.phi
 
 
 def test_bottom_serialization_round_trips(token_swap):
@@ -503,6 +492,19 @@ def test_bottom_text_round_trip(f):
     again = bottom_from_text(text)
     assert again == f
     assert bottom_to_text(again) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(bottom_formulas())
+def test_bottom_writers_match_reference_phi_tree(f):
+    """The `phi` line, the JSON `phi` and the SMT-LIB export render the
+    tuple's implications as the reference tree does, empty antecedent,
+    consequent and implication lists included."""
+    expected = [to_sexpr(reference_bottom_phi(t)) for t in f.tuples]
+    phi_lines = [ln[len("phi "):] for ln in bottom_to_text(f).splitlines() if ln.startswith("phi ")]
+    assert phi_lines == expected
+    assert [t["phi"] for t in json.loads(bottom_to_json(f))["tuples"]] == expected
+    assert bottom_to_smtlib(f) == reference_bottom_smtlib(f)
 
 
 @st.composite

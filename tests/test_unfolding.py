@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     candidate_unfoldings,
@@ -34,6 +36,7 @@ from mutreach.unfolding import (
     lattice_of_unfolding,
     reverse_path_for,
     rotate_cycle,
+    strongly_connected_components,
     unfolding_from_sccc,
     validate_unfolding,
     zero_full_state_cycle,
@@ -458,6 +461,29 @@ def test_enumeration_matches_unshortcut_reference(fixture_nets, name, forward_cl
             (g.states, g.transitions) for g in expected
         ], index_set
         assert stats == expected_stats, index_set
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n)
+        if n else st.just([])
+    )
+)
+def test_strongly_connected_components_match_mutual_reachability(succ):
+    """Two nodes share a label exactly when each reaches the other; labels
+    run from 0 in closing order, so no edge leads to a higher label."""
+    n = len(succ)
+    reach = [{i} for i in range(n)]
+    for _ in range(n):
+        for i in range(n):
+            reach[i] |= {k for j in reach[i] for k in succ[j]}
+    label = strongly_connected_components(succ)
+    for i in range(n):
+        for j in range(n):
+            assert (label[i] == label[j]) == (j in reach[i] and i in reach[j])
+        assert all(label[j] <= label[i] for j in succ[i])
+    assert sorted(set(label)) == list(range(len(set(label))))
 
 
 def test_two_pairs_walk_crosses_components():
