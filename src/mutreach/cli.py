@@ -110,9 +110,18 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-unfoldings", type=int, default=5000)
 
 
+def _check_output_parents(*paths: str | None) -> None:
+    """Fail before any work when an output path's directory does not exist."""
+    for path in paths:
+        if path is not None:
+            parent = os.path.dirname(path) or "."
+            if not os.path.isdir(parent):
+                raise FileNotFoundError(f"output directory {parent!r} does not exist")
+
+
 def _report_exact_parameters(net):
     symbolic, value = exact_state_bound(net.dim, net.norm)
-    note = f" = {value}" if value is not None and value < 10**40 else ""
+    note = "" if value is None else f" = {value}"
     d = net.dim
     print(f"exact state-norm bound for certified completeness: {symbolic}{note}")
     print(f"exact pumping-cycle length bound: {d}*b^{d} with b the bound above")
@@ -121,6 +130,7 @@ def _report_exact_parameters(net):
 
 
 def cmd_check_mutual(args) -> int:
+    _check_output_parents(args.witness_out)
     net = load_net(args.net)
     x = parse_config(args.x, net.dim)
     y = parse_config(args.y, net.dim)
@@ -180,10 +190,7 @@ def cmd_compile(args) -> int:
         print(f"error: --formats needs some of text, smtlib, json; got {args.formats!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    out_dir = os.path.dirname(args.out) or "."
-    if not os.path.isdir(out_dir):
-        print(f"error: output directory {out_dir!r} does not exist", file=sys.stderr)
-        return EXIT_USAGE
+    _check_output_parents(args.out)
     net = load_net(args.net)
     params = _params_from(args)
     limits = _limits_from(args)
@@ -225,6 +232,7 @@ def _load_formula(path):
 
 
 def cmd_eval(args) -> int:
+    _check_output_parents(args.csv)
     formula = _load_formula(args.formula)
     mutual = isinstance(formula, MutualFormula)
     kind, own, other = ("mutual", "pair", "point") if mutual else ("bottom", "point", "pair")
@@ -284,6 +292,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    _check_output_parents(args.dot, args.json)
     net = load_net(args.net)
     space = BoundedStateSpace(net, args.box)
     comps = space.components()

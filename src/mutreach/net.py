@@ -208,7 +208,13 @@ def load_net(path) -> PetriNet:
 
 
 def parse_config(text: str, dim: int | None = None) -> Config:
-    entries = vec(int(t) for t in text.replace(",", " ").split())
+    values = []
+    for t in text.replace(",", " ").split():
+        try:
+            values.append(int(t))
+        except ValueError:
+            raise NetError(f"non-integer entry {t!r} in configuration {text!r}") from None
+    entries = vec(values)
     if dim is not None and len(entries) != dim:
         raise NetError(f"expected {dim} entries, got {len(entries)}")
     if not is_nonnegative(entries):

@@ -4,6 +4,13 @@ A small two-phase simplex with Bland's rule, entirely in Fractions.
 Used for structural-reversibility flow systems and for maximal
 circulation supports, both posed as f >= 1 feasibility problems;
 problems here stay tiny, so clarity wins over sparsity tricks.
+
+Both circulation questions first run one exact presolve step, forcing
+rows (Andersen & Andersen, *Presolving in linear programming*, Math.
+Programming 71, 1995): a row of A f = 0 whose nonzero entries on the
+live columns share one sign forces those columns to 0 for every f >= 0.
+Each forced column can leave another row one-signed, so the step repeats
+until no row forces more.  Only the live columns reach the simplex.
 """
 
 from __future__ import annotations
@@ -168,6 +175,19 @@ def _circulation(
     return f
 
 
+def _unforced_columns(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
+    """The columns no chain of one-signed rows forces to 0, ascending."""
+    alive = list(range(nvars))
+    while True:
+        forced: set[int] = set()
+        for row in eq_rows:
+            if len({row[j] > 0 for j in alive if row[j]}) == 1:
+                forced.update(j for j in alive if row[j])
+        if not forced:
+            return alive
+        alive = [j for j in alive if j not in forced]
+
+
 def positive_circulation(
     eq_rows: Sequence[Sequence],
     nvars: int,
@@ -175,8 +195,12 @@ def positive_circulation(
     """Find f with A f = 0 and f >= 1 componentwise, or report None.
 
     Strict positivity f > 0 is equivalent to f >= 1 here because the
-    systems are homogeneous, so any positive solution scales up.
+    systems are homogeneous, so any positive solution scales up.  When a
+    one-signed row forces some column to 0 the answer is None without an
+    LP; otherwise the LP is the one over the rows exactly as given.
     """
+    if len(_unforced_columns(eq_rows, nvars)) < nvars:
+        return None
     return _circulation(eq_rows, nvars, range(nvars))
 
 
@@ -186,18 +210,25 @@ def max_positive_support(
 ) -> list[int]:
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
-    Supports of such solutions are closed under addition, so the answer
-    is the union of the supports of f with f(j) >= 1, one LP per index j
-    not yet covered. The all-index LP runs first: it is the common case,
-    and a simplex vertex alone covers at most rank(A) indices.
+    Columns that one-signed rows force to 0 are dropped first, with no
+    LP; the rest is solved on the live columns only.  Supports of
+    solutions are closed under addition, so the answer is the union of
+    the supports of f with f(j) >= 1, one LP per live index j not yet
+    covered. The all-index LP runs first: it is the common case, and a
+    simplex vertex alone covers at most rank(A) indices.  The maximal
+    support is a property of the cone, so it does not depend on which
+    vertices the simplex visits.
     """
-    if _circulation(eq_rows, nvars, range(nvars)) is not None:
-        return list(range(nvars))
+    alive = _unforced_columns(eq_rows, nvars)
+    rows = [[row[j] for j in alive] for row in eq_rows]
+    n = len(alive)
+    if _circulation(rows, n, range(n)) is not None:
+        return alive
     support: set[int] = set()
-    for j in range(nvars):
+    for j in range(n):
         if j in support:
             continue
-        f = _circulation(eq_rows, nvars, (j,))
+        f = _circulation(rows, n, (j,))
         if f is not None:
             support.update(k for k, x in enumerate(f) if x > 0)
-    return sorted(support)
+    return [alive[k] for k in sorted(support)]

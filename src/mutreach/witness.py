@@ -86,12 +86,17 @@ class PumpingParams:
 
 def exact_state_bound(dim: int, m: int) -> tuple[str, int | None]:
     """The exact state-norm bound (3dm)^((d+2)^(2d+1)), symbolically and,
-    when it fits comfortably in memory, as an integer."""
+    when it is below 10^40, as an integer."""
     base = 3 * dim * max(m, 1)
     expo = (dim + 2) ** (2 * dim + 1)
     symbolic = f"{base}^{dim + 2}^{2 * dim + 1} = {base}^{expo}"
-    if expo * base.bit_length() <= 2_000_000:
-        return symbolic, base**expo
+    # base**expo has at least (bits of base - 1) * expo + 1 bits, so most
+    # bounds are ruled out without building the power
+    limit = 10**40
+    if (base.bit_length() - 1) * expo < limit.bit_length():
+        value = base**expo
+        if value < limit:
+            return symbolic, value
     return symbolic, None
 
 

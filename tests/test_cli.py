@@ -150,6 +150,12 @@ def test_eval_malformed_point(net_path, tmp_path, capsys):
     base = tmp_path / "formula"
     main(["compile", net_path, "--mode", "mutual", "--out", str(base)])
     assert main(["eval", str(base) + ".mrf", "--pair", "nonsense"]) == 1
+    main(["compile", net_path, "--mode", "bottom", "--out", str(base), "--formats", "text"])
+    capsys.readouterr()
+    assert main(["eval", str(base) + ".btf", "--point", "1 x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-integer entry 'x' in configuration '1 x'\n"
 
 
 def test_eval_malformed_formula_exits_one(net_path, tmp_path, capsys):
@@ -352,6 +358,35 @@ def test_compile_checks_the_output_directory_first(net_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # nothing was compiled
     assert captured.err.startswith("error: output directory ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["check-mutual", "eval", "explore --dot", "explore --json"])
+def test_output_paths_are_checked_before_any_work(net_path, tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    out = str(missing / "out")
+    if command == "check-mutual":
+        argv = ["check-mutual", net_path, "--x", "2 0", "--y", "0 2", "--witness-out", out]
+    elif command == "eval":
+        base = tmp_path / "formula"
+        main(["compile", net_path, "--out", str(base), "--formats", "text"])
+        argv = ["eval", f"{base}.mrf", "--box", "2", "--csv", out]
+    else:
+        argv = ["explore", net_path, "--box", "2", command.split()[1], out]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {str(missing)!r} does not exist\n"
+
+
+@pytest.mark.parametrize("net, x, bound", [
+    ("mixed3", "1 0 0", "9^5^7 = 9^78125"),
+    ("consumer", "1", "3^3^3 = 3^27 = 7625597484987"),
+])
+def test_exact_bound_banner_prints_small_values_only(capsys, net, x, bound):
+    assert main(["check-mutual", str(FIXTURES / f"{net}.net"), "--x", x, "--y", x]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"exact state-norm bound for certified completeness: {bound}"
 
 
 @pytest.mark.parametrize("flag, value", [("--max-states", "0"), ("--max-unfoldings", "-1")])

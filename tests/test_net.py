@@ -161,6 +161,8 @@ def test_net_file_errors():
         parse_net("dim 1\nnonsense\n")
     with pytest.raises(NetError):
         parse_config("1 -2", 2)
+    with pytest.raises(NetError, match="non-integer entry 'x'"):
+        parse_config("1 x", 2)
 
 
 def test_action_validation():
