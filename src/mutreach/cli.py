@@ -110,10 +110,13 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-unfoldings", type=int, default=5000)
 
 
-def _check_output_parents(*paths: str | None) -> None:
-    """Fail before any work when an output path's directory does not exist."""
+def _check_output_paths(*paths: str | None) -> None:
+    """Fail before any work when an output path is a directory or its
+    directory does not exist."""
     for path in paths:
         if path is not None:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output path {path!r} is a directory")
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
                 raise FileNotFoundError(f"output directory {parent!r} does not exist")
@@ -130,7 +133,7 @@ def _report_exact_parameters(net):
 
 
 def cmd_check_mutual(args) -> int:
-    _check_output_parents(args.witness_out)
+    _check_output_paths(args.witness_out)
     net = load_net(args.net)
     x = parse_config(args.x, net.dim)
     y = parse_config(args.y, net.dim)
@@ -190,7 +193,14 @@ def cmd_compile(args) -> int:
         print(f"error: --formats needs some of text, smtlib, json; got {args.formats!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    _check_output_parents(args.out)
+    if args.mode == "mutual":
+        writers = {"text": (".mrf", mutual_to_text), "smtlib": (".smt2", mutual_to_smtlib),
+                   "json": (".json", mutual_to_json)}
+    else:
+        writers = {"text": (".btf", bottom_to_text), "smtlib": (".smt2", bottom_to_smtlib),
+                   "json": (".json", bottom_to_json)}
+    paths = {f: args.out + writers[f][0] for f in formats}
+    _check_output_paths(*paths.values())
     net = load_net(args.net)
     params = _params_from(args)
     limits = _limits_from(args)
@@ -198,26 +208,19 @@ def cmd_compile(args) -> int:
 
     if args.mode == "mutual":
         formula = compile_mutual(net, params, limits)
-        writers = {"text": (".mrf", mutual_to_text), "smtlib": (".smt2", mutual_to_smtlib),
-                   "json": (".json", mutual_to_json)}
         print(f"{len(formula.disjuncts)} disjuncts ({formula.provenance}"
               f"{'' if formula.complete else ', enumeration truncated'})")
-        incomplete = not formula.complete
     else:
         formula = compile_bottom(net, params, limits)
-        writers = {"text": (".btf", bottom_to_text), "smtlib": (".smt2", bottom_to_smtlib),
-                   "json": (".json", bottom_to_json)}
         print(f"{len(formula.tuples)} tuples ({formula.provenance}"
               f"{'' if formula.complete else ', enumeration truncated'})")
-        incomplete = not formula.complete
 
-    for f in formats:
-        suffix, writer = writers[f]
-        path = args.out + suffix
+    for f, path in paths.items():
+        writer = writers[f][1]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(writer(formula))
         print(f"wrote {path}")
-    return EXIT_INCONCLUSIVE if incomplete else EXIT_OK
+    return EXIT_OK if formula.complete else EXIT_INCONCLUSIVE
 
 
 def _load_formula(path):
@@ -232,7 +235,7 @@ def _load_formula(path):
 
 
 def cmd_eval(args) -> int:
-    _check_output_parents(args.csv)
+    _check_output_paths(args.csv)
     formula = _load_formula(args.formula)
     mutual = isinstance(formula, MutualFormula)
     kind, own, other = ("mutual", "pair", "point") if mutual else ("bottom", "point", "pair")
@@ -292,7 +295,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    _check_output_parents(args.dot, args.json)
+    _check_output_paths(args.dot, args.json)
     net = load_net(args.net)
     space = BoundedStateSpace(net, args.box)
     comps = space.components()

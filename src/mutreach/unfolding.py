@@ -10,6 +10,7 @@ circulation with zero total displacement exists (Euler's condition).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -265,48 +266,6 @@ def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fra
     return g._cache["reversible"]
 
 
-def reverse_path_for(g: Unfolding, t: Transition, bound: int) -> UnfoldingPath:
-    """Path p from target(t) to source(t) with displacement(t p) = 0.
-
-    Breadth-first over (state, partial displacement) with entries clamped
-    to [-bound*m, bound*m]; raises when the window is exhausted.
-    """
-    if not is_structurally_reversible(g)[0]:
-        raise UnfoldingError("unfolding is not structurally reversible")
-    m = max(g.net.norm, 1)
-    clamp = bound * m
-    start = (t[2], g.action(t[1]).displacement)
-    goal = (t[0], zero(g.net.dim))
-    parents: dict[tuple, tuple | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            if node == goal:
-                path: list[Transition] = []
-                cur = node
-                while parents[cur] is not None:
-                    prev, edge = parents[cur]
-                    path.append(edge)
-                    cur = prev
-                return UnfoldingPath(t[2], tuple(reversed(path)))
-            state, disp = node
-            for edge in g.transitions:
-                if edge[0] != state:
-                    continue
-                ndisp = vadd(disp, g.action(edge[1]).displacement)
-                if norm_inf(ndisp) > clamp:
-                    continue
-                child = (edge[2], ndisp)
-                if child not in parents:
-                    parents[child] = (node, edge)
-                    nxt.append(child)
-        frontier = nxt
-        if goal in parents:
-            frontier = [goal] + [n for n in frontier if n != goal]
-    raise UnfoldingError("no zero-sum return path within bound", (t, bound))
-
-
 # --- cycles and the lattice L_G --------------------------------------------
 
 
@@ -377,25 +336,21 @@ def _integer_circulation(g: Unfolding) -> dict[Transition, int]:
     return {t: int(f * scale) for t, f in flows.items()}
 
 
-def zero_full_state_cycle(g: Unfolding, anchor: State) -> UnfoldingPath:
-    """A zero-displacement cycle on `anchor` visiting every state.
+def euler_circuit(g: Unfolding, counts: dict[Transition, int], anchor: State) -> UnfoldingPath:
+    """A closed walk on `anchor` that takes each transition t exactly
+    counts[t] times.
 
-    Assembled as an Euler circuit of the multigraph weighted by the
-    integer-scaled circulation witness, which covers every transition.
+    Hierholzer's algorithm; the counts must balance in- and out-degree at
+    every state, and the transitions they use must be reachable from
+    `anchor`.
     """
     if anchor not in set(g.states):
         raise UnfoldingError("anchor is not a state", anchor)
-    if not g.transitions:
-        if g.size != 1:
-            raise UnfoldingError("no transitions but several states")
-        return UnfoldingPath(anchor)
-    counts = _integer_circulation(g)
-    remaining = {t: c for t, c in counts.items()}
+    remaining = dict(counts)
     out: dict[State, list[Transition]] = {s: [] for s in g.states}
     for t in sorted(remaining):
         out[t[0]].append(t)
 
-    # Hierholzer with explicit stack.
     circuit: list[Transition] = []
     path_stack: list[Transition] = []
     cur = anchor
@@ -416,9 +371,35 @@ def zero_full_state_cycle(g: Unfolding, anchor: State) -> UnfoldingPath:
     if any(v > 0 for v in remaining.values()):
         raise UnfoldingError("euler assembly left unused flow (graph not connected?)")
     assert cycle.is_cycle()
+    return cycle
+
+
+def zero_full_state_cycle(g: Unfolding, anchor: State) -> UnfoldingPath:
+    """A zero-displacement cycle on `anchor` visiting every state: the
+    Euler circuit of the integer-scaled circulation witness, which covers
+    every transition."""
+    cycle = euler_circuit(g, _integer_circulation(g), anchor)
     assert cycle.displacement(g.net) == zero(g.net.dim)
     assert cycle.states_visited() == set(g.states)
     return cycle
+
+
+def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
+    """A closed walk on the cycle's source with the negated displacement.
+
+    With Z the integer circulation witness and k one more than the most
+    times `cycle` takes a transition, k Z - count(cycle) is positive on
+    every transition and balanced at every state, and its displacement
+    is -displacement(cycle); the walk is its Euler circuit.
+    """
+    used = Counter(cycle.transitions)
+    if not cycle.is_cycle() or not set(used) <= set(g.transitions):
+        raise UnfoldingError("not a closed walk of the unfolding", cycle)
+    k = 1 + max(used.values(), default=0)
+    counts = {t: k * z - used[t] for t, z in _integer_circulation(g).items()}
+    back = euler_circuit(g, counts, cycle.source)
+    assert back.displacement(g.net) == tuple(-v for v in cycle.displacement(g.net))
+    return back
 
 
 def rotate_cycle(cycle: UnfoldingPath, anchor: State) -> UnfoldingPath:

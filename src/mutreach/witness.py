@@ -30,7 +30,7 @@ from .unfolding import (
     enumerate_unfoldings,
     index_sets,
     lattice_of_unfolding,
-    reverse_path_for,
+    reverse_cycle,
     unfolding_from_sccc,
     zero_full_state_cycle,
 )
@@ -68,7 +68,6 @@ class PumpingParams:
     state_bound: int
     cycle_len: int
     off_threshold: int | None = None
-    walk_budget: int = 20000
 
     def __post_init__(self):
         off_negative = self.off_threshold is not None and self.off_threshold < 0
@@ -117,9 +116,13 @@ class UpwardBasis:
     truncated: bool
 
 
-def _cycle_words(g: Unfolding, q: Vec, max_len: int, budget: int) -> tuple[list[tuple[int, ...]], bool]:
+# cycle-word steps explored per pumping basis before it is marked truncated
+WALK_BUDGET = 20000
+
+
+def _cycle_words(g: Unfolding, q: Vec, max_len: int) -> tuple[list[tuple[int, ...]], bool]:
     """All words labelling cycles on q with length <= max_len (walks may
-    revisit states), deterministic order, capped by budget."""
+    revisit states), deterministic order, capped by WALK_BUDGET."""
     words: list[tuple[int, ...]] = [()]
     truncated = False
     out: dict[Vec, list] = {}
@@ -132,7 +135,7 @@ def _cycle_words(g: Unfolding, q: Vec, max_len: int, budget: int) -> tuple[list[
         for state, word in frontier:
             for t in out.get(state, ()):
                 explored += 1
-                if explored > budget:
+                if explored > WALK_BUDGET:
                     truncated = True
                     break
                 w = word + (t[1],)
@@ -172,7 +175,7 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
     net = g.net
     tau = params.threshold_for(net, g)
     off = [i for i in range(net.dim) if i not in g.index_set]
-    words, truncated = _cycle_words(g, q, params.cycle_len, params.walk_budget)
+    words, truncated = _cycle_words(g, q, params.cycle_len)
 
     f_items: list[tuple[Vec, object]] = []
     g_items: list[tuple[Vec, object]] = []
@@ -305,18 +308,6 @@ class SearchResult:
     examined: int = 0
 
 
-def singleton_unfolding(net: PetriNet, c: Vec) -> Unfolding:
-    """One full-index state with the self-loops of all enabled
-    zero-displacement actions."""
-    index_set = tuple(range(net.dim))
-    loops = [
-        (c, i, c)
-        for i, a in enumerate(net.actions)
-        if a.displacement == zero(net.dim) and vge(c, a.pre)
-    ]
-    return Unfolding(net, index_set, (c,), tuple(loops))
-
-
 def search_witness(
     net: PetriNet,
     x: Vec,
@@ -338,7 +329,7 @@ def search_witness(
     """
     x, y = vec(x), vec(y)
     if x == y:
-        g = singleton_unfolding(net, x)
+        g = unfolding_from_sccc(net, [x], range(net.dim))
         return SearchResult("found", check_witness(net, (x,), g, params), examined=1)
     limits = limits or EnumLimits()
     examined = 0
@@ -387,18 +378,6 @@ def _decompose_into_simple(g: Unfolding, path: UnfoldingPath) -> list[UnfoldingP
     return pieces
 
 
-def _reverse_cycle(g: Unfolding, cycle: UnfoldingPath, bound: int) -> UnfoldingPath:
-    """A cycle with the negated displacement, via per-edge return paths."""
-    parts: list[UnfoldingPath] = []
-    for t in reversed(cycle.transitions):
-        parts.append(reverse_path_for(g, t, bound))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.concat(p)
-    assert out.displacement(g.net) == tuple(-v for v in cycle.displacement(g.net))
-    return out
-
-
 def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tuple[int, ...]:
     """A word firing x to y, assembled from the witness: pump up at x,
     walk an elementary path, repay the lattice difference by reordered
@@ -432,7 +411,8 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
     if target != zero(net.dim):
         # Columns: the distinct simple pieces of the closed walks, in walk
         # order.  With the raw walks as columns the solver tends to pick
-        # negative coefficients, each costing a `_reverse_cycle` search.
+        # negative coefficients, and each one is repaid by `reverse_cycle`,
+        # a walk over every transition of the unfolding.
         cycles = list(
             dict.fromkeys(piece for w in cycle_walks(g) for piece in _decompose_into_simple(g, w))
         )
@@ -447,7 +427,7 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
             if h > 0:
                 pieces.extend([c] * h)
             elif h < 0:
-                rev = _reverse_cycle(g, c, bound=64)
+                rev = reverse_cycle(g, c)
                 for piece in _decompose_into_simple(g, rev):
                     pieces.extend([piece] * (-h))
         bag = [piece.displacement(net) for piece in pieces]

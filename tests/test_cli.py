@@ -360,23 +360,35 @@ def test_compile_checks_the_output_directory_first(net_path, tmp_path, capsys):
     assert captured.err.startswith("error: output directory ") and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["check-mutual", "eval", "explore --dot", "explore --json"])
-def test_output_paths_are_checked_before_any_work(net_path, tmp_path, capsys, command):
+@pytest.mark.parametrize("problem", ["missing directory", "is a directory"])
+@pytest.mark.parametrize(
+    "command", ["check-mutual", "eval", "explore --dot", "explore --json", "compile"]
+)
+def test_output_paths_are_checked_before_any_work(net_path, tmp_path, capsys, command, problem):
     missing = tmp_path / "missing"
     out = str(missing / "out")
+    expected = f"error: output directory {str(missing)!r} does not exist\n"
+    if problem == "is a directory":
+        out = str(tmp_path / "out")
+        # compile writes out + suffix, so make the asked-for .smt2 a directory
+        bad = out + ".smt2" if command == "compile" else out
+        Path(bad).mkdir()
+        expected = f"error: output path {bad!r} is a directory\n"
     if command == "check-mutual":
         argv = ["check-mutual", net_path, "--x", "2 0", "--y", "0 2", "--witness-out", out]
     elif command == "eval":
         base = tmp_path / "formula"
         main(["compile", net_path, "--out", str(base), "--formats", "text"])
         argv = ["eval", f"{base}.mrf", "--box", "2", "--csv", out]
+    elif command == "compile":
+        argv = ["compile", net_path, "--out", out, "--formats", "text,smtlib"]
     else:
         argv = ["explore", net_path, "--box", "2", command.split()[1], out]
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: output directory {str(missing)!r} does not exist\n"
+    assert captured.err == expected
 
 
 @pytest.mark.parametrize("net, x, bound", [

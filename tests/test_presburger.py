@@ -26,7 +26,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutreach import presburger
+from mutreach import presburger, witness
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.oracle import BoundedStateSpace
@@ -254,19 +254,23 @@ def _shape(g):
 
 
 @pytest.mark.parametrize(
-    "name, params",
+    "name, params, walk_budget",
     [
-        pytest.param(name, PARAMS, id=name)
+        pytest.param(name, PARAMS, witness.WALK_BUDGET, id=name)
         for name in ("token_swap", "consumer", "ring", "mixed3", "ring3")
     ]
     + [
-        pytest.param("ring", PumpingParams(4, 4, off_threshold=1), id="ring-heuristic"),
-        pytest.param("mixed3", PumpingParams(4, 4, walk_budget=5), id="mixed3-truncated"),
+        pytest.param("ring", PumpingParams(4, 4, off_threshold=1), witness.WALK_BUDGET,
+                     id="ring-heuristic"),
+        pytest.param("mixed3", PARAMS, 5, id="mixed3-truncated"),
     ],
 )
-def test_compilers_match_per_unfolding_references(fixture_nets, ring3, name, params):
+def test_compilers_match_per_unfolding_references(
+    fixture_nets, ring3, monkeypatch, name, params, walk_budget
+):
     """Computing lattices, pumping bases and paths once per shape gives the
     formulas of computing them afresh for every unfolding."""
+    monkeypatch.setattr(witness, "WALK_BUDGET", walk_budget)
     net = ring3 if name == "ring3" else fixture_nets[name]
     assert compile_mutual(net, params) == reference_compile_mutual(net, params)
     assert compile_bottom(net, params) == reference_compile_bottom(net, params)

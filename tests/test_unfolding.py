@@ -34,7 +34,7 @@ from mutreach.unfolding import (
     index_sets,
     is_structurally_reversible,
     lattice_of_unfolding,
-    reverse_path_for,
+    reverse_cycle,
     rotate_cycle,
     strongly_connected_components,
     unfolding_from_sccc,
@@ -42,6 +42,7 @@ from mutreach.unfolding import (
     zero_full_state_cycle,
 )
 from mutreach.vectors import vadd
+from mutreach.witness import _decompose_into_simple
 
 
 def _level2(token_swap):
@@ -242,37 +243,54 @@ def test_coset_well_defined_across_paths(token_swap):
         assert coset_contains(ca, w) == coset_contains(cb, w)
 
 
-def test_reverse_path_examples():
-    updown = PetriNet(1, (Action((0,), (1,)), Action((1,), (0,))))
+def _loops(*displacements):
+    """A one-counter net whose actions add the given amounts."""
+    return PetriNet(1, tuple(Action((max(-d, 0),), (max(d, 0),)) for d in displacements))
+
+
+def _reversal_ok(g, cycle):
+    back = reverse_cycle(g, cycle)
+    assert back.source == back.target == cycle.source
+    assert set(back.transitions) <= set(g.transitions)
+    assert back.displacement(g.net) == tuple(-v for v in cycle.displacement(g.net))
+    return back
+
+
+def test_reverse_cycle_of_every_simple_piece(fixture_nets, ring3):
+    """Every simple piece of every enumerated unfolding's closed walks
+    reverses to a closed walk on its source with the negated displacement."""
+    reversed_pieces = 0
+    for net in [*fixture_nets.values(), ring3]:
+        for index_set in index_sets(net.dim):
+            for g in enumerate_unfoldings(net, index_set, 3):
+                for piece in {p for w in cycle_walks(g) for p in _decompose_into_simple(g, w)}:
+                    _reversal_ok(g, piece)
+                    reversed_pieces += 1
+    assert reversed_pieces > 100
+
+
+def test_reverse_cycle_examples(token_swap):
+    updown = _loops(1, -1)
     g = validate_unfolding(updown, (), [()], [((), 0, ()), ((), 1, ())])
-    t = ((), 0, ())
-    path = reverse_path_for(g, t, bound=4)
-    assert vadd(updown.actions[0].displacement, path.displacement(updown)) == (0,)
-    assert path.word == (1,)
+    assert sorted(_reversal_ok(g, UnfoldingPath((), (((), 0, ()),))).word) == [0, 1, 1]
 
-
-def test_reverse_path_two_state(token_swap):
-    g = validate_unfolding(
+    g2 = validate_unfolding(
         token_swap, (0, 1),
         [(1, 0), (0, 1)],
         [((1, 0), 0, (0, 1)), ((0, 1), 1, (1, 0))],
     )
-    t = ((1, 0), 0, (0, 1))
-    path = reverse_path_for(g, t, bound=4)
-    assert path.source == (0, 1) and path.target == (1, 0)
-    assert vadd(token_swap.actions[0].displacement, path.displacement(token_swap)) == (0, 0)
+    back = _reversal_ok(g2, UnfoldingPath((0, 1), (((0, 1), 1, (1, 0)), ((1, 0), 0, (0, 1)))))
+    assert back.word == (1, 0)
 
+    # reversing the -3 loop takes +1 and +2 loops whose partial sums leave
+    # any window around 0 narrower than 2; the circuit needs no window
+    g3 = validate_unfolding(_loops(-3, 1, 2), (), [()], [((), 0, ()), ((), 1, ()), ((), 2, ())])
+    _reversal_ok(g3, UnfoldingPath((), (((), 0, ()),)))
 
-def test_reverse_path_bound_failure_and_recovery():
-    # reversing the -3 loop needs +1 then +2; the intermediate partial
-    # displacement -2 violates a zero-width window
-    net = PetriNet(1, (Action((3,), (0,)), Action((0,), (1,)), Action((0,), (2,))))
-    g = validate_unfolding(net, (), [()], [((), 0, ()), ((), 1, ()), ((), 2, ())])
-    t = ((), 0, ())
-    with pytest.raises(UnfoldingError):
-        reverse_path_for(g, t, bound=0)
-    path = reverse_path_for(g, t, bound=2)
-    assert vadd(net.actions[0].displacement, path.displacement(net)) == (0,)
+    with pytest.raises(UnfoldingError):  # not closed
+        reverse_cycle(g2, UnfoldingPath((1, 0), (((1, 0), 0, (0, 1)),)))
+    with pytest.raises(UnfoldingError):  # not a transition of g
+        reverse_cycle(g, UnfoldingPath((), (((), 2, ()),)))
 
 
 def test_zero_full_state_cycle_examples(token_swap):

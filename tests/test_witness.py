@@ -5,6 +5,7 @@ import pytest
 from conftest import collect_unfoldings
 from mutreach.net import Action, PetriNet, fire
 from mutreach.unfolding import EnumLimits, unfolding_from_sccc, validate_unfolding
+from mutreach import witness
 from mutreach.witness import (
     PumpingParams,
     SynthesisError,
@@ -15,7 +16,6 @@ from mutreach.witness import (
     membership_upward,
     exact_state_bound,
     search_witness,
-    singleton_unfolding,
     synthesize_path,
     upward_basis,
 )
@@ -147,14 +147,13 @@ def test_search_monotone_in_cycle_len_and_budget(token_swap):
         assert res.status == "found"
 
 
-def test_basis_truncation_propagates_to_formula_completeness(token_swap):
+def test_basis_truncation_propagates_to_formula_completeness(token_swap, monkeypatch):
     from mutreach.presburger import compile_mutual
 
-    starved = PumpingParams(state_bound=3, cycle_len=4, walk_budget=1)
-    f = compile_mutual(token_swap, starved)
-    assert not f.complete
-    generous = PumpingParams(state_bound=3, cycle_len=4)
-    assert compile_mutual(token_swap, generous).complete
+    params = PumpingParams(state_bound=3, cycle_len=4)
+    assert compile_mutual(token_swap, params).complete
+    monkeypatch.setattr(witness, "WALK_BUDGET", 1)
+    assert not compile_mutual(token_swap, params).complete
 
 
 @pytest.mark.parametrize("difference", [4, 12, 24])
@@ -165,7 +164,7 @@ def test_synthesis_with_nontrivial_cycle_lattice(difference):
     pruning, reordering and embedding path end to end, in both
     directions, at the certified threshold."""
     net = PetriNet(2, (Action((0, 0), (2, 0)), Action((2, 0), (0, 0))))
-    tau = exact_off_threshold(net, singleton_unfolding(net, (0, 0)))
+    tau = exact_off_threshold(net, unfolding_from_sccc(net, [(0, 0)], (0, 1)))
     x = (tau + 2, tau)
     y = (tau + 2 + difference, tau)
     params = PumpingParams(state_bound=1, cycle_len=2)
@@ -178,6 +177,26 @@ def test_synthesis_with_nontrivial_cycle_lattice(difference):
     assert len(word) >= 2  # genuinely repaid by cycles
     back = synthesize_path(net, y, x, w)
     assert fire(y, net.word(back)) == x
+
+
+@pytest.mark.parametrize("loops, x, y", [((-3, 1, 2), (50,), (47,)), ((2, 3, -1), (40,), (45,))])
+def test_synthesis_reverses_a_cycle_with_a_negative_coefficient(monkeypatch, loops, x, y):
+    """One-counter nets of self-loops whose integer cycle decomposition
+    takes some simple cycle a negative number of times."""
+    net = PetriNet(1, tuple(Action((max(-d, 0),), (max(d, 0),)) for d in loops))
+    reverse_cycle, reversed_cycles = witness.reverse_cycle, []
+
+    def spy(g, cycle):
+        reversed_cycles.append(cycle)
+        return reverse_cycle(g, cycle)
+
+    monkeypatch.setattr(witness, "reverse_cycle", spy)
+    params = PumpingParams(state_bound=1, cycle_len=1, off_threshold=20)
+    res = search_witness(net, x, y, params)
+    assert res.status == "found"
+    word = synthesize_path(net, x, y, res.witness)
+    assert reversed_cycles
+    assert fire(x, net.word(word)) == y
 
 
 @pytest.mark.parametrize("difference", [4, 12, 24])
@@ -303,5 +322,5 @@ def test_witness_rejects_tampered_unfolding(token_swap):
 
 def test_singleton_unfolding_collects_zero_displacement_loops():
     net = PetriNet(1, (Action((1,), (1,)), Action((1,), (0,))))
-    g = singleton_unfolding(net, (2,))
+    g = unfolding_from_sccc(net, [(2,)], (0,))
     assert g.transitions == (((2,), 0, (2,)),)
