@@ -2,13 +2,7 @@
 into quantifier-free Presburger formulas."""
 
 from .net import Action, Blocked, NetError, PetriNet, can_fire, displacement, fire, hurdle
-from .lattice import (
-    LatticeCoset,
-    LatticeRepresentation,
-    coset_contains,
-    lattice_contains,
-    representation_from_generators,
-)
+from .lattice import LatticeRepresentation, lattice_contains, representation_from_generators
 from .unfolding import (
     EnumLimits,
     Unfolding,

@@ -300,7 +300,7 @@ def cmd_explore(args) -> int:
     space = BoundedStateSpace(net, args.box)
     comps = space.components()
     reliable = [c for c in comps if space.reliable(c)]
-    print(f"{len(space._succ)} configurations in the box, {len(comps)} components, "
+    print(f"{sum(map(len, comps))} configurations in the box, {len(comps)} components, "
           f"{len(reliable)} reliable")
     bottoms = []
     for comp in reliable:

@@ -1,4 +1,4 @@
-"""Exact integer matrix kernel: determinant, comatrix, Hermite normal form.
+"""Exact integer matrix kernel: Hermite normal form, integer solve and kernel.
 
 Everything is arbitrary-precision.  The Hermite normal form is computed
 by unimodular column operations with immediate reduction of the already
@@ -52,11 +52,6 @@ class IntMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        )
-
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise LinalgError("shape mismatch in matmul")
@@ -66,57 +61,6 @@ class IntMatrix:
             for j in range(other.cols):
                 out.append(sum(ri[t] * other.at(t, j) for t in range(self.cols)))
         return IntMatrix(self.rows, other.cols, tuple(out))
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def max_abs(self) -> int:
-        return max((abs(e) for e in self.entries), default=0)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if not m.is_square:
-        raise LinalgError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def comatrix(m: IntMatrix) -> IntMatrix:
-    """Matrix with entry (i, j) the determinant of m with column j
-    replaced by the i-th unit vector; satisfies m^T com(m) = det(m) I."""
-    if not m.is_square:
-        raise LinalgError("comatrix of a non-square matrix")
-    n = m.rows
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = []
-            for r in range(n):
-                if r == i:
-                    continue
-                sub.append([m.at(r, c) for c in range(n) if c != j])
-            minor = determinant(IntMatrix.from_rows(sub)) if n > 1 else 1
-            out[i][j] = (-1) ** (i + j) * minor
-    return IntMatrix.from_rows(out)
 
 
 @dataclass(frozen=True)

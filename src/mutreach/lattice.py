@@ -9,11 +9,11 @@ membership quantifier-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from typing import Sequence
 
-from .intlinalg import IntMatrix, LinalgError, comatrix, determinant, hermite_normal_form
-from .vectors import Vec, norm_inf, vdot, vec, vsub
+from .intlinalg import IntMatrix, LinalgError, hermite_normal_form
+from .vectors import Vec, norm_inf, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -39,19 +39,6 @@ class LatticeRepresentation:
         )
 
 
-@dataclass(frozen=True)
-class LatticeCoset:
-    """The set offset + lattice."""
-
-    offset: Vec
-    representation: LatticeRepresentation
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", vec(self.offset))
-        if len(self.offset) != self.representation.dim:
-            raise LinalgError("offset dimension mismatch")
-
-
 def lattice_contains(rep: LatticeRepresentation, x: Sequence[int]) -> bool:
     if len(x) != rep.dim:
         raise LinalgError(f"expected a vector of length {rep.dim}")
@@ -65,10 +52,6 @@ def lattice_contains(rep: LatticeRepresentation, x: Sequence[int]) -> bool:
     return True
 
 
-def coset_contains(coset: LatticeCoset, w: Sequence[int]) -> bool:
-    return lattice_contains(coset.representation, vsub(w, coset.offset))
-
-
 def representation_from_generators(
     generators: Sequence[Sequence[int]], dim: int
 ) -> LatticeRepresentation:
@@ -77,9 +60,11 @@ def representation_from_generators(
     Generators become the columns of a d x k matrix L.  Its Hermite form
     gives W = L[row_perm] U, whose first r rows are [H | 0] and whose
     other rows are [R_i | 0], so the lattice is {(H t, R t) : t in Z^r}
-    in permuted coordinates.  H yields r divisibility pairs through its
-    comatrix (t = com(H)^T x' / det(H) must be integral), and each R_i
-    the equality det(H) x(r+i) = R_i com(H)^T x', divided by its content.
+    in permuted coordinates.  H is lower triangular with a positive
+    diagonal, so det(H) is the product of its diagonal and the adjugate
+    X = det(H) H^-1 (the transposed comatrix) is integral.  H yields r
+    divisibility pairs (t = X x' / det(H) must be integral), and each R_i
+    the equality det(H) x(r+i) = R_i X x', divided by its content.
     Both depend on the lattice alone, and every equality has a negative
     coefficient at its own coordinate.  The result is expressed back in
     the original coordinate order, and its norm is bounded by
@@ -97,15 +82,21 @@ def representation_from_generators(
     k = len(gens)
     hnf = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(dim)]))
     r = hnf.rank
-    det_h = determinant(hnf.h)
-    com_h = comatrix(hnf.h)
+    h = hnf.h.to_lists()
+    det_h = prod(h[i][i] for i in range(r))
+    # Solve H X = det(H) I by forward substitution, one column per unit
+    # vector; every division is exact because X is the adjugate of H.
+    adj = [[0] * r for _ in range(r)]
+    for col in range(r):
+        for i in range(col, r):
+            rhs = (det_h if i == col else 0) - sum(h[i][j] * adj[j][col] for j in range(col, i))
+            adj[i][col] = rhs // h[i][i]
 
-    # det(H) divides every coefficient of [x(1)..x(r)] com(H).
-    pairs_permuted = [(det_h, [com_h.at(j, i) for j in range(r)] + [0] * (dim - r))
-                      for i in range(r)]
+    # t = X x' / det(H) must be integral: one divisibility pair per row of X.
+    pairs_permuted = [(det_h, adj[i] + [0] * (dim - r)) for i in range(r)]
     for i, row in enumerate(hnf.row_perm[r:]):
         r_i = [sum(gens[c][row] * hnf.u.at(c, t) for c in range(k)) for t in range(r)]
-        coeffs = [sum(com_h.at(j, t) * r_i[t] for t in range(r)) for j in range(r)]
+        coeffs = [sum(adj[t][j] * r_i[t] for t in range(r)) for j in range(r)]
         coeffs += [0] * (dim - r)
         coeffs[r + i] = -det_h
         content = gcd(*coeffs)

@@ -167,10 +167,13 @@ def parse_net(text: str) -> PetriNet:
         if line.startswith("dim"):
             if dim is not None:
                 raise NetError(f"line {lineno}: duplicate dim header")
+            tokens = line.split()
             try:
-                dim = int(line.split()[1])
-            except (IndexError, ValueError):
-                raise NetError(f"line {lineno}: malformed dim header: {line!r}") from None
+                dim = int(tokens[1]) if tokens[0] == "dim" and len(tokens) == 2 else 0
+            except ValueError:
+                dim = 0
+            if dim < 1:
+                raise NetError(f"line {lineno}: malformed dim header: {line!r}")
             continue
         if dim is None:
             raise NetError(f"line {lineno}: dim header must come first")

@@ -9,7 +9,6 @@ reports a guess as a fact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from .net import PetriNet, step_targets
 from .unfolding import strongly_connected_components
 from .vectors import Vec, vec
@@ -24,26 +23,17 @@ def _box_tuple(dim: int, box) -> tuple[int, ...]:
     return b
 
 
-@dataclass
 class BoundedStateSpace:
     """Adjacency of single-action firing over configurations <= box."""
-
-    net: PetriNet
-    box: tuple[int, ...]
-    _succ: dict[Vec, list[tuple[int, Vec]]] = field(default_factory=dict, repr=False)
-    _overflow: set[Vec] = field(default_factory=set, repr=False)
-    _components: list[frozenset] | None = field(default=None, repr=False)
-    _comp_of: dict[Vec, int] = field(default_factory=dict, repr=False)
-    _tainted: set[int] = field(default_factory=set, repr=False)
 
     def __init__(self, net: PetriNet, box):
         self.net = net
         self.box = _box_tuple(net.dim, box)
-        self._succ = {}
-        self._overflow = set()
-        self._components = None
-        self._comp_of = {}
-        self._tainted = set()
+        self._succ: dict[Vec, list[tuple[int, Vec]]] = {}
+        self._overflow: set[Vec] = set()
+        self._components: list[frozenset] | None = None
+        self._comp_of: dict[Vec, int] = {}
+        self._tainted: list[bool] = []
         for c in itertools.product(*[range(b + 1) for b in self.box]):
             succ = []
             for idx, target in step_targets(net, c):
@@ -69,34 +59,22 @@ class BoundedStateSpace:
     def _compute_components(self):
         order = sorted(self._succ)
         index = {c: i for i, c in enumerate(order)}
-        succ = [[index[t] for _, t in self._succ[c]] for c in order]
-        comp_of = strongly_connected_components(succ)
+        comp_of = strongly_connected_components([[index[t] for _, t in self._succ[c]] for c in order])
         members: list[list[Vec]] = [[] for _ in range(max(comp_of, default=-1) + 1)]
         for c, comp_id in zip(order, comp_of):
             members[comp_id].append(c)
-        comps = [frozenset(m) for m in members]
-        self._components = comps
+        self._components = [frozenset(m) for m in members]
         self._comp_of = dict(zip(order, comp_of))
 
         # A component's verdicts are trusted only if nothing reachable
-        # from it can fire out of the box: taint flows backwards.
-        rev: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-        tainted = set()
-        for c in order:
-            ci = self._comp_of[c]
-            if c in self._overflow:
-                tainted.add(ci)
-            for t in succ[index[c]]:
-                ti = comp_of[t]
-                if ti != ci:
-                    rev[ti].add(ci)
-        frontier = list(tainted)
-        while frontier:
-            x = frontier.pop()
-            for p in rev[x]:
-                if p not in tainted:
-                    tainted.add(p)
-                    frontier.append(p)
+        # from it can fire out of the box.  Tarjan numbers every component
+        # below each one it reaches, so in component order the taint of
+        # every other component a configuration steps into is settled.
+        tainted = [False] * len(members)
+        for comp_id, comp in enumerate(members):
+            for c in comp:
+                tainted[comp_id] = (tainted[comp_id] or c in self._overflow
+                                    or any(tainted[self._comp_of[t]] for _, t in self._succ[c]))
         self._tainted = tainted
 
     def component_of(self, c: Vec) -> frozenset:
@@ -106,7 +84,7 @@ class BoundedStateSpace:
     def reliable(self, component: frozenset) -> bool:
         self.components()
         member = next(iter(component))
-        return self._comp_of[member] not in self._tainted
+        return not self._tainted[self._comp_of[member]]
 
     # --- verdicts -------------------------------------------------------
 

@@ -542,20 +542,6 @@ def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
     return [tuple(full.at(i, j) for i in range(d)) for j in range(res.rank)]
 
 
-def _interval_intersect(
-    lo: object, hi: object, new_lo: object = None, new_hi: object = None
-) -> tuple[object, object]:
-    if new_lo is not None:
-        lo = new_lo if lo is None else max(lo, new_lo)
-    if new_hi is not None:
-        hi = new_hi if hi is None else min(hi, new_hi)
-    return lo, hi
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def lattice_box_feasible(
     basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None]
 ) -> bool | None:
@@ -574,26 +560,22 @@ def lattice_box_feasible(
         return all(lows[i] <= 0 and (highs[i] is None or highs[i] >= 0) for i in range(d))
     rank = len(basis)
     if rank == 1:
-        b = basis[0]
-        t_lo: object = None
-        t_hi: object = None
-        for i in range(d):
-            c = b[i]
+        # lows <= c t <= highs, coordinate by coordinate, as integer bounds on t
+        t_lows: list[int] = []
+        t_highs: list[int] = []
+        for c, lo, hi in zip(basis[0], lows, highs):
             if c == 0:
-                if lows[i] > 0 or (highs[i] is not None and highs[i] < 0):
+                if lo > 0 or (hi is not None and hi < 0):
                     return False
-                continue
-            if c > 0:
-                t_lo, t_hi = _interval_intersect(t_lo, t_hi, new_lo=_ceil_div(lows[i], c))
-                if highs[i] is not None:
-                    t_lo, t_hi = _interval_intersect(t_lo, t_hi, new_hi=highs[i] // c)
+            elif c > 0:
+                t_lows.append(-(-lo // c))
+                if hi is not None:
+                    t_highs.append(hi // c)
             else:
-                t_lo, t_hi = _interval_intersect(t_lo, t_hi, new_hi=lows[i] // c)
-                if highs[i] is not None:
-                    t_lo, t_hi = _interval_intersect(t_lo, t_hi, new_lo=_ceil_div(highs[i], c))
-        if t_lo is None or t_hi is None:
-            return True
-        return t_lo <= t_hi
+                t_highs.append(lo // c)
+                if hi is not None:
+                    t_lows.append(-(-hi // c))
+        return not t_lows or not t_highs or max(t_lows) <= min(t_highs)
 
     # rank >= 2: rational feasibility, then bounded integer enumeration.
     feasible, ranges = _rational_box_ranges(basis, lows, highs)

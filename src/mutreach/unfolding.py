@@ -17,8 +17,8 @@ from functools import reduce
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .lattice import LatticeCoset, LatticeRepresentation, representation_from_generators
-from .net import Action, PetriNet
+from .lattice import LatticeRepresentation, representation_from_generators
+from .net import Action, PetriNet, step_targets
 from .ratlp import max_positive_support, positive_circulation
 from .vectors import Vec, norm_inf, restrict, vadd, zero
 
@@ -319,14 +319,6 @@ def lattice_of_unfolding(g: Unfolding) -> LatticeRepresentation:
     return g._cache["lattice"]
 
 
-def coset_between(g: Unfolding, p: State, q: State) -> LatticeCoset:
-    """The displacement coset of all paths p -> q: offset + L_G."""
-    path = elementary_path(g, p, q)
-    offset = path.displacement(g.net)
-    assert norm_inf(offset) <= g.size * g.net.norm
-    return LatticeCoset(offset, lattice_of_unfolding(g))
-
-
 def _integer_circulation(g: Unfolding) -> dict[Transition, int]:
     ok, flows = is_structurally_reversible(g)
     if not ok:
@@ -445,11 +437,9 @@ def unfolding_from_sccc(net: PetriNet, configs: Iterable[Vec], index_set: Sequen
     states = {restrict(c, index_set) for c in cset}
     transitions = set()
     for x in cset:
-        for idx, a in enumerate(net.actions):
-            if all(c >= p for c, p in zip(x, a.pre, strict=True)):
-                y = vadd(x, a.displacement)
-                if y in members:
-                    transitions.add((restrict(x, index_set), idx, restrict(y, index_set)))
+        for idx, y in step_targets(net, x):
+            if y in members:
+                transitions.add((restrict(x, index_set), idx, restrict(y, index_set)))
     g = validate_unfolding(net, index_set, states, transitions)
     ok, _ = is_structurally_reversible(g)
     if not ok:

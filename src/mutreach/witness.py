@@ -23,7 +23,6 @@ from .unfolding import (
     Unfolding,
     UnfoldingError,
     UnfoldingPath,
-    coset_between,
     cycle_walks,
     elementary_path,
     embed_simple_cycle,
@@ -283,10 +282,12 @@ def check_witness(
         for y in cs:
             if x == y:
                 continue
-            coset = coset_between(g, restrict(x, g.index_set), restrict(y, g.index_set))
-            if not lattice_contains(coset.representation, vsub(vsub(y, x), coset.offset)):
+            path = elementary_path(g, restrict(x, g.index_set), restrict(y, g.index_set))
+            offset = path.displacement(net)
+            assert norm_inf(offset) <= g.size * net.norm
+            if not lattice_contains(lattice_of_unfolding(g), vsub(vsub(y, x), offset)):
                 raise WitnessRejected("difference outside the displacement coset", (x, y))
-            pairs.append(PairCertificate(x, y, coset.offset))
+            pairs.append(PairCertificate(x, y, offset))
     return MutualWitness(
         unfolding=g,
         configs=cs,

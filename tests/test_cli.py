@@ -101,6 +101,15 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["check-mutual", str(bad), "--x", "1", "--y", "2"]) == 1
 
 
+def test_explore_rejects_a_malformed_dim_header(tmp_path, capsys):
+    bad = tmp_path / "bad.net"
+    bad.write_text("dim 2 3\npre: 1 0  post: 0 1\n")
+    assert main(["explore", str(bad), "--box", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: malformed dim header" in captured.err
+
+
 def test_compile_outputs_and_determinism(net_path, tmp_path, capsys):
     base1 = tmp_path / "one"
     base2 = tmp_path / "two"

@@ -1,20 +1,17 @@
+import itertools
+import math
 import random
 from fractions import Fraction
-from math import factorial
-
-import pytest
 
 from conftest import feasible_with_epsilon, leibniz_determinant, rational_lp_feasible, reference_hnf
 from mutreach.intlinalg import (
     HnfResult,
     IntMatrix,
-    LinalgError,
-    comatrix,
-    determinant,
     hermite_normal_form,
     kernel_basis,
     solve_integer,
 )
+from mutreach.lattice import representation_from_generators
 
 
 def _random_matrix(rng, rows, cols, bound):
@@ -23,49 +20,42 @@ def _random_matrix(rng, rows, cols, bound):
     )
 
 
-def test_determinant_basics():
-    assert determinant(IntMatrix.identity(3)) == 1
-    assert determinant(IntMatrix.from_rows([[2, 1], [0, 3]])) == 6
-    with pytest.raises(LinalgError):
-        determinant(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+def _cofactor(rows, i, j) -> int:
+    minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(rows) if r != i]
+    return (-1) ** (i + j) * leibniz_determinant(minor)
 
 
-def test_determinant_matches_leibniz_expansion():
-    rng = random.Random(5)
-    for _ in range(120):
-        r = rng.randint(1, 4)
-        m = _random_matrix(rng, r, r, 3)
-        assert determinant(m) == leibniz_determinant(m.to_lists())
+def test_det_and_comatrix_of_hnf_examples():
+    """Divisibility pairs (det(H), row i of det(H) H^-1) for H = I, a
+    diagonal H and H = [[2, 0], [1, 3]], whose adjugate is not symmetric."""
+    assert representation_from_generators([(1, 0), (0, 1)], 2).pairs == ((1, (1, 0)), (1, (0, 1)))
+    assert representation_from_generators([(2, 0), (0, 3)], 2).pairs == ((6, (3, 0)), (6, (0, 2)))
+    assert representation_from_generators([(2, 1), (0, 3)], 2).pairs == ((6, (3, 0)), (6, (-1, 2)))
 
 
-def test_determinant_magnitude_bound():
-    rng = random.Random(6)
-    for _ in range(60):
-        r = rng.randint(1, 4)
-        bound = rng.randint(1, 3)
-        m = _random_matrix(rng, r, r, bound)
-        assert abs(determinant(m)) <= factorial(r) * bound**r
-
-
-def test_comatrix_identity_and_diagonal():
-    eye = IntMatrix.identity(3)
-    assert comatrix(eye).to_lists() == eye.to_lists()
-    assert comatrix(IntMatrix.from_rows([[2, 0], [0, 3]])).to_lists() == [[3, 0], [0, 2]]
-
-
-def test_comatrix_fundamental_identity_and_entry_bound():
-    rng = random.Random(7)
-    for _ in range(80):
-        r = rng.randint(1, 5)
-        bound = rng.randint(1, 3)
-        m = _random_matrix(rng, r, r, bound)
-        com = comatrix(m)
-        det = determinant(m)
-        product = m.transpose().matmul(com)
-        expected = [[det if i == j else 0 for j in range(r)] for i in range(r)]
-        assert product.to_lists() == expected
-        entry_bound = factorial(max(r - 1, 0)) * bound ** max(r - 1, 0)
-        assert com.max_abs() <= max(entry_bound, 1)
+def test_det_and_comatrix_of_hnf_match_leibniz():
+    """The lattice representation reads det(H) off H's diagonal and com(H)
+    off the triangular adjugate X = det(H) H^-1: its first r pairs are
+    (det(H), row i of X) with X's column j at original coordinate
+    row_perm[j].  Both must be the Leibniz determinant and cofactors."""
+    rng = random.Random(14)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        gens = [g for g in (tuple(rng.randint(-3, 3) for _ in range(d))
+                            for _ in range(rng.randint(1, 6))) if any(g)]
+        if not gens:
+            continue
+        res = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(d)]))
+        r, h = res.rank, res.h.to_lists()
+        rep = representation_from_generators(gens, d)
+        det = leibniz_determinant(h)
+        assert det == math.prod(h[i][i] for i in range(r)) > 0
+        com = [[rep.pairs[i][1][res.row_perm[j]] for i in range(r)] for j in range(r)]
+        assert all(rep.pairs[i][0] == det for i in range(r))
+        assert all(not rep.pairs[i][1][res.row_perm[j]] for i in range(r) for j in range(r, d))
+        h_t_com = [[sum(h[t][i] * com[t][j] for t in range(r)) for j in range(r)] for i in range(r)]
+        assert h_t_com == [[det if i == j else 0 for j in range(r)] for i in range(r)]
+        assert com == [[_cofactor(h, i, j) for j in range(r)] for i in range(r)]
 
 
 def _check_hnf_shape(m: IntMatrix, res: HnfResult):
@@ -78,7 +68,7 @@ def _check_hnf_shape(m: IntMatrix, res: HnfResult):
             assert h.at(i, j) == 0
         for j in range(i):
             assert 0 <= h.at(i, j) < h.at(i, i)
-    assert abs(determinant(res.u)) == 1
+    assert abs(leibniz_determinant(res.u.to_lists())) == 1
     permuted = IntMatrix.from_rows([list(m.row(i)) for i in res.row_perm])
     prod = permuted.matmul(res.u)
     for i in range(r):
@@ -166,12 +156,9 @@ def test_hnf_determinant_divides_submatrix_determinants():
         res = hermite_normal_form(m)
         if res.rank != rows:
             continue
-        det_h = determinant(res.h)
-        import itertools
-
+        det_h = leibniz_determinant(res.h.to_lists())
         for combo in itertools.combinations(range(cols), rows):
-            sub = IntMatrix.from_rows([[m.at(i, j) for j in combo] for i in range(rows)])
-            d = determinant(sub)
+            d = leibniz_determinant([[m.at(i, j) for j in combo] for i in range(rows)])
             if d != 0:
                 assert d % det_h == 0
 

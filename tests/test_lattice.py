@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import enumerated_span_points, span_oracle
 from mutreach.intlinalg import LinalgError
-from mutreach.lattice import (
-    LatticeCoset,
-    coset_contains,
-    lattice_contains,
-    representation_from_generators,
-)
-from mutreach.vectors import vadd, vneg
+from mutreach.lattice import lattice_contains, representation_from_generators
+from mutreach.vectors import vadd, vneg, vsub
 
 
 def test_empty_generators_give_zero_lattice():
@@ -29,6 +24,10 @@ def test_even_lattice():
     rep = representation_from_generators([(2, 0), (0, 2)], 2)
     for x in itertools.product(range(-4, 5), repeat=2):
         assert lattice_contains(rep, x) == (x[0] % 2 == 0 and x[1] % 2 == 0)
+    # the coset (1, 0) + L holds w exactly when w - (1, 0) is in L
+    assert lattice_contains(rep, vsub((1, 0), (1, 0)))
+    assert lattice_contains(rep, vsub((3, 2), (1, 0)))
+    assert not lattice_contains(rep, vsub((2, 2), (1, 0)))
 
 
 def test_diagonal_lattice():
@@ -127,14 +126,6 @@ def test_membership_closed_under_group_laws(data):
     other = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
     member2 = tuple(sum(c * g[i] for c, g in zip(other, gens)) for i in range(d))
     assert lattice_contains(rep, vadd(member, member2))
-
-
-def test_coset_membership():
-    rep = representation_from_generators([(2, 0), (0, 2)], 2)
-    coset = LatticeCoset((1, 0), rep)
-    assert coset_contains(coset, (1, 0))
-    assert coset_contains(coset, (3, 2))
-    assert not coset_contains(coset, (2, 2))
 
 
 def test_exactly_d_pairs_always():

@@ -159,6 +159,9 @@ def test_net_file_errors():
         parse_net("dim 2\npre: 1 post: 0\n")  # wrong arity
     with pytest.raises(NetError):
         parse_net("dim 1\nnonsense\n")
+    for header in ("dimension 2", "dim 2 3", "dim 0", "dim -2"):
+        with pytest.raises(NetError, match="line 2: malformed dim header"):
+            parse_net(f"# two counters\n{header}\npre: 1 0  post: 0 1\n")
     with pytest.raises(NetError):
         parse_config("1 -2", 2)
     with pytest.raises(NetError, match="non-integer entry 'x'"):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from conftest import (
@@ -581,6 +582,23 @@ def test_lattice_box_feasible_rank_one():
     assert lattice_box_feasible(basis, [2, -1], [8, None]) is False
     assert lattice_box_feasible([], [0, -1], [1, 0]) is True
     assert lattice_box_feasible([], [1, 0], [2, 0]) is False
+
+
+def test_lattice_box_feasible_rank_zero_and_one_match_enumeration():
+    """Against a scan of t over |t| <= max |bound| + 1, which is exact: a
+    non-empty interval of t holds a point no farther out than its finite
+    ends, and each end is at most max |bound| in magnitude."""
+    rng = random.Random(15)
+    for _ in range(2000):
+        d = rng.randint(1, 3)
+        lows = [rng.randint(-9, 9) for _ in range(d)]
+        highs = [None if rng.random() < 0.3 else lo + rng.randint(-2, 12) for lo in lows]
+        basis = [] if rng.random() < 0.2 else [tuple(rng.randint(-4, 4) for _ in range(d))]
+        radius = max(abs(x) for x in lows + highs if x is not None) + 1
+        points = [tuple(t * c for c in basis[0]) for t in range(-radius, radius + 1)] if basis else [(0,) * d]
+        expected = any(all(lo <= v and (hi is None or v <= hi) for v, lo, hi in zip(p, lows, highs))
+                       for p in points)
+        assert lattice_box_feasible(basis, lows, highs) is expected, (basis, lows, highs)
 
 
 def test_lattice_box_feasible_rank_two():

@@ -25,7 +25,6 @@ from mutreach.unfolding import (
     UnfoldingPath,
     _strongly_connected,
     bounded_states,
-    coset_between,
     cycle_walks,
     elementary_path,
     embed_simple_cycle,
@@ -41,7 +40,7 @@ from mutreach.unfolding import (
     validate_unfolding,
     zero_full_state_cycle,
 )
-from mutreach.vectors import vadd
+from mutreach.vectors import vadd, vsub
 from mutreach.witness import _decompose_into_simple
 
 
@@ -215,13 +214,15 @@ def test_lattice_invariant_under_reversed_cycles(token_swap):
 
 
 def test_coset_between(token_swap):
+    """The elementary path p -> q gives the offset of the coset of all
+    p -> q displacements: zero for p = q, and a round trip's offsets sum
+    into the lattice."""
     g = _level2(token_swap)
-    same = coset_between(g, (1, 1), (1, 1))
-    assert same.offset == (0, 0)
-    down = coset_between(g, (2, 0), (0, 2))
-    up = coset_between(g, (0, 2), (2, 0))
-    assert down.offset == (-2, 2) and up.offset == (2, -2)
-    assert lattice_contains(down.representation, vadd(down.offset, up.offset))
+    offset = lambda p, q: elementary_path(g, p, q).displacement(token_swap)
+    assert offset((1, 1), (1, 1)) == (0, 0)
+    down, up = offset((2, 0), (0, 2)), offset((0, 2), (2, 0))
+    assert down == (-2, 2) and up == (2, -2)
+    assert lattice_contains(lattice_of_unfolding(g), vadd(down, up))
 
 
 def test_coset_well_defined_across_paths(token_swap):
@@ -229,18 +230,15 @@ def test_coset_well_defined_across_paths(token_swap):
     g = _level2(token_swap)
     import itertools
 
-    from mutreach.lattice import LatticeCoset, coset_contains
-
     rep = lattice_of_unfolding(g)
-    # path A: direct; path B: detour through (0,2) and back
-    a = ((2, 0), 0, (1, 1))
+    # path A: elementary; path B: detour through (0,2) and back
     b1, b2, b3 = ((2, 0), 0, (1, 1)), ((1, 1), 0, (0, 2)), ((0, 2), 1, (1, 1))
-    pa = UnfoldingPath((2, 0), (a,))
+    pa = elementary_path(g, (2, 0), (1, 1))
     pb = UnfoldingPath((2, 0), (b1, b2, b3))
-    ca = LatticeCoset(pa.displacement(token_swap), rep)
-    cb = LatticeCoset(pb.displacement(token_swap), rep)
+    assert pa.transitions != pb.transitions
+    da, db = pa.displacement(token_swap), pb.displacement(token_swap)
     for w in itertools.product(range(-3, 4), repeat=2):
-        assert coset_contains(ca, w) == coset_contains(cb, w)
+        assert lattice_contains(rep, vsub(w, da)) == lattice_contains(rep, vsub(w, db))
 
 
 def _loops(*displacements):
