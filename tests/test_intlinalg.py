@@ -33,29 +33,49 @@ def test_det_and_comatrix_of_hnf_examples():
     assert representation_from_generators([(2, 1), (0, 3)], 2).pairs == ((6, (3, 0)), (6, (-1, 2)))
 
 
-def test_det_and_comatrix_of_hnf_match_leibniz():
-    """The lattice representation reads det(H) off H's diagonal and com(H)
-    off the triangular adjugate X = det(H) H^-1: its first r pairs are
-    (det(H), row i of X) with X's column j at original coordinate
-    row_perm[j].  Both must be the Leibniz determinant and cofactors."""
-    rng = random.Random(14)
-    for _ in range(300):
+def _hnf_adjugates(seed, count=300):
+    """Random generator sets (d <= 4, up to 6 generators) with their HNF and
+    the adjugate com(H) that the lattice representation reads off
+    X = det(H) H^-1: its first r pairs are (det(H), row i of X) with X's
+    column j at original coordinate row_perm[j]."""
+    rng = random.Random(seed)
+    for _ in range(count):
         d = rng.randint(1, 4)
         gens = [g for g in (tuple(rng.randint(-3, 3) for _ in range(d))
                             for _ in range(rng.randint(1, 6))) if any(g)]
         if not gens:
             continue
         res = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(d)]))
-        r, h = res.rank, res.h.to_lists()
+        r = res.rank
         rep = representation_from_generators(gens, d)
+        com = [[rep.pairs[i][1][res.row_perm[j]] for i in range(r)] for j in range(r)]
+        yield res, rep, com
+
+
+def test_det_and_comatrix_of_hnf_match_leibniz():
+    """det(H) is the product of H's diagonal and com(H) holds H's cofactors,
+    both checked against the Leibniz expansion."""
+    for res, rep, com in _hnf_adjugates(14):
+        r, h = res.rank, res.h.to_lists()
         det = leibniz_determinant(h)
         assert det == math.prod(h[i][i] for i in range(r)) > 0
-        com = [[rep.pairs[i][1][res.row_perm[j]] for i in range(r)] for j in range(r)]
         assert all(rep.pairs[i][0] == det for i in range(r))
-        assert all(not rep.pairs[i][1][res.row_perm[j]] for i in range(r) for j in range(r, d))
+        outside = res.row_perm[r:]
+        assert all(not rep.pairs[i][1][c] for i in range(r) for c in outside)
+        assert com == [[_cofactor(h, i, j) for j in range(r)] for i in range(r)]
+
+
+def test_comatrix_fundamental_identity_and_entry_bound():
+    """H^T com(H) = det(H) I, and every cofactor of an r x r matrix with
+    entries at most B in magnitude is at most (r-1)! B^(r-1)."""
+    for res, rep, com in _hnf_adjugates(15):
+        r, h = res.rank, res.h.to_lists()
+        det = rep.pairs[0][0]
         h_t_com = [[sum(h[t][i] * com[t][j] for t in range(r)) for j in range(r)] for i in range(r)]
         assert h_t_com == [[det if i == j else 0 for j in range(r)] for i in range(r)]
-        assert com == [[_cofactor(h, i, j) for j in range(r)] for i in range(r)]
+        bound = max(abs(x) for row in h for x in row)
+        entry_bound = math.factorial(r - 1) * bound ** (r - 1)
+        assert max(abs(x) for row in com for x in row) <= entry_bound
 
 
 def _check_hnf_shape(m: IntMatrix, res: HnfResult):

@@ -24,10 +24,6 @@ def test_even_lattice():
     rep = representation_from_generators([(2, 0), (0, 2)], 2)
     for x in itertools.product(range(-4, 5), repeat=2):
         assert lattice_contains(rep, x) == (x[0] % 2 == 0 and x[1] % 2 == 0)
-    # the coset (1, 0) + L holds w exactly when w - (1, 0) is in L
-    assert lattice_contains(rep, vsub((1, 0), (1, 0)))
-    assert lattice_contains(rep, vsub((3, 2), (1, 0)))
-    assert not lattice_contains(rep, vsub((2, 2), (1, 0)))
 
 
 def test_diagonal_lattice():
@@ -126,6 +122,14 @@ def test_membership_closed_under_group_laws(data):
     other = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
     member2 = tuple(sum(c * g[i] for c, g in zip(other, gens)) for i in range(d))
     assert lattice_contains(rep, vadd(member, member2))
+
+
+def test_coset_membership():
+    # the coset (1, 0) + L holds w exactly when w - (1, 0) is in L
+    rep = representation_from_generators([(2, 0), (0, 2)], 2)
+    assert lattice_contains(rep, vsub((1, 0), (1, 0)))
+    assert lattice_contains(rep, vsub((3, 2), (1, 0)))
+    assert not lattice_contains(rep, vsub((2, 2), (1, 0)))
 
 
 def test_exactly_d_pairs_always():
