@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import factorial, gcd, prod
 from typing import Sequence
 
-from .intlinalg import IntMatrix, LinalgError, hermite_normal_form
+from .intlinalg import LinalgError, hermite_normal_form
 from .vectors import Vec, norm_inf, vdot, vec
 
 
@@ -80,9 +80,8 @@ def representation_from_generators(
         return LatticeRepresentation(dim, tuple((0, unit(i)) for i in range(dim)))
 
     k = len(gens)
-    hnf = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(dim)]))
-    r = hnf.rank
-    h = hnf.h.to_lists()
+    hnf = hermite_normal_form([[g[i] for g in gens] for i in range(dim)])
+    r, h = hnf.rank, hnf.h
     det_h = prod(h[i][i] for i in range(r))
     # Solve H X = det(H) I by forward substitution, one column per unit
     # vector; every division is exact because X is the adjugate of H.
@@ -95,7 +94,7 @@ def representation_from_generators(
     # t = X x' / det(H) must be integral: one divisibility pair per row of X.
     pairs_permuted = [(det_h, adj[i] + [0] * (dim - r)) for i in range(r)]
     for i, row in enumerate(hnf.row_perm[r:]):
-        r_i = [sum(gens[c][row] * hnf.u.at(c, t) for c in range(k)) for t in range(r)]
+        r_i = [sum(gens[c][row] * hnf.u[c][t] for c in range(k)) for t in range(r)]
         coeffs = [sum(adj[t][j] * r_i[t] for t in range(r)) for j in range(r)]
         coeffs += [0] * (dim - r)
         coeffs[r + i] = -det_h

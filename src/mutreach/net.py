@@ -179,6 +179,9 @@ def parse_net(text: str) -> PetriNet:
             raise NetError(f"line {lineno}: dim header must come first")
         if not line.startswith("pre:") or "post:" not in line:
             raise NetError(f"line {lineno}: expected 'pre: ... post: ...': {line!r}")
+        for tag in ("pre:", "post:"):
+            if line.count(tag) > 1:
+                raise NetError(f"line {lineno}: repeated {tag!r}")
         pre_part, post_part = line[len("pre:"):].split("post:", 1)
         try:
             pre = vec(int(t) for t in pre_part.split())

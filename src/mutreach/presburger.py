@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
-from .intlinalg import IntMatrix, LinalgError, hermite_normal_form, kernel_basis
+from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
 from .net import PetriNet
 from .ratlp import FEASIBLE, solve_standard
@@ -531,15 +531,17 @@ def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
         rows.append(list(a) + [-n if jj == j else 0 for jj in range(aux)])
     if not rows:
         rows = [[0] * (d + aux)]
-    kb = kernel_basis(IntMatrix.from_rows(rows))
+    kb = kernel_basis(rows)
     spanning = [tuple(v[:d]) for v in kb]
     spanning = [v for v in spanning if any(v)]
     if not spanning:
         return []
-    mat = IntMatrix.from_rows([[v[i] for v in spanning] for i in range(d)])
-    res = hermite_normal_form(mat)
-    full = mat.matmul(res.u)
-    return [tuple(full.at(i, j) for i in range(d)) for j in range(res.rank)]
+    res = hermite_normal_form([[v[i] for v in spanning] for i in range(d)])
+    # Column j of M U is the combination of the spanning vectors by U's column j.
+    return [
+        tuple(sum(u[j] * v[i] for u, v in zip(res.u, spanning)) for i in range(d))
+        for j in range(res.rank)
+    ]
 
 
 def lattice_box_feasible(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .intlinalg import IntMatrix, kernel_basis
+from .intlinalg import kernel_basis
 from .vectors import Vec, norm_1, norm_inf, vadd, vec, zero
 
 
@@ -75,7 +75,7 @@ def _eject_order(vectors: Sequence[Vec], dim: int) -> list[int]:
         while all(lam[j] != 0 for j in alive):
             frac = [j for j in alive if 0 < lam[j] < 1]
             rows = [[1] * len(frac)] + [[vectors[j][i] for j in frac] for i in range(dim)]
-            kernel = kernel_basis(IntMatrix.from_rows(rows))
+            kernel = kernel_basis(rows)
             assert kernel, "no zero coordinate at a certificate vertex"
             w = kernel[0]
             theta = None

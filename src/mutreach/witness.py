@@ -33,7 +33,7 @@ from .unfolding import (
     unfolding_from_sccc,
     zero_full_state_cycle,
 )
-from .intlinalg import IntMatrix, solve_integer
+from .intlinalg import solve_integer
 from .vectors import Vec, norm_inf, restrict, vec, vge, vsub, zero
 
 
@@ -417,9 +417,7 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
         cycles = list(
             dict.fromkeys(piece for w in cycle_walks(g) for piece in _decompose_into_simple(g, w))
         )
-        mat = IntMatrix.from_rows(
-            [[c.displacement(net)[i] for c in cycles] for i in range(net.dim)]
-        )
+        mat = [[c.displacement(net)[i] for c in cycles] for i in range(net.dim)]
         coeffs = solve_integer(mat, list(target))
         if coeffs is None:
             raise SynthesisError("no integer cycle decomposition of the difference")

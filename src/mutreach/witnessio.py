@@ -60,56 +60,70 @@ def witness_to_text(w: MutualWitness) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER = ("dim", "state-bound", "cycle-len", "certified", "within-bound")
+_KEYS = _HEADER + ("index-set", "off-threshold", "state", "trans", "config", "word")
+# pump and coset blocks are certificates that the checker recomputes
+_RECOMPUTED = ("pump", "enter", "leave", "cminus", "cplus", "basis", "coset")
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split())
+
+
 def witness_from_text(net: PetriNet, text: str) -> MutualWitness:
     """Rebuild a witness by re-running the checker on the stored data.
 
     Stored pump/coset blocks are certificates; the checker recomputes
-    them, so parsing accepts a witness only if it still validates.
+    them, so parsing accepts a witness only if it still validates.  A
+    line that does not parse raises ValueError naming its number and key.
     """
-    lines = [ln.rstrip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "witness":
+    lines = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or lines[0][1] != "witness":
         raise ValueError("not a witness file")
     index_set: tuple[int, ...] = ()
-    header: dict[str, str] = {}
+    header = {"state-bound": 1, "cycle-len": 0, "off-threshold": None}
     states = []
     transitions = []
     configs = []
     words: dict = {}
-    i = 1
-    while i < len(lines) and lines[i] != "end":
-        line = lines[i].strip()
-        key, _, val = line.partition(" ")
-        if key == "index-set":
-            index_set = tuple(int(t) for t in val.split())
-        elif key in ("dim", "state-bound", "cycle-len", "off-threshold", "certified", "within-bound"):
-            header[key] = val
-        elif key == "state":
-            states.append(vec(int(t) for t in val.split()))
-        elif key == "trans":
-            p_text, a_text, q_text = val.split("|")
-            transitions.append(
-                (
-                    vec(int(t) for t in p_text.split()),
-                    int(a_text),
-                    vec(int(t) for t in q_text.split()),
-                )
-            )
-        elif key == "config":
-            configs.append(vec(int(t) for t in val.split()))
-        elif key == "word":
-            arrow, _, word_text = val.partition(":")
-            x_text, _, y_text = arrow.partition("->")
-            x = vec(int(t) for t in x_text.split())
-            y = vec(int(t) for t in y_text.split())
-            words[(x, y)] = tuple(int(t) for t in word_text.split())
-        # pump/coset blocks are recomputed by the checker
-        i += 1
+    for lineno, line in lines[1:]:
+        if line == "end":
+            break
+        key, _, val = line.strip().partition(" ")
+        if key in _RECOMPUTED:
+            continue
+        if key not in _KEYS:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key == "index-set":
+                index_set = _ints(val)
+            elif key in _HEADER:
+                (header[key],) = _ints(val)
+                if key == "dim" and header[key] != net.dim:
+                    raise ValueError
+            elif key == "off-threshold":
+                header[key] = None if val == "exact" else int(val)
+            elif key == "state":
+                states.append(vec(_ints(val)))
+            elif key == "trans":
+                p_text, a_text, q_text = val.split("|")
+                transitions.append((vec(_ints(p_text)), int(a_text), vec(_ints(q_text))))
+            elif key == "config":
+                configs.append(vec(_ints(val)))
+            elif key == "word":
+                arrow, word_text = val.split(":")
+                x_text, y_text = arrow.split("->")
+                word = _ints(word_text)
+                if not all(0 <= a < len(net.actions) for a in word):
+                    raise ValueError
+                words[(vec(_ints(x_text)), vec(_ints(y_text)))] = word
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed {key!r}: {line.strip()!r}") from None
     g = validate_unfolding(net, index_set, states, transitions)
-    off = header.get("off-threshold", "exact")
     params = PumpingParams(
-        state_bound=int(header.get("state-bound", "1")),
-        cycle_len=int(header.get("cycle-len", "0")),
-        off_threshold=None if off == "exact" else int(off),
+        state_bound=header["state-bound"],
+        cycle_len=header["cycle-len"],
+        off_threshold=header["off-threshold"],
     )
     w = check_witness(net, configs, g, params)
     object.__setattr__(w, "words", words)

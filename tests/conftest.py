@@ -23,7 +23,7 @@ from typing import Sequence
 
 import pytest
 
-from mutreach.intlinalg import IntMatrix, LinalgError
+from mutreach.intlinalg import LinalgError
 from mutreach.net import Action, PetriNet, load_net
 from mutreach.presburger import (
     BottomFormula,
@@ -253,14 +253,14 @@ def enumerated_span_points(generators, dim: int, coeff_bound: int, box_bound: in
 
 @dataclass(frozen=True)
 class ReferenceHnf:
-    h: IntMatrix
-    u: IntMatrix
+    h: list[list[int]]
+    u: list[list[int]]
     rank: int
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
 
 
-def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
+def rank_profile(m: list[list[int]]) -> tuple[int, list[int], list[int]]:
     """Rank plus pivot rows and pivot columns.
 
     Rows are kept greedily in input order (so a full-row-rank matrix is
@@ -268,11 +268,12 @@ def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
     given row order); pivot columns are then chosen greedily left to
     right over the kept rows.
     """
+    cols = len(m[0]) if m else 0
     kept: list[tuple[int, list[Fraction]]] = []  # (row index, reduced row)
-    for i in range(m.rows):
-        row = [Fraction(x) for x in m.row(i)]
+    for i in range(len(m)):
+        row = [Fraction(x) for x in m[i]]
         for _, prow in kept:
-            lead = next((j for j in range(m.cols) if prow[j] != 0), None)
+            lead = next((j for j in range(cols) if prow[j] != 0), None)
             if lead is not None and row[lead] != 0:
                 f = row[lead] / prow[lead]
                 row = [x - f * y for x, y in zip(row, prow)]
@@ -280,10 +281,10 @@ def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
             kept.append((i, row))
     pivot_rows = [i for i, _ in kept]
 
-    work = [[Fraction(x) for x in m.row(i)] for i in pivot_rows]
+    work = [[Fraction(x) for x in m[i]] for i in pivot_rows]
     pivot_cols: list[int] = []
     used = [False] * len(work)
-    for j in range(m.cols):
+    for j in range(cols):
         pick = next((i for i in range(len(work)) if not used[i] and work[i][j] != 0), None)
         if pick is None:
             continue
@@ -298,7 +299,7 @@ def rank_profile(m: IntMatrix) -> tuple[int, list[int], list[int]]:
     return len(pivot_rows), pivot_rows, pivot_cols
 
 
-def reference_hnf(m: IntMatrix) -> ReferenceHnf:
+def reference_hnf(m: list[list[int]]) -> ReferenceHnf:
     """Column-style HNF with explicit unimodular multiplier, on the rows
     and columns `rank_profile` picks by rational elimination first.
 
@@ -306,16 +307,16 @@ def reference_hnf(m: IntMatrix) -> ReferenceHnf:
     the zero matrix yields a rank-0 result with an empty H.
     """
     rank, pivot_rows, pivot_cols = rank_profile(m)
-    rest_rows = [i for i in range(m.rows) if i not in pivot_rows]
-    rest_cols = [j for j in range(m.cols) if j not in pivot_cols]
+    k = len(m[0]) if m else 0
+    rest_rows = [i for i in range(len(m)) if i not in pivot_rows]
+    rest_cols = [j for j in range(k) if j not in pivot_cols]
     row_perm = tuple(pivot_rows + rest_rows)
     col_perm = tuple(pivot_cols + rest_cols)
-    k = m.cols
-    if rank == 0:
-        return ReferenceHnf(IntMatrix(0, 0, ()), IntMatrix.identity(k), 0, row_perm, col_perm)
-
-    w = [[m.at(i, j) for j in range(k)] for i in pivot_rows]
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    if rank == 0:
+        return ReferenceHnf([], u, 0, row_perm, col_perm)
+
+    w = [list(m[i]) for i in pivot_rows]
 
     def col_op_2(c1: int, c2: int, a: int, b: int, c: int, d: int):
         # (col c1, col c2) <- (a*c1 + b*c2, c*c1 + d*c2); ad - bc = +-1
@@ -354,8 +355,7 @@ def reference_hnf(m: IntMatrix) -> ReferenceHnf:
                 for row in u:
                     row[j] -= q * row[r]
 
-    h = IntMatrix.from_rows([row[:rank] for row in w])
-    return ReferenceHnf(h, IntMatrix.from_rows(u), rank, row_perm, col_perm)
+    return ReferenceHnf([row[:rank] for row in w], u, rank, row_perm, col_perm)
 
 
 # --- other independent oracles ---------------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .net import Action, Blocked, PetriNet, fire, fire_trace
-from .vectors import Vec, restrict, vec
+from mutreach.net import Action, Blocked, PetriNet, fire, fire_trace
+from mutreach.vectors import Vec, restrict, vec
 
 
 class ExtractionError(ValueError):

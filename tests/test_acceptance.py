@@ -20,7 +20,7 @@ from conftest import (
     span_oracle,
 )
 from mutreach.cli import main as cli_main
-from mutreach.extraction import (
+from extraction import (
     Execution,
     Extractor,
     maximal_small_set,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import brute_force_small_set
-from mutreach.extraction import (
+from extraction import (
     Execution,
     ExtractionError,
     Extractor,

@@ -3,10 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import feasible_with_epsilon, leibniz_determinant, rational_lp_feasible, reference_hnf
 from mutreach.intlinalg import (
     HnfResult,
-    IntMatrix,
+    LinalgError,
     hermite_normal_form,
     kernel_basis,
     solve_integer,
@@ -15,9 +17,7 @@ from mutreach.lattice import representation_from_generators
 
 
 def _random_matrix(rng, rows, cols, bound):
-    return IntMatrix.from_rows(
-        [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-    )
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def _cofactor(rows, i, j) -> int:
@@ -45,7 +45,7 @@ def _hnf_adjugates(seed, count=300):
                             for _ in range(rng.randint(1, 6))) if any(g)]
         if not gens:
             continue
-        res = hermite_normal_form(IntMatrix.from_rows([[g[i] for g in gens] for i in range(d)]))
+        res = hermite_normal_form([[g[i] for g in gens] for i in range(d)])
         r = res.rank
         rep = representation_from_generators(gens, d)
         com = [[rep.pairs[i][1][res.row_perm[j]] for i in range(r)] for j in range(r)]
@@ -56,7 +56,7 @@ def test_det_and_comatrix_of_hnf_match_leibniz():
     """det(H) is the product of H's diagonal and com(H) holds H's cofactors,
     both checked against the Leibniz expansion."""
     for res, rep, com in _hnf_adjugates(14):
-        r, h = res.rank, res.h.to_lists()
+        r, h = res.rank, res.h
         det = leibniz_determinant(h)
         assert det == math.prod(h[i][i] for i in range(r)) > 0
         assert all(rep.pairs[i][0] == det for i in range(r))
@@ -69,7 +69,7 @@ def test_comatrix_fundamental_identity_and_entry_bound():
     """H^T com(H) = det(H) I, and every cofactor of an r x r matrix with
     entries at most B in magnitude is at most (r-1)! B^(r-1)."""
     for res, rep, com in _hnf_adjugates(15):
-        r, h = res.rank, res.h.to_lists()
+        r, h = res.rank, res.h
         det = rep.pairs[0][0]
         h_t_com = [[sum(h[t][i] * com[t][j] for t in range(r)) for j in range(r)] for i in range(r)]
         assert h_t_com == [[det if i == j else 0 for j in range(r)] for i in range(r)]
@@ -78,42 +78,52 @@ def test_comatrix_fundamental_identity_and_entry_bound():
         assert max(abs(x) for row in com for x in row) <= entry_bound
 
 
-def _check_hnf_shape(m: IntMatrix, res: HnfResult):
+def _check_hnf_shape(m: list[list[int]], res: HnfResult):
     r = res.rank
     h = res.h
-    assert h.rows == h.cols == r
+    cols = len(m[0])
+    assert len(h) == r and all(len(row) == r for row in h)
     for i in range(r):
-        assert h.at(i, i) > 0
+        assert h[i][i] > 0
         for j in range(i + 1, r):
-            assert h.at(i, j) == 0
+            assert h[i][j] == 0
         for j in range(i):
-            assert 0 <= h.at(i, j) < h.at(i, i)
-    assert abs(leibniz_determinant(res.u.to_lists())) == 1
-    permuted = IntMatrix.from_rows([list(m.row(i)) for i in res.row_perm])
-    prod = permuted.matmul(res.u)
+            assert 0 <= h[i][j] < h[i][i]
+    assert abs(leibniz_determinant(res.u)) == 1
+    permuted = [m[i] for i in res.row_perm]
+    prod = [[sum(a * res.u[t][j] for t, a in enumerate(row)) for j in range(cols)] for row in permuted]
     for i in range(r):
-        for j in range(m.cols):
-            want = h.at(i, j) if j < r else 0
-            assert prod.at(i, j) == want
+        for j in range(cols):
+            want = h[i][j] if j < r else 0
+            assert prod[i][j] == want
     # the skipped rows lie in the span of the pivot rows
-    for i in range(r, m.rows):
-        assert not any(prod.at(i, j) for j in range(r, m.cols))
+    for i in range(r, len(m)):
+        assert not any(prod[i][j] for j in range(r, cols))
 
 
 def test_hnf_examples():
-    res = hermite_normal_form(IntMatrix.from_rows([[2, 1]]))
-    assert res.h.to_lists() == [[1]]
-    res = hermite_normal_form(IntMatrix.identity(4))
-    assert res.h.to_lists() == IntMatrix.identity(4).to_lists()
-    assert res.u.to_lists() == IntMatrix.identity(4).to_lists()
-    res = hermite_normal_form(IntMatrix.from_rows([[2, 0], [0, 2]]))
-    assert res.h.to_lists() == [[2, 0], [0, 2]]
+    res = hermite_normal_form([[2, 1]])
+    assert res.h == [[1]]
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    res = hermite_normal_form(identity)
+    assert res.h == identity
+    assert res.u == identity
+    res = hermite_normal_form([[2, 0], [0, 2]])
+    assert res.h == [[2, 0], [0, 2]]
+
+
+@pytest.mark.parametrize(
+    "call", [hermite_normal_form, kernel_basis, lambda m: solve_integer(m, [0, 0])]
+)
+def test_ragged_rows_are_rejected(call):
+    with pytest.raises(LinalgError, match="ragged rows"):
+        call([[1, 2], [3]])
 
 
 def test_hnf_zero_matrix():
-    res = hermite_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
+    res = hermite_normal_form([[0, 0], [0, 0]])
     assert res.rank == 0
-    assert res.h.rows == 0
+    assert res.h == []
 
 
 def test_hnf_random_shapes():
@@ -134,7 +144,7 @@ def test_hnf_matches_the_rational_row_selection_reference():
     for trial in range(300):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = _random_matrix(rng, rows, cols, 3).to_lists()
+        m = _random_matrix(rng, rows, cols, 3)
         if trial % 2:
             # make some rows zero or combinations of earlier rows
             for i in range(1, rows):
@@ -142,7 +152,6 @@ def test_hnf_matches_the_rational_row_selection_reference():
                     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
                     j = rng.randrange(i)
                     m[i] = [a * x + b * y for x, y in zip(m[j], m[rng.randrange(i)])]
-        m = IntMatrix.from_rows(m)
         res, ref = hermite_normal_form(m), reference_hnf(m)
         assert (res.h, res.u, res.rank, res.row_perm) == (ref.h, ref.u, ref.rank, ref.row_perm)
         _check_hnf_shape(m, res)
@@ -159,11 +168,9 @@ def test_hnf_uniqueness_under_column_permutation():
         res = hermite_normal_form(m)
         perm = list(range(cols))
         rng.shuffle(perm)
-        shuffled = IntMatrix.from_rows(
-            [[m.at(i, perm[j]) for j in range(cols)] for i in range(rows)]
-        )
+        shuffled = [[m[i][perm[j]] for j in range(cols)] for i in range(rows)]
         res2 = hermite_normal_form(shuffled)
-        assert res.h.to_lists() == res2.h.to_lists()
+        assert res.h == res2.h
         assert res.rank == res2.rank
 
 
@@ -176,9 +183,9 @@ def test_hnf_determinant_divides_submatrix_determinants():
         res = hermite_normal_form(m)
         if res.rank != rows:
             continue
-        det_h = leibniz_determinant(res.h.to_lists())
+        det_h = leibniz_determinant(res.h)
         for combo in itertools.combinations(range(cols), rows):
-            d = leibniz_determinant([[m.at(i, j) for j in combo] for i in range(rows)])
+            d = leibniz_determinant([[m[i][j] for j in combo] for i in range(rows)])
             if d != 0:
                 assert d % det_h == 0
 
@@ -190,17 +197,17 @@ def test_solve_integer_and_kernel():
         cols = rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols, 3)
         z = [rng.randint(-3, 3) for _ in range(cols)]
-        target = [sum(m.at(i, j) * z[j] for j in range(cols)) for i in range(rows)]
+        target = [sum(m[i][j] * z[j] for j in range(cols)) for i in range(rows)]
         sol = solve_integer(m, target)
         assert sol is not None
-        assert [sum(m.at(i, j) * sol[j] for j in range(cols)) for i in range(rows)] == target
+        assert [sum(m[i][j] * sol[j] for j in range(cols)) for i in range(rows)] == target
         for k in kernel_basis(m):
-            assert all(sum(m.at(i, j) * k[j] for j in range(cols)) == 0 for i in range(rows))
+            assert all(sum(m[i][j] * k[j] for j in range(cols)) == 0 for i in range(rows))
 
 
 def test_solve_integer_detects_unsolvable():
-    assert solve_integer(IntMatrix.from_rows([[2, 4]]), [1]) is None
-    assert solve_integer(IntMatrix.from_rows([[1, 0], [0, 0]]), [0, 1]) is None
+    assert solve_integer([[2, 4]], [1]) is None
+    assert solve_integer([[1, 0], [0, 0]], [0, 1]) is None
 
 
 def test_lp_trivial_cases():

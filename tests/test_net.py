@@ -168,6 +168,16 @@ def test_net_file_errors():
         parse_config("1 x", 2)
 
 
+@pytest.mark.parametrize(
+    "line, tag",
+    [("pre: 1 post: 0 post: 1", "post:"), ("pre: 1 pre: 2 post: 0", "pre:")],
+)
+def test_net_file_names_a_repeated_tag(line, tag):
+    with pytest.raises(NetError) as exc:
+        parse_net(f"dim 1\n{line}\n")
+    assert str(exc.value) == f"line 2: repeated {tag!r}"
+
+
 def test_action_validation():
     with pytest.raises(NetError):
         Action((1, 0), (0,))

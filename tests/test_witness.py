@@ -320,6 +320,55 @@ def test_witness_rejects_tampered_unfolding(token_swap):
         witness_from_text(token_swap, tampered)
 
 
+def _token_swap_witness_text(net):
+    w = search_witness(net, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4)).witness
+    w.words[((2, 0), (0, 2))] = synthesize_path(net, (2, 0), (0, 2), w)
+    return witness_to_text(w)
+
+
+@pytest.mark.parametrize(
+    "key, corrupt",
+    [
+        ("index-set", lambda ln: ln + " x"),
+        ("dim", lambda ln: "dim two"),
+        ("dim", lambda ln: "dim 3"),
+        ("state-bound", lambda ln: ln + " 5"),
+        ("cycle-len", lambda ln: "cycle-len"),
+        ("off-threshold", lambda ln: "off-threshold maybe"),
+        ("certified", lambda ln: "certified yes"),
+        ("within-bound", lambda ln: ln + ".0"),
+        ("state", lambda ln: ln + " x"),
+        ("trans", lambda ln: ln.rsplit(" | ", 1)[0]),
+        ("trans", lambda ln: ln.replace(" | ", " | a | ", 1)),
+        ("config", lambda ln: ln + ",1"),
+        ("word", lambda ln: ln.replace(" -> ", " ")),
+        ("word", lambda ln: ln + " 2"),
+        ("word", lambda ln: ln + " -1"),
+    ],
+    ids=[
+        "index-set-token", "dim-token", "dim-other-net", "state-bound-two-values",
+        "cycle-len-empty", "off-threshold-word", "certified-word", "within-bound-float",
+        "state-token", "trans-two-parts", "trans-action-name", "config-comma",
+        "word-no-arrow", "word-action-out-of-range", "word-negative-action",
+    ],
+)
+def test_witness_reader_names_the_malformed_line(token_swap, key, corrupt):
+    lines = _token_swap_witness_text(token_swap).splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+    lines[n] = corrupt(lines[n])
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, "\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {n + 1}: malformed {key!r}: {lines[n]!r}"
+
+
+def test_witness_reader_rejects_unknown_keys(token_swap):
+    lines = _token_swap_witness_text(token_swap).splitlines()
+    lines.insert(-1, "bogus 1")
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, "\n".join(lines) + "\n")
+    assert str(exc.value) == f"line {len(lines) - 1}: unknown key 'bogus'"
+
+
 def test_singleton_unfolding_collects_zero_displacement_loops():
     net = PetriNet(1, (Action((1,), (1,)), Action((1,), (0,))))
     g = unfolding_from_sccc(net, [(2,)], (0,))
