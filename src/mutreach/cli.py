@@ -99,15 +99,15 @@ def _limits_from(args) -> EnumLimits:
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--state-bound", type=int, default=4,
+    p.add_argument("--state-bound", type=_positive, default=4,
                    help="enumerate unfolding states of norm strictly below this")
-    p.add_argument("--cycle-len", type=int, default=4,
+    p.add_argument("--cycle-len", type=_natural, default=4,
                    help="pumping cycle-word length cap")
     p.add_argument("--off-threshold", type=_off_threshold, default="exact",
                    help="'exact' for the per-unfolding certified value, or an integer")
-    p.add_argument("--max-states", type=int, default=6,
+    p.add_argument("--max-states", type=_positive, default=6,
                    help="largest unfolding state-set size enumerated")
-    p.add_argument("--max-unfoldings", type=int, default=5000)
+    p.add_argument("--max-unfoldings", type=_natural, default=5000)
 
 
 def _check_output_paths(*paths: str | None) -> None:

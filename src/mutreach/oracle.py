@@ -31,9 +31,6 @@ class BoundedStateSpace:
         self.box = _box_tuple(net.dim, box)
         self._succ: dict[Vec, list[tuple[int, Vec]]] = {}
         self._overflow: set[Vec] = set()
-        self._components: list[frozenset] | None = None
-        self._comp_of: dict[Vec, int] = {}
-        self._tainted: list[bool] = []
         for c in itertools.product(*[range(b + 1) for b in self.box]):
             succ = []
             for idx, target in step_targets(net, c):
@@ -43,20 +40,6 @@ class BoundedStateSpace:
                     self._overflow.add(c)
             self._succ[c] = succ
 
-    def inside(self, c: Vec) -> bool:
-        return c in self._succ
-
-    def successors(self, c: Vec) -> list[tuple[int, Vec]]:
-        return self._succ[vec(c)]
-
-    # --- components -----------------------------------------------------
-
-    def components(self) -> list[frozenset]:
-        if self._components is None:
-            self._compute_components()
-        return self._components
-
-    def _compute_components(self):
         order = sorted(self._succ)
         index = {c: i for i, c in enumerate(order)}
         comp_of = strongly_connected_components([[index[t] for _, t in self._succ[c]] for c in order])
@@ -77,12 +60,21 @@ class BoundedStateSpace:
                                     or any(tainted[self._comp_of[t]] for _, t in self._succ[c]))
         self._tainted = tainted
 
+    def inside(self, c: Vec) -> bool:
+        return c in self._succ
+
+    def successors(self, c: Vec) -> list[tuple[int, Vec]]:
+        return self._succ[vec(c)]
+
+    # --- components -----------------------------------------------------
+
+    def components(self) -> list[frozenset]:
+        return self._components
+
     def component_of(self, c: Vec) -> frozenset:
-        self.components()
         return self._components[self._comp_of[vec(c)]]
 
     def reliable(self, component: frozenset) -> bool:
-        self.components()
         member = next(iter(component))
         return not self._tainted[self._comp_of[member]]
 

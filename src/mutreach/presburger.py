@@ -670,15 +670,8 @@ def _violation_exists(tup: BottomTuple, c: Vec) -> bool | None:
                 choice_sets.append([(i, wq[i] - 1 - c[i]) for i in range(d)])
             for combo in itertools.product(*choice_sets) if choice_sets else [()]:
                 highs: list[int | None] = [None] * d
-                ok = True
                 for i, ub in combo:
                     highs[i] = ub if highs[i] is None else min(highs[i], ub)
-                for i in range(d):
-                    if highs[i] is not None and lows[i] > highs[i]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
                 res = lattice_box_feasible(tup.basis, lows, highs)
                 if res is True:
                     return True

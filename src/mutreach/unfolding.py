@@ -42,41 +42,6 @@ def i_fires(action: Action, index_set: Sequence[int], p: State) -> State | None:
     return vadd(p, delta)
 
 
-def _bfs_parents(
-    transitions: Iterable[Transition], root: State, forward: bool = True
-) -> dict[State, Transition | None]:
-    """Breadth-first tree at `root` along the edges (against them when not
-    `forward`): each reached state maps to the edge that reached it.
-
-    Edges are tried in the given order, so the tree is the one a plain
-    frontier-by-frontier search over that order discovers.
-    """
-    adjacent: dict[State, list[Transition]] = {}
-    for t in transitions:
-        adjacent.setdefault(t[0] if forward else t[2], []).append(t)
-    parents: dict[State, Transition | None] = {root: None}
-    queue = [root]
-    for s in queue:
-        for t in adjacent.get(s, ()):
-            nxt = t[2] if forward else t[0]
-            if nxt not in parents:
-                parents[nxt] = t
-                queue.append(nxt)
-    return parents
-
-
-def _strongly_connected(states: Sequence[State], transitions: Sequence[Transition]) -> tuple[bool, tuple | None]:
-    """Every state reached from and reaching states[0]; on failure returns
-    a pair (p, q) with no path p -> q."""
-    root = states[0]
-    for forward in (True, False):
-        reached = _bfs_parents(transitions, root, forward)
-        for s in states:
-            if s not in reached:
-                return False, (root, s) if forward else (s, root)
-    return True, None
-
-
 def strongly_connected_components(succ: list[list[int]]) -> list[int]:
     """The strongly connected component of each node of the graph on
     0..n-1 with successor lists `succ` (iterative Tarjan).  Components are
@@ -231,8 +196,14 @@ def validate_unfolding(
             raise UnfoldingError("unknown action index", t)
         if i_fires(net.actions[a], index_set, p) != q:
             raise UnfoldingError("transition violates the firing relation", t)
-    ok, pair = _strongly_connected(states, transitions)
-    if not ok:
+    position = {s: k for k, s in enumerate(states)}
+    succ: list[list[int]] = [[] for _ in states]
+    for p, _, q in transitions:
+        succ[position[p]].append(position[q])
+    label = strongly_connected_components(succ)
+    if any(label):
+        # component 0 reaches no other, so no path leaves it for the last one
+        pair = (states[label.index(0)], states[label.index(max(label))])
         raise UnfoldingError("graph is not strongly connected", pair)
     return Unfolding(net, index_set, states, transitions)
 
@@ -270,9 +241,26 @@ def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fra
 
 
 def _tree(g: Unfolding, root: State, forward: bool = True) -> dict[State, Transition | None]:
+    """Breadth-first tree at `root` along the edges (against them when not
+    `forward`): each reached state maps to the edge that reached it.
+
+    Edges are tried in sorted order, so the tree is the one a plain
+    frontier-by-frontier search over that order discovers.
+    """
     key = ("bfs", root, forward)
     if key not in g._cache:
-        g._cache[key] = _bfs_parents(g.transitions, root, forward)
+        adjacent: dict[State, list[Transition]] = {}
+        for t in g.transitions:
+            adjacent.setdefault(t[0] if forward else t[2], []).append(t)
+        parents: dict[State, Transition | None] = {root: None}
+        queue = [root]
+        for s in queue:
+            for t in adjacent.get(s, ()):
+                nxt = t[2] if forward else t[0]
+                if nxt not in parents:
+                    parents[nxt] = t
+                    queue.append(nxt)
+        g._cache[key] = parents
     return g._cache[key]
 
 
@@ -527,44 +515,52 @@ def enumerate_unfoldings(
         raise UnfoldingError("state bound must be >= 1")
     all_states = bounded_states(index_set, state_bound)
     pos = {s: i for i, s in enumerate(all_states)}
-    # Per state, the position of each I-enabled target (None marks a
-    # target outside the state bound), and the in-bound out-edges with
-    # their target positions, in action order.
-    targets: list[list[int | None]] = []
+    # Per state, whether an I-enabled target lies outside the state bound,
+    # and the in-bound out-edges with their target positions, in action order.
+    escapes: list[bool] = []
     out_edges: list[list[tuple[int, Transition]]] = []
     for p in all_states:
-        fired: list[int | None] = []
+        escaped = False
         out: list[tuple[int, Transition]] = []
         for idx, a in enumerate(net.actions):
             q = i_fires(a, index_set, p)
             if q is None:
                 continue
             j = pos.get(q)
-            fired.append(j)
-            if j is not None:
+            if j is None:
+                escaped = True
+            else:
                 out.append((j, (p, idx, q)))
-        targets.append(fired)
+        escapes.append(escaped)
         out_edges.append(out)
 
     # Every unfolding is strongly connected, so its states lie in one
-    # strongly connected component of the bounded graph, and the walk
-    # follows only edges inside a component.  The walk grows supersets, so
-    # this drops exactly the sets that span two components and keeps the
-    # order of the rest.  A closed, strongly connected set is a whole
-    # component that no enabled action leaves, so in `forward_closed` mode
-    # the walk also skips the edges of every other component.
+    # strongly connected component of the bounded graph.  A closed, strongly
+    # connected set is a whole component that no enabled action leaves: a
+    # proper subset of a component always has an edge into the rest of it.
+    # So in `forward_closed` mode the candidates are those components, in
+    # order of their least state.  Otherwise the walk follows only edges
+    # inside a component; it grows supersets, so this drops exactly the
+    # sets that span two components and keeps the order of the rest.
     component = strongly_connected_components([[j for j, _ in out] for out in out_edges])
-    leaky = set()
     if forward_closed:
-        for i, fired in enumerate(targets):
-            if any(j is None or component[j] != component[i] for j in fired):
+        members: dict[int, list[int]] = {}
+        leaky = set()
+        for i, out in enumerate(out_edges):
+            members.setdefault(component[i], []).append(i)
+            if escapes[i] or any(component[j] != component[i] for j, _ in out):
                 leaky.add(component[i])
-    undirected: list[set[int]] = [set() for _ in all_states]
-    for i, out in enumerate(out_edges):
-        for j, _ in out:
-            if j != i and component[j] == component[i] and component[i] not in leaky:
-                undirected[i].add(j)
-                undirected[j].add(i)
+        subsets: Iterable[Sequence[int]] = (
+            m for c, m in members.items() if c not in leaky and len(m) <= limits.max_states
+        )
+    else:
+        undirected: list[set[int]] = [set() for _ in all_states]
+        for i, out in enumerate(out_edges):
+            for j, _ in out:
+                if j != i and component[j] == component[i]:
+                    undirected[i].add(j)
+                    undirected[j].add(i)
+        subsets = _connected_subsets(undirected, limits.max_states)
 
     # Whether a state set qualifies, and which of its edges carry a positive
     # circulation, depend only on its shape: the edges as (local position,
@@ -576,12 +572,17 @@ def enumerate_unfoldings(
     kept: dict[tuple[tuple[int, int, int], ...], list[int] | None] = {}
     solved: dict[tuple[tuple[int, ...], ...], list[int] | bool] = {}
 
+    def strongly_connected(size: int, arcs: Iterable[tuple[int, int, int]]) -> bool:
+        succ: list[list[int]] = [[] for _ in range(size)]
+        for k, _, m in arcs:
+            succ[k].append(m)
+        return not any(strongly_connected_components(succ))
+
     def decide(size: int, shape: tuple[tuple[int, int, int], ...]) -> list[int] | None:
         """The indices of the shape's edges to keep, or None to skip it."""
-        positions = range(size)
-        if size > 1 and not _strongly_connected(positions, shape)[0]:
+        if not forward_closed and size > 1 and not strongly_connected(size, shape):
             return None
-        rows = _circulation_rows(net, positions, shape)
+        rows = _circulation_rows(net, range(size), shape)
         key = tuple(map(tuple, rows))
         if forward_closed:
             if key not in solved:
@@ -591,17 +592,11 @@ def enumerate_unfoldings(
             solved[key] = max_positive_support(rows, len(shape))
         support = solved[key]
         if len(support) < len(shape) and size > 1:
-            if not _strongly_connected(positions, [shape[j] for j in support])[0]:
+            if not strongly_connected(size, (shape[j] for j in support)):
                 return None
         return support
 
-    for subset in _connected_subsets(undirected, limits.max_states):
-        # The closed filter runs before any edge list is built: it rejects
-        # most subsets, and building edges first is markedly slower.
-        if forward_closed:
-            members = set(subset)
-            if any(j not in members for i in subset for j in targets[i]):
-                continue
+    for subset in subsets:
         local = {i: k for k, i in enumerate(subset)}
         # Subsets are sorted, so edges keep the order of a full edge scan.
         edges: list[Transition] = []

@@ -62,7 +62,8 @@ def witness_to_text(w: MutualWitness) -> str:
 
 _HEADER = ("dim", "state-bound", "cycle-len", "certified", "within-bound")
 _KEYS = _HEADER + ("index-set", "off-threshold", "state", "trans", "config", "word")
-# pump and coset blocks are certificates that the checker recomputes
+# pump and coset blocks are certificates: the checker recomputes them, and
+# the whole file must then read as the recomputed witness renders
 _RECOMPUTED = ("pump", "enter", "leave", "cminus", "cplus", "basis", "coset")
 
 
@@ -74,8 +75,10 @@ def witness_from_text(net: PetriNet, text: str) -> MutualWitness:
     """Rebuild a witness by re-running the checker on the stored data.
 
     Stored pump/coset blocks are certificates; the checker recomputes
-    them, so parsing accepts a witness only if it still validates.  A
-    line that does not parse raises ValueError naming its number and key.
+    them, so parsing accepts a witness only if it still validates and its
+    lines up to `end` read exactly as the recomputed witness renders.  A
+    line that does not parse raises ValueError naming its number and key,
+    and the first line that differs from the rendering names its number.
     """
     lines = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "witness":
@@ -86,9 +89,8 @@ def witness_from_text(net: PetriNet, text: str) -> MutualWitness:
     transitions = []
     configs = []
     words: dict = {}
-    for lineno, line in lines[1:]:
-        if line == "end":
-            break
+    end = next((k for k, (_, line) in enumerate(lines) if line == "end"), len(lines))
+    for lineno, line in lines[1:end]:
         key, _, val = line.strip().partition(" ")
         if key in _RECOMPUTED:
             continue
@@ -127,6 +129,11 @@ def witness_from_text(net: PetriNet, text: str) -> MutualWitness:
     )
     w = check_witness(net, configs, g, params)
     object.__setattr__(w, "words", words)
+    stored = lines[: end + 1]
+    for k, want in enumerate(witness_to_text(w).splitlines()):
+        if k == len(stored) or stored[k][1].strip() != want.strip():
+            lineno = stored[k][0] if k < len(stored) else stored[-1][0] + 1
+            raise ValueError(f"line {lineno}: differs from the recomputed {want.strip()!r}")
     return w
 
 

@@ -481,6 +481,24 @@ def reach_components(net, index_set, state_bound: int) -> dict:
     return {p: frozenset(q for q in reach[p] if p in reach[q]) for p in states}
 
 
+def reaches_everything(states, edges) -> bool:
+    """Every state is reached from states[0] and reaches it back, by plain
+    fixpoint iteration over the edge list in both directions."""
+    for forward in (True, False):
+        seen = {states[0]}
+        grown = True
+        while grown:
+            grown = False
+            for p, _, q in edges:
+                a, b = (p, q) if forward else (q, p)
+                if a in seen and b not in seen:
+                    seen.add(b)
+                    grown = True
+        if not set(states) <= seen:
+            return False
+    return True
+
+
 def reference_circulation_rows(net, states, edges) -> list[list[int]]:
     """Flow conservation per state, then total displacement per axis,
     built by scanning every edge for every state."""
@@ -503,7 +521,7 @@ def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forwar
     come from a full edge scan, and every circulation system is solved
     afresh, with strong connectivity rechecked after every support LP."""
     from mutreach.ratlp import max_positive_support
-    from mutreach.unfolding import Unfolding, _strongly_connected, i_fires
+    from mutreach.unfolding import Unfolding, i_fires
 
     index_set = tuple(sorted(index_set))
     for states, edges in walked_state_sets(net, index_set, state_bound, limits.max_states):
@@ -511,7 +529,7 @@ def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forwar
             targets = {i_fires(a, index_set, p) for p in states for a in net.actions}
             if not targets - {None} <= set(states):
                 continue
-        if len(states) > 1 and not _strongly_connected(states, edges)[0]:
+        if not reaches_everything(states, edges):
             continue
         rows = reference_circulation_rows(net, states, edges)
         if forward_closed:
@@ -519,7 +537,7 @@ def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forwar
                 continue
         else:
             edges = [edges[j] for j in max_positive_support(rows, len(edges))]
-            if len(states) > 1 and not _strongly_connected(states, edges)[0]:
+            if not reaches_everything(states, edges):
                 continue
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
@@ -534,7 +552,7 @@ def candidate_unfoldings(
     """Every strongly connected unfolding on every transition subset of
     each walked state set with at most `max_edges` edges, reversible or
     not; stops after `cap` unfoldings when a cap is given."""
-    from mutreach.unfolding import Unfolding, _strongly_connected
+    from mutreach.unfolding import Unfolding
 
     index_set = tuple(sorted(index_set))
     emitted = 0
@@ -543,7 +561,7 @@ def candidate_unfoldings(
             continue
         for mask in range(1 << len(edges)):
             chosen = tuple(edges[j] for j in range(len(edges)) if mask >> j & 1)
-            if len(states) > 1 and not _strongly_connected(states, chosen)[0]:
+            if not reaches_everything(states, chosen):
                 continue
             yield Unfolding(net, index_set, states, chosen)
             emitted += 1

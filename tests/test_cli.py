@@ -410,11 +410,19 @@ def test_exact_bound_banner_prints_small_values_only(capsys, net, x, bound):
     assert first == f"exact state-norm bound for certified completeness: {bound}"
 
 
-@pytest.mark.parametrize("flag, value", [("--max-states", "0"), ("--max-unfoldings", "-1")])
-def test_compile_rejects_limits_that_give_silent_answers(net_path, tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("flag, value, what", [
+    ("--max-states", "0", "a positive integer"),
+    ("--max-unfoldings", "-1", "a non-negative integer"),
+    ("--state-bound", "0", "a positive integer"),
+    ("--cycle-len", "-1", "a non-negative integer"),
+])
+def test_compile_rejects_limits_that_give_silent_answers(net_path, tmp_path, capsys, flag, value,
+                                                         what):
     base = tmp_path / "formula"
     assert main(["compile", net_path, "--out", str(base), flag, value]) == 1
-    assert capsys.readouterr().err == "error: invalid parameters\n"
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: mutreach compile")
+    assert captured.err.endswith(f"error: argument {flag}: expected {what}, got {value!r}\n")
     assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]
 
 
@@ -423,7 +431,9 @@ def test_check_mutual_checks_its_limits_before_printing(capsys):
     assert main(["check-mutual", net, "--x", "1 0", "--y", "0 1", "--max-states", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invalid parameters\n"
+    assert captured.err.endswith(
+        "error: argument --max-states: expected a positive integer, got '0'\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["eval", "explore", "check-mutual"])

@@ -6,6 +6,7 @@ from conftest import (
     candidate_unfoldings,
     collect_unfoldings,
     definitional_reversible,
+    reaches_everything,
     reference_circulation_rows,
     reference_unfoldings,
     simple_cycles,
@@ -23,7 +24,6 @@ from mutreach.unfolding import (
     Unfolding,
     UnfoldingError,
     UnfoldingPath,
-    _strongly_connected,
     bounded_states,
     cycle_walks,
     elementary_path,
@@ -520,23 +520,16 @@ def test_two_pairs_walk_crosses_components():
 
 
 @pytest.mark.parametrize(
-    "name, bound, forward_closed, walked, yielded",
-    [
-        ("mixed3", 5, False, 516, 516),
-        ("mixed3", 5, True, 256, 6),
-        ("two_pairs", 2, False, 181, 180),
-        ("two_pairs", 2, True, 82, 3),
-    ],
+    "name, bound, walked, yielded",
+    [("mixed3", 5, 516, 516), ("two_pairs", 2, 181, 180)],
 )
 def test_walk_stays_inside_strongly_connected_components(
-    mixed3, monkeypatch, name, bound, forward_closed, walked, yielded
+    mixed3, monkeypatch, name, bound, walked, yielded
 ):
     """Every walked state set of two or more states lies in one strongly
-    connected component, in forward-closed mode one that no enabled action
-    leaves.  The full walk visits 12 117 sets in either mode on mixed3 at
+    connected component.  The full walk visits 12 117 sets on mixed3 at
     state bound 5 and 446 on the two pairs at state bound 2; inside
-    components it visits just over the unfoldings in mutual mode and
-    mostly singletons in forward-closed mode."""
+    components it visits just over the unfoldings."""
     net = mixed3 if name == "mixed3" else TWO_PAIRS
     subsets = []
 
@@ -550,20 +543,96 @@ def test_walk_stays_inside_strongly_connected_components(
     total_walked = total_yielded = 0
     for index_set in index_sets(net.dim):
         subsets.clear()
-        total_yielded += sum(
-            1 for _ in enumerate_unfoldings(net, index_set, bound, forward_closed=forward_closed)
-        )
+        total_yielded += sum(1 for _ in enumerate_unfoldings(net, index_set, bound))
         states = bounded_states(index_set, bound)
         components = reach_components(net, index_set, bound)
         for subset in subsets:
-            if len(subset) == 1:
-                continue
-            (component,) = {components[states[i]] for i in subset}
-            if forward_closed:
-                targets = {i_fires(a, index_set, p) for p in component for a in net.actions}
-                assert targets - {None} <= component, component
+            if len(subset) > 1:
+                assert len({components[states[i]] for i in subset}) == 1
         total_walked += len(subsets)
     assert (total_walked, total_yielded) == (walked, yielded)
+
+
+@pytest.mark.parametrize(
+    "name, bound, max_states, yielded",
+    [("mixed3", 5, 6, 6), ("mixed3", 5, 3, 4), ("two_pairs", 2, 6, 3), ("two_pairs", 2, 1, 2)],
+)
+def test_forward_closed_yields_are_closed_components(mixed3, name, bound, max_states, yielded):
+    """Forward-closed mode yields, in order of least state, exactly the
+    strongly connected components that no enabled action leaves, of at
+    most `max_states` states, whose every enabled edge is kept and carries
+    a positive circulation."""
+    net = mixed3 if name == "mixed3" else TWO_PAIRS
+    limits = EnumLimits(max_states=max_states)
+    total = 0
+    for index_set in index_sets(net.dim):
+        components = reach_components(net, index_set, bound)
+        expected = []
+        for component in sorted(set(components.values()), key=min):
+            states = tuple(sorted(component))
+            targets = {i_fires(a, index_set, p) for p in states for a in net.actions}
+            if len(states) > max_states or not targets - {None} <= component:
+                continue
+            edges = tuple(
+                (p, k, q) for p in states for k, a in enumerate(net.actions)
+                if (q := i_fires(a, index_set, p)) is not None
+            )
+            if is_structurally_reversible(Unfolding(net, index_set, states, edges))[0]:
+                expected.append((states, edges))
+        found = enumerate_unfoldings(net, index_set, bound, limits, forward_closed=True)
+        assert [(g.states, g.transitions) for g in found] == expected, index_set
+        total += len(expected)
+    assert total == yielded
+
+
+def test_forward_closed_mode_walks_no_subsets(fixture_nets, monkeypatch):
+    def walk(neighbors, max_size):
+        raise AssertionError("forward-closed mode walked connected subsets")
+
+    monkeypatch.setattr(unfolding, "_connected_subsets", walk)
+    for net in [*fixture_nets.values(), RING3, TWO_PAIRS]:
+        for index_set in index_sets(net.dim):
+            list(enumerate_unfoldings(net, index_set, 4, forward_closed=True))
+    with pytest.raises(AssertionError, match="walked connected subsets"):
+        list(enumerate_unfoldings(TWO_PAIRS, (0, 1), 2))
+
+
+def _small_action(d: int):
+    """An action with entries 0..2; half the time its post is a permutation
+    of its pre, so token-conserving actions and closed components of more
+    than one state are common."""
+    entries = st.tuples(*[st.integers(0, 2)] * d)
+    return entries.flatmap(
+        lambda pre: st.tuples(st.just(pre), entries | st.permutations(pre).map(tuple))
+    )
+
+
+_SMALL_NETS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(_small_action(d), min_size=1, max_size=4).map(
+        lambda acts: PetriNet(d, tuple(Action(pre, post) for pre, post in acts))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    net=_SMALL_NETS,
+    bound=st.integers(2, 4),
+    max_states=st.integers(1, 6),
+    max_unfoldings=st.integers(0, 6),
+)
+def test_forward_closed_matches_reference_on_random_nets(net, bound, max_states, max_unfoldings):
+    limits = EnumLimits(max_states=max_states, max_unfoldings=max_unfoldings)
+    for index_set in index_sets(net.dim):
+        stats, expected_stats = EnumStats(), EnumStats()
+        found = enumerate_unfoldings(net, index_set, bound, limits, stats, forward_closed=True)
+        expected = reference_unfoldings(
+            net, index_set, bound, limits, expected_stats, forward_closed=True
+        )
+        assert [(g.states, g.transitions) for g in found] == [
+            (g.states, g.transitions) for g in expected
+        ], index_set
+        assert stats == expected_stats, index_set
 
 
 @pytest.mark.parametrize("forward_closed", [False, True])
@@ -594,7 +663,7 @@ def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
         list(enumerate_unfoldings(mixed3, index_set, 4))
         systems = set()
         for states, edges in walked_state_sets(mixed3, index_set, 4, EnumLimits().max_states):
-            if len(states) == 1 or _strongly_connected(states, edges)[0]:
+            if reaches_everything(states, edges):
                 systems.add(tuple(map(tuple, reference_circulation_rows(mixed3, states, edges))))
                 state_sets += 1
         assert len(calls) == len(set(calls)), index_set

@@ -369,6 +369,28 @@ def test_witness_reader_rejects_unknown_keys(token_swap):
     assert str(exc.value) == f"line {len(lines) - 1}: unknown key 'bogus'"
 
 
+@pytest.mark.parametrize("key", ["coset", "basis", "cminus", "certified", "within-bound"])
+def test_witness_reader_rejects_altered_certificate_lines(token_swap, key):
+    """A stored block or header value that parses but differs from what the
+    checker recomputes is rejected at its line."""
+    lines = _token_swap_witness_text(token_swap).splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.strip().startswith(key + " "))
+    head, _, values = lines[n].rpartition(" ")
+    lines[n] = f"{head} {int(values) ^ 1}" if key in ("certified", "within-bound") else lines[n] + "7"
+    assert lines[n] != _token_swap_witness_text(token_swap).splitlines()[n]
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, "\n".join(lines) + "\n")
+    assert str(exc.value).startswith(f"line {n + 1}: differs from the recomputed ")
+
+
+def test_witness_reader_requires_the_end_line(token_swap):
+    lines = _token_swap_witness_text(token_swap).splitlines()
+    assert lines[-1] == "end"
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, "\n".join(lines[:-1]) + "\n")
+    assert str(exc.value) == f"line {len(lines)}: differs from the recomputed 'end'"
+
+
 def test_singleton_unfolding_collects_zero_displacement_loops():
     net = PetriNet(1, (Action((1,), (1,)), Action((1,), (0,))))
     g = unfolding_from_sccc(net, [(2,)], (0,))
