@@ -342,7 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="source configuration, e.g. '2 0'")
     p.add_argument("--y", required=True, help="target configuration")
     _add_param_flags(p)
-    p.add_argument("--budget", type=_positive, default=10000, help="max unfoldings examined")
+    p.add_argument("--budget", type=_positive, default=10000,
+                   help="max unfoldings examined; index sets that cannot hold x and y "
+                   "(an entry in I at or above --state-bound, or one outside I too small "
+                   "to pump) are skipped and not counted")
     p.add_argument("--box", type=_natural, default=None,
                    help="cross-check with the bounded oracle")
     p.add_argument("--witness-out", default=None, help="write the witness certificate here")

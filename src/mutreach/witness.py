@@ -78,6 +78,27 @@ class PumpingParams:
             return exact_off_threshold(net, g)
         return self.off_threshold
 
+    def off_floor(self, net: PetriNet) -> int:
+        """A lower bound on the off-I entries of every pumping-basis vector
+        of every unfolding of the net under these parameters.
+
+        Take a basis element e = max(f(u), g(v)) of `upward_basis(g, q,
+        self)` and a coordinate i outside g's index set.  Then e_i >= f_i
+        >= delta_u,i + tau(g), and delta_u,i >= -|u| m with m = net.norm,
+        since no action moves a coordinate by more than m.  The cycle word
+        u has |u| <= cycle_len.  tau(g) is `off_threshold` when one is set;
+        otherwise it is `exact_off_threshold`, m r^3 (3 d r m)^d, which
+        does not decrease in the size r >= 1, so tau(g) >= m (3 d m)^d.
+        Hence e_i >= tau_1 - cycle_len m for that tau_1, and a
+        configuration with an entry below this floor outside I lies in no
+        pumping set of any unfolding over I.
+        """
+        m = net.norm
+        tau_1 = self.off_threshold
+        if tau_1 is None:
+            tau_1 = m * (3 * net.dim * m) ** net.dim  # exact_off_threshold at r = 1
+        return tau_1 - self.cycle_len * m
+
     def certified_for(self, net: PetriNet, g: Unfolding) -> bool:
         return self.threshold_for(net, g) >= exact_off_threshold(net, g)
 
@@ -320,22 +341,42 @@ def search_witness(
     """Enumerate structurally-reversible unfoldings under the parameters
     and return the first accepted witness for {x, y}.
 
+    An index set I is skipped before any enumeration when no unfolding
+    over it can accept the pair: x|I or y|I has an entry of at least
+    `params.state_bound`, so no unfolding over I holds it as a state, or
+    some i outside I has min(x_i, y_i) below `params.off_floor(net)`, so
+    that configuration lies in no pumping set over I.  The skip drops
+    only candidates `check_witness` would reject, so the first accepted
+    witness is unchanged and a budget runs out no sooner.  `examined`
+    counts the unfoldings enumerated over the index sets that were not
+    skipped, and `budget` bounds that count.
+
     `not-found-exhausted` means the bounded space was fully searched; it
     refutes mutual reachability only when the parameters dominate the
     exact thresholds, which they never do at desk scale, so callers
     should cross-check with the reachability oracle.  `not-found-budget`
     means `budget` unfoldings were examined and another one was left;
     `not-found-truncated` means the enumeration stopped at
-    `limits.max_unfoldings` for some index set.
+    `limits.max_unfoldings` for some index set that was not skipped.
     """
     x, y = vec(x), vec(y)
+    for c in (x, y):
+        if len(c) != net.dim or any(v < 0 for v in c):
+            raise WitnessRejected("not a configuration", c)
     if x == y:
         g = unfolding_from_sccc(net, [x], range(net.dim))
         return SearchResult("found", check_witness(net, (x,), g, params), examined=1)
     limits = limits or EnumLimits()
+    floor = params.off_floor(net)
+    # each coordinate must be small enough to be a state entry when it is
+    # in I, and large enough to pump when it is not
+    fits = {i for i in range(net.dim) if max(x[i], y[i]) < params.state_bound}
+    pumps = {i for i in range(net.dim) if min(x[i], y[i]) >= floor}
     examined = 0
     truncated = False
     for index_set in index_sets(net.dim):
+        if any(i not in (fits if i in index_set else pumps) for i in range(net.dim)):
+            continue
         stats = EnumStats()
         for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
             if examined >= budget:

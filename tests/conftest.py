@@ -8,7 +8,8 @@ bottom membership evaluates phi at enumerated lattice points instead of
 solving lattice-box queries, exported SMT-LIB scripts are evaluated
 from their text, the formula writers are compared with a syntax tree
 rendered whole, and the reference Hermite normal form picks its pivot
-rows by rational elimination before any integer column operation.
+rows by rational elimination before any integer column operation, and
+the reference witness search enumerates every index set.
 """
 
 from __future__ import annotations
@@ -49,9 +50,16 @@ from mutreach.unfolding import (
     enumerate_unfoldings,
     index_sets,
     lattice_of_unfolding,
+    unfolding_from_sccc,
 )
-from mutreach.vectors import restrict, vadd, vdot, vec, vge
-from mutreach.witness import upward_basis
+from mutreach.vectors import Vec, restrict, vadd, vdot, vec, vge
+from mutreach.witness import (
+    PumpingParams,
+    SearchResult,
+    WitnessRejected,
+    check_witness,
+    upward_basis,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -871,6 +879,46 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
         tuples=tuple(tuples),
         provenance="certified" if certified else "heuristic",
         complete=complete,
+    )
+
+
+# --- witness search reference ---------------------------------------------------
+
+
+def reference_search_witness(
+    net: PetriNet,
+    x: Vec,
+    y: Vec,
+    params: PumpingParams,
+    budget: int = 10000,
+    limits: EnumLimits | None = None,
+) -> SearchResult:
+    """`search_witness` walking every index set, with no threshold skip:
+    each unfolding of each index set is enumerated and only then checked."""
+    x, y = vec(x), vec(y)
+    if x == y:
+        g = unfolding_from_sccc(net, [x], range(net.dim))
+        return SearchResult("found", check_witness(net, (x,), g, params), examined=1)
+    limits = limits or EnumLimits()
+    examined = 0
+    truncated = False
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()
+        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+            if examined >= budget:
+                return SearchResult("not-found-budget", examined=examined)
+            examined += 1
+            sset = set(g.states)
+            if restrict(x, index_set) not in sset or restrict(y, index_set) not in sset:
+                continue
+            try:
+                w = check_witness(net, (x, y), g, params)
+            except WitnessRejected:
+                continue
+            return SearchResult("found", w, examined=examined)
+        truncated = truncated or stats.truncated
+    return SearchResult(
+        "not-found-truncated" if truncated else "not-found-exhausted", examined=examined
     )
 
 

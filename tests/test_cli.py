@@ -81,7 +81,7 @@ def test_check_mutual_budget_must_be_positive(net_path, capsys, value):
     "flags, status, limit",
     [
         (["--budget", "3"], "not-found-budget, 3 unfoldings examined", "--budget"),
-        (["--max-unfoldings", "1"], "not-found-truncated, 4 unfoldings examined",
+        (["--max-unfoldings", "1"], "not-found-truncated, 1 unfoldings examined",
          "--max-unfoldings"),
     ],
 )

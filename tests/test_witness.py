@@ -2,9 +2,17 @@ import itertools
 
 import pytest
 
-from conftest import collect_unfoldings
+import conftest
+from conftest import collect_unfoldings, reference_search_witness
 from mutreach.net import Action, PetriNet, fire
-from mutreach.unfolding import EnumLimits, unfolding_from_sccc, validate_unfolding
+from mutreach.unfolding import (
+    EnumLimits,
+    EnumStats,
+    enumerate_unfoldings,
+    index_sets,
+    unfolding_from_sccc,
+    validate_unfolding,
+)
 from mutreach import witness
 from mutreach.witness import (
     PumpingParams,
@@ -119,7 +127,121 @@ def test_search_truncated_status(token_swap):
     `max_unfoldings` says so."""
     res = search_witness(token_swap, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4),
                          limits=EnumLimits(max_unfoldings=1))
-    assert (res.status, res.examined) == ("not-found-truncated", 4)
+    assert (res.status, res.examined) == ("not-found-truncated", 1)
+
+
+@pytest.mark.parametrize("x, y", [((2, 0, 5), (0, 2, 5)), ((-1, 0), (0, -1)), ((2,), (0,))])
+def test_search_rejects_non_configurations(token_swap, x, y):
+    with pytest.raises(WitnessRejected) as exc:
+        search_witness(token_swap, x, y, PumpingParams(state_bound=4, cycle_len=4))
+    assert exc.value.condition == "not a configuration"
+    assert exc.value.detail == x
+
+
+def _enumerated_index_sets(monkeypatch, net, x, y, params):
+    seen = []
+
+    def spy(net, index_set, *args, **kwargs):
+        seen.append(tuple(index_set))
+        return enumerate_unfoldings(net, index_set, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "enumerate_unfoldings", spy)
+    return search_witness(net, x, y, params), seen
+
+
+def test_search_skips_index_sets_that_cannot_pump(token_swap, monkeypatch):
+    """With exact thresholds a coordinate outside I must be at least
+    m (3dm)^d - cycle_len m = 32, so (2,0)/(0,2) leaves only I = (0, 1).
+    With threshold 0 nothing is skipped: the pair is found over the first
+    index set, and the non-mutual (2,0)/(0,3) walks all four."""
+    res, seen = _enumerated_index_sets(
+        monkeypatch, token_swap, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4)
+    )
+    assert (res.status, seen) == ("found", [(0, 1)])
+    zero = PumpingParams(state_bound=4, cycle_len=4, off_threshold=0)
+    res, seen = _enumerated_index_sets(monkeypatch, token_swap, (2, 0), (0, 2), zero)
+    assert (res.status, seen) == ("found", [()])
+    res, seen = _enumerated_index_sets(monkeypatch, token_swap, (2, 0), (0, 3), zero)
+    assert (res.status, seen) == ("not-found-exhausted", [(), (0,), (1,), (0, 1)])
+
+
+def test_search_skips_index_sets_outside_the_state_bound(token_swap, monkeypatch):
+    """A coordinate of at least `state_bound` cannot be a state entry."""
+    params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=0)
+    _, seen = _enumerated_index_sets(monkeypatch, token_swap, (5, 0), (0, 3), params)
+    assert seen == [(), (1,)]
+
+
+@pytest.fixture
+def enumerate_once(monkeypatch):
+    """Serve each enumeration from a memo, for the search and the reference
+    alike; the enumerator is deterministic, so both see the same unfoldings."""
+    memo = {}
+
+    def enumerate_memo(net, index_set, state_bound, limits=None, stats=None,
+                       forward_closed=False):
+        key = (net, tuple(index_set), state_bound, repr(limits), forward_closed)
+        if key not in memo:
+            done = EnumStats()
+            gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, done,
+                                           forward_closed))
+            memo[key] = gs, done
+        gs, done = memo[key]
+        yield from gs
+        if stats is not None:
+            stats.emitted, stats.truncated = done.emitted, done.truncated
+
+    monkeypatch.setattr(witness, "enumerate_unfoldings", enumerate_memo)
+    monkeypatch.setattr(conftest, "enumerate_unfoldings", enumerate_memo)
+
+
+def _words(net, x, y, w):
+    out = []
+    for a, b in ((x, y), (y, x)):
+        try:
+            out.append(synthesize_path(net, a, b, w))
+        except SynthesisError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("cycle_len", [1, 2])
+@pytest.mark.parametrize("off_threshold", [None, 2])
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3"])
+def test_search_matches_the_full_walk(fixture_nets, enumerate_once, name, off_threshold,
+                                      cycle_len):
+    """Skipping index sets changes no status, witness or synthesized word
+    on any pair x < y of [0,3]^d, and never examines more unfoldings."""
+    net = fixture_nets[name]
+    params = PumpingParams(state_bound=3, cycle_len=cycle_len, off_threshold=off_threshold)
+    for x, y in itertools.combinations(itertools.product(range(4), repeat=net.dim), 2):
+        res = search_witness(net, x, y, params)
+        ref = reference_search_witness(net, x, y, params)
+        assert res.status == ref.status, (x, y)
+        assert res.examined <= ref.examined, (x, y)
+        if ref.witness is None:
+            continue
+        got, want = res.witness, ref.witness
+        assert (got.unfolding, got.pumps, got.pairs) == (want.unfolding, want.pumps, want.pairs)
+        assert _words(net, x, y, got) == _words(net, x, y, want), (x, y)
+
+
+def test_off_floor_bounds_every_basis_entry(fixture_nets, ring3):
+    """Every off-I entry of every pumping basis of every unfolding at
+    state bound 3 is at least the floor the search skips by."""
+    for net in (*fixture_nets.values(), ring3):
+        for index_set in index_sets(net.dim):
+            off = [i for i in range(net.dim) if i not in index_set]
+            gs, stats = collect_unfoldings(net, index_set, 3)
+            assert not stats.truncated
+            for cycle_len in range(5):
+                for threshold in (None, 0, 2, 5):
+                    params = PumpingParams(3, cycle_len, threshold)
+                    floor = params.off_floor(net)
+                    for g in gs:
+                        for q in g.states:
+                            for e in upward_basis(g, q, params).elements:
+                                assert all(e.vector[i] >= floor for i in off), (g, q, e)
 
 
 def test_search_monotone_in_state_bound(token_swap):
