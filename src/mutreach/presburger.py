@@ -3,9 +3,9 @@
 The mutual-reachability relation compiles to a disjunction of tuples
 (a, b, v, gamma): x and y are related when x >= a, y >= b, and y - x - v
 lies in the lattice presented by gamma.  Bottom membership compiles to
-tuples (r, gamma, phi) with phi a threshold formula evaluated over a
-whole lattice coset; the universal quantifier is decided pointwise, not
-eliminated.
+tuples (r, gamma, phi) with phi a threshold formula, stored as its
+implications and evaluated over a whole lattice coset; the universal
+quantifier is decided pointwise, not eliminated.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class MutualFormula:
     complete: bool  # enumeration ran without truncation
     state_bound: int
     cycle_len: int
-
-    def holds(self, x: Sequence[int], y: Sequence[int]) -> bool:
-        return eval_mutual(self, x, y)
 
 
 @dataclass(frozen=True)
@@ -293,28 +290,27 @@ def mutual_to_text(f: MutualFormula) -> str:
 
 def mutual_from_text(text: str) -> MutualFormula:
     lines, pos, header, dim = _parse_header(text, "mutual", _MUTUAL_HEADER, "disjunct")
-    disjuncts = []
-    for fields in _blocks(lines, pos, "disjunct"):
-        vectors: dict[str, Vec] = {}
-        pairs = []
-        for key, val in fields:
-            if key == "pair":
-                pairs.append(val)
-            elif key in ("a", "b", "v") and key not in vectors:
-                vectors[key] = _vector(val, key, dim)
-            else:
-                raise CompileError(f"unknown or repeated disjunct field {key!r}")
-        if len(vectors) != 3:
-            raise CompileError("disjunct lacks one of the fields 'a', 'b', 'v'")
-        rep = _lattice(dim, pairs)
-        disjuncts.append(Disjunct(vectors["a"], vectors["b"], vectors["v"], rep))
+    # the rules `PumpingParams` applies to the bounds the formula was compiled with
+    state_bound = _int(header.get("state-bound", "1"), "state-bound")
+    if state_bound < 1:
+        raise CompileError(f"state-bound must be positive, got {state_bound}")
+    cycle_len = _int(header.get("cycle-len", "0"), "cycle-len")
+    if cycle_len < 0:
+        raise CompileError(f"cycle-len must not be negative, got {cycle_len}")
+    disjuncts = [
+        Disjunct(
+            *(_vector(once[key], key, dim) for key in ("a", "b", "v")),
+            _lattice(dim, many["pair"]),
+        )
+        for once, many in _blocks(lines, pos, "disjunct", ("a", "b", "v"), ("pair",))
+    ]
     return MutualFormula(
         dim=dim,
         disjuncts=tuple(disjuncts),
         provenance=header.get("provenance", "heuristic"),
         complete=header.get("complete") == "1",
-        state_bound=_int(header.get("state-bound", "1"), "state-bound"),
-        cycle_len=_int(header.get("cycle-len", "0"), "cycle-len"),
+        state_bound=state_bound,
+        cycle_len=cycle_len,
     )
 
 
@@ -354,7 +350,8 @@ def _lattice(dim: int, pair_texts: list[str]) -> LatticeRepresentation:
 
 def formula_lines(text: str) -> list[str]:
     """The stripped lines of a formula file, without blanks and `#` comments."""
-    return [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    stripped = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in stripped if ln and not ln.startswith("#")]
 
 
 def _parse_header(
@@ -385,8 +382,12 @@ def _parse_header(
     return lines, pos, header, dim
 
 
-def _blocks(lines: list[str], pos: int, block: str) -> Iterator[list[tuple[str, str]]]:
-    """The (key, value) lines of each `block ... end` group from `pos` on."""
+def _blocks(
+    lines: list[str], pos: int, block: str, single: tuple[str, ...], repeated: tuple[str, ...]
+) -> Iterator[tuple[dict[str, str], dict[str, list[str]]]]:
+    """The fields of each `block ... end` group from `pos` on: the value of
+    each `single` key, which must occur exactly once, and the values of
+    each `repeated` key, which may occur any number of times."""
     while pos < len(lines):
         if lines[pos] != block:
             raise CompileError(f"expected {block!r}, got {lines[pos]!r}")
@@ -395,7 +396,19 @@ def _blocks(lines: list[str], pos: int, block: str) -> Iterator[list[tuple[str, 
             end += 1
         if end == len(lines):
             raise CompileError(f"unterminated {block!r} block")
-        yield [tuple(ln.partition(" ")[::2]) for ln in lines[pos + 1 : end]]
+        once: dict[str, str] = {}
+        many: dict[str, list[str]] = {key: [] for key in repeated}
+        for ln in lines[pos + 1 : end]:
+            key, _, val = ln.partition(" ")
+            if key in many:
+                many[key].append(val)
+            elif key in single and key not in once:
+                once[key] = val
+            else:
+                raise CompileError(f"unknown or repeated {block} field {key!r}")
+        if len(once) != len(single):
+            raise CompileError(f"{block} lacks one of the fields " + ", ".join(map(repr, single)))
+        yield once, many
         pos = end + 1
 
 
@@ -417,23 +430,6 @@ class BottomTuple:
     rep: LatticeRepresentation
     membership: tuple  # pumping basis at r, checked once at the point itself
     implications: tuple  # ((antecedent vectors), (consequent vectors)) per transition
-    offsets: tuple  # (state, v_p) pairs, documentation of the construction
-
-    @cached_property
-    def phi(self) -> str:
-        """The implications as one threshold formula, in s-expression form:
-        per transition, covering some antecedent forces covering some
-        consequent.  `(ge (0 1 0) k)` reads x1 >= k."""
-        d = self.rep.dim
-        units = [" ".join("1" if j == i else "0" for j in range(d)) for i in range(d)]
-
-        def cover(w: Vec) -> str:
-            return "(and" + "".join(f" (ge ({u}) {k})" for u, k in zip(units, w)) + ")"
-
-        def some(ws) -> str:
-            return "(or" + "".join(" " + cover(w) for w in ws) + ")"
-
-        return "(and" + "".join(f" (=> {some(a)} {some(c)})" for a, c in self.implications) + ")"
 
     @cached_property
     def basis(self) -> list[Vec]:
@@ -496,7 +492,6 @@ def compile_bottom(
                         rep=parts.rep,
                         membership=parts.bases[k],
                         implications=tuple(implications),
-                        offsets=tuple(zip(g.states, vp)),
                     )
                 )
         complete = complete and not stats.truncated
@@ -729,11 +724,6 @@ def bottom_to_text(f: BottomFormula) -> str:
                 + " => "
                 + ";".join(" ".join(map(str, w)) for w in cons)
             )
-        for p, off in t.offsets:
-            lines.append(
-                "offset " + " ".join(map(str, p)) + " : " + " ".join(map(str, off))
-            )
-        lines.append("phi " + t.phi)
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -741,49 +731,30 @@ def bottom_to_text(f: BottomFormula) -> str:
 def bottom_from_text(text: str) -> BottomFormula:
     lines, pos, header, dim = _parse_header(text, "bottom", _BOTTOM_HEADER, "tuple")
     tuples = []
-    for fields in _blocks(lines, pos, "tuple"):
-        single: dict[str, str] = {}
-        pairs = []
-        membership = []
-        imps = []
-        offsets = []
-        for key, val in fields:
-            if key == "pair":
-                pairs.append(val)
-            elif key == "member":
-                membership.append(_vector(val, "member", dim))
-            elif key == "imp":
-                lhs, sep, rhs = val.partition("=>")
-                if not sep:
-                    raise CompileError(f"imp: expected 'antecedents => consequents', got {val!r}")
-                ants, cons = (
-                    tuple(_vector(w, "imp", dim) for w in side.split(";") if w.strip())
-                    for side in (lhs, rhs)
-                )
-                imps.append((ants, cons))
-            elif key == "offset":
-                st_text, _, off_text = val.partition(":")
-                offsets.append((_vector(st_text, "offset"), _vector(off_text, "offset", dim)))
-            elif key in ("index-set", "state", "phi") and key not in single:
-                single[key] = val
-            else:
-                raise CompileError(f"unknown or repeated tuple field {key!r}")
-        if len(single) != 3:
-            raise CompileError("tuple lacks one of the fields 'index-set', 'state', 'phi'")
-        index_set = _vector(single["index-set"], "index-set")
+    blocks = _blocks(lines, pos, "tuple", ("index-set", "state"), ("pair", "member", "imp"))
+    for once, many in blocks:
+        index_set = _vector(once["index-set"], "index-set")
         if list(index_set) != sorted(set(index_set)) or not all(0 <= i < dim for i in index_set):
             raise CompileError(f"index-set: expected increasing coordinates below {dim}")
-        tup = BottomTuple(
-            index_set=index_set,
-            state=_vector(single["state"], "state", len(index_set)),
-            rep=_lattice(dim, pairs),
-            membership=tuple(membership),
-            implications=tuple(imps),
-            offsets=tuple(offsets),
+        imps = []
+        for val in many["imp"]:
+            lhs, sep, rhs = val.partition("=>")
+            if not sep:
+                raise CompileError(f"imp: expected 'antecedents => consequents', got {val!r}")
+            ants, cons = (
+                tuple(_vector(w, "imp", dim) for w in side.split(";") if w.strip())
+                for side in (lhs, rhs)
+            )
+            imps.append((ants, cons))
+        tuples.append(
+            BottomTuple(
+                index_set=index_set,
+                state=_vector(once["state"], "state", len(index_set)),
+                rep=_lattice(dim, many["pair"]),
+                membership=tuple(_vector(m, "member", dim) for m in many["member"]),
+                implications=tuple(imps),
+            )
         )
-        if single["phi"] != tup.phi:
-            raise CompileError("phi does not match the tuple's imp lines")
-        tuples.append(tup)
     return BottomFormula(
         dim=dim,
         tuples=tuple(tuples),
@@ -808,7 +779,6 @@ def bottom_to_json(f: BottomFormula) -> str:
                     {"antecedents": [list(w) for w in ants], "consequents": [list(w) for w in cons]}
                     for ants, cons in t.implications
                 ],
-                "phi": t.phi,
             }
             for t in f.tuples
         ],
@@ -861,8 +831,10 @@ def bottom_to_smtlib(f: BottomFormula) -> str:
 
 
 def _phi_smtlib(implications: tuple, names: Sequence[str]) -> str:
-    """`BottomTuple.phi` over the given terms: each connective keeps its
-    children, however few, and an empty one is `true` or `false`."""
+    """A tuple's threshold formula phi over the given terms, the one place
+    it is rendered: per implication, covering some antecedent forces
+    covering some consequent.  Each connective keeps its children, however
+    few, and an empty one is `true` or `false`."""
 
     def junction(op: str, parts: list[str], empty: str) -> str:
         return f"({op} " + " ".join(parts) + ")" if parts else empty

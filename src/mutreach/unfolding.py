@@ -112,9 +112,6 @@ class Unfolding:
     def size(self) -> int:
         return len(self.states)
 
-    def action(self, idx: int) -> Action:
-        return self.net.actions[idx]
-
     def state_norm(self) -> int:
         return max((norm_inf(s) for s in self.states), default=0)
 

@@ -28,16 +28,8 @@ def vsub(u: Sequence[int], v: Sequence[int]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vneg(u: Sequence[int]) -> Vec:
-    return tuple(-a for a in u)
-
-
 def vdot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v, strict=True))
-
-
-def vmax(u: Sequence[int], v: Sequence[int]) -> Vec:
-    return tuple(max(a, b) for a, b in zip(u, v, strict=True))
 
 
 def vge(u: Sequence[int], v: Sequence[int]) -> bool:

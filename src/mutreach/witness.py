@@ -229,11 +229,6 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
     return UpwardBasis(q, tuple(elements), truncated)
 
 
-def membership_upward(basis: Iterable[BasisElement] | UpwardBasis, c: Vec) -> bool:
-    elems = basis.elements if isinstance(basis, UpwardBasis) else tuple(basis)
-    return any(vge(c, e.vector) for e in elems)
-
-
 # --- witness checking ---------------------------------------------------------
 
 

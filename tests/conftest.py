@@ -786,7 +786,7 @@ def unfolding_to_dot(g: Unfolding, name: str = "unfolding") -> str:
     for s in g.states:
         lines.append(f'  "{label(s)}";')
     for p, a, q in g.transitions:
-        delta = g.action(a).displacement
+        delta = g.net.actions[a].displacement
         lines.append(f'  "{label(p)}" -> "{label(q)}" [label="a{a} d={list(delta)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -849,10 +849,7 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
                 bases[q] = upward_basis(g, q, params)
                 complete = complete and not bases[q].truncated
             for r in g.states:
-                offsets = tuple(
-                    (p, elementary_path(g, r, p).displacement(net)) for p in g.states
-                )
-                vp = dict(offsets)
+                vp = {p: elementary_path(g, r, p).displacement(net) for p in g.states}
                 implications = []
                 for p, aidx, q in g.transitions:
                     a = net.actions[aidx]
@@ -871,7 +868,6 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
                     rep=rep,
                     membership=tuple(m.vector for m in bases[r].elements),
                     implications=tuple(implications),
-                    offsets=offsets,
                 ))
         complete = complete and not stats.truncated
     return BottomFormula(

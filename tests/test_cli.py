@@ -266,7 +266,6 @@ pair 1 : 1 0
 pair 1 : 0 1
 member 0 0
 imp 100 100 =>
-phi (and (=> (or (and (ge (1 0) 100) (ge (0 1) 100))) (or)))
 end
 """
 
@@ -279,13 +278,21 @@ def test_eval_bottom_reports_undecided_points(tmp_path, capsys):
     assert capsys.readouterr().out == "c,bottom\n0 0,?\n"
 
 
-def test_eval_rejects_a_phi_line_that_disagrees(tmp_path, capsys):
-    path = tmp_path / "forged.btf"
-    path.write_text(UNDECIDED_BTF.replace("phi (and (=>", "phi (or (=>"))
+@pytest.mark.parametrize(
+    "line",
+    ["offset : 0 0", "phi (and (=> (or (and (ge (1 0) 100) (ge (0 1) 100))) (or)))"],
+    ids=["offset", "phi"],
+)
+def test_eval_rejects_a_bottom_file_with_phi_or_offset_lines(tmp_path, capsys, line):
+    """Bottom files once also held the rendered phi and the path offsets;
+    such a file is refused, to be compiled again."""
+    path = tmp_path / "old.btf"
+    path.write_text(UNDECIDED_BTF.replace("end\n", line + "\nend\n"))
     assert main(["eval", str(path), "--point", "0 0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: phi ") and captured.err.count("\n") == 1
+    key = line.split()[0]
+    assert captured.err == f"error: unknown or repeated tuple field {key!r}\n"
 
 
 @pytest.mark.parametrize("mode, suffix", [("mutual", ".mrf"), ("bottom", ".btf")])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import enumerated_span_points, span_oracle
 from mutreach.intlinalg import LinalgError
 from mutreach.lattice import lattice_contains, representation_from_generators
-from mutreach.vectors import vadd, vneg, vsub
+from mutreach.vectors import vadd, vsub
 
 
 def test_empty_generators_give_zero_lattice():
@@ -47,7 +47,7 @@ def test_representation_depends_on_the_lattice_alone(data):
     rep = representation_from_generators(gens, d)
     perm = data.draw(st.permutations(gens))
     assert representation_from_generators(perm, d) == rep
-    assert representation_from_generators([vneg(g) for g in gens], d) == rep
+    assert representation_from_generators([tuple(-c for c in g) for g in gens], d) == rep
     if gens:
         coeffs = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
         extra = [
@@ -118,7 +118,7 @@ def test_membership_closed_under_group_laws(data):
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
     member = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(d))
     assert lattice_contains(rep, member)
-    assert lattice_contains(rep, vneg(member))
+    assert lattice_contains(rep, tuple(-c for c in member))
     other = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)))
     member2 = tuple(sum(c * g[i] for c, g in zip(other, gens)) for i in range(d))
     assert lattice_contains(rep, vadd(member, member2))

@@ -14,7 +14,6 @@ from conftest import (
     eval_bottom_by_enumeration,
     eval_formula,
     mutual_to_ast,
-    reference_bottom_phi,
     reference_bottom_smtlib,
     reference_compile_bottom,
     reference_compile_mutual,
@@ -368,7 +367,8 @@ def test_bottom_threshold_form(token_swap):
         # implication-form threshold formulas with bounded constants
         entries = [k for side in t.implications for ws in side for w in ws for k in w]
         assert max(map(abs, entries), default=0) <= 10**6
-        assert "(div" not in t.phi and "(eq" not in t.phi
+        phi = presburger._phi_smtlib(t.implications, ["c0", "c1"])
+        assert "(mod" not in phi and "(div" not in phi and "(= " not in phi
 
 
 def test_bottom_serialization_round_trips(token_swap):
@@ -381,7 +381,7 @@ def test_bottom_serialization_round_trips(token_swap):
         assert a.state == b.state
         assert a.rep == b.rep
         assert a.implications == b.implications
-        assert a.phi == b.phi
+        assert a.membership == b.membership
     assert '"kind": "bottom"' in bottom_to_json(f)
     smt = bottom_to_smtlib(f)
     assert "(set-logic LIA)" in smt and "forall" in smt
@@ -411,8 +411,6 @@ def test_truncated_formula_parses_or_raises(token_swap, compile_, to_text, from_
     assert 1 < parsed < len(lines)
 
 
-# the phi line derived from the single line `imp 1 1 => ` in dimension 2
-IMP_1_1 = "(and (=> (or (and (ge (1 0) 1) (ge (0 1) 1))) (or)))"
 PAIRS = "pair 1 : 1 0\npair 1 : 0 1\n"
 
 
@@ -424,6 +422,9 @@ PAIRS = "pair 1 : 1 0\npair 1 : 0 1\n"
         "kind mutual\ndim 2\nbogus 1\n",
         "kind mutual\ndim 2\ndim 2\n",
         "kind mutual\ndim 2\ncomplete 2\n",
+        "kind mutual\ndim 2\nstate-bound -3\n",
+        "kind mutual\ndim 2\nstate-bound 0\n",
+        "kind mutual\ndim 2\ncycle-len -7\n",
         "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nend\n",
         "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0\nend\n",
         "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\npair 1 1 0\nend\n",
@@ -431,14 +432,15 @@ PAIRS = "pair 1 : 1 0\npair 1 : 0 1\n"
         "kind mutual\ndim 2\ndisjunct\na 0 0\nb 0 0\nv 0 0\nw 1\nend\n",
         "kind bottom\ndim 2\nfoo\n",
         "kind bottom\ndim 2\nstate-bound 4\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 2\nstate 1\nphi (and)\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1 1\nphi (and)\nend\n",
-        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi (and\nend\n",
-        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi (true)\nend\n",
-        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nphi {IMP_1_1}\nimp 1 1\nend\n",
-        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi {IMP_1_1}\nimp 1 2 => \nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}",
+        "kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\npair 1 : 1 0\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\n{PAIRS}end\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 2\nstate 1\n{PAIRS}end\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1 1\n{PAIRS}end\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\nstate 1\n{PAIRS}end\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}member 1\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}imp 1 1\nend\n",
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}imp 1 => \nend\n",
     ],
 )
 def test_malformed_formula_raises_compile_error(text):
@@ -454,9 +456,26 @@ def test_minimal_formulas_parse():
     )
     assert len(mutual_from_text(mutual).disjuncts) == 1
     bottom = (
-        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}phi {IMP_1_1}\nimp 1 1 => \nend\n"
+        f"kind bottom\ndim 2\ntuple\nindex-set 0\nstate 1\n{PAIRS}imp 1 1 => \nend\n"
     )
     assert bottom_from_text(bottom).tuples[0].state == (1,)
+
+
+@pytest.mark.parametrize(
+    "compile_, to_text, from_text",
+    [
+        (compile_mutual, mutual_to_text, mutual_from_text),
+        (compile_bottom, bottom_to_text, bottom_from_text),
+    ],
+    ids=["mrf", "btf"],
+)
+def test_indented_comment_is_dropped(token_swap, compile_, to_text, from_text):
+    """A `#` comment parses away wherever it stands and however indented,
+    in the header and inside a block."""
+    text = to_text(compile_(token_swap, PumpingParams(state_bound=2, cycle_len=3)))
+    lines = text.splitlines(keepends=True)
+    commented = lines[:2] + ["   # note\n"] + lines[2:-1] + ["\t# last\n"] + lines[-1:]
+    assert from_text("".join(commented)) == from_text(text)
 
 
 VECTOR_ENTRY = st.integers(-5, 40)
@@ -475,7 +494,6 @@ def bottom_tuples(draw, dim):
         rep=representation_from_generators(generators, dim),
         membership=tuple(draw(st.lists(vector, max_size=2))),
         implications=tuple(draw(st.lists(st.tuples(side, side), max_size=3))),
-        offsets=tuple((state, w) for w in draw(st.lists(vector, max_size=2))),
     )
 
 
@@ -502,14 +520,13 @@ def test_bottom_text_round_trip(f):
 @settings(max_examples=200, deadline=None)
 @given(bottom_formulas())
 def test_bottom_writers_match_reference_phi_tree(f):
-    """The `phi` line, the JSON `phi` and the SMT-LIB export render the
-    tuple's implications as the reference tree does, empty antecedent,
-    consequent and implication lists included."""
-    expected = [to_sexpr(reference_bottom_phi(t)) for t in f.tuples]
-    phi_lines = [ln[len("phi "):] for ln in bottom_to_text(f).splitlines() if ln.startswith("phi ")]
-    assert phi_lines == expected
-    assert [t["phi"] for t in json.loads(bottom_to_json(f))["tuples"]] == expected
+    """The SMT-LIB export renders each tuple's implications as the
+    reference tree does, empty antecedent, consequent and implication
+    lists included; the text and JSON files hold the implications alone."""
     assert bottom_to_smtlib(f) == reference_bottom_smtlib(f)
+    assert not any(ln.startswith("phi ") for ln in bottom_to_text(f).splitlines())
+    keys = {"index_set", "state", "gamma", "membership", "implications"}
+    assert all(t.keys() == keys for t in json.loads(bottom_to_json(f))["tuples"])
 
 
 @st.composite

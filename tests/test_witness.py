@@ -4,7 +4,9 @@ import pytest
 
 import conftest
 from conftest import collect_unfoldings, reference_search_witness
+from mutreach.lattice import representation_from_generators
 from mutreach.net import Action, PetriNet, fire
+from mutreach.presburger import BottomFormula, BottomTuple, eval_bottom
 from mutreach.unfolding import (
     EnumLimits,
     EnumStats,
@@ -21,12 +23,12 @@ from mutreach.witness import (
     check_witness,
     completeness_probe,
     exact_off_threshold,
-    membership_upward,
     exact_state_bound,
     search_witness,
     synthesize_path,
     upward_basis,
 )
+from mutreach.vectors import vge
 from mutreach.witnessio import verify_witness, witness_from_text, witness_to_text
 
 
@@ -35,8 +37,8 @@ def test_upward_basis_full_index_is_the_state(token_swap):
     basis = upward_basis(g, (1, 1), PumpingParams(state_bound=4, cycle_len=2))
     assert [e.vector for e in basis.elements] == [(1, 1)]
     assert basis.elements[0].enter_word == ()
-    assert membership_upward(basis, (1, 1))
-    assert not membership_upward(basis, (1, 0))
+    assert any(vge((1, 1), e.vector) for e in basis.elements)
+    assert not any(vge((1, 0), e.vector) for e in basis.elements)
 
 
 def test_upward_basis_partial_index_threshold():
@@ -64,7 +66,10 @@ def test_upward_basis_is_antichain(fixture_nets):
 
 
 def test_membership_empty_basis_is_false():
-    assert not membership_upward((), (1, 2))
+    """A bottom tuple whose pumping basis at r is empty accepts no point,
+    though its implication formula is empty and so holds everywhere."""
+    tup = BottomTuple((), (), representation_from_generators([], 2), (), ())
+    assert eval_bottom(BottomFormula(2, (tup,), "certified", True), (1, 2)) is False
 
 
 def test_check_witness_accepts_level_set(token_swap):
