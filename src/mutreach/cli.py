@@ -3,10 +3,10 @@
 Exit codes: 0 when a verdict or artifact was produced, 2 when the result
 is inconclusive or a budget ran out, 1 for usage or parse errors.
 `eval` needs a query (`--pair` or `--box` for a mutual formula, `--point`
-or `--box` for a bottom one) and prints `?` for a bottom point whose
-lattice query stayed undecided.  When a `provenance heuristic` formula
-prints any `1` row, `eval` still prints the table, writes one `warning:`
-line to stderr and exits 2, because such a `1` is not certified.
+or `--box` for a bottom one) and prints `1` or `0` per row.  When a
+`provenance heuristic` formula prints any `1` row, `eval` still prints
+the table, writes one `warning:` line to stderr and exits 2, because
+such a `1` is not certified.
 """
 
 from __future__ import annotations
@@ -246,7 +246,6 @@ def cmd_eval(args) -> int:
         print(f"error: eval of a {kind} formula needs --{own} or --box", file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    inconclusive = False
     if mutual:
         if args.pair:
             for pair_text in args.pair:
@@ -269,14 +268,9 @@ def cmd_eval(args) -> int:
             points.extend(parse_config(p, formula.dim) for p in args.point)
         if args.box is not None:
             points.extend(itertools.product(range(args.box + 1), repeat=formula.dim))
-        for c in points:
-            v = eval_bottom(formula, c)
-            inconclusive = inconclusive or v is None
-            rows.append((c, v))
+        rows = [(c, eval_bottom(formula, c)) for c in points]
         header = "c,bottom"
-        lines = [header] + [
-            f"{' '.join(map(str, c))},{'?' if v is None else int(v)}" for c, v in rows
-        ]
+        lines = [header] + [f"{' '.join(map(str, c))},{int(v)}" for c, v in rows]
     out = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
@@ -291,7 +285,7 @@ def cmd_eval(args) -> int:
                   "the certified pumping thresholds), so they are not certified",
                   file=sys.stderr)
             return EXIT_INCONCLUSIVE
-    return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_explore(args) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Iterator, Sequence
@@ -19,7 +20,7 @@ from typing import Iterator, Sequence
 from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
 from .net import PetriNet
-from .ratlp import FEASIBLE, solve_standard
+from .ratlp import FEASIBLE, max_positive_support, solve_standard
 from .unfolding import (
     EnumLimits,
     EnumStats,
@@ -505,11 +506,16 @@ def compile_bottom(
 
 # --- deciding the universal over a lattice ---------------------------------------
 
-# Largest integer box enumerated for a bounded rank >= 2 query; above it,
-# and for unbounded queries, only the window |t_j| <= WINDOW_RADIUS of
-# basis coefficients is scanned, which can find a point but not refute one.
-BOX_BUDGET = 50000
-WINDOW_RADIUS = 8
+
+def _basis_of(generators: Sequence[Vec], d: int) -> list[Vec]:
+    """A basis of the lattice the generators span in Z^d: the first `rank`
+    columns of the column Hermite form M U of M, the generators as columns."""
+    res = hermite_normal_form([[g[i] for g in generators] for i in range(d)])
+    # Column j of M U is the combination of the generators by U's column j.
+    return [
+        tuple(sum(u[j] * g[i] for u, g in zip(res.u, generators)) for i in range(d))
+        for j in range(res.rank)
+    ]
 
 
 def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
@@ -526,177 +532,153 @@ def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
         rows.append(list(a) + [-n if jj == j else 0 for jj in range(aux)])
     if not rows:
         rows = [[0] * (d + aux)]
-    kb = kernel_basis(rows)
-    spanning = [tuple(v[:d]) for v in kb]
-    spanning = [v for v in spanning if any(v)]
-    if not spanning:
-        return []
-    res = hermite_normal_form([[v[i] for v in spanning] for i in range(d)])
-    # Column j of M U is the combination of the spanning vectors by U's column j.
-    return [
-        tuple(sum(u[j] * v[i] for u, v in zip(res.u, spanning)) for i in range(d))
-        for j in range(res.rank)
-    ]
+    return _basis_of([tuple(v[:d]) for v in kernel_basis(rows)], d)
 
 
 def lattice_box_feasible(
     basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None]
-) -> bool | None:
+) -> bool:
     """Is there a lattice point v with lows <= v and v <= highs where set?
 
-    Exact for rank <= 1 and for bounded higher-rank instances of at most
-    BOX_BUDGET coefficient points; None means the search was inconclusive
-    (a larger or unbounded rank >= 2 box with no point found in the
-    scanned window).
-    """
-    d = len(lows)
-    for i in range(d):
-        if highs[i] is not None and lows[i] > highs[i]:
-            return False
-    if not basis:
-        return all(lows[i] <= 0 and (highs[i] is None or highs[i] >= 0) for i in range(d))
-    rank = len(basis)
-    if rank == 1:
-        # lows <= c t <= highs, coordinate by coordinate, as integer bounds on t
-        t_lows: list[int] = []
-        t_highs: list[int] = []
-        for c, lo, hi in zip(basis[0], lows, highs):
-            if c == 0:
-                if lo > 0 or (hi is not None and hi < 0):
-                    return False
-            elif c > 0:
-                t_lows.append(-(-lo // c))
-                if hi is not None:
-                    t_highs.append(hi // c)
-            else:
-                t_highs.append(lo // c)
-                if hi is not None:
-                    t_lows.append(-(-hi // c))
-        return not t_lows or not t_highs or max(t_lows) <= min(t_highs)
+    Exact at every rank k: is there t in Z^k with lows <= B t <= highs?
+    At rank >= 2, let T be the coordinates without a high on which some
+    x >= 0 of the lattice's rational span, 0 wherever a high is set, is
+    positive (`max_positive_support` of the span's equalities).  Supports
+    add, so a lattice vector u >= 0 is positive exactly on T and 0 wherever
+    a high is set.  Adding N u raises T without bound and lowers nothing,
+    so the lows on T never bind.  One Hermite form projects the lattice
+    away from T, to a basis B' on the other coordinates R, and then
+    {t : lows <= B' t <= highs} is bounded.  A recession direction t gives
+    x = B' t >= 0, 0 wherever a high is set.  x is the projection of some
+    y in the span, and y + N u for large N is >= 0, 0 wherever a high is
+    set and equal to x on R; by the maximality of T it vanishes on R, so
+    x = 0, and t = 0 because B' has full column rank.
 
-    # rank >= 2: rational feasibility, then bounded integer enumeration.
-    feasible, ranges = _rational_box_ranges(basis, lows, highs)
-    if not feasible:
+    On that bounded region t_0 .. t_{k-2} run over their exact LP bounds,
+    two LPs each.  For each of them the last coefficient need only lie in
+    an integer interval (`_line_meets_box`), a test that is exact even
+    when the interval is unbounded, as it may be at rank 1.  Rank 0 is
+    that test on the zero vector.
+    """
+    if any(hi is not None and lo > hi for lo, hi in zip(lows, highs)):
         return False
+    if len(basis) >= 2:
+        open_ = [i for i, hi in enumerate(highs) if hi is None]
+        # y . x = 0 for each kernel vector y of the basis rows cuts out the span
+        equalities = [[y[i] for i in open_] for y in kernel_basis(basis)]
+        free = {open_[j] for j in max_positive_support(equalities, len(open_))}
+        kept = [i for i in range(len(lows)) if i not in free]
+        basis = _basis_of([tuple(b[i] for i in kept) for b in basis], len(kept))
+        lows, highs = [lows[i] for i in kept], [highs[i] for i in kept]
+    d = len(lows)
+    *head, last = basis or [(0,) * d]
+    ranges = _coefficient_ranges(basis, lows, highs, len(head))
     if ranges is None:
-        return _window_scan(basis, lows, highs)
-    total = 1
-    for lo, hi in ranges:
-        total *= max(0, hi - lo + 1)
-        if total > BOX_BUDGET:
-            return _window_scan(basis, lows, highs)
-    for t in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
-        if all(lows[i] <= v[i] and (highs[i] is None or v[i] <= highs[i]) for i in range(d)):
+        return False
+    for t in itertools.product(*ranges):
+        shift = [sum(tj * b[i] for tj, b in zip(t, head)) for i in range(d)]
+        if _line_meets_box(
+            last,
+            [lo - s for lo, s in zip(lows, shift)],
+            [None if hi is None else hi - s for hi, s in zip(highs, shift)],
+        ):
             return True
     return False
 
 
-def _rational_box_ranges(basis, lows, highs):
-    """(feasible, integer ranges per t coordinate or None if unbounded)."""
-    import math
-
-    d = len(lows)
-    rank = len(basis)
-    # variables: t = tp - tn (2*rank), one slack per inequality
-    ineqs = []  # (coeffs over t, sense, const): sum >= const or <= const
-    for i in range(d):
-        coeffs = [basis[j][i] for j in range(rank)]
-        ineqs.append((coeffs, ">=", lows[i]))
-        if highs[i] is not None:
-            ineqs.append((coeffs, "<=", highs[i]))
-    nslack = len(ineqs)
-    nvars = 2 * rank + nslack
-    rows = []
-    rhs = []
-    for k, (coeffs, sense, const) in enumerate(ineqs):
-        row = [0] * nvars
-        for j in range(rank):
-            row[j] = coeffs[j]
-            row[rank + j] = -coeffs[j]
-        row[2 * rank + k] = -1 if sense == ">=" else 1
-        rows.append(row)
-        rhs.append(const)
-    status, _, _ = solve_standard(rows, rhs)
-    if status != FEASIBLE:
-        return False, None
+def _coefficient_ranges(
+    basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None], count: int
+) -> list[range] | None:
+    """The integer ranges of t_0 .. t_{count-1} over the rational region
+    lows <= B t <= highs, which must be bounded; None when it is empty."""
+    k = len(basis)
+    bounds = [(i, -1, lo) for i, lo in enumerate(lows)]
+    bounds += [(i, 1, hi) for i, hi in enumerate(highs) if hi is not None]
+    # variables t = tp - tn, then one slack per bound: B t -+ slack = bound
+    slacks = range(len(bounds))
+    rows = [
+        [b[i] for b in basis] + [-b[i] for b in basis] + [sign * (r == s) for r in slacks]
+        for s, (i, sign, _) in enumerate(bounds)
+    ]
+    rhs = [bound for _, _, bound in bounds]
     ranges = []
-    for j in range(rank):
-        bounds = []
+    for j in range(count):
+        objective = [(x == j) - (x == k + j) for x in range(2 * k + len(slacks))]
+        ends = []
         for maximize in (False, True):
-            objective = [0] * nvars
-            objective[j] = 1
-            objective[rank + j] = -1
-            st, _, val = solve_standard(rows, rhs, objective, maximize=maximize)
-            if st != FEASIBLE:
-                return True, None
-            bounds.append(val)
-        lo = math.ceil(bounds[0])
-        hi = math.floor(bounds[1])
-        ranges.append((lo, hi))
-    return True, ranges
+            status, _, value = solve_standard(rows, rhs, objective, maximize=maximize)
+            if status != FEASIBLE:
+                return None
+            ends.append(value)
+        ranges.append(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
+    return ranges
 
 
-def _window_scan(basis, lows, highs) -> bool | None:
-    d = len(lows)
-    rank = len(basis)
-    for t in itertools.product(range(-WINDOW_RADIUS, WINDOW_RADIUS + 1), repeat=rank):
-        v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
-        if all(lows[i] <= v[i] and (highs[i] is None or v[i] <= highs[i]) for i in range(d)):
-            return True
-    return None
+def _line_meets_box(c: Vec, lows: Sequence[int], highs: Sequence[int | None]) -> bool:
+    """Is there an integer t with lows <= c t <= highs where set?"""
+    t_lows: list[int] = []
+    t_highs: list[int] = []
+    for ci, lo, hi in zip(c, lows, highs):
+        if ci == 0:
+            if lo > 0 or (hi is not None and hi < 0):
+                return False
+        elif ci > 0:
+            t_lows.append(-(-lo // ci))
+            if hi is not None:
+                t_highs.append(hi // ci)
+        else:
+            t_highs.append(lo // ci)
+            if hi is not None:
+                t_lows.append(-(-hi // ci))
+    return not t_lows or not t_highs or max(t_lows) <= min(t_highs)
 
 
-def _violation_exists(tup: BottomTuple, c: Vec) -> bool | None:
+def _violation_exists(tup: BottomTuple, c: Vec) -> bool:
     """Does some lattice point v make phi(c + v) false?
 
-    The negation of phi is a disjunction over transitions of (antecedent
-    holds and consequent fails); each consequent failure picks one short
-    coordinate per target basis element, giving an axis box intersected
-    with the lattice.
+    phi fails at c + v when, for some implication, c + v covers an
+    antecedent w, so v >= w - c, and misses every consequent w', so for
+    each w' some coordinate i has v_i <= w'_i - 1 - c_i.  The consequents
+    are walked in order, each branching on the coordinate it leaves short.
+    One that the highs so far already leave short adds no bound: its
+    branch on that coordinate is the box itself, and every other branch
+    lies inside it.  Each choice of one coordinate per consequent gives a
+    box inside some walked box, and a smaller box holds no more points,
+    so the walk is exact.
     """
     d = len(c)
-    saw_inconclusive = False
+
+    def some_box(lows: list[int], highs: list[int | None], shorts: list[list[int]]) -> bool:
+        if not shorts:
+            return lattice_box_feasible(tup.basis, lows, highs)
+        short, rest = shorts[0], shorts[1:]
+        if any(hi is not None and hi <= s for hi, s in zip(highs, short)):
+            return some_box(lows, highs, rest)
+        return any(
+            some_box(lows, highs[:i] + [s] + highs[i + 1 :], rest)
+            for i, s in enumerate(short)
+            if s >= lows[i]  # else the box is empty
+        )
+
     for ants, cons in tup.implications:
-        for w in ants:
-            lows = [w[i] - c[i] for i in range(d)]
-            choice_sets = []
-            for wq in cons:
-                choice_sets.append([(i, wq[i] - 1 - c[i]) for i in range(d)])
-            for combo in itertools.product(*choice_sets) if choice_sets else [()]:
-                highs: list[int | None] = [None] * d
-                for i, ub in combo:
-                    highs[i] = ub if highs[i] is None else min(highs[i], ub)
-                res = lattice_box_feasible(tup.basis, lows, highs)
-                if res is True:
-                    return True
-                if res is None:
-                    saw_inconclusive = True
-    return None if saw_inconclusive else False
+        shorts = [[wq[i] - 1 - c[i] for i in range(d)] for wq in cons]
+        if any(some_box([w[i] - c[i] for i in range(d)], [None] * d, shorts) for w in ants):
+            return True
+    return False
 
 
-def eval_bottom(f: BottomFormula, c: Sequence[int]) -> bool | None:
-    """True / False / None (inconclusive).
-
-    Each matching tuple's universal is decided by lattice-box
-    feasibility of a violation; None means some rank >= 2 query was
-    neither found nor refuted (see `lattice_box_feasible`).
-    """
+def eval_bottom(f: BottomFormula, c: Sequence[int]) -> bool:
+    """Is c accepted: does some tuple match c on its index set, hold a
+    membership vector below c, and leave no violation on c's coset?"""
     c = vec(c)
     if len(c) != f.dim:
         raise CompileError(f"expected dimension {f.dim}")
-    saw_inconclusive = False
-    for tup in f.tuples:
-        if restrict(c, tup.index_set) != tup.state:
-            continue
-        if not any(vge(c, m) for m in tup.membership):
-            continue
-        vio = _violation_exists(tup, c)
-        if vio is False:
-            return True
-        if vio is None:
-            saw_inconclusive = True
-    return None if saw_inconclusive else False
+    return any(
+        restrict(c, tup.index_set) == tup.state
+        and any(vge(c, m) for m in tup.membership)
+        and not _violation_exists(tup, c)
+        for tup in f.tuples
+    )
 
 
 # --- serialization ---------------------------------------------------------------

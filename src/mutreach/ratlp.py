@@ -22,7 +22,6 @@ Row = list[Fraction]
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 def _to_fraction_rows(rows: Sequence[Sequence]) -> list[Row]:
@@ -55,8 +54,9 @@ class _Tableau:
             cost_const[0] -= factor * self.b[row]
         self.basis[row] = col
 
-    def minimize(self, cost: Row) -> tuple[str, Fraction]:
-        """Run simplex with Bland's rule from the current basis."""
+    def minimize(self, cost: Row) -> Fraction:
+        """Run simplex with Bland's rule from the current basis; the cost
+        must be bounded below on the feasible region."""
         reduced = list(cost)
         const = [Fraction(0)]
         for r, col in enumerate(self.basis):
@@ -68,7 +68,7 @@ class _Tableau:
         while True:
             enter = next((j for j in range(len(reduced)) if reduced[j] < 0), None)
             if enter is None:
-                return FEASIBLE, -const[0]
+                return -const[0]
             leave, best = None, None
             for r in range(len(self.a)):
                 coef = self.a[r][enter]
@@ -78,8 +78,7 @@ class _Tableau:
                         ratio == best and self.basis[r] < self.basis[leave]
                     ):
                         best, leave = ratio, r
-            if leave is None:
-                return UNBOUNDED, -const[0]
+            assert leave is not None, "objective unbounded"
             self._pivot(leave, enter, reduced, const)
 
     def solution(self) -> list[Fraction]:
@@ -99,7 +98,9 @@ def solve_standard(
     """Solve min/max c.x subject to A x = b, x >= 0, exactly.
 
     Returns (status, x, objective value); x is a basic solution (a vertex
-    of the feasible region) whenever status is `feasible`.
+    of the feasible region) whenever status is `feasible`.  The objective
+    must be bounded on the feasible region: every caller optimises over a
+    bounded one, and an unbounded objective fails an assertion.
     """
     a = _to_fraction_rows(a_rows)
     b = [Fraction(v) for v in b_vals]
@@ -121,9 +122,7 @@ def solve_standard(
     )
     tab.basis = [nvars + r for r in range(nrows)]
     phase1 = [Fraction(0)] * nvars + [Fraction(1)] * nrows
-    status, value = tab.minimize(phase1)
-    assert status == FEASIBLE
-    if value != 0:
+    if tab.minimize(phase1) != 0:
         return INFEASIBLE, None, None
 
     # Drive artificials out of the basis where possible; rows whose
@@ -144,9 +143,7 @@ def solve_standard(
     if maximize:
         cost = [-c for c in cost]
     cost += [Fraction(0)] * nrows
-    status, value = tab.minimize(cost)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
+    value = tab.minimize(cost)
     obj = -value if maximize else value
     return FEASIBLE, tab.solution(), obj
 

@@ -8,8 +8,10 @@ bottom membership evaluates phi at enumerated lattice points instead of
 solving lattice-box queries, exported SMT-LIB scripts are evaluated
 from their text, the formula writers are compared with a syntax tree
 rendered whole, and the reference Hermite normal form picks its pivot
-rows by rational elimination before any integer column operation, and
-the reference witness search enumerates every index set.
+rows by rational elimination before any integer column operation, the
+reference witness search enumerates every index set, and the reference
+violation search queries the whole product of one short coordinate per
+consequent.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from mutreach.presburger import (
     BottomTuple,
     Disjunct,
     MutualFormula,
+    _coefficient_ranges,
     _linear_term,
-    _rational_box_ranges,
     _smt_and,
     _smt_or,
     eval_mutual,
     lattice_basis,
+    lattice_box_feasible,
     mutual_var_names,
     smt_numeral,
 )
@@ -713,21 +716,38 @@ def lattice_points_in_window(basis, radius: int, budget: int = 200000):
         return
     rank = len(basis)
     d = len(basis[0])
-    feasible, ranges = _rational_box_ranges(
-        basis, [-radius] * d, [radius] * d
-    )
-    if not feasible:
-        return
+    # the window is a bounded box, so every coefficient has finite LP bounds
+    ranges = _coefficient_ranges(basis, [-radius] * d, [radius] * d, rank)
     if ranges is None:
-        ranges = [(-radius, radius)] * rank
+        return
     count = 0
-    for t in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
+    for t in itertools.product(*ranges):
         count += 1
         if count > budget:
             return
         v = tuple(sum(basis[j][i] * t[j] for j in range(rank)) for i in range(d))
         if all(abs(x) <= radius for x in v):
             yield v
+
+
+def reference_violation_exists(tup, c) -> bool:
+    """Reference for `presburger._violation_exists`: the box of every
+    choice of one short coordinate per consequent, the whole product of
+    choices, each distinct box queried once."""
+    d = len(c)
+    for ants, cons in tup.implications:
+        choice_sets = [[(i, wq[i] - 1 - c[i]) for i in range(d)] for wq in cons]
+        boxes = set()
+        for combo in itertools.product(*choice_sets):
+            highs: list[int | None] = [None] * d
+            for i, ub in combo:
+                highs[i] = ub if highs[i] is None else min(highs[i], ub)
+            boxes.add(tuple(highs))
+        for w in ants:
+            lows = [w[i] - c[i] for i in range(d)]
+            if any(lattice_box_feasible(tup.basis, lows, list(highs)) for highs in boxes):
+                return True
+    return False
 
 
 def violation_by_enumeration(tup, c, radius: int) -> bool | None:

@@ -253,9 +253,9 @@ def test_eval_of_a_heuristic_formula_warns_on_its_ones(tmp_path, capsys):
 
 
 # Z^2 and an implication whose antecedent holds far out and whose
-# consequent never does: the violation at (100, 100) is unbounded in both
-# directions and lies outside the scanned window, so it is not decided.
-UNDECIDED_BTF = """kind bottom
+# consequent never does: v = (100, 100) violates phi at c = 0 + v, a point
+# of an unbounded box far from the origin.
+FAR_VIOLATION_BTF = """kind bottom
 dim 2
 provenance heuristic
 complete 0
@@ -270,12 +270,17 @@ end
 """
 
 
-def test_eval_bottom_reports_undecided_points(tmp_path, capsys):
-    path = tmp_path / "undecided.btf"
-    path.write_text(UNDECIDED_BTF)
-    code = main(["eval", str(path), "--point", "0 0"])
-    assert code == 2
-    assert capsys.readouterr().out == "c,bottom\n0 0,?\n"
+def test_eval_bottom_decides_a_violation_far_out(tmp_path, capsys):
+    path = tmp_path / "far.btf"
+    path.write_text(FAR_VIOLATION_BTF)
+    assert main(["eval", str(path), "--point", "0 0", "--point", "3 1"]) == 0
+    assert capsys.readouterr().out == "c,bottom\n0 0,0\n3 1,0\n"
+    # with the consequent (100, 0), a violation needs v >= (100, 100) and
+    # v0 <= 99 or v1 <= -1: both boxes are empty, so 0 0 is accepted
+    certified = FAR_VIOLATION_BTF.replace("heuristic", "certified")
+    path.write_text(certified.replace("imp 100 100 =>", "imp 100 100 => 100 0"))
+    assert main(["eval", str(path), "--point", "0 0"]) == 0
+    assert capsys.readouterr().out == "c,bottom\n0 0,1\n"
 
 
 @pytest.mark.parametrize(
@@ -287,7 +292,7 @@ def test_eval_rejects_a_bottom_file_with_phi_or_offset_lines(tmp_path, capsys, l
     """Bottom files once also held the rendered phi and the path offsets;
     such a file is refused, to be compiled again."""
     path = tmp_path / "old.btf"
-    path.write_text(UNDECIDED_BTF.replace("end\n", line + "\nend\n"))
+    path.write_text(FAR_VIOLATION_BTF.replace("end\n", line + "\nend\n"))
     assert main(["eval", str(path), "--point", "0 0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -307,8 +312,8 @@ def test_eval_needs_a_query(net_path, tmp_path, capsys, mode, suffix):
 
 
 def test_eval_has_no_method_flag(tmp_path, capsys):
-    path = tmp_path / "undecided.btf"
-    path.write_text(UNDECIDED_BTF)
+    path = tmp_path / "far.btf"
+    path.write_text(FAR_VIOLATION_BTF)
     assert main(["eval", str(path), "--point", "0 0", "--method", "exact"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -13,12 +13,14 @@ from conftest import (
     bottom_wrapper,
     eval_bottom_by_enumeration,
     eval_formula,
+    leibniz_determinant,
     mutual_to_ast,
     reference_bottom_smtlib,
     reference_compile_bottom,
     reference_compile_mutual,
     reference_mutual_json,
     reference_mutual_smtlib,
+    reference_violation_exists,
     to_sexpr,
     to_smtlib,
     violation_by_enumeration,
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutreach import presburger, witness
+from mutreach.intlinalg import hermite_normal_form, solve_integer
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.oracle import BoundedStateSpace
@@ -627,10 +630,82 @@ def test_lattice_box_feasible_rank_two():
 
 def test_lattice_box_feasible_unbounded_rank_two():
     basis = [(1, 0), (0, 1)]
-    # unbounded box, point near the origin: the window scan finds it
+    # unbounded box, near the origin and far out: both are decided
     assert lattice_box_feasible(basis, [5, 5], [None, None]) is True
-    # unbounded box with no point inside the scanned window: honest None
-    assert lattice_box_feasible(basis, [100, 100], [None, None]) is None
+    assert lattice_box_feasible(basis, [100, 100], [None, None]) is True
+    # one coordinate bounded: the other's low never binds
+    assert lattice_box_feasible(basis, [100, 7], [None, 7]) is True
+    assert lattice_box_feasible(basis, [100, 8], [None, 7]) is False
+    # 2Z x 3Z: the bounded coordinate still needs a lattice value
+    even_by_three = [(2, 0), (0, 3)]
+    assert lattice_box_feasible(even_by_three, [10**6, 4], [None, 5]) is False
+    assert lattice_box_feasible(even_by_three, [10**6, 4], [None, 6]) is True
+
+
+def test_lattice_box_feasible_projects_away_free_coordinates():
+    """A coordinate without a high that a lattice direction >= 0 can raise
+    alone is dropped; one tied to a bounded coordinate is not."""
+    # {(a, a, b)}: x0 = x1, so x0 >= 100 needs x1 >= 100 too
+    tied = [(1, 1, 0), (0, 0, 1)]
+    assert lattice_box_feasible(tied, [100, 0, 10**6], [None, 5, None]) is False
+    assert lattice_box_feasible(tied, [100, 0, 10**6], [None, 100, None]) is True
+    assert lattice_box_feasible(tied, [100, 0, -5], [None, 99, None]) is False
+    # {x : x2 = x0 + x1}: with x0 bounded, x1 and x2 rise together
+    summed = [(1, 0, 1), (0, 1, 1)]
+    assert lattice_box_feasible(summed, [-3, 50, 10**9], [-3, None, None]) is True
+    # with x1 bounded too, x2 = x0 + x1 is pinned and its low binds
+    assert lattice_box_feasible(summed, [-3, 50, 48], [-3, 50, None]) is False
+    assert lattice_box_feasible(summed, [-3, 50, 47], [-3, 50, None]) is True
+    # Z^3 with x2 unbounded: the rank-2 projection onto x0, x1 decides it
+    # (its projection is 2Z x 2Z)
+    full = [(2, 0, 1), (0, 2, 1), (0, 0, 3)]
+    assert lattice_box_feasible(full, [4, 3, 10**6], [4, 3, None]) is False  # x1 odd
+    assert lattice_box_feasible(full, [4, 6, 10**6], [4, 6, None]) is True
+    # {(a, -a, b)}: x1 = -x0 cannot rise with x0, so x0 and x1 stay bounded
+    opposed = [(1, -1, 0), (0, 0, 1)]
+    assert lattice_box_feasible(opposed, [3, -3, 7], [None, None, None]) is True
+    assert lattice_box_feasible(opposed, [3, -2, 7], [None, None, None]) is False
+
+
+def _random_basis(rng, d: int, rank: int) -> list[tuple[int, ...]]:
+    while True:
+        basis = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rank)]
+        if rank == 0 or hermite_normal_form(basis).rank == rank:
+            return basis
+
+
+def _box_points(basis, lows, highs) -> bool:
+    """Some x of the bounded box lows..highs with x = B t for integer t."""
+    columns = [[b[i] for b in basis] for i in range(len(lows))]
+    return any(
+        (solve_integer(columns, x) is not None) if basis else not any(x)
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    )
+
+
+def test_lattice_box_feasible_matches_brute_force():
+    """Bounded boxes against enumeration in x-space with integer
+    membership.  Unbounded boxes of a full-rank lattice L of determinant
+    D against a bounded one: D e_i lies in L, so a point with x_i >= low_i
+    can be moved into low_i <= x_i <= low_i + D - 1."""
+    rng = random.Random(20)
+    for _ in range(1500):
+        d = rng.randint(1, 3)
+        rank = rng.randint(0, d)
+        basis = _random_basis(rng, d, rank)
+        lows = [rng.randint(-6, 6) for _ in range(d)]
+        highs = [lo + rng.randint(-1, 5) for lo in lows]
+        assert lattice_box_feasible(basis, lows, highs) is _box_points(basis, lows, highs), (
+            basis, lows, highs
+        )
+        det = abs(leibniz_determinant(basis)) if rank == d else 0
+        if not 0 < det <= 8:
+            continue  # keep the bounded stand-in small enough to enumerate
+        open_highs = [None if rng.random() < 0.5 else hi for hi in highs]
+        closed = [lo + det - 1 if hi is None else hi for lo, hi in zip(lows, open_highs)]
+        assert lattice_box_feasible(basis, lows, open_highs) is _box_points(basis, lows, closed), (
+            basis, lows, open_highs
+        )
 
 
 def test_violation_search_matches_enumeration(token_swap):
@@ -643,8 +718,43 @@ def test_violation_search_matches_enumeration(token_swap):
                 continue
             exact = _violation_exists(tup, c)
             enum = violation_by_enumeration(tup, c, radius=6)
-            if exact is not None and enum is not None:
+            if enum is not None:
                 assert exact == enum
+
+
+def test_violation_walk_matches_the_product_of_choices(fixture_nets):
+    """Walking the consequents decides every tuple of the four fixtures as
+    the whole product of one short coordinate per consequent does."""
+    for name, net in fixture_nets.items():
+        f = compile_bottom(net, PumpingParams(state_bound=4, cycle_len=4))
+        for tup in f.tuples:
+            for c in itertools.product(range(3), repeat=net.dim):
+                assert _violation_exists(tup, c) == reference_violation_exists(tup, c), (
+                    name, tup.index_set, tup.state, c
+                )
+
+
+def test_violation_walk_on_ring3_queries_few_boxes(ring3, monkeypatch):
+    """ring3's rank-2 tuple has 25 consequents per implication, so the
+    product of choices is 3^25 boxes per antecedent.  With every box
+    empty the walk queries 203 boxes for the whole tuple, at any c: the
+    walk compares bounds that c shifts alike."""
+    f = compile_bottom(ring3, PumpingParams(state_bound=4, cycle_len=4))
+    (tup,) = [t for t in f.tuples if len(t.basis) == 2]
+    assert all(len(cons) == 25 for _, cons in tup.implications)
+    queries = 0
+
+    def no_point(basis, lows, highs):
+        nonlocal queries
+        queries += 1
+        assert queries <= 1000, "the walk queries too many boxes"
+        return False
+
+    monkeypatch.setattr(presburger, "lattice_box_feasible", no_point)
+    for c in [(0, 0, 0), (829, 793, 891), (13898, 19709, 18916)]:
+        queries = 0
+        assert _violation_exists(tup, c) is False
+        assert queries == 203, c
 
 
 # --- quantified wrapper -------------------------------------------------------------
