@@ -119,11 +119,6 @@ def hurdle(word: Sequence[Action], dim: int | None = None) -> Config:
     return h
 
 
-def can_fire(x: Config, word: Sequence[Action]) -> bool:
-    h = hurdle(word, dim=len(x))
-    return all(a >= b for a, b in zip(x, h, strict=True))
-
-
 def fire(x: Config, word: Sequence[Action]) -> Config:
     """Fire the word from x, raising Blocked at the first failing step."""
     cur = vec(x)
@@ -133,14 +128,6 @@ def fire(x: Config, word: Sequence[Action]) -> Config:
                 raise Blocked(step, i, cur)
         cur = vadd(cur, a.displacement)
     return cur
-
-
-def fire_trace(x: Config, word: Sequence[Action]) -> list[Config]:
-    """All intermediate configurations c0..ck of a successful firing."""
-    out = [vec(x)]
-    for a in word:
-        out.append(fire(out[-1], (a,)))
-    return out
 
 
 def step_targets(net: PetriNet, x: Config) -> Iterator[tuple[int, Config]]:
@@ -194,18 +181,6 @@ def parse_net(text: str) -> PetriNet:
     if dim is None:
         raise NetError("missing dim header")
     return PetriNet(dim, tuple(actions))
-
-
-def format_net(net: PetriNet, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"dim {net.dim}")
-    for a in net.actions:
-        lines.append(
-            "pre: " + " ".join(map(str, a.pre)) + "  post: " + " ".join(map(str, a.post))
-        )
-    return "\n".join(lines) + "\n"
 
 
 def load_net(path) -> PetriNet:

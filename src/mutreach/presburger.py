@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
 from .net import PetriNet
-from .ratlp import FEASIBLE, max_positive_support, solve_standard
+from .ratlp import max_positive_support, solve_standard
 from .unfolding import (
     EnumLimits,
     EnumStats,
@@ -590,7 +590,14 @@ def _coefficient_ranges(
     basis: list[Vec], lows: Sequence[int], highs: Sequence[int | None], count: int
 ) -> list[range] | None:
     """The integer ranges of t_0 .. t_{count-1} over the rational region
-    lows <= B t <= highs, which must be bounded; None when it is empty."""
+    lows <= B t <= highs, which must be bounded; None when it is empty.
+
+    One phase 1 finds a vertex, and each bound is a `minimize` from where
+    the last one left the tableau; the region is bounded, so every bound
+    is finite.  With count 0 nothing is asked, and no LP runs.
+    """
+    if not count:
+        return []
     k = len(basis)
     bounds = [(i, -1, lo) for i, lo in enumerate(lows)]
     bounds += [(i, 1, hi) for i, hi in enumerate(highs) if hi is not None]
@@ -601,16 +608,14 @@ def _coefficient_ranges(
         for s, (i, sign, _) in enumerate(bounds)
     ]
     rhs = [bound for _, _, bound in bounds]
+    tab = solve_standard(rows, rhs)
+    if tab is None:
+        return None
     ranges = []
     for j in range(count):
-        objective = [(x == j) - (x == k + j) for x in range(2 * k + len(slacks))]
-        ends = []
-        for maximize in (False, True):
-            status, _, value = solve_standard(rows, rhs, objective, maximize=maximize)
-            if status != FEASIBLE:
-                return None
-            ends.append(value)
-        ranges.append(range(math.ceil(ends[0]), math.floor(ends[1]) + 1))
+        cost = [(x == j) - (x == k + j) for x in range(2 * k + len(slacks))]
+        low, high = tab.minimize(cost), -tab.minimize([-c for c in cost])
+        ranges.append(range(math.ceil(low), math.floor(high) + 1))
     return ranges
 
 

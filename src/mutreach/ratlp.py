@@ -2,8 +2,19 @@
 
 A small two-phase simplex with Bland's rule, entirely in Fractions.
 Used for structural-reversibility flow systems and for maximal
-circulation supports, both posed as f >= 1 feasibility problems;
-problems here stay tiny, so clarity wins over sparsity tricks.
+circulation supports, both posed as f >= 1 feasibility problems, and
+for the coefficient bounds of bottom lattice-box queries; problems here
+stay tiny, so clarity wins over sparsity tricks.
+
+`solve_standard(A, b)` runs phase 1 once and returns the tableau at a
+feasible vertex of A x = b, x >= 0 (or None).  `solution()` reads that
+vertex.  `minimize(cost)` runs phase 2 from the current vertex and leaves
+the tableau at an optimal one, which is feasible again, so one phase 1
+serves every objective over the same rows; a caller negates a cost to
+maximise.  Bland's rule terminates from any feasible basis.  Nothing
+memoises these LPs by their rows: such a memo in the unfolding
+enumerator never hit, on any fixture, on mixed3 at state bound 5, on
+ring3, or over the certify benchmark's witness searches.
 
 Both circulation questions first run one exact presolve step, forcing
 rows (Andersen & Andersen, *Presolving in linear programming*, Math.
@@ -20,9 +31,6 @@ from typing import Sequence
 
 Row = list[Fraction]
 
-FEASIBLE = "feasible"
-INFEASIBLE = "infeasible"
-
 
 def _to_fraction_rows(rows: Sequence[Sequence]) -> list[Row]:
     return [[Fraction(c) for c in row] for row in rows]
@@ -31,11 +39,11 @@ def _to_fraction_rows(rows: Sequence[Sequence]) -> list[Row]:
 class _Tableau:
     """Dense simplex tableau for min c.x s.t. A x = b, x >= 0."""
 
-    def __init__(self, a: list[Row], b: list[Fraction], nvars: int):
+    def __init__(self, a: list[Row], b: list[Fraction], nvars: int, basis: list[int]):
         self.a = a
         self.b = b
         self.nvars = nvars
-        self.basis: list[int] = [-1] * len(a)
+        self.basis = basis
 
     def _pivot(self, row: int, col: int, cost: Row, cost_const: list[Fraction]):
         piv = self.a[row][col]
@@ -82,29 +90,24 @@ class _Tableau:
             self._pivot(leave, enter, reduced, const)
 
     def solution(self) -> list[Fraction]:
+        """The current vertex."""
         x = [Fraction(0)] * self.nvars
         for r, col in enumerate(self.basis):
-            if col < self.nvars:
-                x[col] = self.b[r]
+            x[col] = self.b[r]
         return x
 
 
-def solve_standard(
-    a_rows: Sequence[Sequence],
-    b_vals: Sequence,
-    objective: Sequence | None = None,
-    maximize: bool = False,
-) -> tuple[str, list[Fraction] | None, Fraction | None]:
-    """Solve min/max c.x subject to A x = b, x >= 0, exactly.
+def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | None:
+    """Phase 1 of the simplex for A x = b, x >= 0, exactly; A has a row.
 
-    Returns (status, x, objective value); x is a basic solution (a vertex
-    of the feasible region) whenever status is `feasible`.  The objective
-    must be bounded on the feasible region: every caller optimises over a
-    bounded one, and an unbounded objective fails an assertion.
+    Returns the tableau at a feasible vertex, or None when there is none.
+    Rows whose artificial variable cannot leave the basis are redundant and
+    are dropped, and the artificial columns are sliced off, so the tableau
+    has one column per variable and `minimize` takes a cost over them.
     """
     a = _to_fraction_rows(a_rows)
     b = [Fraction(v) for v in b_vals]
-    nvars = len(a[0]) if a else (len(objective) if objective else 0)
+    nvars = len(a[0])
     for row in a:
         if len(row) != nvars:
             raise ValueError("ragged constraint matrix")
@@ -117,35 +120,28 @@ def solve_standard(
     nrows = len(a)
     tab = _Tableau(
         [row + [Fraction(1 if j == r else 0) for j in range(nrows)] for r, row in enumerate(a)],
-        list(b),
+        b,
         nvars,
+        [nvars + r for r in range(nrows)],
     )
-    tab.basis = [nvars + r for r in range(nrows)]
     phase1 = [Fraction(0)] * nvars + [Fraction(1)] * nrows
     if tab.minimize(phase1) != 0:
-        return INFEASIBLE, None, None
+        return None
 
-    # Drive artificials out of the basis where possible; rows whose
-    # artificial cannot leave are redundant and can pivot on nothing.
+    # Drive artificials out of the basis where possible; a row whose
+    # artificial cannot leave is zero on every real column, so redundant.
+    kept = []
     for r in range(nrows):
         if tab.basis[r] >= nvars:
             col = next((j for j in range(nvars) if tab.a[r][j] != 0), None)
-            if col is not None:
-                tab._pivot(r, col, [Fraction(0)] * (nvars + nrows), [Fraction(0)])
-    for r in range(nrows):
-        for j in range(nvars, nvars + nrows):
-            tab.a[r][j] = Fraction(0)
-
-    if objective is None:
-        return FEASIBLE, tab.solution(), Fraction(0)
-
-    cost = [Fraction(c) for c in objective]
-    if maximize:
-        cost = [-c for c in cost]
-    cost += [Fraction(0)] * nrows
-    value = tab.minimize(cost)
-    obj = -value if maximize else value
-    return FEASIBLE, tab.solution(), obj
+            if col is None:
+                continue
+            tab._pivot(r, col, [Fraction(0)] * (nvars + nrows), [Fraction(0)])
+        kept.append(r)
+    tab.a = [tab.a[r][:nvars] for r in kept]
+    tab.b = [tab.b[r] for r in kept]
+    tab.basis = [tab.basis[r] for r in kept]
+    return tab
 
 
 def _circulation(
@@ -160,13 +156,12 @@ def _circulation(
     rows = _to_fraction_rows(eq_rows)
     b = [-sum(row[j] for j in required) for row in rows]
     if not rows:  # every g >= 0 solves it, and solve_standard cannot size g
-        g = [Fraction(0)] * nvars
+        f = [Fraction(0)] * nvars
     else:
-        status, g, _ = solve_standard(rows, b)
-        if status != FEASIBLE:
+        tab = solve_standard(rows, b)
+        if tab is None:
             return None
-        assert g is not None
-    f = g[:nvars]
+        f = tab.solution()
     for j in required:
         f[j] += 1
     return f

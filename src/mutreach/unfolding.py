@@ -564,10 +564,10 @@ def enumerate_unfoldings(
     # action index, local position) over the sorted states.  Each distinct
     # shape is decided once per call.  In a connected subset every state
     # touches an edge, so the shape also fixes the size.  The circulation
-    # rows are a function of the shape, but distinct shapes can share one
-    # system, so each distinct system is still solved once.
+    # rows are a function of the shape; a second memo keyed by the rows never
+    # hit on any fixture, on mixed3 at state bound 5 or on ring3, so each
+    # kept shape solves its own LP.
     kept: dict[tuple[tuple[int, int, int], ...], list[int] | None] = {}
-    solved: dict[tuple[tuple[int, ...], ...], list[int] | bool] = {}
 
     def strongly_connected(size: int, arcs: Iterable[tuple[int, int, int]]) -> bool:
         succ: list[list[int]] = [[] for _ in range(size)]
@@ -580,14 +580,11 @@ def enumerate_unfoldings(
         if not forward_closed and size > 1 and not strongly_connected(size, shape):
             return None
         rows = _circulation_rows(net, range(size), shape)
-        key = tuple(map(tuple, rows))
         if forward_closed:
-            if key not in solved:
-                solved[key] = positive_circulation(rows, len(shape)) is not None
-            return list(range(len(shape))) if solved[key] else None
-        if key not in solved:
-            solved[key] = max_positive_support(rows, len(shape))
-        support = solved[key]
+            if positive_circulation(rows, len(shape)) is None:
+                return None
+            return list(range(len(shape)))
+        support = max_positive_support(rows, len(shape))
         if len(support) < len(shape) and size > 1:
             if not strongly_connected(size, (shape[j] for j in support)):
                 return None

@@ -43,7 +43,7 @@ from mutreach.presburger import (
     mutual_var_names,
     smt_numeral,
 )
-from mutreach.ratlp import FEASIBLE, positive_circulation, solve_standard
+from mutreach.ratlp import positive_circulation, solve_standard
 from mutreach.unfolding import (
     EnumLimits,
     EnumStats,
@@ -110,6 +110,19 @@ def fixture_nets(token_swap, consumer, ring, mixed3):
         "ring": ring,
         "mixed3": mixed3,
     }
+
+
+def format_net(net: PetriNet, comment: str | None = None) -> str:
+    """The net in the `.net` text format that `load_net` reads."""
+    lines = []
+    if comment:
+        lines.append(f"# {comment}")
+    lines.append(f"dim {net.dim}")
+    for a in net.actions:
+        lines.append(
+            "pre: " + " ".join(map(str, a.pre)) + "  post: " + " ".join(map(str, a.post))
+        )
+    return "\n".join(lines) + "\n"
 
 
 # --- independent span oracle ---------------------------------------------------
@@ -660,12 +673,13 @@ def feasible_with_epsilon(
     row[total - 1] = Fraction(1)
     rows.append(row)
     b.append(Fraction(1))
-    objective = [Fraction(0)] * total
-    objective[num_vars] = Fraction(1)
-    status, x, value = solve_standard(rows, b, objective, maximize=True)
-    if status != FEASIBLE or value is None or value <= 0:
+    tab = solve_standard(rows, b)
+    if tab is None:
         return None
-    return value
+    cost = [Fraction(0)] * total
+    cost[num_vars] = Fraction(-1)  # maximise eps
+    value = -tab.minimize(cost)
+    return value if value > 0 else None
 
 
 def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
@@ -698,12 +712,13 @@ def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
         row[3 * nvars + j] = Fraction(1)
         big_rows.append(row)
         big_b.append(Fraction(1))
-    objective = [Fraction(0)] * total
+    tab = solve_standard(big_rows, big_b)
+    assert tab is not None, "max-support LP is always feasible (f = s = 0)"
+    cost = [Fraction(0)] * total
     for j in range(nvars):
-        objective[nvars + j] = Fraction(1)
-    status, x, _ = solve_standard(big_rows, big_b, objective, maximize=True)
-    assert status == FEASIBLE, "max-support LP is always feasible (f = s = 0)"
-    assert x is not None
+        cost[nvars + j] = Fraction(-1)  # maximise sum(s)
+    tab.minimize(cost)
+    x = tab.solution()
     return [j for j in range(nvars) if x[nvars + j] == 1]
 
 

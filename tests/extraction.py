@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from mutreach.net import Action, Blocked, PetriNet, fire, fire_trace
+from mutreach.net import Action, Blocked, PetriNet, fire
 from mutreach.vectors import Vec, restrict, vec
 
 
@@ -121,6 +121,14 @@ def extract_along_word(
     for c in configs:
         j = maximal_small_set(lam, j, (c,))
     return j
+
+
+def fire_trace(x: Vec, word: Sequence[Action]) -> list[Vec]:
+    """All intermediate configurations c0..ck of a successful firing."""
+    out = [vec(x)]
+    for a in word:
+        out.append(fire(out[-1], (a,)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from conftest import (
     definitional_reversible,
     enumerated_span_points,
     eval_bottom_by_enumeration,
+    format_net,
     span_oracle,
 )
 from mutreach.cli import main as cli_main
@@ -30,7 +31,7 @@ from extraction import (
     reference_extractor,
 )
 from mutreach.lattice import lattice_contains, representation_from_generators
-from mutreach.net import Blocked, fire, format_net, hurdle, displacement
+from mutreach.net import Blocked, fire, hurdle, displacement
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import compile_bottom, compile_mutual, eval_bottom, eval_mutual
 from mutreach.steinitz import (

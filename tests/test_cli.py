@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import format_net
 from mutreach.cli import main
 from mutreach.oracle import BoundedStateSpace
-from mutreach.net import format_net, load_net
+from mutreach.net import load_net
 from mutreach.witnessio import verify_witness
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -56,6 +56,7 @@ from mutreach.presburger import (
     mutual_to_text,
     mutual_var_names,
 )
+from mutreach.ratlp import solve_standard
 from mutreach.unfolding import elementary_path, enumerate_unfoldings, index_sets
 from mutreach.witness import PumpingParams
 
@@ -755,6 +756,25 @@ def test_violation_walk_on_ring3_queries_few_boxes(ring3, monkeypatch):
         queries = 0
         assert _violation_exists(tup, c) is False
         assert queries == 203, c
+
+
+def test_rank_two_box_query_runs_one_phase_one(ring3, monkeypatch):
+    """Both bounds of a coefficient are read off one feasible tableau."""
+    f = compile_bottom(ring3, PumpingParams(state_bound=4, cycle_len=4))
+    (tup,) = [t for t in f.tuples if len(t.basis) == 2]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_standard(*args, **kwargs)
+
+    monkeypatch.setattr(presburger, "solve_standard", counting)
+    # no coordinate of {x : x0 + x1 + x2 = 0} can rise alone, so none is
+    # projected away and the query reaches `_coefficient_ranges`
+    for lows, expected in [([-75, -67, 142], True), ([-75, -67, 143], False)]:
+        calls.clear()
+        assert lattice_box_feasible(tup.basis, lows, [None] * 3) is expected
+        assert len(calls) == 1, lows
 
 
 # --- quantified wrapper -------------------------------------------------------------
