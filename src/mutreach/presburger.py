@@ -81,43 +81,51 @@ def _compiled_unfoldings(
     net: PetriNet,
     params: PumpingParams,
     limits: EnumLimits,
-    index_set: tuple[int, ...],
-    stats: EnumStats,
-    shapes: dict[tuple, _Parts],
     forward_closed: bool = False,
-) -> Iterator[tuple[Unfolding, _Parts]]:
-    """Each unfolding of the index set with its lattice, pumping bases and
-    path displacements.
+) -> tuple[list[tuple[Unfolding, _Parts]], bool, bool]:
+    """Each unfolding of every index set, in canonical order, with its
+    lattice, pumping bases and path displacements; then whether every
+    unfolding is certified by the parameters, and whether no enumeration
+    limit and no basis walk budget was hit.
 
-    These depend only on the index set and the edges by state position,
-    not on the state values: `Unfolding` sorts its states and edges, so
-    equal shapes give the same BFS trees, cycle words and walks, and the
-    pumping threshold depends only on the size.  `shapes` holds them per
-    shape; only the I coordinates of the basis vectors, which are the
-    state's own values, are written afresh per unfolding.
+    The parts depend only on the index set and the edges by state
+    position, not on the state values: `Unfolding` sorts its states and
+    edges, so equal shapes give the same BFS trees, cycle words and
+    walks, and the pumping threshold depends only on the size.  They are
+    computed once per shape; only the I coordinates of the basis vectors,
+    which are the state's own values, are written afresh per unfolding.
     """
-    for g in enumerate_unfoldings(
-        net, index_set, params.state_bound, limits, stats, forward_closed
-    ):
-        position = {s: k for k, s in enumerate(g.states)}
-        key = (g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions))
-        if key not in shapes:
-            bases = [upward_basis(g, q, params) for q in g.states]
-            shapes[key] = _Parts(
-                rep=lattice_of_unfolding(g),
-                bases=tuple(tuple(e.vector for e in b.elements) for b in bases),
-                paths=tuple(
-                    tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
-                    for p in g.states
-                ),
-                truncated=any(b.truncated for b in bases),
+    out: list[tuple[Unfolding, _Parts]] = []
+    shapes: dict[tuple, _Parts] = {}
+    truncated = False
+    for index_set in index_sets(net.dim):
+        stats = EnumStats()  # `max_unfoldings` caps each index set alone
+        for g in enumerate_unfoldings(
+            net, index_set, params.state_bound, limits, stats, forward_closed
+        ):
+            position = {s: k for k, s in enumerate(g.states)}
+            key = (g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions))
+            if key not in shapes:
+                bases = [upward_basis(g, q, params) for q in g.states]
+                shapes[key] = _Parts(
+                    rep=lattice_of_unfolding(g),
+                    bases=tuple(tuple(e.vector for e in b.elements) for b in bases),
+                    paths=tuple(
+                        tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
+                        for p in g.states
+                    ),
+                    truncated=any(b.truncated for b in bases),
+                )
+            parts = shapes[key]
+            bases = tuple(
+                tuple(_with_state(v, g.index_set, q) for v in vectors)
+                for vectors, q in zip(parts.bases, g.states)
             )
-        parts = shapes[key]
-        bases = tuple(
-            tuple(_with_state(v, g.index_set, q) for v in vectors)
-            for vectors, q in zip(parts.bases, g.states)
-        )
-        yield g, replace(parts, bases=bases)
+            out.append((g, replace(parts, bases=bases)))
+        truncated = truncated or stats.truncated
+    certified = all(params.certified_for(net, g) for g, _ in out)
+    complete = not truncated and not any(parts.truncated for _, parts in out)
+    return out, certified, complete
 
 
 def compile_mutual(
@@ -135,27 +143,15 @@ def compile_mutual(
     Index sets are compiled in canonical order, and a repeated disjunct
     is dropped after its first occurrence.
     """
-    limits = limits or EnumLimits()
-    disjuncts: list[Disjunct] = []
-    seen: set[Disjunct] = set()
-    certified = True
-    complete = True
-    shapes: dict[tuple, _Parts] = {}
-    for index_set in index_sets(net.dim):
-        stats = EnumStats()
-        for g, parts in _compiled_unfoldings(net, params, limits, index_set, stats, shapes):
-            certified = certified and params.certified_for(net, g)
-            complete = complete and not parts.truncated
-            for i, a_vectors in enumerate(parts.bases):
-                for j, b_vectors in enumerate(parts.bases):
-                    v = parts.paths[i][j]
-                    for a in a_vectors:
-                        for b in b_vectors:
-                            d = Disjunct(a, b, v, parts.rep)
-                            if d not in seen:
-                                seen.add(d)
-                                disjuncts.append(d)
-        complete = complete and not stats.truncated
+    compiled, certified, complete = _compiled_unfoldings(net, params, limits or EnumLimits())
+    disjuncts: dict[Disjunct, None] = {}
+    for _, parts in compiled:
+        for i, a_vectors in enumerate(parts.bases):
+            for j, b_vectors in enumerate(parts.bases):
+                v = parts.paths[i][j]
+                for a in a_vectors:
+                    for b in b_vectors:
+                        disjuncts.setdefault(Disjunct(a, b, v, parts.rep))
     return MutualFormula(
         dim=net.dim,
         disjuncts=tuple(disjuncts),
@@ -455,47 +451,40 @@ def compile_bottom(
     target basis.  Each tuple also records the pumping basis at r itself:
     without that one-point membership check the implications can hold
     vacuously for configurations that escape below every basis."""
-    limits = limits or EnumLimits()
+    compiled, certified, complete = _compiled_unfoldings(
+        net, params, limits or EnumLimits(), forward_closed=True
+    )
     tuples: list[BottomTuple] = []
-    certified = True
-    complete = True
-    shapes: dict[tuple, _Parts] = {}
-    for index_set in index_sets(net.dim):
-        stats = EnumStats()
-        for g, parts in _compiled_unfoldings(
-            net, params, limits, index_set, stats, shapes, forward_closed=True
-        ):
-            certified = certified and params.certified_for(net, g)
-            complete = complete and not parts.truncated
-            for k, r in enumerate(g.states):
-                vp = parts.paths[k]
-                implications = []
-                for (p, aidx, q) in g.transitions:
-                    a = net.actions[aidx]
-                    p_at, q_at = g.states.index(p), g.states.index(q)
-                    ants = tuple(
-                        sorted(
-                            tuple(max(m[i], a.pre[i]) - vp[p_at][i] for i in range(net.dim))
-                            for m in parts.bases[p_at]
-                        )
-                    )
-                    cons = tuple(
-                        sorted(
-                            tuple(m[i] - a.displacement[i] - vp[p_at][i] for i in range(net.dim))
-                            for m in parts.bases[q_at]
-                        )
-                    )
-                    implications.append((ants, cons))
-                tuples.append(
-                    BottomTuple(
-                        index_set=tuple(index_set),
-                        state=r,
-                        rep=parts.rep,
-                        membership=parts.bases[k],
-                        implications=tuple(implications),
+    for g, parts in compiled:
+        position = {s: k for k, s in enumerate(g.states)}
+        for k, r in enumerate(g.states):
+            vp = parts.paths[k]
+            implications = []
+            for (p, aidx, q) in g.transitions:
+                a = net.actions[aidx]
+                p_at, q_at = position[p], position[q]
+                ants = tuple(
+                    sorted(
+                        tuple(max(m[i], a.pre[i]) - vp[p_at][i] for i in range(net.dim))
+                        for m in parts.bases[p_at]
                     )
                 )
-        complete = complete and not stats.truncated
+                cons = tuple(
+                    sorted(
+                        tuple(m[i] - a.displacement[i] - vp[p_at][i] for i in range(net.dim))
+                        for m in parts.bases[q_at]
+                    )
+                )
+                implications.append((ants, cons))
+            tuples.append(
+                BottomTuple(
+                    index_set=g.index_set,
+                    state=r,
+                    rep=parts.rep,
+                    membership=parts.bases[k],
+                    implications=tuple(implications),
+                )
+            )
     return BottomFormula(
         dim=net.dim,
         tuples=tuple(tuples),

@@ -1,16 +1,18 @@
 """Constructive vector-sum reordering and zero-subsequence pruning.
 
 The reordering keeps every prefix sum within d*m of the proportional
-line, via a shrinking fractional certificate: while positions t = k..d+1
-are assigned from the back, a vector lambda in [0,1]^B with sum t - d and
-weighted sum ((t-d)/k) * total is maintained; ejecting a zero coordinate
-of a vertex of that polytope preserves the invariant, and the certificate
-itself proves the prefix bound (sum of (1 - lambda_j) weights <= d).
+line, via a shrinking fractional certificate (Grinberg & Sevast'yanov,
+1980): while positions t = k..d+1 are assigned from the back, a vector
+lambda in [0,1]^B with sum t - d and weighted sum ((t-d)/k) * total is
+maintained; ejecting a zero coordinate of a vertex of that polytope
+preserves the invariant, and the certificate itself proves the prefix
+bound (sum of (1 - lambda_j) weights <= d).  Each move towards a vertex
+solves one fixed-size system: a kernel direction of the d + 1 mass and
+weight constraints on d + 2 strictly fractional coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,76 +24,53 @@ class SteinitzError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VectorBag:
-    vectors: tuple[Vec, ...]
-    norm_bound: int = field(init=False)
-
-    def __post_init__(self):
-        vs = tuple(vec(v) for v in self.vectors)
-        dims = {len(v) for v in vs}
-        if len(dims) > 1:
-            raise SteinitzError(f"mixed dimensions: {sorted(dims)}")
-        object.__setattr__(self, "vectors", vs)
-        object.__setattr__(self, "norm_bound", max((norm_inf(v) for v in vs), default=0))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
-
-    @property
-    def total(self) -> Vec:
-        if not self.vectors:
-            return ()
-        acc = zero(self.dim)
-        for v in self.vectors:
-            acc = vadd(acc, v)
-        return acc
-
-
-def _as_bag(vectors) -> VectorBag:
-    return vectors if isinstance(vectors, VectorBag) else VectorBag(tuple(vectors))
+def _checked(vectors) -> tuple[list[Vec], int, int, Vec]:
+    """The vectors as int tuples, with their dimension d, the largest
+    entry m in absolute value, and their total."""
+    vs = [vec(v) for v in vectors]
+    dims = {len(v) for v in vs}
+    if len(dims) > 1:
+        raise SteinitzError(f"mixed dimensions: {sorted(dims)}")
+    d = len(vs[0]) if vs else 0
+    total = zero(d)
+    for v in vs:
+        total = vadd(total, v)
+    return vs, d, max((norm_inf(v) for v in vs), default=0), total
 
 
 def _eject_order(vectors: Sequence[Vec], dim: int) -> list[int]:
     """Assign positions from the back, returning the full permutation."""
     k = len(vectors)
-    total = [Fraction(0)] * dim
-    for v in vectors:
-        for i in range(dim):
-            total[i] += v[i]
     alive = list(range(k))
     lam = {j: Fraction(k - dim, k) for j in alive}
     placed: list[int] = []
 
     while len(alive) > dim:
         t = len(alive)
-        # Rescale to the next mass t - 1 - d; entries stay within [0, 1].
+        # Rescale to the next mass t - 1 - d.  Entries were at most 1 and
+        # the factor is below 1, so every nonzero one is now fractional.
         factor = Fraction(t - 1 - dim, t - dim)
         for j in alive:
             lam[j] *= factor
-        # Push to a point with a zero coordinate, moving only strictly
-        # fractional coordinates along kernel directions.
-        while all(lam[j] != 0 for j in alive):
-            frac = [j for j in alive if 0 < lam[j] < 1]
-            rows = [[1] * len(frac)] + [[vectors[j][i] for j in frac] for i in range(dim)]
-            kernel = kernel_basis(rows)
-            assert kernel, "no zero coordinate at a certificate vertex"
-            w = kernel[0]
-            theta = None
-            for idx, j in enumerate(frac):
-                if w[idx] < 0:
-                    cand = -lam[j] / w[idx]
-                elif w[idx] > 0:
-                    cand = (1 - lam[j]) / w[idx]
-                else:
-                    continue
-                if theta is None or cand < theta:
-                    theta = cand
-            assert theta is not None and theta > 0
-            for idx, j in enumerate(frac):
-                lam[j] += theta * w[idx]
-        j_star = next(j for j in alive if lam[j] == 0)
+        frac = [j for j in alive if lam[j]]
+        j_star = next((j for j in alive if not lam[j]), None)
+        # Push to a point with a zero coordinate.  While there is none,
+        # the f fractional entries sum to f - 1 - d (the rest are 1).  That
+        # sum is positive, as f = 0 would put the mass at t, so f >= d + 2:
+        # the d + 1 mass and weight equations on the first d + 2 of them
+        # have a nonzero kernel vector w, whose entries sum to 0.  Stepping
+        # along w keeps the mass and the weighted sum and, at the largest
+        # feasible step, makes at least one of those entries 0 or 1;
+        # integral entries never move again, so the loop ends.
+        while j_star is None:
+            cols = frac[: dim + 2]
+            rows = [[1] * len(cols)] + [[vectors[j][i] for j in cols] for i in range(dim)]
+            w = kernel_basis(rows)[0]
+            theta = min((1 - lam[j]) / c if c > 0 else -lam[j] / c for j, c in zip(cols, w) if c)
+            for j, c in zip(cols, w):
+                lam[j] += theta * c
+            j_star = next((j for j in cols if not lam[j]), None)
+            frac = [j for j in cols if 0 < lam[j] < 1] + frac[dim + 2 :]
         placed.append(j_star)
         alive.remove(j_star)
         del lam[j_star]
@@ -100,44 +79,39 @@ def _eject_order(vectors: Sequence[Vec], dim: int) -> list[int]:
 
 
 def check_prefix_bound(vectors: Sequence[Vec], perm: Sequence[int]) -> bool:
-    """Exact check of the prefix bound for n in {d..k}."""
-    bag = _as_bag(vectors)
-    vs, d, m, k = bag.vectors, bag.dim, bag.norm_bound, len(bag.vectors)
-    total = bag.total
+    """Exact check of the prefix bound for n in {d..k}:
+    |prefix_n - ((n - d)/k) * total| <= d*m, scaled by k to stay in
+    integers."""
+    vs, d, m, total = _checked(vectors)
+    k = len(vs)
     prefix = zero(d)
     for n, j in enumerate(perm, start=1):
         prefix = vadd(prefix, vs[j])
-        if n < d:
-            continue
-        for i in range(d):
-            if abs(Fraction(prefix[i]) - Fraction(n - d, k) * total[i]) > d * m:
-                return False
+        if n >= d and any(
+            abs(k * prefix[i] - (n - d) * total[i]) > k * d * m for i in range(d)
+        ):
+            return False
     return True
 
 
 def steinitz_permutation(vectors) -> tuple[int, ...]:
     """Permutation keeping prefixes within d*m of the proportional line."""
-    bag = _as_bag(vectors)
-    k = len(bag.vectors)
-    if k == 0:
-        return ()
-    if k <= bag.dim:
-        return tuple(range(k))
-    perm = tuple(_eject_order(bag.vectors, bag.dim))
-    if not check_prefix_bound(bag, perm):
+    vs, d, _, _ = _checked(vectors)
+    if len(vs) <= d:
+        return tuple(range(len(vs)))
+    perm = tuple(_eject_order(vs, d))
+    if not check_prefix_bound(vs, perm):
         raise SteinitzError("constructive reordering failed the prefix bound")
     return perm
 
 
 def prefix_safe_reorder(vectors) -> tuple[int, ...]:
     """Permutation with prefix(i) >= min(total(i), 0) - m*d per coordinate."""
-    bag = _as_bag(vectors)
-    perm = steinitz_permutation(bag) if bag.vectors else ()
-    d, m = bag.dim, bag.norm_bound
-    total = bag.total
+    vs, d, m, total = _checked(vectors)
+    perm = steinitz_permutation(vs)
     prefix = zero(d)
     for j in perm:
-        prefix = vadd(prefix, bag.vectors[j])
+        prefix = vadd(prefix, vs[j])
         assert all(
             prefix[i] >= min(total[i], 0) - m * d for i in range(d)
         ), "prefix-safety bound violated"
@@ -203,22 +177,19 @@ def prune_zero_subsequences(vectors) -> tuple[int, ...]:
     if its state budget runs out, the current J is returned, which
     already meets the bound.
     """
-    bag = _as_bag(vectors)
-    d, m = bag.dim, bag.norm_bound
-    k0 = len(bag.vectors)
-    if k0 == 0:
+    zs, d, m, total = _checked(vectors)
+    if not zs:
         return ()
-    total = bag.total
     flip = [-1 if total[i] < 0 else 1 for i in range(d)]
-    work = [(j, tuple(flip[i] * v[i] for i in range(d))) for j, v in enumerate(bag.vectors)]
+    work = [(j, tuple(flip[i] * z[i] for i in range(d))) for j, z in enumerate(zs)]
     target = tuple(flip[i] * total[i] for i in range(d))
 
-    # each round removes a nonempty run or stops, so at most k0 rounds run
+    # each round removes a nonempty run or stops, so at most len(zs) rounds run
     while work:
         ws = [w for _, w in work]
         es = _monotone_decomposition(ws, target)
         vs = [tuple(w[i] - e[i] for i in range(d)) for w, e in zip(ws, es)]
-        perm = steinitz_permutation(VectorBag(tuple(vs)))
+        perm = steinitz_permutation(vs)
         ordered = [(work[j], es[j], vs[j]) for j in perm]
         prefix = zero(d)
         seen: dict[Vec, int] = {prefix: 0}
@@ -255,7 +226,7 @@ def prune_zero_subsequences(vectors) -> tuple[int, ...]:
     kept_indices = tuple(sorted(j for j, _ in work))
     acc = zero(d)
     for j in kept_indices:
-        acc = vadd(acc, bag.vectors[j])
+        acc = vadd(acc, zs[j])
     assert acc == total, "pruning changed the total sum"
     bound = 2 * norm_1(total) * (3 * d * m) ** d
     if len(kept_indices) > bound:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutreach import steinitz
 from mutreach.steinitz import (
     SteinitzError,
-    VectorBag,
     check_prefix_bound,
     prefix_safe_reorder,
     prune_zero_subsequences,
@@ -35,12 +35,43 @@ def test_alternating_ones_stay_bounded():
         assert -1 <= prefix <= 1
 
 
-def test_bag_validates_dimensions_and_norm():
-    bag = VectorBag(((1, -2), (0, 3)))
-    assert bag.norm_bound == 3
-    assert bag.total == (1, 1)
-    with pytest.raises(SteinitzError):
-        VectorBag(((1,), (1, 2)))
+@pytest.mark.parametrize(
+    "fn", [steinitz_permutation, prefix_safe_reorder, prune_zero_subsequences]
+)
+def test_mixed_dimensions_are_rejected(fn):
+    with pytest.raises(SteinitzError, match="mixed dimensions"):
+        fn([(1,), (1, 2)])
+
+
+def test_prefix_bound_is_exact_at_the_boundary():
+    """A prefix may stray d*m from the proportional line, and no further."""
+    vecs = [(3,), (3,), (-3,), (-3,)]
+    assert check_prefix_bound(vecs, (0, 2, 1, 3))
+    assert not check_prefix_bound(vecs, (0, 1, 2, 3))
+    # total 1 puts the line at (n - 1)/4: a prefix -2 is on the bound at
+    # n = 1 and a quarter past it at n = 2
+    vecs = [(-2,), (0,), (2,), (1,)]
+    assert check_prefix_bound(vecs, (0, 2, 1, 3))
+    assert not check_prefix_bound(vecs, (0, 1, 2, 3))
+
+
+def test_each_move_solves_at_most_d_plus_two_columns(monkeypatch):
+    """Every kernel direction is taken on d + 2 fractional coordinates,
+    however many vectors are reordered."""
+    widths = []
+
+    def spy(rows):
+        widths.append(len(rows[0]))
+        return kernel_basis(rows)
+
+    kernel_basis = steinitz.kernel_basis
+    monkeypatch.setattr(steinitz, "kernel_basis", spy)
+    rng = random.Random(27)
+    d = 2
+    vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(60)]
+    perm = steinitz_permutation(vecs)
+    assert sorted(perm) == list(range(60))
+    assert widths and max(widths) <= d + 2
 
 
 def test_prefix_bound_random_bags():

@@ -361,6 +361,19 @@ def test_synthesis_multi_state_partial_index(difference):
         assert len(word) >= 2
 
 
+def test_synthesis_of_many_cycles_returns():
+    """One counter: +1, -1 and -2.  At the default bounds the pair is
+    certified on I = (), and repaying its difference reorders a few
+    hundred cycles, which used to stall the move loop of the reordering."""
+    net = PetriNet(1, (Action((1,), (2,)), Action((1,), (0,)), Action((2,), (0,))))
+    x, y = (10,), (35,)
+    res = search_witness(net, x, y, PumpingParams(state_bound=4, cycle_len=4))
+    assert res.status == "found" and res.witness.certified
+    for src, dst in ((x, y), (y, x)):
+        word = synthesize_path(net, src, dst, res.witness)
+        assert fire(src, net.word(word)) == dst
+
+
 def test_synthesis_heuristic_threshold_fires_or_reports_block():
     """With thresholds scaled far below the exact ones the certificate
     structure is unaffected; firing either succeeds (and must then be
