@@ -23,6 +23,9 @@ class LatticeRepresentation:
     dim: int
     pairs: tuple[tuple[int, Vec], ...]
     norm: int = field(init=False)
+    # formulas key their dedupe and writer caches by lattice, so the hash
+    # of `pairs` is taken once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairs = tuple((int(n), vec(a)) for n, a in self.pairs)
@@ -37,6 +40,10 @@ class LatticeRepresentation:
         object.__setattr__(
             self, "norm", max((max(n, norm_inf(a)) for n, a in pairs), default=0)
         )
+        object.__setattr__(self, "_hash", hash((self.dim, pairs)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def lattice_contains(rep: LatticeRepresentation, x: Sequence[int]) -> bool:

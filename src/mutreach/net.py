@@ -1,9 +1,7 @@
 """Petri net syntax and operational semantics.
 
 A net is a finite set of actions (pre, post) over d counters.  Firing a
-word subtracts and adds vectors while counters stay non-negative.  The
-hurdle of a word is the unique minimal configuration the whole word can
-fire from, which turns word firability into a single comparison.
+word subtracts and adds vectors while counters stay non-negative.
 """
 
 from __future__ import annotations
@@ -99,24 +97,6 @@ def displacement(word: Sequence[Action], dim: int | None = None) -> Vec:
     for a in word:
         total = vadd(total, a.displacement)
     return total
-
-
-def hurdle(word: Sequence[Action], dim: int | None = None) -> Config:
-    """Minimal configuration the whole word fires from.
-
-    Computed right to left by h -> max(pre, h - delta); entries never go
-    negative because pre >= 0 dominates the max.
-    """
-    d = _check_word(word)
-    if not word:
-        if dim is None:
-            raise NetError("dimension required for the empty word")
-        return zero(dim)
-    h = zero(d)
-    for a in reversed(word):
-        h = tuple(max(p, x - dx) for p, x, dx in zip(a.pre, h, a.displacement, strict=True))
-    assert is_nonnegative(h)
-    return h
 
 
 def fire(x: Config, word: Sequence[Action]) -> Config:

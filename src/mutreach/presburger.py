@@ -233,9 +233,16 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_at(value: object, level: int) -> str:
-    """`json.dumps(value, indent=1)` for a value nested `level` deep."""
-    return json.dumps(value, indent=1).replace("\n", "\n" + " " * level)
+def _json_ints(value: int | Sequence, level: int) -> str:
+    """`json.dumps(value, indent=1)` for an integer or a nested sequence of
+    integers, nested `level` deep."""
+    if isinstance(value, int):
+        return str(value)
+    if not value:
+        return "[]"
+    inner = ",\n" + " " * (level + 1)
+    items = inner.join(_json_ints(x, level + 1) for x in value)
+    return "[\n" + " " * (level + 1) + items + "\n" + " " * level + "]"
 
 
 def mutual_to_json(f: MutualFormula) -> str:
@@ -255,8 +262,8 @@ def mutual_to_json(f: MutualFormula) -> str:
         indent=1,
     )
     # a disjunct's values sit three levels deep: payload, list, dict
-    vector = cache(lambda v: _json_at(list(v), 3))
-    gamma = cache(lambda rep: _json_at([[n, list(a)] for n, a in rep.pairs], 3))
+    vector = cache(lambda v: _json_ints(v, 3))
+    gamma = cache(lambda rep: _json_ints(rep.pairs, 3))
     items = [
         f'  {{\n   "a": {vector(d.lower_x)},\n   "b": {vector(d.lower_y)},\n'
         f'   "gamma": {gamma(d.rep)},\n   "v": {vector(d.shift)}\n  }}'

@@ -579,6 +579,12 @@ def enumerate_unfoldings(
         """The indices of the shape's edges to keep, or None to skip it."""
         if not forward_closed and size > 1 and not strongly_connected(size, shape):
             return None
+        if forward_closed and len(index_set) == net.dim:
+            # On the full index set an edge (p, a, q) has q - p = delta_a, so
+            # each displacement row is a combination of the flow rows.  A
+            # closed component is strongly connected, and the sum of one
+            # cycle through each edge is a positive circulation.
+            return list(range(len(shape)))
         rows = _circulation_rows(net, range(size), shape)
         if forward_closed:
             if positive_circulation(rows, len(shape)) is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .lattice import lattice_contains
-from .net import Blocked, PetriNet, displacement, fire, hurdle
+from .net import Blocked, PetriNet, displacement, fire
 from .steinitz import prefix_safe_reorder, prune_zero_subsequences
 from .unfolding import (
     EnumLimits,
@@ -140,28 +140,43 @@ class UpwardBasis:
 WALK_BUDGET = 20000
 
 
-def _cycle_words(g: Unfolding, q: Vec, max_len: int) -> tuple[list[tuple[int, ...]], bool]:
+def _cycle_words(
+    g: Unfolding, q: Vec, max_len: int
+) -> tuple[list[tuple[tuple[int, ...], Vec, Vec]], bool]:
     """All words labelling cycles on q with length <= max_len (walks may
-    revisit states), deterministic order, capped by WALK_BUDGET."""
-    words: list[tuple[int, ...]] = [()]
+    revisit states), deterministic order, capped by WALK_BUDGET; each with
+    its hurdle (the least configuration the whole word fires from) and its
+    displacement.
+
+    Both are carried along the walk: appending action a to w gives
+    h(wa) = max(h(w), pre(a) - delta(w)) and delta(wa) = delta(w) + delta(a).
+    """
+    actions = g.net.actions
+    start = zero(g.net.dim)
+    words: list[tuple[tuple[int, ...], Vec, Vec]] = [((), start, start)]
     truncated = False
     out: dict[Vec, list] = {}
     for t in g.transitions:
         out.setdefault(t[0], []).append(t)
-    frontier: list[tuple[Vec, tuple[int, ...]]] = [(q, ())]
+    frontier: list[tuple[Vec, tuple[int, ...], Vec, Vec]] = [(q, (), start, start)]
     explored = 1
     for _ in range(max_len):
         nxt = []
-        for state, word in frontier:
+        for state, word, h, delta in frontier:
             for t in out.get(state, ()):
                 explored += 1
                 if explored > WALK_BUDGET:
                     truncated = True
                     break
-                w = word + (t[1],)
+                a = actions[t[1]]
+                entry = (
+                    word + (t[1],),
+                    tuple(max(x, p - y) for x, p, y in zip(h, a.pre, delta)),
+                    tuple(y + z for y, z in zip(delta, a.displacement)),
+                )
                 if t[2] == q:
-                    words.append(w)
-                nxt.append((t[2], w))
+                    words.append(entry)
+                nxt.append((t[2], *entry))
             if truncated:
                 break
         if truncated:
@@ -171,11 +186,22 @@ def _cycle_words(g: Unfolding, q: Vec, max_len: int) -> tuple[list[tuple[int, ..
 
 
 def _antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
-    """Minimal elements under componentwise order; first witness kept."""
-    items = sorted(items, key=lambda it: (sum(it[0]), it[0]))
-    kept: list[tuple[Vec, object]] = []
+    """Minimal elements under componentwise order, by sum and then
+    lexicographically; of repeated vectors the first witness is kept."""
+    first: dict[Vec, object] = {}
     for v, w in items:
-        if not any(vge(v, u) for u, _ in kept):
+        first.setdefault(v, w)
+    # A vector above another distinct one has the larger sum, so it comes
+    # later; v is kept when every kept u has some entry above v's.
+    kept: list[tuple[Vec, object]] = []
+    for v, w in sorted(first.items(), key=lambda it: (sum(it[0]), it[0])):
+        for u, _ in kept:
+            for a, b in zip(v, u):
+                if a < b:
+                    break
+            else:
+                break  # v >= u
+        else:
             kept.append((v, w))
     return kept
 
@@ -199,10 +225,7 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
 
     f_items: list[tuple[Vec, object]] = []
     g_items: list[tuple[Vec, object]] = []
-    for w in words:
-        acts = net.word(w)
-        h = hurdle(acts, dim=net.dim)
-        delta = displacement(acts, dim=net.dim)
+    for w, h, delta in words:
         f_vec = tuple(max(h[i] + delta[i], delta[i] + tau) for i in off)
         g_vec = tuple(max(h[i], -delta[i] + tau) for i in off)
         f_items.append((f_vec, w))

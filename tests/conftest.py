@@ -11,7 +11,7 @@ rendered whole, and the reference Hermite normal form picks its pivot
 rows by rational elimination before any integer column operation, the
 reference witness search enumerates every index set, and the reference
 violation search queries the whole product of one short coordinate per
-consequent.
+consequent; word hurdles are computed right to left over the whole word.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from typing import Sequence
 
 import pytest
 
+from mutreach import witness
 from mutreach.intlinalg import LinalgError
-from mutreach.net import Action, PetriNet, load_net
+from mutreach.net import Action, NetError, PetriNet, load_net
 from mutreach.presburger import (
     BottomFormula,
     BottomTuple,
@@ -123,6 +124,68 @@ def format_net(net: PetriNet, comment: str | None = None) -> str:
             "pre: " + " ".join(map(str, a.pre)) + "  post: " + " ".join(map(str, a.post))
         )
     return "\n".join(lines) + "\n"
+
+
+# --- word hurdles, cycle walks and antichains ------------------------------------
+
+
+def hurdle(word: Sequence[Action], dim: int | None = None) -> Vec:
+    """Minimal configuration the whole word fires from.
+
+    Computed right to left by h -> max(pre, h - delta); entries never go
+    negative because pre >= 0 dominates the max.  The reference for the
+    hurdles `witness._cycle_words` carries left to right along its walk.
+    """
+    if not word:
+        if dim is None:
+            raise NetError("dimension required for the empty word")
+        return (0,) * dim
+    h = (0,) * word[0].dim
+    for a in reversed(word):
+        h = tuple(max(p, x - dx) for p, x, dx in zip(a.pre, h, a.displacement, strict=True))
+    assert all(x >= 0 for x in h)
+    return h
+
+
+def reference_cycle_words(g: Unfolding, q: Vec, max_len: int) -> tuple[list[tuple[int, ...]], bool]:
+    """The cycle words on q of length <= max_len and the truncation flag,
+    by the breadth-first walk that carries only the words."""
+    words: list[tuple[int, ...]] = [()]
+    truncated = False
+    out: dict[Vec, list] = {}
+    for t in g.transitions:
+        out.setdefault(t[0], []).append(t)
+    frontier: list[tuple[Vec, tuple[int, ...]]] = [(q, ())]
+    explored = 1
+    for _ in range(max_len):
+        nxt = []
+        for state, word in frontier:
+            for t in out.get(state, ()):
+                explored += 1
+                if explored > witness.WALK_BUDGET:
+                    truncated = True
+                    break
+                w = word + (t[1],)
+                if t[2] == q:
+                    words.append(w)
+                nxt.append((t[2], w))
+            if truncated:
+                break
+        if truncated:
+            break
+        frontier = nxt
+    return words, truncated
+
+
+def reference_antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
+    """Minimal elements by a stable sort on (sum, vector) and a scan that
+    drops every item at or above one kept before it."""
+    items = sorted(items, key=lambda it: (sum(it[0]), it[0]))
+    kept: list[tuple[Vec, object]] = []
+    for v, w in items:
+        if not any(vge(v, u) for u, _ in kept):
+            kept.append((v, w))
+    return kept
 
 
 # --- independent span oracle ---------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import (
     enumerated_span_points,
     eval_bottom_by_enumeration,
     format_net,
+    hurdle,
     span_oracle,
 )
 from mutreach.cli import main as cli_main
@@ -31,7 +32,7 @@ from extraction import (
     reference_extractor,
 )
 from mutreach.lattice import lattice_contains, representation_from_generators
-from mutreach.net import Blocked, fire, hurdle, displacement
+from mutreach.net import Blocked, fire, displacement
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import compile_bottom, compile_mutual, eval_bottom, eval_mutual
 from mutreach.steinitz import (

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import format_net
+from conftest import format_net, hurdle
 from extraction import fire_trace
 from mutreach.net import (
     Action,
@@ -13,7 +13,6 @@ from mutreach.net import (
     PetriNet,
     displacement,
     fire,
-    hurdle,
     parse_config,
     parse_net,
 )

@@ -28,7 +28,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutreach import presburger, witness
+from mutreach import presburger, unfolding, witness
 from mutreach.intlinalg import hermite_normal_form, solve_integer
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, PetriNet
@@ -300,6 +300,33 @@ def test_each_shape_is_compiled_once(mixed3, monkeypatch):
     assert len(shapes) < len(unfoldings)  # shapes do repeat
     assert sorted(lattice_calls) == sorted(shapes)
     assert sorted(basis_calls) == sorted({(_shape(g), k) for g in unfoldings for k in range(g.size)})
+
+
+@pytest.mark.parametrize("name, state_bound, solves", [("mixed3", 5, 7), ("ring3", 4, 1)])
+def test_bottom_compile_solves_no_lp_on_the_full_index_set(
+    mixed3, ring3, monkeypatch, name, state_bound, solves
+):
+    """A closed component over the full index set carries a positive
+    circulation by strong connectivity alone, so only proper index sets
+    reach `positive_circulation`."""
+    net = mixed3 if name == "mixed3" else ring3
+    index_set, calls = [None], []
+    enumerate_all, circulation = presburger.enumerate_unfoldings, unfolding.positive_circulation
+
+    def tagged(net, ix, *args, **kwargs):
+        index_set[0] = tuple(ix)
+        yield from enumerate_all(net, ix, *args, **kwargs)
+
+    def counting(rows, nvars):
+        calls.append(index_set[0])
+        return circulation(rows, nvars)
+
+    monkeypatch.setattr(presburger, "enumerate_unfoldings", tagged)
+    monkeypatch.setattr(unfolding, "positive_circulation", counting)
+    formula = compile_bottom(net, PumpingParams(state_bound=state_bound, cycle_len=4))
+    assert any(t.index_set == tuple(range(net.dim)) for t in formula.tuples)
+    assert tuple(range(net.dim)) not in calls
+    assert len(calls) == solves
 
 
 def test_shapes_that_differ_only_in_action_labels_are_compiled_apart():

@@ -3,9 +3,17 @@ import itertools
 import pytest
 
 import conftest
-from conftest import collect_unfoldings, reference_search_witness
+from conftest import (
+    collect_unfoldings,
+    hurdle,
+    reference_antichain_min,
+    reference_cycle_words,
+    reference_search_witness,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mutreach.lattice import representation_from_generators
-from mutreach.net import Action, PetriNet, fire
+from mutreach.net import Action, PetriNet, displacement, fire
 from mutreach.presburger import BottomFormula, BottomTuple, eval_bottom
 from mutreach.unfolding import (
     EnumLimits,
@@ -63,6 +71,51 @@ def test_upward_basis_is_antichain(fixture_nets):
                 basis = upward_basis(g, q, params)
                 for a, b in itertools.permutations(basis.elements, 2):
                     assert not all(x >= y for x, y in zip(a.vector, b.vector))
+
+
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3"])
+def test_cycle_words_carry_hurdle_and_displacement(fixture_nets, ring3, name):
+    """At the default bounds, every cycle word on every state of every
+    unfolding carries the hurdle and displacement of the whole word, and
+    the walk yields the words and truncation flag of the word-only walk."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    params = PumpingParams(state_bound=4, cycle_len=4)
+    checked = 0
+    for index_set in index_sets(net.dim):
+        for g in enumerate_unfoldings(net, index_set, params.state_bound):
+            for q in g.states:
+                entries, truncated = witness._cycle_words(g, q, params.cycle_len)
+                words = [w for w, _, _ in entries]
+                assert (words, truncated) == reference_cycle_words(g, q, params.cycle_len)
+                for w, h, delta in entries:
+                    acts = net.word(w)
+                    assert h == hurdle(acts, dim=net.dim), (g, q, w)
+                    assert delta == displacement(acts, dim=net.dim), (g, q, w)
+                checked += len(entries)
+    assert checked > 0
+
+
+def test_cycle_words_stop_at_the_walk_budget(ring3, monkeypatch):
+    monkeypatch.setattr(witness, "WALK_BUDGET", 40)
+    g = max(enumerate_unfoldings(ring3, (0,), 4), key=lambda g: len(g.transitions))
+    q = g.states[0]
+    entries, truncated = witness._cycle_words(g, q, 6)
+    assert len(entries) > 1
+    assert truncated
+    assert ([w for w, _, _ in entries], truncated) == reference_cycle_words(g, q, 6)
+    for w, h, delta in entries:
+        assert (h, delta) == (hurdle(ring3.word(w), dim=3), displacement(ring3.word(w), dim=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), max_size=30)
+))
+def test_antichain_min_matches_sort_and_scan(vectors):
+    """Repeated vectors with distinct witnesses: the first witness of each
+    minimal vector survives, in the order of the stable sort-and-scan."""
+    items = [(v, k) for k, v in enumerate(vectors)]
+    assert witness._antichain_min(items) == reference_antichain_min(items)
 
 
 def test_membership_empty_basis_is_false():
