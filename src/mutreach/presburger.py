@@ -94,14 +94,17 @@ def _compiled_unfoldings(
     walks, and the pumping threshold depends only on the size.  They are
     computed once per shape; only the I coordinates of the basis vectors,
     which are the state's own values, are written afresh per unfolding.
+    Likewise each distinct presolved circulation system is solved once
+    per pass, across every index set.
     """
     out: list[tuple[Unfolding, _Parts]] = []
     shapes: dict[tuple, _Parts] = {}
+    solved: dict = {}
     truncated = False
     for index_set in index_sets(net.dim):
         stats = EnumStats()  # `max_unfoldings` caps each index set alone
         for g in enumerate_unfoldings(
-            net, index_set, params.state_bound, limits, stats, forward_closed
+            net, index_set, params.state_bound, limits, stats, forward_closed, solved
         ):
             position = {s: k for k, s in enumerate(g.states)}
             key = (g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions))
@@ -747,26 +750,41 @@ def bottom_from_text(text: str) -> BottomFormula:
 
 
 def bottom_to_json(f: BottomFormula) -> str:
-    payload = {
-        "kind": "bottom",
-        "dim": f.dim,
-        "provenance": f.provenance,
-        "complete": f.complete,
-        "tuples": [
-            {
-                "index_set": list(t.index_set),
-                "state": list(t.state),
-                "gamma": [[n, list(a)] for n, a in t.rep.pairs],
-                "membership": [list(m) for m in t.membership],
-                "implications": [
-                    {"antecedents": [list(w) for w in ants], "consequents": [list(w) for w in cons]}
-                    for ants, cons in t.implications
-                ],
-            }
-            for t in f.tuples
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """The text of `json.dumps(payload, sort_keys=True, indent=1)`, with
+    each distinct gamma and each distinct vector list rendered once per
+    call."""
+    header = json.dumps(
+        {
+            "kind": "bottom",
+            "dim": f.dim,
+            "provenance": f.provenance,
+            "complete": f.complete,
+            "tuples": [],
+        },
+        sort_keys=True,
+        indent=1,
+    )
+    # a tuple's values sit three levels deep: payload, list, dict; an
+    # implication's vector lists two deeper: list, dict
+    value = cache(lambda v: _json_ints(v, 3))
+    gamma = cache(lambda rep: _json_ints(rep.pairs, 3))
+    words = cache(lambda ws: _json_ints(ws, 5))
+    items = []
+    for t in f.tuples:
+        imps = ",\n".join(
+            f'    {{\n     "antecedents": {words(ants)},\n     "consequents": {words(cons)}\n    }}'
+            for ants, cons in t.implications
+        )
+        imps = "[\n" + imps + "\n   ]" if imps else "[]"
+        items.append(
+            f'  {{\n   "gamma": {gamma(t.rep)},\n   "implications": {imps},\n'
+            f'   "index_set": {value(t.index_set)},\n'
+            f'   "membership": {value(t.membership)},\n'
+            f'   "state": {value(t.state)}\n  }}'
+        )
+    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    # "tuples" sorts after every other key, so this is the key
+    return header.replace('"tuples": []', '"tuples": ' + listing, 1) + "\n"
 
 
 def bottom_to_smtlib(f: BottomFormula) -> str:

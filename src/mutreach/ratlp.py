@@ -11,10 +11,7 @@ feasible vertex of A x = b, x >= 0 (or None).  `solution()` reads that
 vertex.  `minimize(cost)` runs phase 2 from the current vertex and leaves
 the tableau at an optimal one, which is feasible again, so one phase 1
 serves every objective over the same rows; a caller negates a cost to
-maximise.  Bland's rule terminates from any feasible basis.  Nothing
-memoises these LPs by their rows: such a memo in the unfolding
-enumerator never hit, on any fixture, on mixed3 at state bound 5, on
-ring3, or over the certify benchmark's witness searches.
+maximise.  Bland's rule terminates from any feasible basis.
 
 Both circulation questions first run one exact presolve step, forcing
 rows (Andersen & Andersen, *Presolving in linear programming*, Math.
@@ -22,6 +19,15 @@ Programming 71, 1995): a row of A f = 0 whose nonzero entries on the
 live columns share one sign forces those columns to 0 for every f >= 0.
 Each forced column can leave another row one-signed, so the step repeats
 until no row forces more.  Only the live columns reach the simplex.
+
+Presolved systems repeat, mostly across index sets: distinct state sets
+often leave the same rows on the same number of live columns.
+`max_positive_support` takes an optional dict `solved` that a caller
+keeps across many questions; it maps each presolved system, up to row
+order, row sign, repeated rows and rows that vanish on the live columns,
+to its support, so each distinct one is solved once.  One mutual compile
+on mixed3 at state bound 5 asks 32 support questions over 8 distinct
+presolved systems.
 """
 
 from __future__ import annotations
@@ -196,9 +202,22 @@ def positive_circulation(
     return _circulation(eq_rows, nvars, range(nvars))
 
 
+def _cone_key(rows: Sequence[Sequence], n: int) -> tuple:
+    """The live-column count and the distinct nonzero rows, each with its
+    first nonzero entry positive: equal keys give the same cone
+    {f >= 0 : A f = 0}, so the same maximal support."""
+    signed = set()
+    for row in rows:
+        first = next((x for x in row if x), 0)
+        if first:
+            signed.add(tuple(row) if first > 0 else tuple(-x for x in row))
+    return n, tuple(sorted(signed))
+
+
 def max_positive_support(
     eq_rows: Sequence[Sequence],
     nvars: int,
+    solved: dict | None = None,
 ) -> list[int]:
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
@@ -209,18 +228,28 @@ def max_positive_support(
     covered. The all-index LP runs first: it is the common case, and a
     simplex vertex alone covers at most rank(A) indices.  The maximal
     support is a property of the cone, so it does not depend on which
-    vertices the simplex visits.
+    vertices the simplex visits, nor on how the cone's rows are written:
+    with `solved`, a system whose presolved rows match an earlier one's
+    (see `_cone_key`) reuses its support over the live columns.
     """
     alive = _unforced_columns(eq_rows, nvars)
     rows = [[row[j] for j in alive] for row in eq_rows]
     n = len(alive)
+    if solved is not None:
+        key = _cone_key(rows, n)
+        if key in solved:
+            return [alive[k] for k in solved[key]]
     if _circulation(rows, n, range(n)) is not None:
-        return alive
-    support: set[int] = set()
-    for j in range(n):
-        if j in support:
-            continue
-        f = _circulation(rows, n, (j,))
-        if f is not None:
-            support.update(k for k, x in enumerate(f) if x > 0)
-    return [alive[k] for k in sorted(support)]
+        local = list(range(n))
+    else:
+        support: set[int] = set()
+        for j in range(n):
+            if j in support:
+                continue
+            f = _circulation(rows, n, (j,))
+            if f is not None:
+                support.update(k for k, x in enumerate(f) if x > 0)
+        local = sorted(support)
+    if solved is not None:
+        solved[key] = local
+    return [alive[k] for k in local]

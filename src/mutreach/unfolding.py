@@ -493,6 +493,7 @@ def enumerate_unfoldings(
     limits: EnumLimits | None = None,
     stats: EnumStats | None = None,
     forward_closed: bool = False,
+    solved: dict | None = None,
 ) -> Iterator[Unfolding]:
     """Structurally-reversible unfoldings over states of norm < state_bound.
 
@@ -503,7 +504,9 @@ def enumerate_unfoldings(
 
     With `forward_closed` a state set that some enabled action leaves is
     skipped, and the transition set is forced: all enabled edges must
-    carry a positive circulation together.
+    carry a positive circulation together.  Otherwise `solved` is handed
+    to `max_positive_support`, so a caller that walks many index sets can
+    solve each distinct presolved circulation system once.
     """
     limits = limits or EnumLimits()
     stats = stats if stats is not None else EnumStats()
@@ -564,9 +567,9 @@ def enumerate_unfoldings(
     # action index, local position) over the sorted states.  Each distinct
     # shape is decided once per call.  In a connected subset every state
     # touches an edge, so the shape also fixes the size.  The circulation
-    # rows are a function of the shape; a second memo keyed by the rows never
-    # hit on any fixture, on mixed3 at state bound 5 or on ring3, so each
-    # kept shape solves its own LP.
+    # rows are a function of the shape.  Within one call distinct shapes
+    # rarely share rows, but presolved systems repeat, mostly across index
+    # sets, so the caller keeps `solved` across index sets.
     kept: dict[tuple[tuple[int, int, int], ...], list[int] | None] = {}
 
     def strongly_connected(size: int, arcs: Iterable[tuple[int, int, int]]) -> bool:
@@ -590,7 +593,7 @@ def enumerate_unfoldings(
             if positive_circulation(rows, len(shape)) is None:
                 return None
             return list(range(len(shape)))
-        support = max_positive_support(rows, len(shape))
+        support = max_positive_support(rows, len(shape), solved)
         if len(support) < len(shape) and size > 1:
             if not strongly_connected(size, (shape[j] for j in support)):
                 return None

@@ -1225,6 +1225,30 @@ def reference_mutual_json(f) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+def reference_bottom_json(f) -> str:
+    """The bottom `.json` text from one `json.dumps` over the whole payload."""
+    payload = {
+        "kind": "bottom",
+        "dim": f.dim,
+        "provenance": f.provenance,
+        "complete": f.complete,
+        "tuples": [
+            {
+                "index_set": list(t.index_set),
+                "state": list(t.state),
+                "gamma": [[n, list(a)] for n, a in t.rep.pairs],
+                "membership": [list(m) for m in t.membership],
+                "implications": [
+                    {"antecedents": [list(w) for w in ants], "consequents": [list(w) for w in cons]}
+                    for ants, cons in t.implications
+                ],
+            }
+            for t in f.tuples
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 class SmtScript:
     """A QF_LIA script in the subset the mutual exporter writes, as a
     predicate on the values of its declared constants.

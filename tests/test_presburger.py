@@ -17,6 +17,7 @@ from conftest import (
     mutual_to_ast,
     reference_bottom_smtlib,
     reference_compile_bottom,
+    reference_bottom_json,
     reference_compile_mutual,
     reference_mutual_json,
     reference_mutual_smtlib,
@@ -558,6 +559,26 @@ def test_bottom_writers_match_reference_phi_tree(f):
     assert not any(ln.startswith("phi ") for ln in bottom_to_text(f).splitlines())
     keys = {"index_set", "state", "gamma", "membership", "implications"}
     assert all(t.keys() == keys for t in json.loads(bottom_to_json(f))["tuples"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bottom_formulas())
+def test_bottom_json_matches_whole_payload_rendering(f):
+    assert bottom_to_json(f) == reference_bottom_json(f)
+
+
+@pytest.mark.parametrize(
+    "name, state_bound",
+    [(name, bound) for name in ("token_swap", "consumer", "ring", "mixed3") for bound in (4, 5)]
+    + [("ring3", 4)],
+)
+def test_compiled_bottom_json_matches_whole_payload_rendering(
+    fixture_nets, ring3, name, state_bound
+):
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    f = compile_bottom(net, PumpingParams(state_bound=state_bound, cycle_len=4))
+    assert f.tuples
+    assert bottom_to_json(f) == reference_bottom_json(f)
 
 
 @st.composite

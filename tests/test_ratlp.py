@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lp_max_support
-from mutreach import ratlp
+from mutreach import ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation
 from mutreach.witness import PumpingParams
@@ -68,7 +69,10 @@ def test_one_signed_rows_are_decided_without_an_lp(monkeypatch):
 def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
     """mixed3's consumer action has a one-signed displacement row.  Without
     the forcing-row pass this compile solves 106 LPs; with it, the edges of
-    the consumer and everything they cascade to never reach the simplex."""
+    the consumer and everything they cascade to never reach the simplex,
+    which left 26.  The 32 support questions of the compile then reduce to
+    8 distinct presolved systems, and solving each once per compile pass,
+    across every index set, leaves 7."""
     calls = []
     solve = ratlp.solve_standard
 
@@ -78,4 +82,102 @@ def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
 
     monkeypatch.setattr(ratlp, "solve_standard", counting)
     compile_mutual(mixed3, PumpingParams(state_bound=5, cycle_len=4))
-    assert len(calls) == 26
+    assert len(calls) == 7
+
+
+def _counting_solves(monkeypatch) -> list:
+    calls = []
+    solve = ratlp.solve_standard
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ratlp, "solve_standard", counting)
+    return calls
+
+
+def test_ring3_compile_solves_each_presolved_system_once(ring3, monkeypatch):
+    """153 support questions over 85 distinct presolved systems; a system
+    whose all-index LP fails takes one more LP per uncovered column."""
+    calls = _counting_solves(monkeypatch)
+    compile_mutual(ring3, PumpingParams(state_bound=4, cycle_len=4))
+    assert len(calls) == 84
+
+
+def test_presolved_systems_share_one_solve(monkeypatch):
+    """Row order, row sign, a repeated row and a row that is zero on the
+    live columns leave the cone {f >= 0 : A f = 0} as it is, so such
+    systems share one solve; a different live row does not."""
+    calls = _counting_solves(monkeypatch)
+    solved = {}
+    chain = [[1, -1, 0], [0, 1, -1]]  # f0 = f1 = f2
+    assert max_positive_support(chain, 3, solved) == [0, 1, 2]
+    assert len(calls) == 1
+    same_cone = [
+        [[0, 1, -1], [1, -1, 0]],  # row order
+        [[-1, 1, 0], [0, -1, 1]],  # row sign
+        [[1, -1, 0], [0, 1, -1], [1, -1, 0]],  # a repeated row
+        [[1, -1, 0], [0, 0, 0], [0, 1, -1]],  # a zero row
+    ]
+    for rows in same_cone:
+        assert max_positive_support(rows, 3, solved) == [0, 1, 2]
+    # a fourth column that a one-signed row forces to 0, before and after
+    # the live ones: that row is zero on the live columns, and the support
+    # maps back through them
+    last_forced = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 2]]
+    first_forced = [[0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 0]]
+    assert max_positive_support(last_forced, 4, solved) == [0, 1, 2]
+    assert max_positive_support(first_forced, 4, solved) == [1, 2, 3]
+    assert len(calls) == 1
+    different = [[1, -1, 1], [-1, 1, 1]]  # the rows sum to 2 f2 = 0
+    assert max_positive_support(different, 3, solved) == lp_max_support(different, 3) == [0, 1]
+    assert len(calls) > 1
+    assert len(solved) == 2
+
+
+def test_the_live_column_count_is_part_of_a_system():
+    """With no row left on the live columns, only their number tells two
+    systems apart."""
+    solved = {}
+    assert max_positive_support([[0, 0]], 2, solved) == [0, 1]
+    assert max_positive_support([[0, 0, 0]], 3, solved) == [0, 1, 2]
+    assert max_positive_support([], 4, solved) == [0, 1, 2, 3]
+    # one live column after two forced ones
+    assert max_positive_support([[1, 0, 0], [0, -1, 0]], 3, solved) == [2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(homogeneous_systems(), min_size=1, max_size=6))
+def test_a_shared_memo_answers_as_a_fresh_solve(systems):
+    solved = {}
+    for rows, nvars in systems:
+        assert max_positive_support(rows, nvars, solved) == lp_max_support(rows, nvars)
+
+
+COMPILES = [
+    pytest.param(name, bound, id=f"{name}-{bound}")
+    for name in ("token_swap", "consumer", "ring", "mixed3")
+    for bound in (4, 5)
+] + [pytest.param("ring3", 4, id="ring3-4")]
+
+
+@pytest.mark.parametrize("name, state_bound", COMPILES)
+def test_a_compile_pass_answers_each_support_as_a_fresh_solve(
+    fixture_nets, ring3, monkeypatch, name, state_bound
+):
+    """Every support a mutual compile reads from its shared memo is the one
+    a call without the memo returns."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    calls = []
+
+    def recording(rows, nvars, solved=None):
+        support = max_positive_support(rows, nvars, solved)
+        calls.append((rows, nvars, support, solved is not None))
+        return support
+
+    monkeypatch.setattr(unfolding, "max_positive_support", recording)
+    compile_mutual(net, PumpingParams(state_bound=state_bound, cycle_len=4))
+    assert calls and all(shared for *_, shared in calls)
+    for rows, nvars, support, _ in calls:
+        assert support == max_positive_support(rows, nvars)

@@ -652,9 +652,9 @@ def test_enumeration_matches_reference_when_truncated(mixed3, forward_closed):
 def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
     calls = []
 
-    def counting(rows, nvars):
+    def counting(rows, nvars, solved=None):
         calls.append(tuple(map(tuple, rows)))
-        return max_positive_support(rows, nvars)
+        return max_positive_support(rows, nvars, solved)
 
     monkeypatch.setattr(unfolding, "max_positive_support", counting)
     solved = state_sets = 0
