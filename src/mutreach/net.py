@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .vectors import Vec, is_nonnegative, norm_inf, vadd, vec, vsub, zero
+from .vectors import Vec, is_nonnegative, norm_inf, vadd, vec, vsub
 
 Config = Vec
 
@@ -75,28 +75,6 @@ class PetriNet:
     def word(self, indices: Sequence[int]) -> tuple[Action, ...]:
         """Expand a word stored as indices into the action table."""
         return tuple(self.actions[i] for i in indices)
-
-
-def _check_word(word: Sequence[Action]) -> int:
-    dims = {a.dim for a in word}
-    if len(dims) > 1:
-        raise NetError(f"mixed dimensions in word: {sorted(dims)}")
-    return dims.pop() if dims else 0
-
-
-def displacement(word: Sequence[Action], dim: int | None = None) -> Vec:
-    """Sum of per-action displacements; the empty word is the zero vector."""
-    d = _check_word(word)
-    if not word:
-        if dim is None:
-            raise NetError("dimension required for the empty word")
-        return zero(dim)
-    if dim is not None and dim != d:
-        raise NetError(f"word dimension {d} does not match requested {dim}")
-    total = zero(d)
-    for a in word:
-        total = vadd(total, a.displacement)
-    return total
 
 
 def fire(x: Config, word: Sequence[Action]) -> Config:

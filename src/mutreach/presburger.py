@@ -192,7 +192,7 @@ def _linear_term(coeffs: Sequence[int], names: Sequence[str], constant: int = 0)
     ]
     if constant or not parts:
         parts.append(smt_numeral(constant))
-    return parts[0] if len(parts) == 1 else "(+ " + " ".join(parts) + ")"
+    return _smt_connective("+", parts)
 
 
 def mutual_var_names(dim: int) -> list[str]:
@@ -228,42 +228,16 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
         f"{lattice_part(d.rep, d.shift)})" if f.dim else "true"
         for d in f.disjuncts
     ]
-    body = "(or " + " ".join(conjunctions) + ")" if conjunctions else "false"
     lines = ["(set-logic QF_LIA)"]
     lines += [f"(declare-const {n} Int)" for n in names]
     lines += [f"(assert (>= {n} 0))" for n in names]
-    lines += [f"(assert {body})", "(check-sat)"]
+    lines += [f"(assert {_smt_junction('or', conjunctions)})", "(check-sat)"]
     return "\n".join(lines) + "\n"
-
-
-def _json_ints(value: int | Sequence, level: int) -> str:
-    """`json.dumps(value, indent=1)` for an integer or a nested sequence of
-    integers, nested `level` deep."""
-    if isinstance(value, int):
-        return str(value)
-    if not value:
-        return "[]"
-    inner = ",\n" + " " * (level + 1)
-    items = inner.join(_json_ints(x, level + 1) for x in value)
-    return "[\n" + " " * (level + 1) + items + "\n" + " " * level + "]"
 
 
 def mutual_to_json(f: MutualFormula) -> str:
     """The text of `json.dumps(payload, sort_keys=True, indent=1)`, with
     each distinct vector and each distinct gamma rendered once per call."""
-    header = json.dumps(
-        {
-            "kind": "mutual",
-            "dim": f.dim,
-            "provenance": f.provenance,
-            "complete": f.complete,
-            "state_bound": f.state_bound,
-            "cycle_len": f.cycle_len,
-            "disjuncts": [],
-        },
-        sort_keys=True,
-        indent=1,
-    )
     # a disjunct's values sit three levels deep: payload, list, dict
     vector = cache(lambda v: _json_ints(v, 3))
     gamma = cache(lambda rep: _json_ints(rep.pairs, 3))
@@ -272,22 +246,12 @@ def mutual_to_json(f: MutualFormula) -> str:
         f'   "gamma": {gamma(d.rep)},\n   "v": {vector(d.shift)}\n  }}'
         for d in f.disjuncts
     ]
-    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    # "disjuncts" sorts before every string-valued key, so this is the key
-    return header.replace('"disjuncts": []', '"disjuncts": ' + listing, 1) + "\n"
+    return _json_document(_header(f, "mutual"), "disjuncts", items)
 
 
 def mutual_to_text(f: MutualFormula) -> str:
-    row = cache(lambda v: " ".join(map(str, v)))
-    pair_lines = cache(lambda rep: tuple(f"pair {n} : {row(a)}" for n, a in rep.pairs))
-    lines = [
-        "kind mutual",
-        f"dim {f.dim}",
-        f"provenance {f.provenance}",
-        f"complete {int(f.complete)}",
-        f"state-bound {f.state_bound}",
-        f"cycle-len {f.cycle_len}",
-    ]
+    row, pair_lines = _text_renderers()
+    lines = _text_header(_header(f, "mutual"))
     for d in f.disjuncts:
         lines += ("disjunct", "a " + row(d.lower_x), "b " + row(d.lower_y), "v " + row(d.shift))
         lines += pair_lines(d.rep)
@@ -321,10 +285,76 @@ def mutual_from_text(text: str) -> MutualFormula:
     )
 
 
-# --- parsing helpers: every malformed input raises CompileError --------------------
+# --- the file layout both formula kinds share --------------------------------------
 
+# header fields in file order; the reader accepts these and no others
 _MUTUAL_HEADER = ("dim", "provenance", "complete", "state-bound", "cycle-len")
 _BOTTOM_HEADER = ("dim", "provenance", "complete")
+
+
+def _header(f: MutualFormula | BottomFormula, kind: str) -> dict[str, object]:
+    """The kind and the header fields of a formula, in file order, under
+    their text names; each field is the formula attribute of that name."""
+    known = _MUTUAL_HEADER if kind == "mutual" else _BOTTOM_HEADER
+    return {"kind": kind} | {key: getattr(f, key.replace("-", "_")) for key in known}
+
+
+def _text_header(fields: dict[str, object]) -> list[str]:
+    """The `kind` line and the header lines of a text file, a flag as 0 or 1."""
+    return [f"{key} {int(v) if isinstance(v, bool) else v}" for key, v in fields.items()]
+
+
+def _text_renderers():
+    """A vector row and the `pair n : a1 ... ad` lines of a lattice, each
+    distinct one rendered once per call; `_vector` and `_lattice` read
+    them back."""
+    row = cache(lambda v: " ".join(map(str, v)))
+    pair_lines = cache(lambda rep: tuple(f"pair {n} : {row(a)}" for n, a in rep.pairs))
+    return row, pair_lines
+
+
+def _json_ints(value: int | Sequence, level: int) -> str:
+    """`json.dumps(value, indent=1)` for an integer or a nested sequence of
+    integers, nested `level` deep."""
+    if isinstance(value, int):
+        return str(value)
+    if not value:
+        return "[]"
+    inner = ",\n" + " " * (level + 1)
+    items = inner.join(_json_ints(x, level + 1) for x in value)
+    return "[\n" + " " * (level + 1) + items + "\n" + " " * level + "]"
+
+
+def _json_document(fields: dict[str, object], key: str, items: list[str]) -> str:
+    """`json.dumps` of the header fields, under their JSON names, and of the
+    list under `key` whose items, nested two deep, the caller rendered;
+    sorted keys and indent 1.
+
+    The header is dumped with an empty list under `key`, and the rendered
+    list is spliced in for it.  Inside a JSON string every quote is escaped,
+    so the text `"key": []` can only be that key and its value.
+    """
+    payload = {name.replace("-", "_"): v for name, v in fields.items()} | {key: []}
+    header = json.dumps(payload, sort_keys=True, indent=1)
+    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+    return header.replace(f'"{key}": []', f'"{key}": {listing}', 1) + "\n"
+
+
+_SMT_UNIT = {"and": "true", "or": "false", "+": "0"}
+
+
+def _smt_junction(op: str, parts: Sequence[str]) -> str:
+    """`(op p1 ... pn)`, every part kept however few; with no part, the
+    unit of op."""
+    return f"({op} " + " ".join(parts) + ")" if parts else _SMT_UNIT[op]
+
+
+def _smt_connective(op: str, parts: Sequence[str]) -> str:
+    """`_smt_junction`, with a single part written on its own."""
+    return parts[0] if len(parts) == 1 else _smt_junction(op, parts)
+
+
+# --- parsing helpers: every malformed input raises CompileError --------------------
 
 
 def _int(text: str, what: str) -> int:
@@ -689,27 +719,14 @@ def eval_bottom(f: BottomFormula, c: Sequence[int]) -> bool:
 
 
 def bottom_to_text(f: BottomFormula) -> str:
-    lines = [
-        "kind bottom",
-        f"dim {f.dim}",
-        f"provenance {f.provenance}",
-        f"complete {int(f.complete)}",
-    ]
+    row, pair_lines = _text_renderers()
+    words = cache(lambda ws: ";".join(map(row, ws)))
+    lines = _text_header(_header(f, "bottom"))
     for t in f.tuples:
-        lines.append("tuple")
-        lines.append("index-set " + " ".join(map(str, t.index_set)))
-        lines.append("state " + " ".join(map(str, t.state)))
-        for n, a in t.rep.pairs:
-            lines.append(f"pair {n} : " + " ".join(map(str, a)))
-        for m in t.membership:
-            lines.append("member " + " ".join(map(str, m)))
-        for ants, cons in t.implications:
-            lines.append(
-                "imp "
-                + ";".join(" ".join(map(str, w)) for w in ants)
-                + " => "
-                + ";".join(" ".join(map(str, w)) for w in cons)
-            )
+        lines += ("tuple", "index-set " + row(t.index_set), "state " + row(t.state))
+        lines += pair_lines(t.rep)
+        lines += ["member " + row(m) for m in t.membership]
+        lines += [f"imp {words(ants)} => {words(cons)}" for ants, cons in t.implications]
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -753,17 +770,6 @@ def bottom_to_json(f: BottomFormula) -> str:
     """The text of `json.dumps(payload, sort_keys=True, indent=1)`, with
     each distinct gamma and each distinct vector list rendered once per
     call."""
-    header = json.dumps(
-        {
-            "kind": "bottom",
-            "dim": f.dim,
-            "provenance": f.provenance,
-            "complete": f.complete,
-            "tuples": [],
-        },
-        sort_keys=True,
-        indent=1,
-    )
     # a tuple's values sit three levels deep: payload, list, dict; an
     # implication's vector lists two deeper: list, dict
     value = cache(lambda v: _json_ints(v, 3))
@@ -782,9 +788,7 @@ def bottom_to_json(f: BottomFormula) -> str:
             f'   "membership": {value(t.membership)},\n'
             f'   "state": {value(t.state)}\n  }}'
         )
-    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    # "tuples" sorts after every other key, so this is the key
-    return header.replace('"tuples": []', '"tuples": ' + listing, 1) + "\n"
+    return _json_document(_header(f, "bottom"), "tuples", items)
 
 
 def bottom_to_smtlib(f: BottomFormula) -> str:
@@ -795,39 +799,26 @@ def bottom_to_smtlib(f: BottomFormula) -> str:
     v_names = [f"v{i}" for i in range(d)]
     parts = []
     for t in f.tuples:
-        eqs = [
-            f"(= {c_names[i]} {t.state[pos]})" for pos, i in enumerate(t.index_set)
+        eqs = [f"(= {c_names[i]} {t.state[pos]})" for pos, i in enumerate(t.index_set)]
+        covers = [
+            _smt_connective("and", [f"(>= {c} {m[i]})" for i, c in enumerate(c_names)])
+            for m in t.membership
         ]
-        member_c = _smt_or(
-            [
-                _smt_and([f"(>= {c_names[i]} {m[i]})" for i in range(d)])
-                for m in t.membership
-            ]
-        )
-        eqs.append(member_c)
+        eqs.append(_smt_connective("or", covers))
         member = []
         for n, a in t.rep.pairs:
-            term_parts = [f"(* {smt_numeral(a[i])} {v_names[i]})" for i in range(d) if a[i] != 0]
-            term = "(+ " + " ".join(term_parts) + ")" if len(term_parts) > 1 else (
-                term_parts[0] if term_parts else "0"
+            term = _smt_connective(
+                "+", [f"(* {smt_numeral(k)} {v})" for k, v in zip(a, v_names) if k]
             )
-            if n == 0:
-                member.append(f"(= {term} 0)")
-            else:
-                member.append(f"(= (mod {term} {n}) 0)")
+            member.append(f"(= {term} 0)" if n == 0 else f"(= (mod {term} {n}) 0)")
         shifted = [f"(+ {c} {v})" for c, v in zip(c_names, v_names)]
-        phi_term = _phi_smtlib(t.implications, shifted)
-        body = f"(=> {_smt_and(member)} {phi_term})"
-        quantified = (
-            "(forall (" + " ".join(f"({v} Int)" for v in v_names) + ") " + body + ")"
-        )
-        parts.append(_smt_and(eqs + [quantified]))
+        body = f"(=> {_smt_connective('and', member)} {_phi_smtlib(t.implications, shifted)})"
+        bound = " ".join(f"({v} Int)" for v in v_names)
+        parts.append(_smt_connective("and", eqs + [f"(forall ({bound}) {body})"]))
     lines = ["(set-logic LIA)"]
     for n in c_names:
-        lines.append(f"(declare-const {n} Int)")
-        lines.append(f"(assert (>= {n} 0))")
-    lines.append(f"(assert {_smt_or(parts)})")
-    lines.append("(check-sat)")
+        lines += [f"(declare-const {n} Int)", f"(assert (>= {n} 0))"]
+    lines += [f"(assert {_smt_connective('or', parts)})", "(check-sat)"]
     return "\n".join(lines) + "\n"
 
 
@@ -835,32 +826,13 @@ def _phi_smtlib(implications: tuple, names: Sequence[str]) -> str:
     """A tuple's threshold formula phi over the given terms, the one place
     it is rendered: per implication, covering some antecedent forces
     covering some consequent.  Each connective keeps its children, however
-    few, and an empty one is `true` or `false`."""
-
-    def junction(op: str, parts: list[str], empty: str) -> str:
-        return f"({op} " + " ".join(parts) + ")" if parts else empty
+    few."""
 
     def some(ws) -> str:
         covers = [
-            junction("and", [f"(>= {n} {smt_numeral(k)})" for n, k in zip(names, w)], "true")
+            _smt_junction("and", [f"(>= {n} {smt_numeral(k)})" for n, k in zip(names, w)])
             for w in ws
         ]
-        return junction("or", covers, "false")
+        return _smt_junction("or", covers)
 
-    return junction("and", [f"(=> {some(a)} {some(c)})" for a, c in implications], "true")
-
-
-def _smt_and(parts: list[str]) -> str:
-    if not parts:
-        return "true"
-    if len(parts) == 1:
-        return parts[0]
-    return "(and " + " ".join(parts) + ")"
-
-
-def _smt_or(parts: list[str]) -> str:
-    if not parts:
-        return "false"
-    if len(parts) == 1:
-        return parts[0]
-    return "(or " + " ".join(parts) + ")"
+    return _smt_junction("and", [f"(=> {some(a)} {some(c)})" for a, c in implications])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .lattice import lattice_contains
-from .net import Blocked, PetriNet, displacement, fire
+from .net import Blocked, PetriNet, fire
 from .steinitz import prefix_safe_reorder, prune_zero_subsequences
 from .unfolding import (
     EnumLimits,
@@ -127,6 +127,7 @@ class BasisElement:
     vector: Vec
     enter_word: tuple[int, ...]  # labels a cycle on q; fires into c
     leave_word: tuple[int, ...]  # labels a cycle on q; fires from c
+    enter_displacement: Vec  # of the enter word: c-minus is c minus this
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
     for w, h, delta in words:
         f_vec = tuple(max(h[i] + delta[i], delta[i] + tau) for i in off)
         g_vec = tuple(max(h[i], -delta[i] + tau) for i in off)
-        f_items.append((f_vec, w))
+        f_items.append((f_vec, (w, delta)))
         g_items.append((g_vec, w))
 
     combos: list[tuple[Vec, object]] = []
@@ -240,14 +241,14 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
     # entries stay below max(|q|, 2*len*m, len*m + tau): the cycle-length
     # analogue of the basis norm bound
     cap = max(norm_inf(q), 2 * params.cycle_len * net.norm, params.cycle_len * net.norm + tau)
-    for off_vec, (u, v) in _antichain_min(combos):
+    for off_vec, ((u, delta_u), v) in _antichain_min(combos):
         full = [0] * net.dim
         for pos, i in enumerate(g.index_set):
             full[i] = q[pos]
         for pos, i in enumerate(off):
             full[i] = off_vec[pos]
         assert max(full, default=0) <= cap
-        elements.append(BasisElement(tuple(full), u, v))
+        elements.append(BasisElement(tuple(full), u, v, delta_u))
     elements.sort(key=lambda e: e.vector)
     return UpwardBasis(q, tuple(elements), truncated)
 
@@ -309,10 +310,9 @@ def check_witness(
         elem = next((e for e in bases[q].elements if vge(c, e.vector)), None)
         if elem is None:
             raise WitnessRejected("configuration outside the pumping set", c)
-        enter = net.word(elem.enter_word)
-        c_minus = vsub(c, displacement(enter, dim=net.dim))
+        c_minus = vsub(c, elem.enter_displacement)
         c_plus = fire(c, net.word(elem.leave_word))
-        assert fire(c_minus, enter) == c
+        assert fire(c_minus, net.word(elem.enter_word)) == c
         pumps.append(
             PumpCertificate(c, q, elem.enter_word, elem.leave_word, c_minus, c_plus, elem.vector)
         )

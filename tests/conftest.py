@@ -36,8 +36,7 @@ from mutreach.presburger import (
     MutualFormula,
     _coefficient_ranges,
     _linear_term,
-    _smt_and,
-    _smt_or,
+    _smt_connective,
     eval_mutual,
     lattice_basis,
     lattice_box_feasible,
@@ -126,7 +125,29 @@ def format_net(net: PetriNet, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- word hurdles, cycle walks and antichains ------------------------------------
+# --- word hurdles and displacements, cycle walks and antichains ------------------
+
+
+def displacement(word: Sequence[Action], dim: int | None = None) -> Vec:
+    """Sum of per-action displacements; the empty word is the zero vector.
+
+    The reference for the displacements `witness._cycle_words` carries
+    along its walk and `BasisElement.enter_displacement` keeps.
+    """
+    dims = {a.dim for a in word}
+    if len(dims) > 1:
+        raise NetError(f"mixed dimensions in word: {sorted(dims)}")
+    if not word:
+        if dim is None:
+            raise NetError("dimension required for the empty word")
+        return (0,) * dim
+    d = dims.pop()
+    if dim is not None and dim != d:
+        raise NetError(f"word dimension {d} does not match requested {dim}")
+    total = (0,) * d
+    for a in word:
+        total = vadd(total, a.displacement)
+    return total
 
 
 def hurdle(word: Sequence[Action], dim: int | None = None) -> Vec:
@@ -1148,8 +1169,10 @@ def reference_bottom_smtlib(f: BottomFormula) -> str:
     for t in f.tuples:
         eqs = [f"(= {c_names[i]} {t.state[pos]})" for pos, i in enumerate(t.index_set)]
         eqs.append(
-            _smt_or([_smt_and([f"(>= {c} {m[i]})" for i, c in enumerate(c_names)])
-                     for m in t.membership])
+            _smt_connective("or", [
+                _smt_connective("and", [f"(>= {c} {m[i]})" for i, c in enumerate(c_names)])
+                for m in t.membership
+            ])
         )
         member = []
         for n, a in t.rep.pairs:
@@ -1159,13 +1182,13 @@ def reference_bottom_smtlib(f: BottomFormula) -> str:
             )
             member.append(f"(= {term} 0)" if n == 0 else f"(= (mod {term} {n}) 0)")
         shifted = [f"(+ {c} {v})" for c, v in zip(c_names, v_names)]
-        body = f"(=> {_smt_and(member)} {smt_term(reference_bottom_phi(t), shifted)})"
+        body = f"(=> {_smt_connective('and', member)} {smt_term(reference_bottom_phi(t), shifted)})"
         bound = " ".join(f"({v} Int)" for v in v_names)
-        parts.append(_smt_and(eqs + [f"(forall ({bound}) {body})"]))
+        parts.append(_smt_connective("and", eqs + [f"(forall ({bound}) {body})"]))
     lines = ["(set-logic LIA)"]
     for n in c_names:
         lines += [f"(declare-const {n} Int)", f"(assert (>= {n} 0))"]
-    lines += [f"(assert {_smt_or(parts)})", "(check-sat)"]
+    lines += [f"(assert {_smt_connective('or', parts)})", "(check-sat)"]
     return "\n".join(lines) + "\n"
 
 
@@ -1250,19 +1273,21 @@ def reference_bottom_json(f) -> str:
 
 
 class SmtScript:
-    """A QF_LIA script in the subset the mutual exporter writes, as a
+    """An SMT-LIB script in the subset the exporters write, as a
     predicate on the values of its declared constants.
 
-    Commands: `set-logic`, `declare-const NAME Int`, `assert`,
-    `check-sat`.  Terms: `and`, `or`, `true`, `false`, `>=`, `=`, `mod`
-    by a nonzero literal, `+`, `*`, numerals, negated numerals `(- n)`
-    and the declared names.  Anything else, a bare `-1` included (SMT-LIB
-    reads it as a symbol), raises ValueError.  The assertions are
-    translated term by term into one Python expression, so a check over a
-    box stays fast.
+    Commands: `set-logic` QF_LIA or LIA, `declare-const NAME Int`,
+    `assert`, `check-sat`.  Terms: `and`, `or`, `=>`, `true`, `false`,
+    `>=`, `=`, `mod` by a nonzero literal, `+`, `*`, numerals, negated
+    numerals `(- n)` and the declared names.  Under LIA, and only when a
+    `radius` r is given, `forall` over Int variables is read as its
+    instances on [-r, r] per variable.  Anything else, a bare `-1`
+    included (SMT-LIB reads it as a symbol), raises ValueError.  The
+    assertions are translated term by term into one Python expression, so
+    a check over a box stays fast.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, radius: int | None = None):
         stack: list[list] = [[]]
         for tok in re.findall(r"[()]|[^\s()]+", text):
             if tok == "(":
@@ -1276,20 +1301,24 @@ class SmtScript:
             raise ValueError("unbalanced parentheses")
         self.names: list[str] = []
         assertions: list = []
+        logic = None
         for command in stack[0]:
             head = command[0] if isinstance(command, list) and command else None
-            if head == "declare-const" and command[2:] == ["Int"]:
+            if head == "set-logic" and command[1:] in (["QF_LIA"], ["LIA"]) and logic is None:
+                logic = command[1]
+            elif head == "declare-const" and command[2:] == ["Int"]:
                 self.names.append(command[1])
             elif head == "assert" and len(command) == 2:
                 assertions.append(command[1])
-            elif head not in ("set-logic", "check-sat"):
+            elif head != "check-sat":
                 raise ValueError(f"unexpected command {command!r}")
         params = {n: f"v{i}" for i, n in enumerate(self.names)}
-        body = " and ".join(_smt_to_python(a, params) for a in assertions) or "True"
+        radius = radius if logic == "LIA" else None
+        body = " and ".join(_smt_to_python(a, params, radius) for a in assertions) or "True"
         self.holds = eval(f"lambda {', '.join(params.values())}: bool({body})")
 
 
-def _smt_to_python(term, params: dict[str, str]) -> str:
+def _smt_to_python(term, params: dict[str, str], radius: int | None = None) -> str:
     if isinstance(term, str):
         if term in ("true", "false"):
             return str(term == "true")
@@ -1301,9 +1330,22 @@ def _smt_to_python(term, params: dict[str, str]) -> str:
     op, *args = term
     if op == "-" and len(args) == 1 and isinstance(args[0], str) and args[0].isdigit():
         return f"(-{_smt_to_python(args[0], params)})"
-    parts = [_smt_to_python(a, params) for a in args]
+    if op == "forall" and radius is not None and len(args) == 2 and args[0]:
+        # each bound variable gets a fresh Python name and one loop
+        scope = dict(params)
+        loops = []
+        for binding in args[0]:
+            if not (isinstance(binding, list) and len(binding) == 2 and binding[1] == "Int"
+                    and isinstance(binding[0], str)):
+                raise ValueError(f"not an Int binding: {binding!r}")
+            scope[binding[0]] = f"w{len(scope)}"
+            loops.append(f"for {scope[binding[0]]} in range({-radius}, {radius + 1})")
+        return f"all({_smt_to_python(args[1], scope, radius)} {' '.join(loops)})"
+    parts = [_smt_to_python(a, params, radius) for a in args]
     if op in ("and", "or") and parts:
         return "(" + f" {op} ".join(parts) + ")"
+    if op == "=>" and len(parts) == 2:
+        return f"((not {parts[0]}) or {parts[1]})"
     if op in (">=", "=") and len(parts) == 2:
         return f"({parts[0]} {'>=' if op == '>=' else '=='} {parts[1]})"
     if op == "mod" and len(parts) == 2 and isinstance(args[1], str) and int(args[1]) != 0:
@@ -1348,10 +1390,10 @@ class BottomWrapper:
                     for x, delta in zip(x_names, a.displacement)]
             phi_cx = smt_term(ast, c_names + x_names)
             phi_cstep = smt_term(ast, c_names + step)
-            pre = _smt_and([f"(>= {x} {p})" for x, p in zip(x_names, a.pre)])
+            pre = _smt_connective("and", [f"(>= {x} {p})" for x, p in zip(x_names, a.pre)])
             conj.append(f"(=> (and {phi_cx} {pre}) {phi_cstep})")
-        nonneg = _smt_and([f"(>= {x} 0)" for x in x_names])
-        body = f"(=> {nonneg} {_smt_and(conj)})"
+        nonneg = _smt_connective("and", [f"(>= {x} 0)" for x in x_names])
+        body = f"(=> {nonneg} {_smt_connective('and', conj)})"
         quantified = "(forall (" + " ".join(f"({x} Int)" for x in x_names) + ") " + body + ")"
         lines = ["(set-logic LIA)"]
         for n in c_names:

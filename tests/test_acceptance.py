@@ -15,6 +15,7 @@ from conftest import (
     brute_force_small_set,
     candidate_unfoldings,
     definitional_reversible,
+    displacement,
     enumerated_span_points,
     eval_bottom_by_enumeration,
     format_net,
@@ -32,7 +33,7 @@ from extraction import (
     reference_extractor,
 )
 from mutreach.lattice import lattice_contains, representation_from_generators
-from mutreach.net import Blocked, fire, displacement
+from mutreach.net import Blocked, fire
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import compile_bottom, compile_mutual, eval_bottom, eval_mutual
 from mutreach.steinitz import (

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import format_net, hurdle
+from conftest import displacement, format_net, hurdle
 from extraction import fire_trace
 from mutreach.net import (
     Action,
     Blocked,
     NetError,
     PetriNet,
-    displacement,
     fire,
     parse_config,
     parse_net,

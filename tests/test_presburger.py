@@ -189,6 +189,31 @@ def test_smt_evaluator_reads_the_exported_subset():
             SmtScript("(declare-const a Int)\n" + bad)
 
 
+def test_smt_evaluator_instantiates_forall_under_lia():
+    script = SmtScript(
+        "(set-logic LIA)\n(declare-const a Int)\n(assert (>= a 0))\n"
+        "(assert (forall ((v Int) (w Int)) (=> (= (mod (+ v w) 2) 0) (>= (+ a v w) 0))))\n"
+        "(check-sat)\n",
+        radius=2,
+    )
+    # the even sums v + w on [-2, 2]^2 reach -4, and no odd one counts
+    assert [a for a in range(7) if script.holds(a)] == [4, 5, 6]
+    assert SmtScript("(set-logic LIA)\n(declare-const a Int)\n"
+                     "(assert (forall ((v Int)) (>= (+ a v) 0)))", radius=0).holds(0)
+    quantified = "(assert (forall ((v Int)) (>= v 0)))"
+    for bad, radius in (
+        ("(set-logic QF_LIA)\n" + quantified, 1),  # no quantifier under QF_LIA
+        ("(set-logic LIA)\n" + quantified, None),  # nothing to instantiate on
+        ("(set-logic LIA)\n(assert (forall ((v Bool)) v))", 1),
+        ("(set-logic LIA)\n(assert (forall () true))", 1),
+        ("(set-logic NIA)", None),
+        ("(set-logic LIA)\n(set-logic LIA)", None),
+        ("(assert (=> true))", None),
+    ):
+        with pytest.raises(ValueError):
+            SmtScript(bad, radius=radius)
+
+
 def _assert_smt_agrees_with_eval(f: MutualFormula, box: int):
     script = SmtScript(mutual_to_smtlib(f))
     assert script.names == mutual_var_names(f.dim)
@@ -559,6 +584,35 @@ def test_bottom_writers_match_reference_phi_tree(f):
     assert not any(ln.startswith("phi ") for ln in bottom_to_text(f).splitlines())
     keys = {"index_set", "state", "gamma", "membership", "implications"}
     assert all(t.keys() == keys for t in json.loads(bottom_to_json(f))["tuples"])
+
+
+@pytest.mark.parametrize(
+    "name, low, high, radius",
+    [
+        ("token_swap", 0, 5, 4),
+        ("ring", 0, 5, 4),
+        ("consumer", 0, 5, 4),
+        ("mixed3", 0, 3, 2),
+        # above (32, 32) the I = () tuple's membership holds, so the
+        # universal runs over its rank-1 lattice
+        ("token_swap", 30, 45, 4),
+    ],
+)
+def test_bottom_smt_export_agrees_with_enumeration(fixture_nets, name, low, high, radius):
+    """Each fixture's default bottom `.smt2`, evaluated from its text with
+    the universal instantiated on [-r, r]^d, holds at c in [low, high]^d
+    exactly when some tuple accepts c with no violation among the lattice
+    points of that window: when `eval_bottom_by_enumeration` is not False."""
+    f = compile_bottom(fixture_nets[name], PARAMS)
+    script = SmtScript(bottom_to_smtlib(f), radius=radius)
+    assert script.names == [f"c{i}" for i in range(f.dim)]
+    points = list(itertools.product(range(low, high + 1), repeat=f.dim))
+    held = 0
+    for c in points:
+        want = eval_bottom_by_enumeration(f, c, radius) is not False
+        assert script.holds(*c) == want, c
+        held += want
+    assert 0 < held < len(points)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 import conftest
 from conftest import (
     collect_unfoldings,
+    displacement,
     hurdle,
     reference_antichain_min,
     reference_cycle_words,
@@ -13,7 +14,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutreach.lattice import representation_from_generators
-from mutreach.net import Action, PetriNet, displacement, fire
+from mutreach.net import Action, PetriNet, fire
 from mutreach.presburger import BottomFormula, BottomTuple, eval_bottom
 from mutreach.unfolding import (
     EnumLimits,
@@ -92,6 +93,26 @@ def test_cycle_words_carry_hurdle_and_displacement(fixture_nets, ring3, name):
                     assert h == hurdle(acts, dim=net.dim), (g, q, w)
                     assert delta == displacement(acts, dim=net.dim), (g, q, w)
                 checked += len(entries)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3"])
+def test_basis_elements_carry_their_enter_displacement(fixture_nets, ring3, name):
+    """Every pumping-basis element at the default bounds keeps the
+    displacement of its enter word, and firing that word from c minus it
+    ends at c for the basis vector c itself."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    params = PumpingParams(state_bound=4, cycle_len=4)
+    checked = 0
+    for index_set in index_sets(net.dim):
+        for g in enumerate_unfoldings(net, index_set, params.state_bound):
+            for q in g.states:
+                for e in upward_basis(g, q, params).elements:
+                    enter = net.word(e.enter_word)
+                    assert e.enter_displacement == displacement(enter, dim=net.dim), (g, q, e)
+                    c_minus = tuple(c - k for c, k in zip(e.vector, e.enter_displacement))
+                    assert fire(c_minus, enter) == e.vector
+                    checked += 1
     assert checked > 0
 
 
