@@ -16,11 +16,11 @@ import itertools
 import json
 import os
 import sys
+from collections import namedtuple
 
 from .net import NetError, load_net, parse_config
 from .oracle import BoundedStateSpace, reach_graph_to_dot
 from .presburger import (
-    MutualFormula,
     bottom_from_text,
     bottom_to_json,
     bottom_to_smtlib,
@@ -153,17 +153,18 @@ def cmd_check_mutual(args) -> int:
         kind = "certified" if w.certified else "heuristic"
         print(f"mutual ({kind}); unfolding over I={list(w.unfolding.index_set)} "
               f"with {w.unfolding.size} states; {result.examined} unfoldings examined")
+        words = {}
         if args.synthesize:
             try:
-                w.words[(x, y)] = synthesize_path(net, x, y, w)
-                w.words[(y, x)] = synthesize_path(net, y, x, w)
-                print(f"words: {x}->{y} via {list(w.words[(x, y)])}, "
-                      f"{y}->{x} via {list(w.words[(y, x)])}")
+                words[(x, y)] = synthesize_path(net, x, y, w)
+                words[(y, x)] = synthesize_path(net, y, x, w)
+                print(f"words: {x}->{y} via {list(words[(x, y)])}, "
+                      f"{y}->{x} via {list(words[(y, x)])}")
             except SynthesisError as exc:
                 print(f"synthesis failed: {exc}")
         if args.witness_out:
             with open(args.witness_out, "w", encoding="utf-8") as fh:
-                fh.write(witness_to_text(w))
+                fh.write(witness_to_text(w, words))
             print(f"witness written to {args.witness_out}")
         if oracle_verdict is False:
             print("WARNING: oracle disagrees (reports not mutual); please report this")
@@ -185,92 +186,91 @@ def cmd_check_mutual(args) -> int:
     return EXIT_INCONCLUSIVE
 
 
+# One formula kind: its name (the `kind` line and the `--mode` value), compiler,
+# reader, the field of parts its report counts, format -> (suffix, writer), the
+# `eval` query flag, configurations per query, table header and evaluator.
+_Kind = namedtuple("_Kind", "name compile read parts writers flag arity header evaluate")
+
+
+def _kinds() -> dict[str, _Kind]:
+    # built per call, so a binding swapped after import (a tracer) is used
+    kinds = (
+        _Kind("mutual", compile_mutual, mutual_from_text, "disjuncts",
+              {"text": (".mrf", mutual_to_text), "smtlib": (".smt2", mutual_to_smtlib),
+               "json": (".json", mutual_to_json)},
+              "pair", 2, "x,y,mutual", eval_mutual),
+        _Kind("bottom", compile_bottom, bottom_from_text, "tuples",
+              {"text": (".btf", bottom_to_text), "smtlib": (".smt2", bottom_to_smtlib),
+               "json": (".json", bottom_to_json)},
+              "point", 1, "c,bottom", eval_bottom),
+    )
+    return {k.name: k for k in kinds}
+
+
 def cmd_compile(args) -> int:
+    kind = _kinds()[args.mode]
     # each named format once, in the order given
     formats = list(dict.fromkeys(f.strip() for f in args.formats.split(",") if f.strip()))
-    bad = [f for f in formats if f not in ("text", "smtlib", "json")]
+    bad = [f for f in formats if f not in kind.writers]
     if bad or not formats:
         print(f"error: --formats needs some of text, smtlib, json; got {args.formats!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.mode == "mutual":
-        writers = {"text": (".mrf", mutual_to_text), "smtlib": (".smt2", mutual_to_smtlib),
-                   "json": (".json", mutual_to_json)}
-    else:
-        writers = {"text": (".btf", bottom_to_text), "smtlib": (".smt2", bottom_to_smtlib),
-                   "json": (".json", bottom_to_json)}
-    paths = {f: args.out + writers[f][0] for f in formats}
-    _check_output_paths(*paths.values())
+    outputs = [(args.out + suffix, writer) for suffix, writer in map(kind.writers.get, formats)]
+    _check_output_paths(*(path for path, _ in outputs))
     net = load_net(args.net)
-    params = _params_from(args)
-    limits = _limits_from(args)
     _report_exact_parameters(net)
 
-    if args.mode == "mutual":
-        formula = compile_mutual(net, params, limits)
-        print(f"{len(formula.disjuncts)} disjuncts ({formula.provenance}"
-              f"{'' if formula.complete else ', enumeration truncated'})")
-    else:
-        formula = compile_bottom(net, params, limits)
-        print(f"{len(formula.tuples)} tuples ({formula.provenance}"
-              f"{'' if formula.complete else ', enumeration truncated'})")
+    formula = kind.compile(net, _params_from(args), _limits_from(args))
+    print(f"{len(getattr(formula, kind.parts))} {kind.parts} ({formula.provenance}"
+          f"{'' if formula.complete else ', enumeration truncated'})")
 
-    for f, path in paths.items():
-        writer = writers[f][1]
+    for path, writer in outputs:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(writer(formula))
         print(f"wrote {path}")
     return EXIT_OK if formula.complete else EXIT_INCONCLUSIVE
 
 
-def _load_formula(path):
+def _load_formula(path) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     head = next(iter(formula_lines(text)), "")
-    if head == "kind mutual":
-        return mutual_from_text(text)
-    if head == "kind bottom":
-        return bottom_from_text(text)
+    for kind in _kinds().values():
+        if head == f"kind {kind.name}":
+            return kind, kind.read(text)
     raise NetError("unrecognized formula file (expected 'kind mutual' or 'kind bottom')")
+
+
+def _query(text: str, arity: int, dim: int) -> tuple:
+    """`arity` configurations separated by `/`; a missing one reads as empty."""
+    texts = []
+    for _ in range(arity - 1):
+        head, _, text = text.partition("/")
+        texts.append(head)
+    return tuple(parse_config(t, dim) for t in texts + [text])
 
 
 def cmd_eval(args) -> int:
     _check_output_paths(args.csv)
-    formula = _load_formula(args.formula)
-    mutual = isinstance(formula, MutualFormula)
-    kind, own, other = ("mutual", "pair", "point") if mutual else ("bottom", "point", "pair")
-    if getattr(args, other):
-        print(f"error: --{other} does not apply to a {kind} formula", file=sys.stderr)
+    kind, formula = _load_formula(args.formula)
+    for other in _kinds().values():
+        if other.flag != kind.flag and getattr(args, other.flag):
+            print(f"error: --{other.flag} does not apply to a {kind.name} formula",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    if not getattr(args, kind.flag) and args.box is None:
+        print(f"error: eval of a {kind.name} formula needs --{kind.flag} or --box",
+              file=sys.stderr)
         return EXIT_USAGE
-    if not getattr(args, own) and args.box is None:
-        print(f"error: eval of a {kind} formula needs --{own} or --box", file=sys.stderr)
-        return EXIT_USAGE
-    rows = []
-    if mutual:
-        if args.pair:
-            for pair_text in args.pair:
-                x_text, _, y_text = pair_text.partition("/")
-                x = parse_config(x_text, formula.dim)
-                y = parse_config(y_text, formula.dim)
-                rows.append((x, y, eval_mutual(formula, x, y)))
-        if args.box is not None:
-            pts = list(itertools.product(range(args.box + 1), repeat=formula.dim))
-            for x in pts:
-                for y in pts:
-                    rows.append((x, y, eval_mutual(formula, x, y)))
-        header = "x,y,mutual"
-        lines = [header] + [
-            f"{' '.join(map(str, x))},{' '.join(map(str, y))},{int(v)}" for x, y, v in rows
-        ]
-    else:
-        points = []
-        if args.point:
-            points.extend(parse_config(p, formula.dim) for p in args.point)
-        if args.box is not None:
-            points.extend(itertools.product(range(args.box + 1), repeat=formula.dim))
-        rows = [(c, eval_bottom(formula, c)) for c in points]
-        header = "c,bottom"
-        lines = [header] + [f"{' '.join(map(str, c))},{int(v)}" for c, v in rows]
+    queries = [_query(q, kind.arity, formula.dim) for q in getattr(args, kind.flag)]
+    if args.box is not None:
+        points = list(itertools.product(range(args.box + 1), repeat=formula.dim))
+        queries.extend(itertools.product(points, repeat=kind.arity))
+    rows = [(q, kind.evaluate(formula, *q)) for q in queries]
+    lines = [kind.header] + [
+        ",".join(" ".join(map(str, c)) for c in q) + f",{int(v)}" for q, v in rows
+    ]
     out = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile the mutual or bottom formula")
     p.add_argument("net")
-    p.add_argument("--mode", choices=("mutual", "bottom"), default="mutual")
+    p.add_argument("--mode", choices=tuple(_kinds()), default="mutual")
     p.add_argument("--out", required=True, help="output base path (suffixes added)")
     p.add_argument("--formats", default="text,smtlib,json")
     _add_param_flags(p)

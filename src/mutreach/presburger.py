@@ -559,8 +559,6 @@ def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
         rows.append(list(a) + [0] * aux)
     for j, (n, a) in enumerate(div_pairs):
         rows.append(list(a) + [-n if jj == j else 0 for jj in range(aux)])
-    if not rows:
-        rows = [[0] * (d + aux)]
     return _basis_of([tuple(v[:d]) for v in kernel_basis(rows)], d)
 
 

@@ -105,9 +105,6 @@ class Unfolding:
         object.__setattr__(self, "states", tuple(sorted(self.states)))
         object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
 
-    def __hash__(self):
-        return hash((self.index_set, self.states, self.transitions))
-
     @property
     def size(self) -> int:
         return len(self.states)
@@ -392,16 +389,11 @@ def rotate_cycle(cycle: UnfoldingPath, anchor: State) -> UnfoldingPath:
 
 
 def embed_simple_cycle(
-    g: Unfolding,
-    zero_cycle: UnfoldingPath,
-    cycle: UnfoldingPath,
-    anchor: State | None = None,
+    zero_cycle: UnfoldingPath, cycle: UnfoldingPath, anchor: State
 ) -> UnfoldingPath:
     """Insert a cycle into a full-state zero cycle; the result is a
     full-state cycle with the inserted cycle's displacement, rotated to
-    `anchor` (default: the zero cycle's own anchor)."""
-    if anchor is None:
-        anchor = zero_cycle.source
+    `anchor`."""
     base = rotate_cycle(zero_cycle, cycle.source) if zero_cycle.transitions else zero_cycle
     if base.source != cycle.source:
         raise UnfoldingError("cycle state does not occur on the zero cycle", cycle.source)

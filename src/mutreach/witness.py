@@ -11,7 +11,7 @@ words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .lattice import lattice_contains
@@ -48,10 +48,15 @@ class SynthesisError(ValueError):
     pass
 
 
+def _pumping_threshold(net: PetriNet, r: int) -> int:
+    """m r^3 (3 d r m)^d for an unfolding of r states."""
+    m, d = net.norm, net.dim
+    return m * r**3 * (3 * d * r * m) ** d
+
+
 def exact_off_threshold(net: PetriNet, g: Unfolding) -> int:
     """The pumping threshold m r^3 (3 d r m)^d for this unfolding."""
-    m, d, r = net.norm, net.dim, g.size
-    return m * r**3 * (3 * d * r * m) ** d
+    return _pumping_threshold(net, g.size)
 
 
 @dataclass(frozen=True)
@@ -93,11 +98,10 @@ class PumpingParams:
         configuration with an entry below this floor outside I lies in no
         pumping set of any unfolding over I.
         """
-        m = net.norm
         tau_1 = self.off_threshold
         if tau_1 is None:
-            tau_1 = m * (3 * net.dim * m) ** net.dim  # exact_off_threshold at r = 1
-        return tau_1 - self.cycle_len * m
+            tau_1 = _pumping_threshold(net, 1)
+        return tau_1 - self.cycle_len * net.norm
 
     def certified_for(self, net: PetriNet, g: Unfolding) -> bool:
         return self.threshold_for(net, g) >= exact_off_threshold(net, g)
@@ -283,7 +287,6 @@ class MutualWitness:
     params: PumpingParams
     certified: bool
     within_state_bound: bool
-    words: dict = field(default_factory=dict, compare=False)  # (x, y) -> action indices
 
 
 def check_witness(
@@ -497,7 +500,7 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
         if pieces:
             zero_cycle = zero_full_state_cycle(g, q)
             for piece in pieces:
-                theta = embed_simple_cycle(g, zero_cycle, piece, anchor=q)
+                theta = embed_simple_cycle(zero_cycle, piece, q)
                 theta_word = theta_word + theta.word
 
     word = alpha + pi.word + theta_word + beta

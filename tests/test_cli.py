@@ -8,7 +8,7 @@ from conftest import format_net
 from mutreach.cli import main
 from mutreach.oracle import BoundedStateSpace
 from mutreach.net import load_net
-from mutreach.witnessio import verify_witness
+from mutreach.witnessio import witness_from_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -41,7 +41,8 @@ def test_check_mutual_found(net_path, tmp_path, capsys):
     assert "mutual (certified)" in printed
     assert "oracle agrees" in printed
     net = load_net(net_path)
-    verify_witness(net, out.read_text())
+    _, words = witness_from_text(net, out.read_text())
+    assert set(words) == {((2, 0), (0, 2)), ((0, 2), (2, 0))}
 
 
 def test_check_mutual_trivial_pair(net_path, capsys):

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from mutreach.net import Action, PetriNet
 from mutreach.oracle import BoundedStateSpace, reach_graph_to_dot
 
@@ -99,3 +101,47 @@ def test_dot_export(token_swap):
     dot = reach_graph_to_dot(BoundedStateSpace(token_swap, 2))
     assert dot.startswith("digraph")
     assert '"(1,0)" -> "(0,1)"' in dot
+
+
+def test_per_coordinate_box_agrees_with_a_larger_cube(mixed3):
+    """A box given per coordinate holds exactly the configurations under
+    its bounds, and every verdict it gives equals the verdict of a cube
+    box that contains it."""
+    space = BoundedStateSpace(mixed3, (2, 2, 1))
+    cube = BoundedStateSpace(mixed3, 4)
+    assert space.box == (2, 2, 1)
+    pts = list(itertools.product(range(3), range(3), range(2)))
+    assert sorted(c for comp in space.components() for c in comp) == pts
+    assert space.inside((2, 2, 1)) and not space.inside((0, 0, 2))
+    assert space.bottom((2, 2, 0)) is None  # (1, 3, 0) lies outside the box
+    for x in pts:
+        if space.bottom(x) is not None:
+            assert space.bottom(x) == cube.bottom(x), x
+        for y in pts:
+            if space.mutual(x, y) is not None:
+                assert space.mutual(x, y) == cube.mutual(x, y), (x, y)
+    assert space.mutual((1, 0, 1), (0, 1, 1)) is True
+    assert space.bottom((1, 1, 0)) is True and space.bottom((0, 0, 1)) is False
+
+
+def test_box_needs_one_bound_per_coordinate(mixed3):
+    with pytest.raises(ValueError, match="^box needs 3 bounds$"):
+        BoundedStateSpace(mixed3, (2, 2))
+
+
+def test_bottom_is_undecided_on_a_tainted_component(token_swap):
+    space = BoundedStateSpace(token_swap, 3)
+    for c in [(3, 3), (2, 2), (3, 1)]:
+        assert not space.reliable(space.component_of(c))
+        assert space.bottom(c) is None
+    assert space.bottom((1, 1)) is True
+
+
+def test_verdicts_outside_the_box_raise(token_swap):
+    space = BoundedStateSpace(token_swap, 3)
+    with pytest.raises(ValueError, match="configurations outside the box"):
+        space.mutual((4, 0), (0, 0))
+    with pytest.raises(ValueError, match="configurations outside the box"):
+        space.mutual((0, 0), (0, 4))
+    with pytest.raises(ValueError, match=r"\(4, 0\) is outside the box"):
+        space.bottom((4, 0))

@@ -327,7 +327,7 @@ def test_embed_simple_cycle(token_swap):
     cycles = simple_cycles(g)
     for c in cycles:
         for anchor in g.states:
-            emb = embed_simple_cycle(g, zero_c, c, anchor=anchor)
+            emb = embed_simple_cycle(zero_c, c, anchor)
             assert emb.source == emb.target == anchor
             assert emb.displacement(token_swap) == c.displacement(token_swap)
             assert emb.states_visited() == set(g.states)

@@ -38,7 +38,7 @@ from mutreach.witness import (
     upward_basis,
 )
 from mutreach.vectors import vge
-from mutreach.witnessio import verify_witness, witness_from_text, witness_to_text
+from mutreach.witnessio import witness_from_text, witness_to_text
 
 
 def test_upward_basis_full_index_is_the_state(token_swap):
@@ -507,28 +507,29 @@ def test_witness_serialization_round_trip(token_swap):
     params = PumpingParams(state_bound=4, cycle_len=4)
     res = search_witness(token_swap, (2, 0), (0, 2), params)
     w = res.witness
-    w.words[((2, 0), (0, 2))] = synthesize_path(token_swap, (2, 0), (0, 2), w)
-    text = witness_to_text(w)
-    again = verify_witness(token_swap, text)
+    words = {((2, 0), (0, 2)): synthesize_path(token_swap, (2, 0), (0, 2), w)}
+    text = witness_to_text(w, words)
+    again, again_words = witness_from_text(token_swap, text)
     assert again.configs == w.configs
     assert again.certified == w.certified
-    assert again.words == w.words
+    assert again_words == words
 
 
 def test_witness_verification_rejects_bad_word(token_swap):
     params = PumpingParams(state_bound=4, cycle_len=4)
     res = search_witness(token_swap, (2, 0), (0, 2), params)
-    w = res.witness
-    w.words[((2, 0), (0, 2))] = (1,)  # wrong word
-    text = witness_to_text(w)
-    with pytest.raises(ValueError):
-        verify_witness(token_swap, text)
+    text = witness_to_text(res.witness, {((2, 0), (0, 2)): (1,)})  # wrong word
+    lines = text.splitlines()
+    n = lines.index("word 2 0 -> 0 2 : 1")
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, text)
+    assert str(exc.value) == f"line {n + 1}: word does not fire: {lines[n]!r}"
 
 
 def test_witness_rejects_tampered_unfolding(token_swap):
     params = PumpingParams(state_bound=4, cycle_len=4)
     res = search_witness(token_swap, (2, 0), (0, 2), params)
-    text = witness_to_text(res.witness)
+    text = witness_to_text(res.witness, {})
     tampered = text.replace("trans 2 0 | 0 | 1 1\n", "")
     with pytest.raises(Exception):
         witness_from_text(token_swap, tampered)
@@ -536,8 +537,7 @@ def test_witness_rejects_tampered_unfolding(token_swap):
 
 def _token_swap_witness_text(net):
     w = search_witness(net, (2, 0), (0, 2), PumpingParams(state_bound=4, cycle_len=4)).witness
-    w.words[((2, 0), (0, 2))] = synthesize_path(net, (2, 0), (0, 2), w)
-    return witness_to_text(w)
+    return witness_to_text(w, {((2, 0), (0, 2)): synthesize_path(net, (2, 0), (0, 2), w)})
 
 
 @pytest.mark.parametrize(
