@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, Sequence
 
@@ -31,7 +31,7 @@ from .unfolding import (
     lattice_of_unfolding,
 )
 from .vectors import Vec, restrict, vec, vge, vsub
-from .witness import PumpingParams, upward_basis
+from .witness import PumpingParams, _basis_rows, _cycle_words, _with_state
 
 
 class CompileError(ValueError):
@@ -61,20 +61,12 @@ class MutualFormula:
 
 @dataclass(frozen=True)
 class _Parts:
-    """What the compilers need of one unfolding, by state position."""
+    """What the compilers need of one unfolding, by state position.  The
+    basis rows are zero on I; each compiler writes the state values in."""
 
     rep: LatticeRepresentation
-    bases: tuple[tuple[Vec, ...], ...]  # pumping-basis vectors at each state
+    bases: tuple[tuple[Vec, ...], ...]  # pumping-basis rows at each state, zero on I
     paths: tuple[tuple[Vec, ...], ...]  # paths[i][j]: elementary path i -> j
-    truncated: bool  # some basis walk ran out of budget
-
-
-def _with_state(v: Vec, index_set: tuple[int, ...], q: Vec) -> Vec:
-    """v with the values of q written onto the I coordinates."""
-    full = list(v)
-    for pos, i in enumerate(index_set):
-        full[i] = q[pos]
-    return tuple(full)
 
 
 def _compiled_unfoldings(
@@ -84,51 +76,48 @@ def _compiled_unfoldings(
     forward_closed: bool = False,
 ) -> tuple[list[tuple[Unfolding, _Parts]], bool, bool]:
     """Each unfolding of every index set, in canonical order, with its
-    lattice, pumping bases and path displacements; then whether every
-    unfolding is certified by the parameters, and whether no enumeration
-    limit and no basis walk budget was hit.
+    lattice, pumping-basis rows and path displacements; then whether
+    every unfolding is certified by the parameters, and whether no
+    enumeration limit and no basis walk budget was hit.
 
-    The parts depend only on the index set and the edges by state
-    position, not on the state values: `Unfolding` sorts its states and
-    edges, so equal shapes give the same BFS trees, cycle words and
-    walks, and the pumping threshold depends only on the size.  They are
-    computed once per shape; only the I coordinates of the basis vectors,
-    which are the state's own values, are written afresh per unfolding.
-    Likewise each distinct presolved circulation system is solved once
-    per pass, across every index set.
+    The lattice, paths and cycle-word walks depend only on the edge shape,
+    the edges as (state position, action, state position): `Unfolding`
+    sorts its states and edges, so equal shapes give the same BFS trees and
+    walks, whatever the index set and the state values.  They are computed
+    once per shape and pass, and equal lattices are one object.  The basis
+    rows cover the coordinates outside I with the threshold of the size,
+    so they are computed once per index set and shape, zero on I.  Each
+    distinct presolved circulation system is solved once per pass.
     """
     out: list[tuple[Unfolding, _Parts]] = []
-    shapes: dict[tuple, _Parts] = {}
+    shapes: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, cycle words per state
+    lattices: dict[LatticeRepresentation, LatticeRepresentation] = {}
     solved: dict = {}
-    truncated = False
+    truncated, certified = False, True
     for index_set in index_sets(net.dim):
+        parts: dict[tuple, _Parts] = {}  # edge shape -> parts over this index set
         stats = EnumStats()  # `max_unfoldings` caps each index set alone
         for g in enumerate_unfoldings(
             net, index_set, params.state_bound, limits, stats, forward_closed, solved
         ):
             position = {s: k for k, s in enumerate(g.states)}
-            key = (g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions))
+            key = tuple((position[p], a, position[q]) for p, a, q in g.transitions)
             if key not in shapes:
-                bases = [upward_basis(g, q, params) for q in g.states]
-                shapes[key] = _Parts(
-                    rep=lattice_of_unfolding(g),
-                    bases=tuple(tuple(e.vector for e in b.elements) for b in bases),
-                    paths=tuple(
-                        tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
-                        for p in g.states
-                    ),
-                    truncated=any(b.truncated for b in bases),
-                )
-            parts = shapes[key]
-            bases = tuple(
-                tuple(_with_state(v, g.index_set, q) for v in vectors)
-                for vectors, q in zip(parts.bases, g.states)
-            )
-            out.append((g, replace(parts, bases=bases)))
+                rep = lattice_of_unfolding(g)
+                paths = tuple(tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
+                              for p in g.states)
+                walks = [_cycle_words(g, q, params.cycle_len) for q in g.states]
+                truncated = truncated or any(cut for _, cut in walks)
+                shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
+            if key not in parts:
+                rep, paths, walks = shapes[key]
+                tau = params.threshold_for(net, g)
+                rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]
+                parts[key] = _Parts(rep, tuple(tuple(e.vector for e in r) for r in rows), paths)
+                certified = certified and params.certified_for(net, g)
+            out.append((g, parts[key]))
         truncated = truncated or stats.truncated
-    certified = all(params.certified_for(net, g) for g, _ in out)
-    complete = not truncated and not any(parts.truncated for _, parts in out)
-    return out, certified, complete
+    return out, certified, not truncated
 
 
 def compile_mutual(
@@ -147,17 +136,18 @@ def compile_mutual(
     is dropped after its first occurrence.
     """
     compiled, certified, complete = _compiled_unfoldings(net, params, limits or EnumLimits())
-    disjuncts: dict[Disjunct, None] = {}
-    for _, parts in compiled:
-        for i, a_vectors in enumerate(parts.bases):
-            for j, b_vectors in enumerate(parts.bases):
-                v = parts.paths[i][j]
+    seen: dict[tuple, None] = {}
+    for g, parts in compiled:
+        bases = [[_with_state(v, g.index_set, q) for v in rows]
+                 for rows, q in zip(parts.bases, g.states)]
+        for a_vectors, paths in zip(bases, parts.paths):
+            for b_vectors, v in zip(bases, paths):
                 for a in a_vectors:
                     for b in b_vectors:
-                        disjuncts.setdefault(Disjunct(a, b, v, parts.rep))
+                        seen[a, b, v, parts.rep] = None
     return MutualFormula(
         dim=net.dim,
-        disjuncts=tuple(disjuncts),
+        disjuncts=tuple(Disjunct(*key) for key in seen),
         provenance="certified" if certified else "heuristic",
         complete=complete,
         state_bound=params.state_bound,
@@ -497,6 +487,8 @@ def compile_bottom(
     tuples: list[BottomTuple] = []
     for g, parts in compiled:
         position = {s: k for k, s in enumerate(g.states)}
+        bases = [tuple(_with_state(v, g.index_set, q) for v in rows)
+                 for rows, q in zip(parts.bases, g.states)]
         for k, r in enumerate(g.states):
             vp = parts.paths[k]
             implications = []
@@ -506,13 +498,13 @@ def compile_bottom(
                 ants = tuple(
                     sorted(
                         tuple(max(m[i], a.pre[i]) - vp[p_at][i] for i in range(net.dim))
-                        for m in parts.bases[p_at]
+                        for m in bases[p_at]
                     )
                 )
                 cons = tuple(
                     sorted(
                         tuple(m[i] - a.displacement[i] - vp[p_at][i] for i in range(net.dim))
-                        for m in parts.bases[q_at]
+                        for m in bases[q_at]
                     )
                 )
                 implications.append((ants, cons))
@@ -521,7 +513,7 @@ def compile_bottom(
                     index_set=g.index_set,
                     state=r,
                     rep=parts.rep,
-                    membership=parts.bases[k],
+                    membership=bases[k],
                     implications=tuple(implications),
                 )
             )

@@ -508,16 +508,19 @@ def enumerate_unfoldings(
     all_states = bounded_states(index_set, state_bound)
     pos = {s: i for i, s in enumerate(all_states)}
     # Per state, whether an I-enabled target lies outside the state bound,
-    # and the in-bound out-edges with their target positions, in action order.
+    # and the in-bound out-edges with their target positions, in action order;
+    # each action's pre and displacement are restricted to I once.
+    moves = [(idx, restrict(a.pre, index_set), restrict(a.displacement, index_set))
+             for idx, a in enumerate(net.actions)]
     escapes: list[bool] = []
     out_edges: list[list[tuple[int, Transition]]] = []
     for p in all_states:
         escaped = False
         out: list[tuple[int, Transition]] = []
-        for idx, a in enumerate(net.actions):
-            q = i_fires(a, index_set, p)
-            if q is None:
+        for idx, pre, delta in moves:
+            if any(x < y for x, y in zip(p, pre)):
                 continue
+            q = tuple(x + y for x, y in zip(p, delta))
             j = pos.get(q)
             if j is None:
                 escaped = True

@@ -11,7 +11,7 @@ words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .lattice import lattice_contains
@@ -211,23 +211,29 @@ def _antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
     return kept
 
 
-def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
-    """Minimal elements of the pumping set at state q.
+def _with_state(v: Vec, index_set: tuple[int, ...], q: Vec) -> Vec:
+    """v with the values of q written onto the I coordinates."""
+    full = list(v)
+    for pos, i in enumerate(index_set):
+        full[i] = q[pos]
+    return tuple(full)
 
-    A configuration c with c restricted to I equal to q belongs to the
-    set when some pair (u, v) of cycle words on q admits firings
+
+def _basis_rows(
+    net: PetriNet, index_set: tuple[int, ...], words: list, tau: int, cycle_len: int
+) -> list[BasisElement]:
+    """The pumping-basis rows of a state over I, from the cycle words
+    `_cycle_words` walked on it: the minimal elements of its pumping set,
+    zero on I and sorted by vector.
+
+    A configuration c with c restricted to I equal to the state belongs
+    to the set when some pair (u, v) of the cycle words admits firings
     c-minus --u--> c --v--> c-plus with both end configurations at least
-    the off-I threshold outside I.  The componentwise requirement on c
-    splits as max(f(u), g(v)), so minimal antichains for f and g combine
-    pairwise.
+    tau outside I.  The componentwise requirement on c splits as
+    max(f(u), g(v)), so minimal antichains for f and g combine pairwise.
+    I is constant within a state, so writing its values in keeps the order.
     """
-    if q not in set(g.states):
-        raise WitnessRejected("state not in unfolding", q)
-    net = g.net
-    tau = params.threshold_for(net, g)
-    off = [i for i in range(net.dim) if i not in g.index_set]
-    words, truncated = _cycle_words(g, q, params.cycle_len)
-
+    off = tuple(i for i in range(net.dim) if i not in index_set)
     f_items: list[tuple[Vec, object]] = []
     g_items: list[tuple[Vec, object]] = []
     for w, h, delta in words:
@@ -242,19 +248,25 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
             combined = tuple(max(a, b) for a, b in zip(fv, gv))
             combos.append((combined, (u, v)))
     elements = []
-    # entries stay below max(|q|, 2*len*m, len*m + tau): the cycle-length
+    # off-I entries stay below max(2*len*m, len*m + tau): the cycle-length
     # analogue of the basis norm bound
-    cap = max(norm_inf(q), 2 * params.cycle_len * net.norm, params.cycle_len * net.norm + tau)
+    cap = max(2 * cycle_len * net.norm, cycle_len * net.norm + tau)
     for off_vec, ((u, delta_u), v) in _antichain_min(combos):
-        full = [0] * net.dim
-        for pos, i in enumerate(g.index_set):
-            full[i] = q[pos]
-        for pos, i in enumerate(off):
-            full[i] = off_vec[pos]
-        assert max(full, default=0) <= cap
-        elements.append(BasisElement(tuple(full), u, v, delta_u))
+        assert max(off_vec, default=0) <= cap
+        elements.append(BasisElement(_with_state((0,) * net.dim, off, off_vec), u, v, delta_u))
     elements.sort(key=lambda e: e.vector)
-    return UpwardBasis(q, tuple(elements), truncated)
+    return elements
+
+
+def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
+    """Minimal elements of the pumping set at state q: `_basis_rows` of
+    the cycle words on q, with q written onto I."""
+    if q not in set(g.states):
+        raise WitnessRejected("state not in unfolding", q)
+    words, truncated = _cycle_words(g, q, params.cycle_len)
+    rows = _basis_rows(g.net, g.index_set, words, params.threshold_for(g.net, g), params.cycle_len)
+    elements = tuple(replace(e, vector=_with_state(e.vector, g.index_set, q)) for e in rows)
+    return UpwardBasis(q, elements, truncated)
 
 
 # --- witness checking ---------------------------------------------------------

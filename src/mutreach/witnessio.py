@@ -70,10 +70,11 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
     Stored pump/coset blocks are certificates; the checker recomputes
     them, so parsing accepts a witness only if it still validates and its
     lines up to `end` read exactly as the recomputed witness renders.
-    Every stored word is replayed from its source to its target.  A line
+    Every stored word must join two configurations of the `config` lines
+    before it, and is replayed from its source to its target.  A line
     that does not parse raises ValueError naming its number and key, a
-    word that does not fire names its line, and the first line that
-    differs from the rendering names its number.
+    word with another endpoint or that does not fire names its line, and
+    the first line that differs from the rendering names its number.
     """
     lines = [(n, ln.rstrip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or lines[0][1] != "witness":
@@ -114,6 +115,8 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
                 words[(x, y)] = word
         except ValueError:
             raise ValueError(f"line {lineno}: malformed {key!r}: {line.strip()!r}") from None
+        if key == "word" and not {x, y} <= set(configs):
+            raise ValueError(f"line {lineno}: word endpoint is not a config: {line.strip()!r}")
         if key == "word" and not _fires(net, x, y, word):
             raise ValueError(f"line {lineno}: word does not fire: {line.strip()!r}")
     g = validate_unfolding(net, index_set, states, transitions)

@@ -45,10 +45,15 @@ def test_check_mutual_found(net_path, tmp_path, capsys):
     assert set(words) == {((2, 0), (0, 2)), ((0, 2), (2, 0))}
 
 
-def test_check_mutual_trivial_pair(net_path, capsys):
-    code = main(["check-mutual", net_path, "--x", "1 1", "--y", "1 1"])
+def test_check_mutual_trivial_pair(net_path, tmp_path, capsys):
+    out = tmp_path / "witness.txt"
+    code = main(["check-mutual", net_path, "--x", "1 1", "--y", "1 1", "--synthesize",
+                 "--witness-out", str(out)])
     assert code == 0
     assert "mutual (certified)" in capsys.readouterr().out
+    # the empty word joins the one configuration to itself and reads back
+    _, words = witness_from_text(load_net(net_path), out.read_text())
+    assert words == {((1, 1), (1, 1)): ()}
 
 
 def test_check_mutual_oracle_refutes(tmp_path, consumer, capsys):

@@ -306,26 +306,61 @@ def test_compilers_match_per_unfolding_references(
     assert compile_bottom(net, params) == reference_compile_bottom(net, params)
 
 
-def test_each_shape_is_compiled_once(mixed3, monkeypatch):
-    basis_calls, lattice_calls = [], []
+@st.composite
+def _small_nets(draw):
+    """Nets of dimension 2 or 3 with 1 to 3 actions of entries 0 to 2."""
+    d = draw(st.sampled_from((2, 3)))
+    vector = st.tuples(*[st.integers(0, 2)] * d)
+    actions = draw(st.lists(st.builds(Action, vector, vector), min_size=1, max_size=3))
+    return PetriNet(d, tuple(actions))
 
-    def counting_basis(g, q, params):
-        basis_calls.append((_shape(g), g.states.index(q)))
-        return upward_basis(g, q, params)
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=_small_nets(), state_bound=st.integers(2, 3), cycle_len=st.integers(1, 3))
+def test_compilers_match_per_unfolding_references_on_random_nets(net, state_bound, cycle_len):
+    """Sharing lattices, paths and walks across index sets, and basis rows
+    across the state sets of one index set, gives the formulas of
+    computing everything afresh for every unfolding."""
+    params = PumpingParams(state_bound=state_bound, cycle_len=cycle_len)
+    assert compile_mutual(net, params) == reference_compile_mutual(net, params)
+    assert compile_bottom(net, params) == reference_compile_bottom(net, params)
+
+
+def test_each_edge_shape_is_compiled_once(mixed3, monkeypatch):
+    """Lattices and cycle-word walks are computed once per edge shape,
+    across index sets; pumping-basis rows once per index set, edge shape
+    and state position."""
+    lattice_calls, walk_calls, row_calls = [], [], []
+    walked = {}  # id of a walk's words -> (words, (edge shape, position))
+    lattice_of_unfolding = presburger.lattice_of_unfolding
+    cycle_words, basis_rows = presburger._cycle_words, presburger._basis_rows
 
     def counting_lattice(g):
-        lattice_calls.append(_shape(g))
+        lattice_calls.append(_shape(g)[1])
         return lattice_of_unfolding(g)
 
-    upward_basis, lattice_of_unfolding = presburger.upward_basis, presburger.lattice_of_unfolding
-    monkeypatch.setattr(presburger, "upward_basis", counting_basis)
+    def counting_walk(g, q, max_len):
+        words, truncated = cycle_words(g, q, max_len)
+        walk_calls.append((_shape(g)[1], g.states.index(q)))
+        walked[id(words)] = (words, walk_calls[-1])
+        return words, truncated
+
+    def counting_rows(net, index_set, words, tau, cycle_len):
+        row_calls.append((tuple(index_set), *walked[id(words)][1]))
+        return basis_rows(net, index_set, words, tau, cycle_len)
+
     monkeypatch.setattr(presburger, "lattice_of_unfolding", counting_lattice)
+    monkeypatch.setattr(presburger, "_cycle_words", counting_walk)
+    monkeypatch.setattr(presburger, "_basis_rows", counting_rows)
     compile_mutual(mixed3, PARAMS)
     unfoldings = [g for ix in index_sets(mixed3.dim) for g in enumerate_unfoldings(mixed3, ix, 4)]
     shapes = {_shape(g) for g in unfoldings}
-    assert len(shapes) < len(unfoldings)  # shapes do repeat
-    assert sorted(lattice_calls) == sorted(shapes)
-    assert sorted(basis_calls) == sorted({(_shape(g), k) for g in unfoldings for k in range(g.size)})
+    edge_shapes = {edges for _, edges in shapes}
+    assert len(edge_shapes) < len(shapes) < len(unfoldings)  # both kinds repeat
+    assert sorted(lattice_calls) == sorted(edge_shapes)
+    positions = {(*_shape(g), k) for g in unfoldings for k in range(g.size)}
+    assert sorted(walk_calls) == sorted({(edges, k) for _, edges, k in positions})
+    assert sorted(row_calls) == sorted(positions)
 
 
 @pytest.mark.parametrize("name, state_bound, solves", [("mixed3", 5, 7), ("ring3", 4, 1)])

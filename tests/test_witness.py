@@ -605,6 +605,21 @@ def test_witness_reader_requires_the_end_line(token_swap):
     assert str(exc.value) == f"line {len(lines)}: differs from the recomputed 'end'"
 
 
+@pytest.mark.parametrize(
+    "bad", ["word 9 9 -> 8 10 : 0", "word 5 -> 5 : "], ids=["fires-elsewhere", "wrong-dimension"]
+)
+def test_witness_reader_rejects_words_between_other_configurations(token_swap, bad):
+    """A stored word that fires, or replays trivially, is still rejected
+    when its endpoints are not configurations of the witness."""
+    assert fire((9, 9), token_swap.word((0,))) == (8, 10)
+    lines = _token_swap_witness_text(token_swap).splitlines()
+    lines.insert(-1, bad)
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(token_swap, "\n".join(lines) + "\n")
+    want = f"line {len(lines) - 1}: word endpoint is not a config: {bad.strip()!r}"
+    assert str(exc.value) == want
+
+
 def test_singleton_unfolding_collects_zero_displacement_loops():
     net = PetriNet(1, (Action((1,), (1,)), Action((1,), (0,))))
     g = unfolding_from_sccc(net, [(2,)], (0,))
