@@ -18,7 +18,11 @@ rows (Andersen & Andersen, *Presolving in linear programming*, Math.
 Programming 71, 1995): a row of A f = 0 whose nonzero entries on the
 live columns share one sign forces those columns to 0 for every f >= 0.
 Each forced column can leave another row one-signed, so the step repeats
-until no row forces more.  Only the live columns reach the simplex.
+until no row forces more.  `max_positive_support` then checks whether
+the system is balanced, every presolved row summing to 0 over the live
+columns: then f = 1 on them is a solution, and the support is every live
+column with no LP.  Only the live columns of an unbalanced system reach
+the simplex.
 
 Presolved systems repeat, mostly across index sets: distinct state sets
 often leave the same rows on the same number of live columns.
@@ -26,8 +30,9 @@ often leave the same rows on the same number of live columns.
 keeps across many questions; it maps each presolved system, up to row
 order, row sign, repeated rows and rows that vanish on the live columns,
 to its support, so each distinct one is solved once.  One mutual compile
-on mixed3 at state bound 5 asks 32 support questions over 8 distinct
-presolved systems.
+on mixed3 at state bound 5 asks 32 support questions, all balanced, so
+none reaches the simplex; on ring3 at state bound 4, 36 of 153 are
+balanced and the other 117 reduce to 72 distinct presolved systems.
 """
 
 from __future__ import annotations
@@ -222,11 +227,16 @@ def max_positive_support(
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
     Columns that one-signed rows force to 0 are dropped first, with no
-    LP; the rest is solved on the live columns only.  Supports of
-    solutions are closed under addition, so the answer is the union of
-    the supports of f with f(j) >= 1, one LP per live index j not yet
-    covered. The all-index LP runs first: it is the common case, and a
-    simplex vertex alone covers at most rank(A) indices.  The maximal
+    LP.  A balanced check runs next, before the memo and the all-index
+    LP: if every row sums to 0 over the live columns, f = 1 on them and 0
+    on the forced ones solves A f = 0, and no solution is positive on a
+    forced column, so the live columns are exactly the maximal support.
+    It needs no LP and adds no memo entry.  Otherwise the system is
+    solved on the live columns only.  Supports of solutions are closed
+    under addition, so the answer is the union of the supports of f with
+    f(j) >= 1, one LP per live index j not yet covered.  The all-index
+    LP runs first: it is the common case, and a simplex vertex alone
+    covers at most rank(A) indices.  The maximal
     support is a property of the cone, so it does not depend on which
     vertices the simplex visits, nor on how the cone's rows are written:
     with `solved`, a system whose presolved rows match an earlier one's
@@ -234,6 +244,8 @@ def max_positive_support(
     """
     alive = _unforced_columns(eq_rows, nvars)
     rows = [[row[j] for j in alive] for row in eq_rows]
+    if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
+        return alive
     n = len(alive)
     if solved is not None:
         key = _cone_key(rows, n)

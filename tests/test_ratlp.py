@@ -66,25 +66,6 @@ def test_one_signed_rows_are_decided_without_an_lp(monkeypatch):
     assert positive_circulation([[1, -1, 0], [0, 0, 2]], 3) is None
 
 
-def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
-    """mixed3's consumer action has a one-signed displacement row.  Without
-    the forcing-row pass this compile solves 106 LPs; with it, the edges of
-    the consumer and everything they cascade to never reach the simplex,
-    which left 26.  The 32 support questions of the compile then reduce to
-    8 distinct presolved systems, and solving each once per compile pass,
-    across every index set, leaves 7."""
-    calls = []
-    solve = ratlp.solve_standard
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(ratlp, "solve_standard", counting)
-    compile_mutual(mixed3, PumpingParams(state_bound=5, cycle_len=4))
-    assert len(calls) == 7
-
-
 def _counting_solves(monkeypatch) -> list:
     calls = []
     solve = ratlp.solve_standard
@@ -97,39 +78,87 @@ def _counting_solves(monkeypatch) -> list:
     return calls
 
 
-def test_ring3_compile_solves_each_presolved_system_once(ring3, monkeypatch):
-    """153 support questions over 85 distinct presolved systems; a system
-    whose all-index LP fails takes one more LP per uncovered column."""
+def _is_balanced(rows, nvars) -> bool:
+    """Every row sums to 0 over the columns the forcing-row presolve keeps."""
+    alive = ratlp._unforced_columns(rows, nvars)
+    return all(sum(row[j] for j in alive) == 0 for row in rows)
+
+
+def _recorded_questions(monkeypatch) -> list:
+    """(balanced, memo) for each support question the enumerator asks."""
+    questions = []
+    support = unfolding.max_positive_support
+
+    def recording(rows, nvars, solved=None):
+        questions.append((_is_balanced(rows, nvars), solved))
+        return support(rows, nvars, solved)
+
+    monkeypatch.setattr(unfolding, "max_positive_support", recording)
+    return questions
+
+
+def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
+    """mixed3's consumer action has a one-signed displacement row.  Without
+    the forcing-row pass this compile solves 106 LPs; with it, the edges of
+    the consumer and everything they cascade to never reach the simplex,
+    which left 26, and a memo of presolved systems across index sets left
+    7.  Every one of the 32 support questions is balanced after the
+    presolve, so f = 1 on the live columns answers each, and none reaches
+    the simplex."""
     calls = _counting_solves(monkeypatch)
+    questions = _recorded_questions(monkeypatch)
+    compile_mutual(mixed3, PumpingParams(state_bound=5, cycle_len=4))
+    assert len(questions) == 32 and all(balanced for balanced, _ in questions)
+    assert calls == []
+
+
+def test_ring3_compile_solves_each_presolved_system_once(ring3, monkeypatch):
+    """153 support questions, of which 36 are balanced after the presolve
+    and need no LP; the other 117 reduce to 72 distinct presolved systems,
+    and a system whose all-index LP fails would take one more LP per
+    uncovered column."""
+    calls = _counting_solves(monkeypatch)
+    questions = _recorded_questions(monkeypatch)
     compile_mutual(ring3, PumpingParams(state_bound=4, cycle_len=4))
-    assert len(calls) == 84
+    memo = questions[0][1]
+    assert len(questions) == 153 and all(solved is memo for _, solved in questions)
+    assert sum(balanced for balanced, _ in questions) == 36
+    assert len(memo) == 72
+    assert len(calls) == 72
 
 
 def test_presolved_systems_share_one_solve(monkeypatch):
     """Row order, row sign, a repeated row and a row that is zero on the
     live columns leave the cone {f >= 0 : A f = 0} as it is, so such
-    systems share one solve; a different live row does not."""
+    systems share one solve; a different live row does not.  A balanced
+    system is answered before the memo, so it adds neither."""
     calls = _counting_solves(monkeypatch)
     solved = {}
-    chain = [[1, -1, 0], [0, 1, -1]]  # f0 = f1 = f2
+    chain = [[2, -1, 0], [0, 1, -1]]  # f1 = 2 f0 = f2; the first row sums to 1
     assert max_positive_support(chain, 3, solved) == [0, 1, 2]
     assert len(calls) == 1
     same_cone = [
-        [[0, 1, -1], [1, -1, 0]],  # row order
-        [[-1, 1, 0], [0, -1, 1]],  # row sign
-        [[1, -1, 0], [0, 1, -1], [1, -1, 0]],  # a repeated row
-        [[1, -1, 0], [0, 0, 0], [0, 1, -1]],  # a zero row
+        [[0, 1, -1], [2, -1, 0]],  # row order
+        [[-2, 1, 0], [0, -1, 1]],  # row sign
+        [[2, -1, 0], [0, 1, -1], [2, -1, 0]],  # a repeated row
+        [[2, -1, 0], [0, 0, 0], [0, 1, -1]],  # a zero row
     ]
     for rows in same_cone:
         assert max_positive_support(rows, 3, solved) == [0, 1, 2]
     # a fourth column that a one-signed row forces to 0, before and after
     # the live ones: that row is zero on the live columns, and the support
     # maps back through them
-    last_forced = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 2]]
-    first_forced = [[0, 1, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 0]]
+    last_forced = [[2, -1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 2]]
+    first_forced = [[0, 2, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 0]]
     assert max_positive_support(last_forced, 4, solved) == [0, 1, 2]
     assert max_positive_support(first_forced, 4, solved) == [1, 2, 3]
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(solved) == 1
+    # balanced, directly and once the forced fourth column is gone
+    balanced = [[1, -1, 0], [0, 1, -1]]
+    balanced_after_forcing = [[1, -1, 0, 1], [0, 1, -1, 0], [0, 0, 0, 2]]
+    assert max_positive_support(balanced, 3, solved) == [0, 1, 2]
+    assert max_positive_support(balanced_after_forcing, 4, solved) == [0, 1, 2]
+    assert len(calls) == 1 and len(solved) == 1
     different = [[1, -1, 1], [-1, 1, 1]]  # the rows sum to 2 f2 = 0
     assert max_positive_support(different, 3, solved) == lp_max_support(different, 3) == [0, 1]
     assert len(calls) > 1
@@ -153,6 +182,52 @@ def test_a_shared_memo_answers_as_a_fresh_solve(systems):
     solved = {}
     for rows, nvars in systems:
         assert max_positive_support(rows, nvars, solved) == lp_max_support(rows, nvars)
+
+
+@st.composite
+def balanced_systems(draw):
+    """Rows with entries -2..2 whose last live entry makes each sum to 0.
+    Some draws add columns that one forcing row, zero on the live columns,
+    makes one-signed: each other row takes any entries there, so it
+    balances only after the presolve.  Some draws then add 1 to one live
+    entry of one row, which mostly leaves the system unbalanced.  The
+    columns are shuffled."""
+    nrows = draw(st.integers(1, 4))
+    nlive = draw(st.integers(1, 6))
+    nforced = draw(st.integers(0, 2))
+    entry = st.integers(-2, 2)
+    rows = []
+    for _ in range(nrows):
+        live = draw(st.lists(entry, min_size=nlive - 1, max_size=nlive - 1))
+        rows.append(live + [-sum(live)] + draw(st.lists(entry, min_size=nforced, max_size=nforced)))
+    if nforced:
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append([0] * nlive + [sign * draw(st.integers(1, 2)) for _ in range(nforced)])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, nlive - 1))] += 1
+    order = draw(st.permutations(range(nlive + nforced)))
+    return [[row[j] for j in order] for row in rows], nlive + nforced
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(balanced_systems())
+# balanced only once the fourth column is forced
+@example(([[1, -1, 0, 2], [0, 1, -1, 0], [0, 0, 0, 1]], 4))
+# only the first row balances, and the other two give f0 = 0, so f1 = 0
+@example(([[1, -1, 0, 0], [1, 0, 1, -1], [-1, 0, 1, -1]], 4))
+def test_balanced_systems_need_no_lp(system):
+    """When every row sums to 0 over the live columns, f = 1 there is a
+    solution: the support is every live column, found with no LP.  Any
+    other live system reaches the simplex."""
+    rows, nvars = system
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solves(mp)
+        support = max_positive_support(rows, nvars)
+    assert support == lp_max_support(rows, nvars)
+    balanced = _is_balanced(rows, nvars)
+    assert (calls == []) == balanced
+    if balanced:
+        assert support == ratlp._unforced_columns(rows, nvars)
 
 
 COMPILES = [
