@@ -6,7 +6,9 @@ is inconclusive or a budget ran out, 1 for usage or parse errors.
 or `--box` for a bottom one) and prints `1` or `0` per row.  When a
 `provenance heuristic` formula prints any `1` row, `eval` still prints
 the table, writes one `warning:` line to stderr and exits 2, because
-such a `1` is not certified.
+such a `1` is not certified.  Likewise when a `complete 0` formula (a
+compile budget ran out) prints any `0` row: truncation only drops
+disjuncts and tuples, so its `1` rows stand, but a `0` is no refutation.
 """
 
 from __future__ import annotations
@@ -278,14 +280,18 @@ def cmd_eval(args) -> int:
         print(f"wrote {args.csv} ({len(rows)} rows)")
     else:
         sys.stdout.write(out)
-    if formula.provenance == "heuristic":
-        ones = sum(1 for row in rows if row[-1])
-        if ones:
-            print(f"warning: {ones} row(s) print 1 from a heuristic formula (compiled below "
-                  "the certified pumping thresholds), so they are not certified",
-                  file=sys.stderr)
-            return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    ones = sum(1 for _, v in rows if v)
+    warnings = []
+    if formula.provenance == "heuristic" and ones:
+        warnings.append(f"{ones} row(s) print 1 from a heuristic formula (compiled below "
+                        "the certified pumping thresholds), so they are not certified")
+    if not formula.complete and ones < len(rows):
+        # truncation only drops disjuncts and tuples, so the ones stand
+        warnings.append(f"{len(rows) - ones} row(s) print 0 from a truncated formula (complete 0: "
+                        "a compile budget ran out), so they are not refutations")
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_INCONCLUSIVE if warnings else EXIT_OK
 
 
 def cmd_explore(args) -> int:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
 from .lattice import LatticeRepresentation, lattice_contains
@@ -25,6 +25,7 @@ from .unfolding import (
     EnumLimits,
     EnumStats,
     Unfolding,
+    edge_shape,
     elementary_path,
     enumerate_unfoldings,
     index_sets,
@@ -41,8 +42,7 @@ class CompileError(ValueError):
 # --- mutual reachability -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Disjunct:
+class Disjunct(NamedTuple):
     lower_x: Vec  # a
     lower_y: Vec  # b
     shift: Vec  # v
@@ -81,10 +81,11 @@ def _compiled_unfoldings(
     enumeration limit and no basis walk budget was hit.
 
     The lattice, paths and cycle-word walks depend only on the edge shape,
-    the edges as (state position, action, state position): `Unfolding`
-    sorts its states and edges, so equal shapes give the same BFS trees and
-    walks, whatever the index set and the state values.  They are computed
-    once per shape and pass, and equal lattices are one object.  The basis
+    the edges as (state position, action, state position), which the
+    enumerator hands over with each unfolding: `Unfolding` sorts its states
+    and edges, so equal shapes give the same BFS trees and walks, whatever
+    the index set and the state values.  They are computed once per shape
+    and pass, and equal lattices are one object.  The basis
     rows cover the coordinates outside I with the threshold of the size,
     so they are computed once per index set and shape, zero on I.  Each
     distinct presolved circulation system is solved once per pass.
@@ -100,8 +101,7 @@ def _compiled_unfoldings(
         for g in enumerate_unfoldings(
             net, index_set, params.state_bound, limits, stats, forward_closed, solved
         ):
-            position = {s: k for k, s in enumerate(g.states)}
-            key = tuple((position[p], a, position[q]) for p, a, q in g.transitions)
+            key = edge_shape(g)
             if key not in shapes:
                 rep = lattice_of_unfolding(g)
                 paths = tuple(tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
@@ -136,18 +136,19 @@ def compile_mutual(
     is dropped after its first occurrence.
     """
     compiled, certified, complete = _compiled_unfoldings(net, params, limits or EnumLimits())
-    seen: dict[tuple, None] = {}
+    seen: dict[tuple, None] = {}  # each key equals the disjunct made of it
     for g, parts in compiled:
+        rep = parts.rep
         bases = [[_with_state(v, g.index_set, q) for v in rows]
                  for rows, q in zip(parts.bases, g.states)]
         for a_vectors, paths in zip(bases, parts.paths):
             for b_vectors, v in zip(bases, paths):
                 for a in a_vectors:
                     for b in b_vectors:
-                        seen[a, b, v, parts.rep] = None
+                        seen[a, b, v, rep] = None
     return MutualFormula(
         dim=net.dim,
-        disjuncts=tuple(Disjunct(*key) for key in seen),
+        disjuncts=tuple(map(Disjunct._make, seen)),
         provenance="certified" if certified else "heuristic",
         complete=complete,
         state_bound=params.state_bound,
@@ -194,12 +195,10 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
     lattice atoms of y - x - v.  Each distinct threshold vector and each
     distinct (lattice, shift) part is rendered once per call."""
     names = mutual_var_names(f.dim)
+    # x >= a and y >= b, one atom per coordinate, with the numerals filled in
+    x_atoms, y_atoms = (" ".join(f"(>= {side}{i} {{}})" for i in range(f.dim)).format
+                        for side in "xy")
 
-    @cache
-    def thresholds(side: str, bound: Vec) -> str:
-        return " ".join(f"(>= {side}{i} {smt_numeral(c)})" for i, c in enumerate(bound))
-
-    @cache
     def lattice_part(rep: LatticeRepresentation, shift: Vec) -> str:
         # a . (y - x - v) == 0 mod n (or exactly 0 when n == 0), per pair
         atoms = []
@@ -212,12 +211,14 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
                 atoms.append(f"(= (mod {_linear_term(coeffs, names, -value)} {n}) 0)")
         return " ".join(atoms)
 
-    conjunctions = [
-        # with dim 0 every part is empty and the conjunction is true
-        f"(and {thresholds('x', d.lower_x)} {thresholds('y', d.lower_y)} "
-        f"{lattice_part(d.rep, d.shift)})" if f.dim else "true"
-        for d in f.disjuncts
-    ]
+    if f.dim:
+        lower_x, lower_y, shifts, reps = _columns(f)
+        xs = {a: x_atoms(*map(smt_numeral, a)) for a in set(lower_x)}
+        ys = {b: y_atoms(*map(smt_numeral, b)) for b in set(lower_y)}
+        parts = {key: lattice_part(*key) for key in set(zip(reps, shifts))}
+        conjunctions = [f"(and {xs[a]} {ys[b]} {parts[rep, v]})" for a, b, v, rep in f.disjuncts]
+    else:  # every part is empty and each conjunction is true
+        conjunctions = ["true"] * len(f.disjuncts)
     lines = ["(set-logic QF_LIA)"]
     lines += [f"(declare-const {n} Int)" for n in names]
     lines += [f"(assert (>= {n} 0))" for n in names]
@@ -225,28 +226,38 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns(f: MutualFormula) -> tuple[tuple, ...]:
+    """The a, b, v and gamma of every disjunct, as four columns, from which
+    the writers take the distinct values they render once per call."""
+    return tuple(zip(*f.disjuncts)) or ((), (), (), ())
+
+
 def mutual_to_json(f: MutualFormula) -> str:
     """The text of `json.dumps(payload, sort_keys=True, indent=1)`, with
     each distinct vector and each distinct gamma rendered once per call."""
     # a disjunct's values sit three levels deep: payload, list, dict
-    vector = cache(lambda v: _json_ints(v, 3))
-    gamma = cache(lambda rep: _json_ints(rep.pairs, 3))
+    lower_x, lower_y, shifts, reps = _columns(f)
+    vectors = {v: _json_ints(v, 3) for v in {*lower_x, *lower_y, *shifts}}
+    gammas = {rep: _json_ints(rep.pairs, 3) for rep in set(reps)}
     items = [
-        f'  {{\n   "a": {vector(d.lower_x)},\n   "b": {vector(d.lower_y)},\n'
-        f'   "gamma": {gamma(d.rep)},\n   "v": {vector(d.shift)}\n  }}'
-        for d in f.disjuncts
+        f'  {{\n   "a": {vectors[a]},\n   "b": {vectors[b]},\n'
+        f'   "gamma": {gammas[rep]},\n   "v": {vectors[v]}\n  }}'
+        for a, b, v, rep in f.disjuncts
     ]
     return _json_document(_header(f, "mutual"), "disjuncts", items)
 
 
 def mutual_to_text(f: MutualFormula) -> str:
-    row, pair_lines = _text_renderers()
-    lines = _text_header(_header(f, "mutual"))
-    for d in f.disjuncts:
-        lines += ("disjunct", "a " + row(d.lower_x), "b " + row(d.lower_y), "v " + row(d.shift))
-        lines += pair_lines(d.rep)
-        lines.append("end")
-    return "\n".join(lines) + "\n"
+    """The `.mrf` text, each distinct vector row and each distinct lattice's
+    `pair` lines rendered once per call, and each disjunct one string."""
+    lower_x, lower_y, shifts, reps = _columns(f)
+    rows = {v: _row(v) for v in {*lower_x, *lower_y, *shifts}}
+    pairs = {rep: "".join(ln + "\n" for ln in _pair_lines(rep)) for rep in set(reps)}
+    head = "".join(ln + "\n" for ln in _text_header(_header(f, "mutual")))
+    return head + "".join(
+        f"disjunct\na {rows[a]}\nb {rows[b]}\nv {rows[v]}\n{pairs[rep]}end\n"
+        for a, b, v, rep in f.disjuncts
+    )
 
 
 def mutual_from_text(text: str) -> MutualFormula:
@@ -294,13 +305,14 @@ def _text_header(fields: dict[str, object]) -> list[str]:
     return [f"{key} {int(v) if isinstance(v, bool) else v}" for key, v in fields.items()]
 
 
-def _text_renderers():
-    """A vector row and the `pair n : a1 ... ad` lines of a lattice, each
-    distinct one rendered once per call; `_vector` and `_lattice` read
-    them back."""
-    row = cache(lambda v: " ".join(map(str, v)))
-    pair_lines = cache(lambda rep: tuple(f"pair {n} : {row(a)}" for n, a in rep.pairs))
-    return row, pair_lines
+def _row(v: Sequence[int]) -> str:
+    """A vector as a text row, which `_vector` reads back."""
+    return " ".join(map(str, v))
+
+
+def _pair_lines(rep: LatticeRepresentation) -> tuple[str, ...]:
+    """The `pair n : a1 ... ad` lines of a lattice, which `_lattice` reads back."""
+    return tuple(f"pair {n} : {_row(a)}" for n, a in rep.pairs)
 
 
 def _json_ints(value: int | Sequence, level: int) -> str:
@@ -486,15 +498,13 @@ def compile_bottom(
     )
     tuples: list[BottomTuple] = []
     for g, parts in compiled:
-        position = {s: k for k, s in enumerate(g.states)}
         bases = [tuple(_with_state(v, g.index_set, q) for v in rows)
                  for rows, q in zip(parts.bases, g.states)]
         for k, r in enumerate(g.states):
             vp = parts.paths[k]
             implications = []
-            for (p, aidx, q) in g.transitions:
+            for p_at, aidx, q_at in edge_shape(g):
                 a = net.actions[aidx]
-                p_at, q_at = position[p], position[q]
                 ants = tuple(
                     sorted(
                         tuple(max(m[i], a.pre[i]) - vp[p_at][i] for i in range(net.dim))
@@ -709,7 +719,8 @@ def eval_bottom(f: BottomFormula, c: Sequence[int]) -> bool:
 
 
 def bottom_to_text(f: BottomFormula) -> str:
-    row, pair_lines = _text_renderers()
+    # each distinct row, lattice and word list rendered once per call
+    row, pair_lines = cache(_row), cache(_pair_lines)
     words = cache(lambda ws: ";".join(map(row, ws)))
     lines = _text_header(_header(f, "bottom"))
     for t in f.tuples:

@@ -10,6 +10,7 @@ circulation with zero total displacement exists (Euler's condition).
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -111,6 +112,16 @@ class Unfolding:
 
     def state_norm(self) -> int:
         return max((norm_inf(s) for s in self.states), default=0)
+
+
+def edge_shape(g: Unfolding) -> tuple[tuple[int, int, int], ...]:
+    """g's edges as (state position, action, state position), in
+    transition order.  `enumerate_unfoldings` hands it over with each
+    unfolding it yields; for any other unfolding it is computed here once."""
+    if "shape" not in g._cache:
+        position = {s: k for k, s in enumerate(g.states)}
+        g._cache["shape"] = tuple((position[p], a, position[q]) for p, a, q in g.transitions)
+    return g._cache["shape"]
 
 
 @dataclass(frozen=True)
@@ -499,6 +510,9 @@ def enumerate_unfoldings(
     carry a positive circulation together.  Otherwise `solved` is handed
     to `max_positive_support`, so a caller that walks many index sets can
     solve each distinct presolved circulation system once.
+
+    Each unfolding carries its `edge_shape`, which the enumerator already
+    built to decide its support.
     """
     limits = limits or EnumLimits()
     stats = stats if stats is not None else EnumStats()
@@ -518,9 +532,9 @@ def enumerate_unfoldings(
         escaped = False
         out: list[tuple[int, Transition]] = []
         for idx, pre, delta in moves:
-            if any(x < y for x, y in zip(p, pre)):
+            if not all(map(operator.ge, p, pre)):
                 continue
-            q = tuple(x + y for x, y in zip(p, delta))
+            q = tuple(map(operator.add, p, delta))
             j = pos.get(q)
             if j is None:
                 escaped = True
@@ -564,8 +578,10 @@ def enumerate_unfoldings(
     # touches an edge, so the shape also fixes the size.  The circulation
     # rows are a function of the shape.  Within one call distinct shapes
     # rarely share rows, but presolved systems repeat, mostly across index
-    # sets, so the caller keeps `solved` across index sets.
-    kept: dict[tuple[tuple[int, int, int], ...], list[int] | None] = {}
+    # sets, so the caller keeps `solved` across index sets.  With each kept
+    # shape goes the shape of the edges it keeps, which its unfoldings carry:
+    # their states and edges are already in `Unfolding`'s sorted order.
+    kept: dict[tuple[tuple[int, int, int], ...], tuple[list[int], tuple] | None] = {}
 
     def strongly_connected(size: int, arcs: Iterable[tuple[int, int, int]]) -> bool:
         succ: list[list[int]] = [[] for _ in range(size)]
@@ -607,14 +623,20 @@ def enumerate_unfoldings(
                     shape.append((k, t[1], m))
         key = tuple(shape)
         if key not in kept:
-            kept[key] = decide(len(subset), key)
-        support = kept[key]
-        if support is None:
+            support = decide(len(subset), key)
+            kept[key] = None if support is None else (
+                support, key if len(support) == len(key) else tuple(key[j] for j in support)
+            )
+        decided = kept[key]
+        if decided is None:
             continue
+        support, kept_shape = decided
         if len(support) < len(edges):
             edges = [edges[j] for j in support]
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
             return
-        yield Unfolding(net, index_set, tuple(all_states[i] for i in subset), tuple(edges))
+        g = Unfolding(net, index_set, tuple(all_states[i] for i in subset), tuple(edges))
+        g._cache["shape"] = kept_shape
+        yield g
         stats.emitted += 1

@@ -214,8 +214,8 @@ def _antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
 def _with_state(v: Vec, index_set: tuple[int, ...], q: Vec) -> Vec:
     """v with the values of q written onto the I coordinates."""
     full = list(v)
-    for pos, i in enumerate(index_set):
-        full[i] = q[pos]
+    for i, x in zip(index_set, q):
+        full[i] = x
     return tuple(full)
 
 

@@ -7,7 +7,7 @@ expansion, reversibility uses a plain displacement-bounded search, and
 bottom membership evaluates phi at enumerated lattice points instead of
 solving lattice-box queries, exported SMT-LIB scripts are evaluated
 from their text, the formula writers are compared with a syntax tree
-rendered whole, and the reference Hermite normal form picks its pivot
+rendered whole and with text rendered line by line, and the reference Hermite normal form picks its pivot
 rows by rational elimination before any integer column operation, the
 reference witness search enumerates every index set, and the reference
 violation search queries the whole product of one short coordinate per
@@ -1224,6 +1224,27 @@ def reference_mutual_smtlib(f) -> str:
     """The `.smt2` text rendered from the whole tree of `mutual_to_ast`."""
     names = mutual_var_names(f.dim)
     return to_smtlib(mutual_to_ast(f), names, logic="QF_LIA", nonneg=names)
+
+
+def reference_mutual_text(f) -> str:
+    """The `.mrf` text rendered line by line from the fields."""
+
+    def row(v) -> str:
+        return " ".join(str(x) for x in v)
+
+    lines = [
+        "kind mutual",
+        f"dim {f.dim}",
+        f"provenance {f.provenance}",
+        f"complete {int(f.complete)}",
+        f"state-bound {f.state_bound}",
+        f"cycle-len {f.cycle_len}",
+    ]
+    for d in f.disjuncts:
+        lines += ["disjunct", "a " + row(d.lower_x), "b " + row(d.lower_y), "v " + row(d.shift)]
+        lines += [f"pair {n} : {row(a)}" for n, a in d.rep.pairs]
+        lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def reference_mutual_json(f) -> str:

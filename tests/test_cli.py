@@ -259,6 +259,30 @@ def test_eval_of_a_heuristic_formula_warns_on_its_ones(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_eval_of_a_truncated_formula_warns_on_its_zeros(tmp_path, capsys):
+    """Cut at three unfoldings, the token_swap formula misses (2 0, 0 2),
+    which the complete formula accepts; a `0` from a `complete 0` formula
+    is not a refutation, so eval warns and exits 2.  Truncation only drops
+    disjuncts, so its ones stand."""
+    swap = str(FIXTURES / "token_swap.net")
+    cut, whole = tmp_path / "cut", tmp_path / "whole"
+    assert main(["compile", swap, "--max-unfoldings", "3", "--formats", "text",
+                 "--out", str(cut)]) == 2
+    assert main(["compile", swap, "--formats", "text", "--out", str(whole)]) == 0
+    assert "complete 0\n" in (tmp_path / "cut.mrf").read_text()
+    capsys.readouterr()
+    assert main(["eval", str(cut) + ".mrf", "--pair", "2 0 / 0 2", "--pair", "1 0 / 1 0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "x,y,mutual\n2 0,0 2,0\n1 0,1 0,1\n"
+    assert captured.err.startswith("warning: 1 row(s) print 0 ") and captured.err.count("\n") == 1
+    assert main(["eval", str(whole) + ".mrf", "--pair", "2 0 / 0 2"]) == 0
+    # a truncated table of ones stands
+    assert main(["eval", str(cut) + ".mrf", "--pair", "1 0 / 1 0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "x,y,mutual\n2 0,0 2,1\nx,y,mutual\n1 0,1 0,1\n"
+    assert captured.err == ""
+
+
 # Z^2 and an implication whose antecedent holds far out and whose
 # consequent never does: v = (100, 100) violates phi at c = 0 + v, a point
 # of an unbounded box far from the origin.
@@ -280,8 +304,11 @@ end
 def test_eval_bottom_decides_a_violation_far_out(tmp_path, capsys):
     path = tmp_path / "far.btf"
     path.write_text(FAR_VIOLATION_BTF)
-    assert main(["eval", str(path), "--point", "0 0", "--point", "3 1"]) == 0
-    assert capsys.readouterr().out == "c,bottom\n0 0,0\n3 1,0\n"
+    # the file says `complete 0`, so its zeros come with a warning and exit 2
+    assert main(["eval", str(path), "--point", "0 0", "--point", "3 1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "c,bottom\n0 0,0\n3 1,0\n"
+    assert captured.err.startswith("warning: 2 row(s) print 0 from a truncated formula")
     # with the consequent (100, 0), a violation needs v >= (100, 100) and
     # v0 <= 99 or v1 <= -1: both boxes are empty, so 0 0 is accepted
     certified = FAR_VIOLATION_BTF.replace("heuristic", "certified")

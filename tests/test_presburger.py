@@ -21,6 +21,7 @@ from conftest import (
     reference_compile_mutual,
     reference_mutual_json,
     reference_mutual_smtlib,
+    reference_mutual_text,
     reference_violation_exists,
     to_sexpr,
     to_smtlib,
@@ -281,6 +282,41 @@ def _shape(g):
     """The index set and the edges as (state position, action, state position)."""
     position = {s: k for k, s in enumerate(g.states)}
     return g.index_set, tuple((position[p], a, position[q]) for p, a, q in g.transitions)
+
+
+def test_enumerator_hands_over_the_kept_edge_shape(fixture_nets, ring3):
+    """Every unfolding the enumerator yields carries the shape of the edges
+    it keeps, which the compile pass keys its shapes by; on consumer,
+    mixed3 and ring3 the support cut drops edges, so there the kept shape
+    is not always the shape of every edge among the states.  An unfolding
+    built elsewhere gets its shape computed."""
+
+    def handed_over(g) -> bool:
+        # attached by the enumerator, not computed by `edge_shape`
+        return "shape" in g._cache and unfolding.edge_shape(g) == _shape(g)[1]
+
+    nets = {**fixture_nets, "ring3": ring3}
+    cut = set()
+    for name, net in nets.items():
+        for forward_closed in (False, True):
+            for index_set in index_sets(net.dim):
+                for g in enumerate_unfoldings(net, index_set, 4, forward_closed=forward_closed):
+                    assert handed_over(g)
+                    states = set(g.states)
+                    enabled = [q for p in g.states for a in net.actions
+                               if (q := unfolding.i_fires(a, index_set, p)) in states]
+                    if len(enabled) > len(g.transitions):
+                        cut.add(name)
+    assert cut == {"consumer", "mixed3", "ring3"}
+    stats = unfolding.EnumStats()
+    limits = unfolding.EnumLimits(max_unfoldings=7)
+    kept = list(enumerate_unfoldings(nets["mixed3"], (0, 1, 2), 5, limits, stats))
+    assert stats.truncated and len(kept) == 7
+    assert all(map(handed_over, kept))
+    for g in kept:
+        rebuilt = unfolding.Unfolding(g.net, g.index_set, g.states, g.transitions)
+        assert "shape" not in rebuilt._cache
+        assert unfolding.edge_shape(rebuilt) == _shape(g)[1]
 
 
 @pytest.mark.parametrize(
@@ -710,7 +746,9 @@ def test_mutual_text_round_trip(f):
 @given(mutual_formulas(min_dim=0))
 def test_mutual_writers_match_whole_formula_rendering(f):
     """The writers that render each distinct vector and lattice once give
-    the bytes of rendering the whole tree and the whole payload."""
+    the bytes of rendering the whole tree, the whole payload and every
+    line."""
+    assert mutual_to_text(f) == reference_mutual_text(f)
     assert mutual_to_smtlib(f) == reference_mutual_smtlib(f)
     assert mutual_to_json(f) == reference_mutual_json(f)
 
