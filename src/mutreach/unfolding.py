@@ -126,26 +126,22 @@ def edge_shape(g: Unfolding) -> tuple[tuple[int, int, int], ...]:
 
 @dataclass(frozen=True)
 class UnfoldingPath:
-    """A chain of transitions; `start` pins the endpoints of empty paths."""
+    """A chain of transitions; `source` pins the endpoints of empty paths."""
 
-    start: State
+    source: State
     transitions: tuple[Transition, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        cur = self.start
+        cur = self.source
         for p, _, q in self.transitions:
             if p != cur:
                 raise UnfoldingError("path transitions do not chain", (cur, p))
             cur = q
 
     @property
-    def source(self) -> State:
-        return self.start
-
-    @property
     def target(self) -> State:
-        return self.transitions[-1][2] if self.transitions else self.start
+        return self.transitions[-1][2] if self.transitions else self.source
 
     @property
     def word(self) -> tuple[int, ...]:
@@ -159,17 +155,6 @@ class UnfoldingPath:
         for _, a, _ in self.transitions:
             total = vadd(total, net.actions[a].displacement)
         return total
-
-    def states_visited(self) -> set[State]:
-        seen = {self.start}
-        for _, _, q in self.transitions:
-            seen.add(q)
-        return seen
-
-    def concat(self, other: "UnfoldingPath") -> "UnfoldingPath":
-        if self.target != other.source:
-            raise UnfoldingError("concatenation endpoints do not match")
-        return UnfoldingPath(self.start, self.transitions + other.transitions)
 
     def is_cycle(self) -> bool:
         return self.source == self.target
@@ -359,14 +344,12 @@ def euler_circuit(g: Unfolding, counts: dict[Transition, int], anchor: State) ->
     return cycle
 
 
-def zero_full_state_cycle(g: Unfolding, anchor: State) -> UnfoldingPath:
-    """A zero-displacement cycle on `anchor` visiting every state: the
-    Euler circuit of the integer-scaled circulation witness, which covers
-    every transition."""
-    cycle = euler_circuit(g, _integer_circulation(g), anchor)
-    assert cycle.displacement(g.net) == zero(g.net.dim)
-    assert cycle.states_visited() == set(g.states)
-    return cycle
+def _closed_walk_counts(g: Unfolding, cycle: UnfoldingPath) -> Counter:
+    """How many times the closed walk `cycle` of g takes each transition."""
+    used = Counter(cycle.transitions)
+    if not cycle.is_cycle() or not set(used) <= set(g.transitions):
+        raise UnfoldingError("not a closed walk of the unfolding", cycle)
+    return used
 
 
 def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
@@ -377,9 +360,7 @@ def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
     every transition and balanced at every state, and its displacement
     is -displacement(cycle); the walk is its Euler circuit.
     """
-    used = Counter(cycle.transitions)
-    if not cycle.is_cycle() or not set(used) <= set(g.transitions):
-        raise UnfoldingError("not a closed walk of the unfolding", cycle)
+    used = _closed_walk_counts(g, cycle)
     k = 1 + max(used.values(), default=0)
     counts = {t: k * z - used[t] for t, z in _integer_circulation(g).items()}
     back = euler_circuit(g, counts, cycle.source)
@@ -387,29 +368,20 @@ def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
     return back
 
 
-def rotate_cycle(cycle: UnfoldingPath, anchor: State) -> UnfoldingPath:
-    if not cycle.is_cycle():
-        raise UnfoldingError("cannot rotate a non-cycle")
-    if cycle.source == anchor:
-        return cycle
-    ts = cycle.transitions
-    for i, t in enumerate(ts):
-        if t[0] == anchor:
-            return UnfoldingPath(anchor, ts[i:] + ts[:i])
-    raise UnfoldingError("anchor does not occur on the cycle", anchor)
+def embed_cycle(g: Unfolding, cycle: UnfoldingPath, anchor: State) -> UnfoldingPath:
+    """A closed walk on `anchor` through every state with the cycle's
+    displacement and |Z| + |cycle| transitions.
 
-
-def embed_simple_cycle(
-    zero_cycle: UnfoldingPath, cycle: UnfoldingPath, anchor: State
-) -> UnfoldingPath:
-    """Insert a cycle into a full-state zero cycle; the result is a
-    full-state cycle with the inserted cycle's displacement, rotated to
-    `anchor`."""
-    base = rotate_cycle(zero_cycle, cycle.source) if zero_cycle.transitions else zero_cycle
-    if base.source != cycle.source:
-        raise UnfoldingError("cycle state does not occur on the zero cycle", cycle.source)
-    combined = cycle.concat(base) if base.transitions else cycle
-    return rotate_cycle(combined, anchor)
+    With Z the integer circulation witness, Z + count(cycle) is positive
+    on every transition and balanced at every state, and its displacement
+    is displacement(cycle); the walk is its Euler circuit.  The empty
+    cycle embeds as the circuit of Z, a zero-displacement full-state cycle.
+    """
+    used = _closed_walk_counts(g, cycle)
+    counts = {t: z + used[t] for t, z in _integer_circulation(g).items()}
+    walk = euler_circuit(g, counts, anchor)
+    assert walk.displacement(g.net) == cycle.displacement(g.net)
+    return walk
 
 
 # --- construction from an explicit SCCC -------------------------------------

@@ -25,13 +25,12 @@ from .unfolding import (
     UnfoldingPath,
     cycle_walks,
     elementary_path,
-    embed_simple_cycle,
+    embed_cycle,
     enumerate_unfoldings,
     index_sets,
     lattice_of_unfolding,
     reverse_cycle,
     unfolding_from_sccc,
-    zero_full_state_cycle,
 )
 from .intlinalg import solve_integer
 from .vectors import Vec, norm_inf, restrict, vec, vge, vsub, zero
@@ -432,7 +431,7 @@ def search_witness(
 # --- path synthesis -----------------------------------------------------------
 
 
-def _decompose_into_simple(g: Unfolding, path: UnfoldingPath) -> list[UnfoldingPath]:
+def _decompose_into_simple(path: UnfoldingPath) -> list[UnfoldingPath]:
     """Excise simple cycles from a cycle until nothing remains."""
     pieces: list[UnfoldingPath] = []
     stack_states: list[Vec] = [path.source]
@@ -489,7 +488,7 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
         # negative coefficients, and each one is repaid by `reverse_cycle`,
         # a walk over every transition of the unfolding.
         cycles = list(
-            dict.fromkeys(piece for w in cycle_walks(g) for piece in _decompose_into_simple(g, w))
+            dict.fromkeys(piece for w in cycle_walks(g) for piece in _decompose_into_simple(w))
         )
         mat = [[c.displacement(net)[i] for c in cycles] for i in range(net.dim)]
         coeffs = solve_integer(mat, list(target))
@@ -501,19 +500,14 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
                 pieces.extend([c] * h)
             elif h < 0:
                 rev = reverse_cycle(g, c)
-                for piece in _decompose_into_simple(g, rev):
+                for piece in _decompose_into_simple(rev):
                     pieces.extend([piece] * (-h))
         bag = [piece.displacement(net) for piece in pieces]
         keep = prune_zero_subsequences(bag)
         pieces = [pieces[j] for j in keep]
         bag = [bag[j] for j in keep]
-        order = prefix_safe_reorder(bag)
-        pieces = [pieces[j] for j in order]
-        if pieces:
-            zero_cycle = zero_full_state_cycle(g, q)
-            for piece in pieces:
-                theta = embed_simple_cycle(zero_cycle, piece, q)
-                theta_word = theta_word + theta.word
+        for j in prefix_safe_reorder(bag):
+            theta_word = theta_word + embed_cycle(g, pieces[j], q).word
 
     word = alpha + pi.word + theta_word + beta
     try:

@@ -180,19 +180,24 @@ def test_eval_malformed_formula_exits_one(net_path, tmp_path, capsys):
         main(["compile", net_path, "--mode", mode, "--out", str(base), "--formats", "text"])
     mrf = (tmp_path / "formula.mrf").read_text().splitlines(keepends=True)
     btf = (tmp_path / "formula.btf").read_text().splitlines(keepends=True)
+    pair, point = ["--pair", "1 0 / 0 1"], ["--point", "1 1"]
     cases = [
-        ("cut.mrf", "".join(mrf[:12]), ["--pair", "1 0 / 0 1"]),
-        ("cut.btf", "".join(btf[:9]), ["--point", "1 1"]),
-        ("junk.btf", "kind bottom\ndim 2\nfoo\n", ["--point", "1 1"]),
+        ("cut.mrf", "".join(mrf[:12]), pair, "unterminated 'disjunct' block"),
+        ("cut.btf", "".join(btf[:9]), point, "unterminated 'tuple' block"),
+        ("junk.btf", "kind bottom\ndim 2\nfoo\n", point, "unknown or repeated header field 'foo'"),
+        ("other.mrf", "kind other\ndim 2\n", pair, "unrecognized formula file"),
+        ("dim0.mrf", "kind mutual\ndim 0\n", pair, "dim must be positive, got 0"),
+        ("maybe.mrf", "kind mutual\ndim 2\nprovenance maybe\n", pair, "unknown provenance 'maybe'"),
+        ("stray.mrf", "".join(mrf) + "junk\n", pair, "expected 'disjunct', got 'junk'"),
     ]
     capsys.readouterr()
-    for name, text, query in cases:
+    for name, text, query, message in cases:
         path = tmp_path / name
         path.write_text(text)
         assert main(["eval", str(path), *query]) == 1, name
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, name
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, name
 
 
 @pytest.mark.parametrize(

@@ -159,6 +159,12 @@ def test_net_file_errors():
     for header in ("dimension 2", "dim 2 3", "dim 0", "dim -2"):
         with pytest.raises(NetError, match="line 2: malformed dim header"):
             parse_net(f"# two counters\n{header}\npre: 1 0  post: 0 1\n")
+    with pytest.raises(NetError, match="line 2: duplicate dim header"):
+        parse_net("dim 2\ndim 2\npre: 1 0  post: 0 1\n")
+    with pytest.raises(NetError, match="line 2: non-integer entry"):
+        parse_net("dim 2\npre: 1 x  post: 0 1\n")
+    with pytest.raises(NetError, match="missing dim header"):
+        parse_net("# only a comment\n\n")
     with pytest.raises(NetError):
         parse_config("1 -2", 2)
     with pytest.raises(NetError, match="non-integer entry 'x'"):

@@ -489,6 +489,12 @@ def test_no_enabled_action_every_config_bottom():
         assert eval_bottom(f, c) is True
 
 
+def test_eval_bottom_rejects_a_dimension_mismatch(token_swap):
+    f = compile_bottom(token_swap, PumpingParams(state_bound=2, cycle_len=1))
+    with pytest.raises(CompileError, match="expected dimension 2"):
+        eval_bottom(f, (1, 1, 1))
+
+
 def test_bottom_threshold_form(token_swap):
     f = compile_bottom(token_swap, PumpingParams(state_bound=4, cycle_len=4))
     for t in f.tuples:

@@ -27,18 +27,16 @@ from mutreach.unfolding import (
     bounded_states,
     cycle_walks,
     elementary_path,
-    embed_simple_cycle,
+    embed_cycle,
     enumerate_unfoldings,
     i_fires,
     index_sets,
     is_structurally_reversible,
     lattice_of_unfolding,
     reverse_cycle,
-    rotate_cycle,
     strongly_connected_components,
     unfolding_from_sccc,
     validate_unfolding,
-    zero_full_state_cycle,
 )
 from mutreach.vectors import vadd, vsub
 from mutreach.witness import _decompose_into_simple
@@ -261,7 +259,7 @@ def test_reverse_cycle_of_every_simple_piece(fixture_nets, ring3):
     for net in [*fixture_nets.values(), ring3]:
         for index_set in index_sets(net.dim):
             for g in enumerate_unfoldings(net, index_set, 3):
-                for piece in {p for w in cycle_walks(g) for p in _decompose_into_simple(g, w)}:
+                for piece in {p for w in cycle_walks(g) for p in _decompose_into_simple(w)}:
                     _reversal_ok(g, piece)
                     reversed_pieces += 1
     assert reversed_pieces > 100
@@ -291,22 +289,26 @@ def test_reverse_cycle_examples(token_swap):
         reverse_cycle(g, UnfoldingPath((), (((), 2, ()),)))
 
 
+def _states_visited(path):
+    return {path.source, *(q for _, _, q in path.transitions)}
+
+
 def test_zero_full_state_cycle_examples(token_swap):
     noop = PetriNet(1, (Action((1,), (1,)),))
     g = validate_unfolding(noop, (0,), [(1,)], [((1,), 0, (1,))])
-    cycle = zero_full_state_cycle(g, (1,))
+    cycle = embed_cycle(g, UnfoldingPath((1,)), (1,))
     assert cycle.word == (0,)
 
     updown = PetriNet(1, (Action((0,), (1,)), Action((1,), (0,))))
     g2 = validate_unfolding(updown, (), [()], [((), 0, ()), ((), 1, ())])
-    cycle2 = zero_full_state_cycle(g2, ())
+    cycle2 = embed_cycle(g2, UnfoldingPath(()), ())
     assert sorted(cycle2.word) == [0, 1]
 
     g3 = _level2(token_swap)
-    cycle3 = zero_full_state_cycle(g3, (1, 1))
+    cycle3 = embed_cycle(g3, UnfoldingPath((1, 1)), (1, 1))
     assert cycle3.source == (1, 1)
     assert cycle3.displacement(token_swap) == (0, 0)
-    assert cycle3.states_visited() == set(g3.states)
+    assert _states_visited(cycle3) == set(g3.states)
 
 
 def test_zero_full_state_cycle_on_ring(ring):
@@ -315,29 +317,34 @@ def test_zero_full_state_cycle_on_ring(ring):
         [(2, 0), (1, 1), (0, 2)],
         [((2, 0), 0, (1, 1)), ((1, 1), 1, (0, 2)), ((0, 2), 2, (2, 0))],
     )
-    cycle = zero_full_state_cycle(g, (1, 1))
+    cycle = embed_cycle(g, UnfoldingPath((1, 1)), (1, 1))
     assert cycle.is_cycle() and cycle.source == (1, 1)
     assert cycle.displacement(ring) == (0, 0)
-    assert cycle.states_visited() == set(g.states)
+    assert _states_visited(cycle) == set(g.states)
 
 
-def test_embed_simple_cycle(token_swap):
+def test_embed_cycle(token_swap):
     g = _level2(token_swap)
-    zero_c = zero_full_state_cycle(g, (1, 1))
+    zero_c = embed_cycle(g, UnfoldingPath((1, 1)), (1, 1))
     cycles = simple_cycles(g)
     for c in cycles:
         for anchor in g.states:
-            emb = embed_simple_cycle(zero_c, c, anchor)
+            emb = embed_cycle(g, c, anchor)
             assert emb.source == emb.target == anchor
             assert emb.displacement(token_swap) == c.displacement(token_swap)
-            assert emb.states_visited() == set(g.states)
+            assert _states_visited(emb) == set(g.states)
+            assert len(emb) == len(zero_c) + len(c)
 
 
-def test_rotate_cycle_requires_anchor_on_cycle(token_swap):
+def test_embed_cycle_rejections(token_swap):
     g = _level2(token_swap)
     cycles = simple_cycles(g)
-    with pytest.raises(UnfoldingError):
-        rotate_cycle(cycles[0], (9, 9))
+    with pytest.raises(UnfoldingError, match="anchor is not a state"):
+        embed_cycle(g, cycles[0], (9, 9))
+    with pytest.raises(UnfoldingError, match="not a closed walk"):  # not closed
+        embed_cycle(g, UnfoldingPath((2, 0), (((2, 0), 0, (1, 1)),)), (2, 0))
+    with pytest.raises(UnfoldingError, match="not a closed walk"):  # not a transition of g
+        embed_cycle(g, UnfoldingPath((1, 1), (((1, 1), 1, (1, 1)),)), (1, 1))
 
 
 def test_unfolding_from_sccc_examples(token_swap, ring):

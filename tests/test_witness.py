@@ -401,11 +401,20 @@ def test_synthesis_reverses_a_cycle_with_a_negative_coefficient(monkeypatch, loo
 
 
 @pytest.mark.parametrize("difference", [4, 12, 24])
-def test_synthesis_multi_state_partial_index(difference):
+def test_synthesis_multi_state_partial_index(monkeypatch, difference):
     """Two-state one-tracked-coordinate unfolding whose cycles move the
     untracked coordinate by two: the difference is repaid by cycles
-    embedded into a full-state zero cycle, in both directions, and the
-    empty-index unfolding met first is rejected on pumping membership."""
+    embedded as full-state closed walks on the target's state, in both
+    directions, and the empty-index unfolding met first is rejected on
+    pumping membership."""
+    embed_cycle, embedded = witness.embed_cycle, []
+
+    def spy(g, cycle, anchor):
+        walk = embed_cycle(g, cycle, anchor)
+        embedded.append((g, cycle, anchor, walk))
+        return walk
+
+    monkeypatch.setattr(witness, "embed_cycle", spy)
     net = PetriNet(
         2,
         (
@@ -433,6 +442,14 @@ def test_synthesis_multi_state_partial_index(difference):
         word = synthesize_path(net, src, dst, w)
         assert fire(src, net.word(word)) == dst
         assert len(word) >= 2
+    # y -> x repays in every case (x -> y at difference 4 needs no cycle);
+    # both endpoints sit on state q = (1,)
+    assert embedded
+    for g, cycle, anchor, walk in embedded:
+        assert g == w.unfolding and anchor == (1,)
+        assert walk.source == walk.target == (1,)
+        assert {t[0] for t in walk.transitions} == {(0,), (1,)}
+        assert walk.displacement(net) == cycle.displacement(net)
 
 
 def test_synthesis_of_many_cycles_returns():
@@ -573,6 +590,12 @@ def test_witness_reader_names_the_malformed_line(token_swap, key, corrupt):
     with pytest.raises(ValueError) as exc:
         witness_from_text(token_swap, "\n".join(lines) + "\n")
     assert str(exc.value) == f"line {n + 1}: malformed {key!r}: {lines[n]!r}"
+
+
+def test_witness_reader_rejects_another_first_line(token_swap):
+    text = _token_swap_witness_text(token_swap)
+    with pytest.raises(ValueError, match="not a witness file"):
+        witness_from_text(token_swap, "kind mutual\n" + text)
 
 
 def test_witness_reader_rejects_unknown_keys(token_swap):
