@@ -18,7 +18,7 @@ from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
-from .lattice import LatticeRepresentation, lattice_contains
+from .lattice import LatticeRepresentation, lattice_contains, representation_from_generators
 from .net import PetriNet
 from .ratlp import max_positive_support, solve_standard
 from .unfolding import (
@@ -80,19 +80,27 @@ def _compiled_unfoldings(
     every unfolding is certified by the parameters, and whether no
     enumeration limit and no basis walk budget was hit.
 
-    The lattice, paths and cycle-word walks depend only on the edge shape,
-    the edges as (state position, action, state position), which the
-    enumerator hands over with each unfolding: `Unfolding` sorts its states
-    and edges, so equal shapes give the same BFS trees and walks, whatever
-    the index set and the state values.  They are computed once per shape
-    and pass, and equal lattices are one object.  The basis
+    On the full index set (`Unfolding.full_index`) these are known in
+    closed form, with no walk, once per edge shape: the lattice is {0}, a
+    path p -> q has displacement q - p (the sum of its actions'
+    displacements, so the shape fixes it), and the one pumping-basis row
+    is 0 (the state itself, once written in).
+
+    Elsewhere the lattice, paths and cycle-word walks depend only on the
+    edge shape, the edges as (state position, action, state position),
+    which the enumerator hands over with each unfolding: `Unfolding` sorts
+    its states and edges, so equal shapes give the same BFS trees and
+    walks, whatever the index set and the state values.  They are computed
+    once per shape and pass, and equal lattices are one object.  The basis
     rows cover the coordinates outside I with the threshold of the size,
     so they are computed once per index set and shape, zero on I.  Each
     distinct presolved circulation system is solved once per pass.
     """
     out: list[tuple[Unfolding, _Parts]] = []
     shapes: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, cycle words per state
-    lattices: dict[LatticeRepresentation, LatticeRepresentation] = {}
+    zero = representation_from_generators((), net.dim)
+    lattices: dict[LatticeRepresentation, LatticeRepresentation] = {zero: zero}
+    zero_rows = ((0,) * net.dim,)
     solved: dict = {}
     truncated, certified = False, True
     for index_set in index_sets(net.dim):
@@ -102,14 +110,18 @@ def _compiled_unfoldings(
             net, index_set, params.state_bound, limits, stats, forward_closed, solved
         ):
             key = edge_shape(g)
-            if key not in shapes:
-                rep = lattice_of_unfolding(g)
-                paths = tuple(tuple(elementary_path(g, p, q).displacement(net) for q in g.states)
-                              for p in g.states)
-                walks = [_cycle_words(g, q, params.cycle_len) for q in g.states]
-                truncated = truncated or any(cut for _, cut in walks)
-                shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
+            if key not in parts and g.full_index:
+                paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
+                parts[key] = _Parts(zero, (zero_rows,) * g.size, paths)
+                certified = certified and params.certified_for(net, g)
             if key not in parts:
+                if key not in shapes:
+                    rep = lattice_of_unfolding(g)
+                    paths = tuple(tuple(elementary_path(g, p, q).displacement(net)
+                                        for q in g.states) for p in g.states)
+                    walks = [_cycle_words(g, q, params.cycle_len) for q in g.states]
+                    truncated = truncated or any(cut for _, cut in walks)
+                    shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
                 rep, paths, walks = shapes[key]
                 tau = params.threshold_for(net, g)
                 rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]

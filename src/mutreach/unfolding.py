@@ -110,6 +110,14 @@ class Unfolding:
     def size(self) -> int:
         return len(self.states)
 
+    @property
+    def full_index(self) -> bool:
+        """Whether I holds every coordinate.  The states are then
+        configurations, so every closed walk has displacement 0: the
+        lattice is {0}, a path p -> q has displacement q - p, and the
+        pumping basis at a state is the state itself."""
+        return len(self.index_set) == self.net.dim
+
     def state_norm(self) -> int:
         return max((norm_inf(s) for s in self.states), default=0)
 

@@ -212,6 +212,8 @@ def _antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:
 
 def _with_state(v: Vec, index_set: tuple[int, ...], q: Vec) -> Vec:
     """v with the values of q written onto the I coordinates."""
+    if len(index_set) == len(v):
+        return tuple(q)
     full = list(v)
     for i, x in zip(index_set, q):
         full[i] = x
@@ -242,8 +244,9 @@ def _basis_rows(
         g_items.append((g_vec, w))
 
     combos: list[tuple[Vec, object]] = []
+    g_min = _antichain_min(g_items)
     for fv, u in _antichain_min(f_items):
-        for gv, v in _antichain_min(g_items):
+        for gv, v in g_min:
             combined = tuple(max(a, b) for a, b in zip(fv, gv))
             combos.append((combined, (u, v)))
     elements = []

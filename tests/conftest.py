@@ -914,6 +914,13 @@ def unfolding_to_dot(g: Unfolding, name: str = "unfolding") -> str:
 # --- compiler references -----------------------------------------------------------
 
 
+def _walk_cut(g, basis) -> bool:
+    """Whether a truncated cycle-word walk leaves g's basis incomplete.  On
+    the full index set it never does: the basis there is the state alone,
+    which the empty word gives, so the compilers walk nothing there."""
+    return basis.truncated and not g.full_index
+
+
 def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
     """`compile_mutual` with every lattice, pumping basis and elementary
     path computed afresh for each unfolding."""
@@ -929,7 +936,7 @@ def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
             bases = {}
             for q in g.states:
                 bases[q] = upward_basis(g, q, params)
-                complete = complete and not bases[q].truncated
+                complete = complete and not _walk_cut(g, bases[q])
             for p in g.states:
                 for q in g.states:
                     v = elementary_path(g, p, q).displacement(net)
@@ -966,7 +973,7 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
             bases = {}
             for q in g.states:
                 bases[q] = upward_basis(g, q, params)
-                complete = complete and not bases[q].truncated
+                complete = complete and not _walk_cut(g, bases[q])
             for r in g.states:
                 vp = {p: elementary_path(g, r, p).displacement(net) for p in g.states}
                 implications = []

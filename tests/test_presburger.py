@@ -59,7 +59,13 @@ from mutreach.presburger import (
     mutual_var_names,
 )
 from mutreach.ratlp import solve_standard
-from mutreach.unfolding import elementary_path, enumerate_unfoldings, index_sets
+from mutreach.unfolding import (
+    elementary_path,
+    enumerate_unfoldings,
+    index_sets,
+    lattice_of_unfolding,
+)
+from mutreach.vectors import vsub
 from mutreach.witness import PumpingParams
 
 PARAMS = PumpingParams(state_bound=4, cycle_len=4)
@@ -364,21 +370,22 @@ def test_compilers_match_per_unfolding_references_on_random_nets(net, state_boun
 
 def test_each_edge_shape_is_compiled_once(mixed3, monkeypatch):
     """Lattices and cycle-word walks are computed once per edge shape,
-    across index sets; pumping-basis rows once per index set, edge shape
-    and state position."""
+    across the proper index sets; pumping-basis rows once per proper index
+    set, edge shape and state position.  The full index set has its closed
+    form, so none of them sees it."""
     lattice_calls, walk_calls, row_calls = [], [], []
     walked = {}  # id of a walk's words -> (words, (edge shape, position))
     lattice_of_unfolding = presburger.lattice_of_unfolding
     cycle_words, basis_rows = presburger._cycle_words, presburger._basis_rows
 
     def counting_lattice(g):
-        lattice_calls.append(_shape(g)[1])
+        lattice_calls.append(_shape(g))
         return lattice_of_unfolding(g)
 
     def counting_walk(g, q, max_len):
         words, truncated = cycle_words(g, q, max_len)
-        walk_calls.append((_shape(g)[1], g.states.index(q)))
-        walked[id(words)] = (words, walk_calls[-1])
+        walk_calls.append((*_shape(g), g.states.index(q)))
+        walked[id(words)] = (words, walk_calls[-1][1:])
         return words, truncated
 
     def counting_rows(net, index_set, words, tau, cycle_len):
@@ -389,14 +396,125 @@ def test_each_edge_shape_is_compiled_once(mixed3, monkeypatch):
     monkeypatch.setattr(presburger, "_cycle_words", counting_walk)
     monkeypatch.setattr(presburger, "_basis_rows", counting_rows)
     compile_mutual(mixed3, PARAMS)
-    unfoldings = [g for ix in index_sets(mixed3.dim) for g in enumerate_unfoldings(mixed3, ix, 4)]
+    proper = index_sets(mixed3.dim)[:-1]
+    unfoldings = [g for ix in proper for g in enumerate_unfoldings(mixed3, ix, 4)]
     shapes = {_shape(g) for g in unfoldings}
     edge_shapes = {edges for _, edges in shapes}
     assert len(edge_shapes) < len(shapes) < len(unfoldings)  # both kinds repeat
-    assert sorted(lattice_calls) == sorted(edge_shapes)
+    assert {ix for ix, *_ in lattice_calls + walk_calls + row_calls} <= set(proper)
+    assert sorted(edges for _, edges in lattice_calls) == sorted(edge_shapes)
     positions = {(*_shape(g), k) for g in unfoldings for k in range(g.size)}
-    assert sorted(walk_calls) == sorted({(edges, k) for _, edges, k in positions})
+    assert sorted(call[1:] for call in walk_calls) == sorted({(e, k) for _, e, k in positions})
     assert sorted(row_calls) == sorted(positions)
+
+
+FULL_INDEX_NETS = ("token_swap", "consumer", "ring", "mixed3", "ring3")
+
+
+@pytest.mark.parametrize("name", FULL_INDEX_NETS)
+def test_no_general_function_sees_the_full_index_set(fixture_nets, ring3, monkeypatch, name):
+    """Both compilers build the full index set's lattice, paths and bases
+    in closed form: the lattice, path, walk and basis-row functions are
+    each called, and never on a full-index unfolding."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    seen = {}  # function name -> index sets it was called on
+
+    def spy(fn_name, index_set_of):
+        fn = getattr(presburger, fn_name)
+
+        def recording(*args):
+            seen.setdefault(fn_name, set()).add(tuple(index_set_of(*args)))
+            return fn(*args)
+
+        monkeypatch.setattr(presburger, fn_name, recording)
+
+    for fn_name in ("lattice_of_unfolding", "elementary_path", "_cycle_words"):
+        spy(fn_name, lambda g, *_: g.index_set)
+    spy("_basis_rows", lambda net, index_set, *_: index_set)
+    full = tuple(range(net.dim))
+    mutual = compile_mutual(net, PARAMS)
+    bottom = compile_bottom(net, PARAMS)
+    assert sorted(seen) == ["_basis_rows", "_cycle_words", "elementary_path",
+                            "lattice_of_unfolding"]
+    assert all(full not in index_sets_seen for index_sets_seen in seen.values())
+    assert full in {t.index_set for t in bottom.tuples}
+    zero = representation_from_generators((), net.dim)
+    assert any(d.rep == zero and d.shift == vsub(d.lower_y, d.lower_x) for d in mutual.disjuncts)
+
+
+def _assert_full_index_parts_match_the_general_code(net, params, forward_closed):
+    """For every full-index unfolding of a compile pass, the general code
+    gives the zero lattice, path displacements q - p and the state as the
+    only pumping-basis row, and so does the pass's closed form."""
+    zero = representation_from_generators((), net.dim)
+    full = tuple(range(net.dim))
+    compiled, _, _ = presburger._compiled_unfoldings(
+        net, params, unfolding.EnumLimits(), forward_closed
+    )
+    checked = 0
+    for g, parts in compiled:
+        if not g.full_index:
+            continue
+        checked += 1
+        assert lattice_of_unfolding(g) == zero == parts.rep
+        for i, p in enumerate(g.states):
+            for j, q in enumerate(g.states):
+                assert elementary_path(g, p, q).displacement(net) == vsub(q, p) == parts.paths[i][j]
+        for q, rows in zip(g.states, parts.bases):
+            basis = witness.upward_basis(g, q, params)
+            assert [e.vector for e in basis.elements] == [q]
+            assert [witness._with_state(v, full, q) for v in rows] == [q]
+    return checked
+
+
+@pytest.mark.parametrize("name", FULL_INDEX_NETS)
+@pytest.mark.parametrize("forward_closed", [False, True], ids=["mutual", "bottom"])
+def test_full_index_closed_form_is_what_the_general_code_computes(
+    fixture_nets, ring3, name, forward_closed
+):
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    assert _assert_full_index_parts_match_the_general_code(net, PARAMS, forward_closed) > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=_small_nets(), state_bound=st.integers(2, 3), cycle_len=st.integers(1, 3))
+def test_full_index_closed_form_is_what_the_general_code_computes_on_random_nets(
+    net, state_bound, cycle_len
+):
+    params = PumpingParams(state_bound=state_bound, cycle_len=cycle_len)
+    for forward_closed in (False, True):
+        _assert_full_index_parts_match_the_general_code(net, params, forward_closed)
+
+
+@pytest.mark.parametrize("name", FULL_INDEX_NETS)
+@pytest.mark.parametrize("state_bound", [4, 5])
+def test_full_index_disjuncts_relate_mutual_pairs(fixture_nets, ring3, name, state_bound):
+    """Every full-index disjunct (p, q, q - p, {0}), one per ordered pair
+    of states of a full-index unfolding, is in the formula and relates a
+    pair that the bounded oracle puts in one component."""
+    net = ring3 if name == "ring3" else fixture_nets[name]
+    params = PumpingParams(state_bound=state_bound, cycle_len=4)
+    zero = representation_from_generators((), net.dim)
+    compiled, _, _ = presburger._compiled_unfoldings(net, params, unfolding.EnumLimits())
+    disjuncts = set(compile_mutual(net, params).disjuncts)
+    space = BoundedStateSpace(net, state_bound - 1)
+    pairs = [(p, q) for g, _ in compiled if g.full_index for p in g.states for q in g.states]
+    assert pairs
+    for p, q in pairs:
+        assert (p, q, vsub(q, p), zero) in disjuncts
+        assert space.mutual(p, q) is True
+
+
+def test_ring3_provenance_turns_on_the_threshold_of_the_largest_unfolding(ring3):
+    """A heuristic threshold certifies the formula exactly when it covers
+    every unfolding, the full-index ones included; on ring3 the largest
+    has the six states of the `max_states` cap."""
+    compiled, _, _ = presburger._compiled_unfoldings(ring3, PARAMS, unfolding.EnumLimits())
+    assert max(g.size for g, _ in compiled if g.full_index) == 6
+    tau = witness._pumping_threshold(ring3, 6)
+    for off, provenance in ((tau, "certified"), (tau - 1, "heuristic")):
+        params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=off)
+        assert compile_mutual(ring3, params).provenance == provenance
 
 
 @pytest.mark.parametrize("name, state_bound, solves", [("mixed3", 5, 7), ("ring3", 4, 1)])
