@@ -14,6 +14,7 @@ disjuncts and tuples, so its `1` rows stand, but a `0` is no refutation.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -382,16 +383,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command with the cyclic collector paused, and put it back as
+    the caller had it.  A command's data (disjuncts, tuples, rendered files,
+    state spaces) holds no reference cycles, so the pause leaves no garbage
+    behind; it only spares the collector rescanning many small objects
+    (`tests/test_cli.py` pins both)."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except (NetError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        try:
+            return args.func(args)
+        except (NetError, OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

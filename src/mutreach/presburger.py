@@ -186,6 +186,13 @@ def smt_numeral(n: int) -> str:
     return str(n) if n >= 0 else f"(- {-n})"
 
 
+def _numerals(v: Sequence[int]) -> Sequence:
+    """The entries of v for `str.format`, each rendering as its SMT-LIB
+    numeral.  A compiled vector is a configuration, and `str(n)` is the
+    numeral of n >= 0; only a vector read from a file can be negative."""
+    return v if min(v) >= 0 else [smt_numeral(n) for n in v]
+
+
 def _linear_term(coeffs: Sequence[int], names: Sequence[str], constant: int = 0) -> str:
     """sum(coeffs . names) + constant as an SMT-LIB term, zero terms left out."""
     parts = [
@@ -225,8 +232,8 @@ def mutual_to_smtlib(f: MutualFormula) -> str:
 
     if f.dim:
         lower_x, lower_y, shifts, reps = _columns(f)
-        xs = {a: x_atoms(*map(smt_numeral, a)) for a in set(lower_x)}
-        ys = {b: y_atoms(*map(smt_numeral, b)) for b in set(lower_y)}
+        xs = {a: x_atoms(*_numerals(a)) for a in set(lower_x)}
+        ys = {b: y_atoms(*_numerals(b)) for b in set(lower_y)}
         parts = {key: lattice_part(*key) for key in set(zip(reps, shifts))}
         conjunctions = [f"(and {xs[a]} {ys[b]} {parts[rep, v]})" for a, b, v, rep in f.disjuncts]
     else:  # every part is empty and each conjunction is true
@@ -266,10 +273,10 @@ def mutual_to_text(f: MutualFormula) -> str:
     rows = {v: _row(v) for v in {*lower_x, *lower_y, *shifts}}
     pairs = {rep: "".join(ln + "\n" for ln in _pair_lines(rep)) for rep in set(reps)}
     head = "".join(ln + "\n" for ln in _text_header(_header(f, "mutual")))
-    return head + "".join(
+    return head + "".join([
         f"disjunct\na {rows[a]}\nb {rows[b]}\nv {rows[v]}\n{pairs[rep]}end\n"
         for a, b, v, rep in f.disjuncts
-    )
+    ])
 
 
 def mutual_from_text(text: str) -> MutualFormula:
@@ -335,7 +342,10 @@ def _json_ints(value: int | Sequence, level: int) -> str:
     if not value:
         return "[]"
     inner = ",\n" + " " * (level + 1)
-    items = inner.join(_json_ints(x, level + 1) for x in value)
+    if all(isinstance(x, int) for x in value):
+        items = inner.join(map(str, value))
+    else:  # gamma pairs (n, a) and membership lists nest
+        items = inner.join(_json_ints(x, level + 1) for x in value)
     return "[\n" + " " * (level + 1) + items + "\n" + " " * level + "]"
 
 
@@ -350,8 +360,11 @@ def _json_document(fields: dict[str, object], key: str, items: list[str]) -> str
     """
     payload = {name.replace("-", "_"): v for name, v in fields.items()} | {key: []}
     header = json.dumps(payload, sort_keys=True, indent=1)
-    listing = "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
-    return header.replace(f'"{key}": []', f'"{key}": {listing}', 1) + "\n"
+    if not items:
+        return header + "\n"
+    head, _, tail = header.partition(f'"{key}": []')
+    listing = ",\n".join(items)
+    return f'{head}"{key}": [\n{listing}\n ]{tail}\n'
 
 
 _SMT_UNIT = {"and": "true", "or": "false", "+": "0"}

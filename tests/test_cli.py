@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import format_net
+from mutreach import cli
 from mutreach.cli import main
 from mutreach.oracle import BoundedStateSpace
 from mutreach.net import load_net
@@ -527,3 +529,79 @@ def test_off_threshold_takes_exact_or_a_non_negative_integer(net_path, tmp_path,
         f"got {value!r}\n"
     )
     assert list(tmp_path.iterdir()) == [tmp_path / "swap.net"]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The collector as the caller has it for one test, restored afterwards."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("case", ["compile", "unknown flag", "malformed net", "missing directory"])
+def test_main_restores_the_collector(collector, net_path, tmp_path, capsys, case):
+    bad = tmp_path / "bad.net"
+    bad.write_text("dim x\n")
+    argv = {
+        "compile": ["compile", net_path, "--out", str(tmp_path / "f")],
+        "unknown flag": ["compile", net_path, "--no-such-flag"],
+        "malformed net": ["compile", str(bad), "--out", str(tmp_path / "f")],
+        "missing directory": ["compile", net_path, "--out", str(tmp_path / "missing" / "f")],
+    }[case]
+    assert main(argv) == (0 if case == "compile" else 1)
+    assert gc.isenabled() is collector
+
+
+def test_main_restores_the_collector_when_a_command_raises(collector, net_path, monkeypatch):
+    seen = []
+
+    def failing(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_explore", failing)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["explore", net_path, "--box", "2"])
+    assert seen == [False]  # the command ran with the collector paused
+    assert gc.isenabled() is collector
+
+
+def _cyclic_garbage(argv) -> int:
+    """The objects one `main(argv)` leaves that only the cyclic collector
+    frees: run with the collector off, then counted by one collection."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+    finally:
+        found = gc.collect()
+        if enabled:
+            gc.enable()
+    return found
+
+
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_work(tmp_path, capsys):
+    """`main` pauses the collector, which is safe only while a command's
+    data holds no reference cycles.  Each pair below runs one command at a
+    small and a larger size: a cycle per unfolding, disjunct, tuple or
+    configuration would make the larger run leave more garbage.  The counts
+    are compared with each other, not with a constant, because the
+    constant (the argument parser's own cycles) depends on the Python
+    version."""
+    mixed3 = str(FIXTURES / "mixed3.net")
+    formula = str(tmp_path / "m")
+    assert main(["compile", mixed3, "--formats", "text", "--out", formula]) == 0
+    pairs = [
+        [["compile", mixed3, "--mode", mode, "--state-bound", bound, "--out", str(tmp_path / mode)]
+         for bound in ("3", "5")]
+        for mode in ("mutual", "bottom")
+    ]
+    pairs.append([["eval", formula + ".mrf", "--box", box] for box in ("1", "2")])
+    pairs.append([["explore", mixed3, "--box", box] for box in ("6", "12")])
+    for small, large in pairs:
+        _cyclic_garbage(small)  # warm-up: first-call caches are no garbage
+        assert _cyclic_garbage(small) == _cyclic_garbage(large), small
+    capsys.readouterr()
