@@ -7,16 +7,14 @@ processed columns, which keeps entries small at the scales used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 class LinalgError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HnfResult:
+class HnfResult(NamedTuple):
     """M[row_perm] @ U == [H | 0] on its first `rank` rows, with U
     unimodular and H lower triangular, non-negative, each row's unique
     maximum on the diagonal; the remaining rows of M[row_perm] @ U are

@@ -8,39 +8,34 @@ membership quantifier-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial, gcd, prod
 from typing import Sequence
 
 from .intlinalg import LinalgError, hermite_normal_form
-from .vectors import Vec, norm_inf, vdot, vec
+from .vectors import Record, Vec, norm_inf, vdot, vec
 
 
-@dataclass(frozen=True)
-class LatticeRepresentation:
+class LatticeRepresentation(Record):
     """Exactly d pairs (n_i, a_i); n = 0 means equality a.x = 0."""
 
-    dim: int
-    pairs: tuple[tuple[int, Vec], ...]
-    norm: int = field(init=False)
-    # formulas key their dedupe and writer caches by lattice, so the hash
-    # of `pairs` is taken once
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("dim", "pairs", "norm", "_hash")
+    _fields = ("dim", "pairs")
 
-    def __post_init__(self):
-        pairs = tuple((int(n), vec(a)) for n, a in self.pairs)
-        if len(pairs) != self.dim:
-            raise LinalgError(f"expected {self.dim} pairs, got {len(pairs)}")
+    def __init__(self, dim: int, pairs: Sequence[tuple[int, Sequence[int]]]):
+        pairs = tuple((int(n), vec(a)) for n, a in pairs)
+        if len(pairs) != dim:
+            raise LinalgError(f"expected {dim} pairs, got {len(pairs)}")
         for n, a in pairs:
             if n < 0:
                 raise LinalgError("moduli are natural numbers")
-            if len(a) != self.dim:
+            if len(a) != dim:
                 raise LinalgError("coefficient vector has wrong dimension")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(
-            self, "norm", max((max(n, norm_inf(a)) for n, a in pairs), default=0)
-        )
-        object.__setattr__(self, "_hash", hash((self.dim, pairs)))
+        self.dim = dim
+        self.pairs = pairs
+        self.norm = max((max(n, norm_inf(a)) for n, a in pairs), default=0)
+        # formulas key their dedupe and writer caches by lattice, so the
+        # hash of `pairs` is taken once
+        self._hash = hash((dim, pairs))
 
     def __hash__(self):
         return self._hash

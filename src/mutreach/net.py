@@ -6,10 +6,9 @@ word subtracts and adds vectors while counters stay non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .vectors import Vec, is_nonnegative, norm_inf, vadd, vec, vsub
+from .vectors import Record, Vec, is_nonnegative, norm_inf, vadd, vec, vsub
 
 Config = Vec
 
@@ -30,23 +29,21 @@ class Blocked(NetError):
         )
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """A pair (pre, post) of configurations of equal dimension."""
 
-    pre: Config
-    post: Config
-    # post - pre, computed once; derived, so not part of equality or hash
-    displacement: Vec = field(init=False, repr=False, compare=False)
+    __slots__ = ("pre", "post", "displacement")
+    _fields = ("pre", "post")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pre", vec(self.pre))
-        object.__setattr__(self, "post", vec(self.post))
-        if len(self.pre) != len(self.post):
-            raise NetError(f"action dimension mismatch: {self.pre} vs {self.post}")
-        if not (is_nonnegative(self.pre) and is_nonnegative(self.post)):
-            raise NetError(f"action entries must be non-negative: {self.pre} -> {self.post}")
-        object.__setattr__(self, "displacement", vsub(self.post, self.pre))
+    def __init__(self, pre: Config, post: Config):
+        self.pre = pre = vec(pre)
+        self.post = post = vec(post)
+        if len(pre) != len(post):
+            raise NetError(f"action dimension mismatch: {pre} vs {post}")
+        if not (is_nonnegative(pre) and is_nonnegative(post)):
+            raise NetError(f"action entries must be non-negative: {pre} -> {post}")
+        # post - pre, computed once; derived, so not part of equality or hash
+        self.displacement = vsub(post, pre)
 
     @property
     def dim(self) -> int:
@@ -57,20 +54,19 @@ class Action:
         return max(norm_inf(self.pre), norm_inf(self.post))
 
 
-@dataclass(frozen=True)
-class PetriNet:
-    dim: int
-    actions: tuple[Action, ...]
-    norm: int = field(init=False)
+class PetriNet(Record):
+    __slots__ = ("dim", "actions", "norm")
+    _fields = ("dim", "actions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if self.dim < 1:
+    def __init__(self, dim: int, actions: Sequence[Action]):
+        self.dim = dim
+        self.actions = actions = tuple(actions)
+        if dim < 1:
             raise NetError("dimension must be >= 1")
-        for a in self.actions:
-            if a.dim != self.dim:
-                raise NetError(f"action {a} has dimension {a.dim}, net has {self.dim}")
-        object.__setattr__(self, "norm", max((a.norm for a in self.actions), default=0))
+        for a in actions:
+            if a.dim != dim:
+                raise NetError(f"action {a} has dimension {a.dim}, net has {dim}")
+        self.norm = max((a.norm for a in actions), default=0)
 
     def word(self, indices: Sequence[int]) -> tuple[Action, ...]:
         """Expand a word stored as indices into the action table."""

@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .intlinalg import LinalgError, hermite_normal_form, kernel_basis
@@ -31,7 +30,7 @@ from .unfolding import (
     index_sets,
     lattice_of_unfolding,
 )
-from .vectors import Vec, restrict, vec, vge, vsub
+from .vectors import Record, Vec, restrict, vec, vge, vsub
 from .witness import PumpingParams, _basis_rows, _cycle_words, _with_state
 
 
@@ -49,8 +48,7 @@ class Disjunct(NamedTuple):
     rep: LatticeRepresentation
 
 
-@dataclass(frozen=True)
-class MutualFormula:
+class MutualFormula(NamedTuple):
     dim: int
     disjuncts: tuple[Disjunct, ...]
     provenance: str  # certified | heuristic
@@ -59,8 +57,7 @@ class MutualFormula:
     cycle_len: int
 
 
-@dataclass(frozen=True)
-class _Parts:
+class _Parts(NamedTuple):
     """What the compilers need of one unfolding, by state position.  The
     basis rows are zero on I; each compiler writes the state values in."""
 
@@ -479,8 +476,7 @@ def _blocks(
 # --- bottom configurations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BottomTuple:
+class BottomTuple(Record):
     """One certificate shape for bottom membership.
 
     A configuration matching `state` on `index_set` is accepted when it
@@ -489,20 +485,34 @@ class BottomTuple:
     implication formula holds across the whole lattice coset.
     """
 
-    index_set: tuple[int, ...]
-    state: Vec  # r
-    rep: LatticeRepresentation
-    membership: tuple  # pumping basis at r, checked once at the point itself
-    implications: tuple  # ((antecedent vectors), (consequent vectors)) per transition
+    __slots__ = ("index_set", "state", "rep", "membership", "implications", "_basis")
+    _fields = ("index_set", "state", "rep", "membership", "implications")
 
-    @cached_property
+    def __init__(
+        self,
+        index_set: tuple[int, ...],
+        state: Vec,
+        rep: LatticeRepresentation,
+        membership: tuple,
+        implications: tuple,
+    ):
+        self.index_set = index_set
+        self.state = state  # r
+        self.rep = rep
+        self.membership = membership  # pumping basis at r, checked once at the point itself
+        # ((antecedent vectors), (consequent vectors)) per transition
+        self.implications = implications
+        self._basis: list[Vec] | None = None
+
+    @property
     def basis(self) -> list[Vec]:
         """`lattice_basis(rep)`, computed once per tuple."""
-        return lattice_basis(self.rep)
+        if self._basis is None:
+            self._basis = lattice_basis(self.rep)
+        return self._basis
 
 
-@dataclass(frozen=True)
-class BottomFormula:
+class BottomFormula(NamedTuple):
     dim: int
     tuples: tuple[BottomTuple, ...]
     provenance: str

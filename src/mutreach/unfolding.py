@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .lattice import LatticeRepresentation, representation_from_generators
 from .net import Action, PetriNet, step_targets
 from .ratlp import max_positive_support, positive_circulation
-from .vectors import Vec, norm_inf, restrict, vadd, zero
+from .vectors import Record, Vec, norm_inf, restrict, vadd, zero
 
 State = Vec  # values over the unfolding's index set, in index order
 Transition = tuple[State, int, State]  # (source, action index, target)
@@ -93,18 +92,23 @@ def strongly_connected_components(succ: list[list[int]]) -> list[int]:
     return component
 
 
-@dataclass(frozen=True)
-class Unfolding:
-    net: PetriNet
-    index_set: tuple[int, ...]
-    states: tuple[State, ...]
-    transitions: tuple[Transition, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+class Unfolding(Record):
+    __slots__ = ("net", "index_set", "states", "transitions", "_cache")
+    _fields = ("net", "index_set", "states", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "index_set", tuple(self.index_set))
-        object.__setattr__(self, "states", tuple(sorted(self.states)))
-        object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
+    def __init__(
+        self,
+        net: PetriNet,
+        index_set: Sequence[int],
+        states: Iterable[State],
+        transitions: Iterable[Transition],
+    ):
+        self.net = net
+        self.index_set = tuple(index_set)
+        self.states = tuple(sorted(states))
+        self.transitions = tuple(sorted(transitions))
+        # results derived from the fields, so not part of equality or hash
+        self._cache: dict = {}
 
     @property
     def size(self) -> int:
@@ -132,17 +136,15 @@ def edge_shape(g: Unfolding) -> tuple[tuple[int, int, int], ...]:
     return g._cache["shape"]
 
 
-@dataclass(frozen=True)
-class UnfoldingPath:
+class UnfoldingPath(Record):
     """A chain of transitions; `source` pins the endpoints of empty paths."""
 
-    source: State
-    transitions: tuple[Transition, ...] = ()
+    __slots__ = _fields = ("source", "transitions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        cur = self.source
-        for p, _, q in self.transitions:
+    def __init__(self, source: State, transitions: Iterable[Transition] = ()):
+        self.source = cur = source
+        self.transitions = transitions = tuple(transitions)
+        for p, _, q in transitions:
             if p != cur:
                 raise UnfoldingError("path transitions do not chain", (cur, p))
             cur = q
@@ -419,22 +421,27 @@ def unfolding_from_sccc(net: PetriNet, configs: Iterable[Vec], index_set: Sequen
 # --- enumeration -------------------------------------------------------------
 
 
-@dataclass
-class EnumLimits:
-    max_states: int = 6
-    max_unfoldings: int = 5000
+class EnumLimits(Record):
+    __slots__ = _fields = ("max_states", "max_unfoldings")
 
-    def __post_init__(self):
+    def __init__(self, max_states: int = 6, max_unfoldings: int = 5000):
         # a state set has at least one state; a cap below 1 would still
         # yield the singleton sets, which the walk emits before any check
-        if self.max_states < 1 or self.max_unfoldings < 0:
+        if max_states < 1 or max_unfoldings < 0:
             raise UnfoldingError("invalid parameters")
+        self.max_states = max_states
+        self.max_unfoldings = max_unfoldings
 
 
-@dataclass
-class EnumStats:
-    emitted: int = 0
-    truncated: bool = False
+class EnumStats(Record):
+    """Counts that `enumerate_unfoldings` updates as it runs."""
+
+    __slots__ = _fields = ("emitted", "truncated")
+    __hash__ = None  # mutable
+
+    def __init__(self, emitted: int = 0, truncated: bool = False):
+        self.emitted = emitted
+        self.truncated = truncated
 
 
 def index_sets(dim: int) -> list[tuple[int, ...]]:

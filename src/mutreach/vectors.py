@@ -2,14 +2,41 @@
 
 Vectors are plain tuples of Python ints so they stay hashable and
 arbitrary precision.  Everything here is dimension-checked by zip
-strictness rather than by the callers.
+strictness rather than by the callers.  `Record` gives the package's
+`__slots__` classes value semantics.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
+
+
+class Record:
+    """Equality and hash over the `_fields` a `__slots__` subclass names,
+    between objects of one class, and a `Name(field=value, ...)` repr.
+    A subclass writes its own `__init__`, so no code is generated at
+    import."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
 
 
 def vec(values: Iterable[int]) -> Vec:

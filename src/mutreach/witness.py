@@ -11,8 +11,7 @@ words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .lattice import lattice_contains
 from .net import Blocked, PetriNet, fire
@@ -33,7 +32,7 @@ from .unfolding import (
     unfolding_from_sccc,
 )
 from .intlinalg import solve_integer
-from .vectors import Vec, norm_inf, restrict, vec, vge, vsub, zero
+from .vectors import Record, Vec, norm_inf, restrict, vec, vge, vsub, zero
 
 
 class WitnessRejected(ValueError):
@@ -58,8 +57,7 @@ def exact_off_threshold(net: PetriNet, g: Unfolding) -> int:
     return _pumping_threshold(net, g.size)
 
 
-@dataclass(frozen=True)
-class PumpingParams:
+class PumpingParams(Record):
     """Search/certificate thresholds.
 
     `off_threshold` None means the exact per-unfolding value, in which
@@ -68,14 +66,15 @@ class PumpingParams:
     and `cycle_len` only trade completeness, never soundness.
     """
 
-    state_bound: int
-    cycle_len: int
-    off_threshold: int | None = None
+    __slots__ = _fields = ("state_bound", "cycle_len", "off_threshold")
 
-    def __post_init__(self):
-        off_negative = self.off_threshold is not None and self.off_threshold < 0
-        if self.state_bound < 1 or self.cycle_len < 0 or off_negative:
+    def __init__(self, state_bound: int, cycle_len: int, off_threshold: int | None = None):
+        off_negative = off_threshold is not None and off_threshold < 0
+        if state_bound < 1 or cycle_len < 0 or off_negative:
             raise WitnessRejected("invalid parameters")
+        self.state_bound = state_bound
+        self.cycle_len = cycle_len
+        self.off_threshold = off_threshold
 
     def threshold_for(self, net: PetriNet, g: Unfolding) -> int:
         if self.off_threshold is None:
@@ -125,16 +124,14 @@ def exact_state_bound(dim: int, m: int) -> tuple[str, int | None]:
 # --- upward-closed pumping sets ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     vector: Vec
     enter_word: tuple[int, ...]  # labels a cycle on q; fires into c
     leave_word: tuple[int, ...]  # labels a cycle on q; fires from c
     enter_displacement: Vec  # of the enter word: c-minus is c minus this
 
 
-@dataclass(frozen=True)
-class UpwardBasis:
+class UpwardBasis(NamedTuple):
     state: Vec
     elements: tuple[BasisElement, ...]
     truncated: bool
@@ -267,15 +264,14 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
         raise WitnessRejected("state not in unfolding", q)
     words, truncated = _cycle_words(g, q, params.cycle_len)
     rows = _basis_rows(g.net, g.index_set, words, params.threshold_for(g.net, g), params.cycle_len)
-    elements = tuple(replace(e, vector=_with_state(e.vector, g.index_set, q)) for e in rows)
+    elements = tuple(e._replace(vector=_with_state(e.vector, g.index_set, q)) for e in rows)
     return UpwardBasis(q, elements, truncated)
 
 
 # --- witness checking ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PumpCertificate:
+class PumpCertificate(NamedTuple):
     config: Vec
     state: Vec
     enter_word: tuple[int, ...]
@@ -285,15 +281,13 @@ class PumpCertificate:
     basis_vector: Vec
 
 
-@dataclass(frozen=True)
-class PairCertificate:
+class PairCertificate(NamedTuple):
     source: Vec
     target: Vec
     offset: Vec  # displacement of the elementary witness path
 
 
-@dataclass(frozen=True)
-class MutualWitness:
+class MutualWitness(NamedTuple):
     unfolding: Unfolding
     configs: tuple[Vec, ...]
     pumps: tuple[PumpCertificate, ...]
@@ -358,8 +352,7 @@ def check_witness(
 # --- search -------------------------------------------------------------------
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     status: str  # found | not-found-exhausted | not-found-budget | not-found-truncated
     witness: MutualWitness | None = None
     examined: int = 0
@@ -528,8 +521,7 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
 # --- completeness probe --------------------------------------------------------
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     checked: int
     failures: list
 

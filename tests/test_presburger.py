@@ -251,6 +251,7 @@ def test_scaled_smt_export_agrees_with_eval(mixed3):
 def test_mutual_serialization_round_trips(token_swap):
     f = compile_mutual(token_swap, PARAMS)
     again = mutual_from_text(mutual_to_text(f))
+    assert again == f
     assert again.dim == f.dim
     assert again.disjuncts == f.disjuncts
     assert again.provenance == f.provenance
@@ -626,6 +627,7 @@ def test_bottom_threshold_form(token_swap):
 def test_bottom_serialization_round_trips(token_swap):
     f = compile_bottom(token_swap, PumpingParams(state_bound=4, cycle_len=4))
     again = bottom_from_text(bottom_to_text(f))
+    assert again == f
     assert again.dim == f.dim
     assert len(again.tuples) == len(f.tuples)
     for a, b in zip(f.tuples, again.tuples):

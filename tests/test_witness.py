@@ -527,6 +527,7 @@ def test_witness_serialization_round_trip(token_swap):
     words = {((2, 0), (0, 2)): synthesize_path(token_swap, (2, 0), (0, 2), w)}
     text = witness_to_text(w, words)
     again, again_words = witness_from_text(token_swap, text)
+    assert (again, again_words) == (w, words)
     assert again.configs == w.configs
     assert again.certified == w.certified
     assert again_words == words
