@@ -43,68 +43,62 @@ from typing import Sequence
 Row = list[Fraction]
 
 
-def _to_fraction_rows(rows: Sequence[Sequence]) -> list[Row]:
-    return [[Fraction(c) for c in row] for row in rows]
-
-
 class _Tableau:
-    """Dense simplex tableau for min c.x s.t. A x = b, x >= 0."""
+    """Dense simplex tableau for min c.x s.t. A x = b, x >= 0.
 
-    def __init__(self, a: list[Row], b: list[Fraction], nvars: int, basis: list[int]):
-        self.a = a
-        self.b = b
+    Each row is [A_r | b_r]: the coefficients of the variables, then the
+    right-hand side, which at a vertex is the value of the row's basic
+    variable.  `minimize` carries its objective as one more row of the same
+    layout, [reduced costs | -value], so a pivot is one row operation
+    applied alike to every row.
+    """
+
+    def __init__(self, rows: list[Row], nvars: int, basis: list[int]):
+        self.rows = rows
         self.nvars = nvars
         self.basis = basis
 
-    def _pivot(self, row: int, col: int, cost: Row, cost_const: list[Fraction]):
-        piv = self.a[row][col]
-        inv = Fraction(1) / piv
-        self.a[row] = [x * inv for x in self.a[row]]
-        self.b[row] *= inv
-        for r in range(len(self.a)):
-            if r != row and self.a[r][col] != 0:
-                factor = self.a[r][col]
-                self.a[r] = [x - factor * y for x, y in zip(self.a[r], self.a[row])]
-                self.b[r] -= factor * self.b[row]
-        if cost[col] != 0:
-            factor = cost[col]
-            for j in range(len(cost)):
-                cost[j] -= factor * self.a[row][j]
-            cost_const[0] -= factor * self.b[row]
+    def _pivot(self, row: int, col: int, objective: Row | None = None):
+        """Make `col` basic in `row`, eliminating it from every other row
+        and from `objective`, which is updated in place."""
+        inv = Fraction(1) / self.rows[row][col]
+        pivot = self.rows[row] = [x * inv for x in self.rows[row]]
+        for other in self.rows if objective is None else (*self.rows, objective):
+            factor = other[col]
+            if factor != 0 and other is not pivot:
+                other[:] = [x - factor * y for x, y in zip(other, pivot)]
         self.basis[row] = col
 
-    def minimize(self, cost: Row) -> Fraction:
+    def minimize(self, cost: Sequence) -> Fraction:
         """Run simplex with Bland's rule from the current basis; the cost
         must be bounded below on the feasible region."""
-        reduced = list(cost)
-        const = [Fraction(0)]
-        for r, col in enumerate(self.basis):
-            if reduced[col] != 0:
-                factor = reduced[col]
-                for j in range(len(reduced)):
-                    reduced[j] -= factor * self.a[r][j]
-                const[0] -= factor * self.b[r]
+        objective = [*cost, Fraction(0)]
+        for row, col in zip(self.rows, self.basis):
+            factor = objective[col]
+            if factor != 0:
+                objective = [x - factor * y for x, y in zip(objective, row)]
+        ncols = len(cost)
         while True:
-            enter = next((j for j in range(len(reduced)) if reduced[j] < 0), None)
+            enter = next((j for j in range(ncols) if objective[j] < 0), None)
             if enter is None:
-                return -const[0]
+                return -objective[-1]
             leave, best = None, None
-            for r in range(len(self.a)):
-                coef = self.a[r][enter]
+            for r, row in enumerate(self.rows):
+                coef = row[enter]
                 if coef > 0:
-                    ratio = self.b[r] / coef
+                    ratio = row[-1] / coef
                     if best is None or ratio < best or (
                         ratio == best and self.basis[r] < self.basis[leave]
                     ):
                         best, leave = ratio, r
             assert leave is not None, "objective unbounded"
-            self._pivot(leave, enter, reduced, const)
+            self._pivot(leave, enter, objective)
 
     def solution(self) -> list[Fraction]:
         """The current vertex."""
         x = [Fraction(0)] * self.nvars
-        for r, col in enumerate(self.basis):
-            x[col] = self.b[r]
+        for row, col in zip(self.rows, self.basis):
+            x[col] = row[-1]
         return x
 
 
@@ -116,27 +110,18 @@ def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | N
     are dropped, and the artificial columns are sliced off, so the tableau
     has one column per variable and `minimize` takes a cost over them.
     """
-    a = _to_fraction_rows(a_rows)
-    b = [Fraction(v) for v in b_vals]
-    nvars = len(a[0])
-    for row in a:
+    nvars, nrows = len(a_rows[0]), len(a_rows)
+    # Phase 1: one artificial variable per row, each row signed so b >= 0.
+    rows = []
+    for r, (row, v) in enumerate(zip(a_rows, b_vals, strict=True)):
         if len(row) != nvars:
             raise ValueError("ragged constraint matrix")
-    for r in range(len(a)):
-        if b[r] < 0:
-            a[r] = [-x for x in a[r]]
-            b[r] = -b[r]
-
-    # Phase 1: artificial variable per row.
-    nrows = len(a)
-    tab = _Tableau(
-        [row + [Fraction(1 if j == r else 0) for j in range(nrows)] for r, row in enumerate(a)],
-        b,
-        nvars,
-        [nvars + r for r in range(nrows)],
-    )
-    phase1 = [Fraction(0)] * nvars + [Fraction(1)] * nrows
-    if tab.minimize(phase1) != 0:
+        sign = -1 if v < 0 else 1
+        rows.append([Fraction(sign * x) for x in row]
+                    + [Fraction(1 if j == r else 0) for j in range(nrows)]
+                    + [Fraction(sign * v)])
+    tab = _Tableau(rows, nvars, [nvars + r for r in range(nrows)])
+    if tab.minimize([Fraction(0)] * nvars + [Fraction(1)] * nrows) != 0:
         return None
 
     # Drive artificials out of the basis where possible; a row whose
@@ -144,13 +129,12 @@ def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | N
     kept = []
     for r in range(nrows):
         if tab.basis[r] >= nvars:
-            col = next((j for j in range(nvars) if tab.a[r][j] != 0), None)
+            col = next((j for j in range(nvars) if tab.rows[r][j] != 0), None)
             if col is None:
                 continue
-            tab._pivot(r, col, [Fraction(0)] * (nvars + nrows), [Fraction(0)])
+            tab._pivot(r, col)
         kept.append(r)
-    tab.a = [tab.a[r][:nvars] for r in kept]
-    tab.b = [tab.b[r] for r in kept]
+    tab.rows = [tab.rows[r][:nvars] + tab.rows[r][-1:] for r in kept]
     tab.basis = [tab.basis[r] for r in kept]
     return tab
 
@@ -164,12 +148,10 @@ def _circulation(
     if nvars == 0:
         return []
     # Substitute f = g + 1_required with g >= 0:  A g = -A 1_required.
-    rows = _to_fraction_rows(eq_rows)
-    b = [-sum(row[j] for j in required) for row in rows]
-    if not rows:  # every g >= 0 solves it, and solve_standard cannot size g
+    if not eq_rows:  # every g >= 0 solves it, and solve_standard cannot size g
         f = [Fraction(0)] * nvars
     else:
-        tab = solve_standard(rows, b)
+        tab = solve_standard(eq_rows, [-sum(row[j] for j in required) for row in eq_rows])
         if tab is None:
             return None
         f = tab.solution()

@@ -24,6 +24,7 @@ from .vectors import Record, Vec, norm_inf, restrict, vadd, zero
 
 State = Vec  # values over the unfolding's index set, in index order
 Transition = tuple[State, int, State]  # (source, action index, target)
+Shape = tuple[tuple[int, int, int], ...]  # edges as (state position, action, state position)
 
 
 class UnfoldingError(ValueError):
@@ -126,7 +127,7 @@ class Unfolding(Record):
         return max((norm_inf(s) for s in self.states), default=0)
 
 
-def edge_shape(g: Unfolding) -> tuple[tuple[int, int, int], ...]:
+def edge_shape(g: Unfolding) -> Shape:
     """g's edges as (state position, action, state position), in
     transition order.  `enumerate_unfoldings` hands it over with each
     unfolding it yields; for any other unfolding it is computed here once."""
@@ -498,8 +499,9 @@ def enumerate_unfoldings(
     to `max_positive_support`, so a caller that walks many index sets can
     solve each distinct presolved circulation system once.
 
-    Each unfolding carries its `edge_shape`, which the enumerator already
-    built to decide its support.
+    A state set's edges are built only as a shape, and each unfolding
+    reads its transitions off its states and its kept shape, which it
+    carries as its `edge_shape`.
     """
     limits = limits or EnumLimits()
     stats = stats if stats is not None else EnumStats()
@@ -509,24 +511,23 @@ def enumerate_unfoldings(
     all_states = bounded_states(index_set, state_bound)
     pos = {s: i for i, s in enumerate(all_states)}
     # Per state, whether an I-enabled target lies outside the state bound,
-    # and the in-bound out-edges with their target positions, in action order;
-    # each action's pre and displacement are restricted to I once.
+    # and its in-bound out-edges as (target position, action), in action
+    # order; each action's pre and displacement are restricted to I once.
     moves = [(idx, restrict(a.pre, index_set), restrict(a.displacement, index_set))
              for idx, a in enumerate(net.actions)]
     escapes: list[bool] = []
-    out_edges: list[list[tuple[int, Transition]]] = []
+    out_edges: list[list[tuple[int, int]]] = []
     for p in all_states:
         escaped = False
-        out: list[tuple[int, Transition]] = []
+        out: list[tuple[int, int]] = []
         for idx, pre, delta in moves:
             if not all(map(operator.ge, p, pre)):
                 continue
-            q = tuple(map(operator.add, p, delta))
-            j = pos.get(q)
+            j = pos.get(tuple(map(operator.add, p, delta)))
             if j is None:
                 escaped = True
             else:
-                out.append((j, (p, idx, q)))
+                out.append((j, idx))
         escapes.append(escaped)
         out_edges.append(out)
 
@@ -565,19 +566,19 @@ def enumerate_unfoldings(
     # touches an edge, so the shape also fixes the size.  The circulation
     # rows are a function of the shape.  Within one call distinct shapes
     # rarely share rows, but presolved systems repeat, mostly across index
-    # sets, so the caller keeps `solved` across index sets.  With each kept
-    # shape goes the shape of the edges it keeps, which its unfoldings carry:
-    # their states and edges are already in `Unfolding`'s sorted order.
-    kept: dict[tuple[tuple[int, int, int], ...], tuple[list[int], tuple] | None] = {}
+    # sets, so the caller keeps `solved` across index sets.  Each shape maps
+    # to its kept shape, the edges that carry a positive circulation, or to
+    # None; read off the sorted states, those are in `Unfolding`'s order.
+    kept: dict[Shape, Shape | None] = {}
 
-    def strongly_connected(size: int, arcs: Iterable[tuple[int, int, int]]) -> bool:
+    def strongly_connected(size: int, arcs: Shape) -> bool:
         succ: list[list[int]] = [[] for _ in range(size)]
         for k, _, m in arcs:
             succ[k].append(m)
         return not any(strongly_connected_components(succ))
 
-    def decide(size: int, shape: tuple[tuple[int, int, int], ...]) -> list[int] | None:
-        """The indices of the shape's edges to keep, or None to skip it."""
+    def decide(size: int, shape: Shape) -> Shape | None:
+        """The shape of the edges to keep, or None to skip the state set."""
         if not forward_closed and size > 1 and not strongly_connected(size, shape):
             return None
         if forward_closed and len(index_set) == net.dim:
@@ -585,45 +586,39 @@ def enumerate_unfoldings(
             # each displacement row is a combination of the flow rows.  A
             # closed component is strongly connected, and the sum of one
             # cycle through each edge is a positive circulation.
-            return list(range(len(shape)))
+            return shape
         rows = _circulation_rows(net, range(size), shape)
         if forward_closed:
-            if positive_circulation(rows, len(shape)) is None:
-                return None
-            return list(range(len(shape)))
+            return None if positive_circulation(rows, len(shape)) is None else shape
         support = max_positive_support(rows, len(shape), solved)
-        if len(support) < len(shape) and size > 1:
-            if not strongly_connected(size, (shape[j] for j in support)):
-                return None
-        return support
+        if len(support) == len(shape):
+            return shape
+        kept_shape = tuple(shape[j] for j in support)
+        if size > 1 and not strongly_connected(size, kept_shape):
+            return None
+        return kept_shape
 
     for subset in subsets:
         local = {i: k for k, i in enumerate(subset)}
         # Subsets are sorted, so edges keep the order of a full edge scan.
-        edges: list[Transition] = []
         shape: list[tuple[int, int, int]] = []
         for k, i in enumerate(subset):
-            for j, t in out_edges[i]:
+            for j, a in out_edges[i]:
                 m = local.get(j)
                 if m is not None:
-                    edges.append(t)
-                    shape.append((k, t[1], m))
+                    shape.append((k, a, m))
         key = tuple(shape)
         if key not in kept:
-            support = decide(len(subset), key)
-            kept[key] = None if support is None else (
-                support, key if len(support) == len(key) else tuple(key[j] for j in support)
-            )
-        decided = kept[key]
-        if decided is None:
+            kept[key] = decide(len(subset), key)
+        kept_shape = kept[key]
+        if kept_shape is None:
             continue
-        support, kept_shape = decided
-        if len(support) < len(edges):
-            edges = [edges[j] for j in support]
         if stats.emitted >= limits.max_unfoldings:
             stats.truncated = True
             return
-        g = Unfolding(net, index_set, tuple(all_states[i] for i in subset), tuple(edges))
+        states = tuple(all_states[i] for i in subset)
+        g = Unfolding(net, index_set, states,
+                      tuple((states[k], a, states[m]) for k, a, m in kept_shape))
         g._cache["shape"] = kept_shape
         yield g
         stats.emitted += 1

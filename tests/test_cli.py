@@ -47,6 +47,30 @@ def test_check_mutual_found(net_path, tmp_path, capsys):
     assert set(words) == {((2, 0), (0, 2)), ((0, 2), (2, 0))}
 
 
+CHARGE_WORDS = [
+    "word 1 9300 -> 1 9312 : 2 2 2 2 0 1 0 2 1 2 2 0 1 0 2 1 2 2 0 1 0 2 1 2 2 0 1 0 2 1 2 2 0 1"
+    " 0 1",
+    "word 1 9312 -> 1 9300 : 2 2 2 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2"
+    " 1 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2 1 2 0 1 0 1 0 2 1 2 0 1 0 1",
+]
+
+
+def test_check_mutual_charge_words_are_pinned(tmp_path, capsys):
+    """Both words repay a lattice difference of 12 charges with cycles
+    embedded as Euler circuits of the circulation Z, so they follow the
+    simplex vertex: 36 and 72 actions."""
+    net = tmp_path / "charge.net"
+    net.write_text("dim 2\npre: 1 0  post: 0 0\npre: 0 2  post: 1 0\npre: 0 0  post: 0 2\n")
+    out = tmp_path / "wc.txt"
+    code = main(["check-mutual", str(net), "--x", "1 9300", "--y", "1 9312", "--state-bound", "2",
+                 "--synthesize", "--witness-out", str(out)])
+    assert code == 0
+    assert "mutual (certified)" in capsys.readouterr().out
+    words = [line for line in out.read_text().splitlines() if line.startswith("word ")]
+    assert words == CHARGE_WORDS
+    assert [len(w.split(" : ")[1].split()) for w in words] == [36, 72]
+
+
 def test_check_mutual_trivial_pair(net_path, tmp_path, capsys):
     out = tmp_path / "witness.txt"
     code = main(["check-mutual", net_path, "--x", "1 1", "--y", "1 1", "--synthesize",

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import lp_max_support
 from mutreach import ratlp, unfolding
 from mutreach.presburger import compile_mutual
-from mutreach.ratlp import max_positive_support, positive_circulation
+from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
 from mutreach.witness import PumpingParams
 
 
@@ -46,6 +48,105 @@ def test_lp_layer_matches_the_max_support_reference(system):
         assert f is not None and len(f) == nvars
         assert all(x >= 1 for x in f)
         assert all(sum(a * x for a, x in zip(row, f)) == 0 for row in rows)
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination in Fractions on the first `ncols` columns:
+    the reduced rows, then the pivot column of each leading row."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(rows)) if rows[i][col] != 0), None)
+        if r is None:
+            continue
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _basic_feasible_solutions(a, b):
+    """Every basic feasible solution of A x = b, x >= 0, with no simplex:
+    for each set of rank(A) columns, solve A_S x_S = b by elimination, and
+    keep x when the columns are independent, x >= 0 and every row holds."""
+    nvars = len(a[0])
+    rank = len(_row_reduce(a, nvars)[1])
+    found = []
+    for cols in itertools.combinations(range(nvars), rank):
+        reduced, pivots = _row_reduce([[row[j] for j in cols] + [v] for row, v in zip(a, b)], rank)
+        if len(pivots) < rank:
+            continue
+        x = [Fraction(0)] * nvars
+        for row, k in zip(reduced, pivots):
+            x[cols[k]] = row[-1]
+        if min(x) >= 0 and all(_dot(row, x) == v for row, v in zip(a, b)):
+            found.append(x)
+    return found
+
+
+@st.composite
+def standard_systems(draw):
+    """A x = b with 1-3 rows and 1-5 columns, entries in -2..2, b in -3..3,
+    and a cost c >= 0, so the minimum over a feasible region is bounded."""
+    nrows = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows))
+    c = draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars))
+    return a, b, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(standard_systems())
+# a repeated row, so one artificial cannot leave and its row is dropped
+@example(([[1, 1, 0], [1, 1, 0]], [2, 2], [1, 2, 0]))
+# infeasible: x0 + x1 = -1 with x >= 0
+@example(([[1, 1]], [-1], [0, 0]))
+# degenerate: b = 0, so every pivot keeps the objective and ties the ratios
+@example(([[1, -1, 1, 0], [2, 0, -1, 1], [0, 1, -2, 2]], [0, 0, 0], [1, 0, 2, 1]))
+# seven columns, past the drawn sizes, and b = 0: a ratio test that broke
+# ties by row order instead of by the least basic index cycles here
+@example(([[-1, 1, -2, 0, 0, 2, -2], [-2, -1, 1, 2, 0, 0, -1], [-1, 1, 1, 1, 0, -1, 2]],
+          [0, 0, 0], [0, 3, 2, 0, 0, 0, 0]))
+def test_simplex_matches_basis_enumeration(system):
+    """Phase 1 is feasible exactly when some basic feasible solution is,
+    each vertex the tableau reads is one of them, and `minimize` reaches
+    the least cost over them.  Bland's rule visits no basis twice, so a
+    run of more pivots than there are bases is cycling."""
+    a, b, c = system
+    vertices = _basic_feasible_solutions(a, b)
+    nrows, nvars = len(a), len(a[0])
+    # phases 1 and 2 each visit at most C(n + m, m) bases; driving out takes m pivots
+    budget = 2 * comb(nvars + nrows, nrows) + nrows
+    pivot = ratlp._Tableau._pivot
+
+    def counted(self, *args):
+        nonlocal budget
+        budget -= 1
+        assert budget >= 0, "the simplex is cycling"
+        pivot(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlp._Tableau, "_pivot", counted)
+        tab = solve_standard(a, b)
+        assert (tab is None) == (not vertices)
+        if tab is None:
+            return
+        assert tab.solution() in vertices
+        value = tab.minimize(c)
+    assert value == min(_dot(c, x) for x in vertices)
+    x = tab.solution()
+    assert x in vertices and _dot(c, x) == value
 
 
 def test_empty_system_supports_every_index():

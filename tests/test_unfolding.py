@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -703,3 +705,36 @@ def test_dot_export(token_swap):
     g = _level2(token_swap)
     dot = unfolding_to_dot(g)
     assert dot.startswith("digraph") and '"(2,0)" -> "(1,1)"' in dot
+
+
+# --- the simplex vertex, pinned ---------------------------------------------
+#
+# The positive circulation is the one LP output that depends on the pivot
+# order, and the repay words are built from it, so its values are pinned.
+
+
+def test_charge_net_circulation_is_pinned():
+    """The two-state unfolding over I = (0,) of a net that spends a token,
+    rebuilds it from two charges, and gains two charges."""
+    net = PetriNet(2, (Action((1, 0), (0, 0)), Action((0, 2), (1, 0)), Action((0, 0), (0, 2))))
+    g = validate_unfolding(
+        net, (0,), [(0,), (1,)],
+        [((1,), 0, (0,)), ((0,), 1, (1,)), ((0,), 2, (0,)), ((1,), 2, (1,))],
+    )
+    assert unfolding._integer_circulation(g) == {
+        ((0,), 1, (1,)): 2, ((0,), 2, (0,)): 1, ((1,), 0, (0,)): 2, ((1,), 2, (1,)): 1,
+    }
+
+
+def test_ring3_circulations_are_pinned(ring3):
+    """The circulation of each of ring3's 930 mutual unfoldings at state
+    bound 4, over every index set, as one digest."""
+    digest = hashlib.sha256()
+    count = 0
+    for index_set in index_sets(ring3.dim):
+        for g in enumerate_unfoldings(ring3, index_set, 4):
+            z = sorted(unfolding._integer_circulation(g).items())
+            digest.update(repr((g.index_set, g.states, z)).encode() + b"\n")
+            count += 1
+    assert count == 930
+    assert digest.hexdigest() == "c34e45eba941c0294c5ab527bb369ce47064fe4b7ebc4e91de42b0bb52362c3a"
