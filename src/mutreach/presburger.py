@@ -673,7 +673,7 @@ def _coefficient_ranges(
     ]
     rhs = [bound for _, _, bound in bounds]
     tab = solve_standard(rows, rhs)
-    if tab is None:
+    if tab.infeasible:
         return None
     ranges = []
     for j in range(count):

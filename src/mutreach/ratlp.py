@@ -7,22 +7,28 @@ for the coefficient bounds of bottom lattice-box queries; problems here
 stay tiny, so clarity wins over sparsity tricks.
 
 `solve_standard(A, b)` runs phase 1 once and returns the tableau at a
-feasible vertex of A x = b, x >= 0 (or None).  `solution()` reads that
-vertex.  `minimize(cost)` runs phase 2 from the current vertex and leaves
-the tableau at an optimal one, which is feasible again, so one phase 1
-serves every objective over the same rows; a caller negates a cost to
-maximise.  Bland's rule terminates from any feasible basis.
+feasible vertex of A x = b, x >= 0, or, when there is none, the phase-1
+tableau flagged `infeasible`, whose reduced costs certify it.
+`solution()` reads a feasible vertex.  `minimize(cost)` runs phase 2
+from the current vertex and leaves the tableau at an optimal one, which
+is feasible again, so one phase 1 serves every objective over the same
+rows; a caller negates a cost to maximise.  Bland's rule terminates from
+any feasible basis.
 
-Both circulation questions first run one exact presolve step, forcing
-rows (Andersen & Andersen, *Presolving in linear programming*, Math.
-Programming 71, 1995): a row of A f = 0 whose nonzero entries on the
-live columns share one sign forces those columns to 0 for every f >= 0.
-Each forced column can leave another row one-signed, so the step repeats
-until no row forces more.  `max_positive_support` then checks whether
-the system is balanced, every presolved row summing to 0 over the live
-columns: then f = 1 on them is a solution, and the support is every live
-column with no LP.  Only the live columns of an unbalanced system reach
-the simplex.
+Circulations ask one LP question, f >= 1 on the live columns of
+A f = 0, and first run one exact presolve step, forcing rows (Andersen
+& Andersen, *Presolving in linear programming*, Math. Programming 71,
+1995): a row of A f = 0 whose nonzero entries on the live columns share
+one sign forces those columns to 0 for every f >= 0.  Each forced column
+can leave another row one-signed, so the step repeats until no row
+forces more.  `max_positive_support` then checks whether the system is
+balanced, every presolved row summing to 0 over the live columns: then
+f = 1 on them is a solution, and the support is every live column with
+no LP.  Otherwise it asks the question, and when the answer is no, the
+certificate names columns that every f >= 0 keeps at 0 (a Farkas cut,
+see `_circulation`); it drops them, presolves again and asks again on
+fewer columns.  The forcing-row step is the same cut with a unit row
+multiplier, found with no LP.
 
 Presolved systems repeat, mostly across index sets: distinct state sets
 often leave the same rows on the same number of live columns.
@@ -57,6 +63,8 @@ class _Tableau:
         self.rows = rows
         self.nvars = nvars
         self.basis = basis
+        self.infeasible = False
+        self.objective: Row = []
 
     def _pivot(self, row: int, col: int, objective: Row | None = None):
         """Make `col` basic in `row`, eliminating it from every other row
@@ -71,7 +79,8 @@ class _Tableau:
 
     def minimize(self, cost: Sequence) -> Fraction:
         """Run simplex with Bland's rule from the current basis; the cost
-        must be bounded below on the feasible region."""
+        must be bounded below on the feasible region.  The final objective
+        row, every reduced cost >= 0, stays on the tableau as `objective`."""
         objective = [*cost, Fraction(0)]
         for row, col in zip(self.rows, self.basis):
             factor = objective[col]
@@ -81,6 +90,7 @@ class _Tableau:
         while True:
             enter = next((j for j in range(ncols) if objective[j] < 0), None)
             if enter is None:
+                self.objective = objective
                 return -objective[-1]
             leave, best = None, None
             for r, row in enumerate(self.rows):
@@ -102,13 +112,18 @@ class _Tableau:
         return x
 
 
-def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | None:
+def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau:
     """Phase 1 of the simplex for A x = b, x >= 0, exactly; A has a row.
 
-    Returns the tableau at a feasible vertex, or None when there is none.
-    Rows whose artificial variable cannot leave the basis are redundant and
-    are dropped, and the artificial columns are sliced off, so the tableau
-    has one column per variable and `minimize` takes a cost over them.
+    Returns the tableau at a feasible vertex.  Rows whose artificial
+    variable cannot leave the basis are redundant and are dropped, and the
+    artificial columns are sliced off, so the tableau has one column per
+    variable and `minimize` takes a cost over them.  When there is no such
+    x, it returns the phase-1 tableau as it ended, artificial columns
+    included, with `infeasible` set.  Its `objective` row holds the final
+    reduced costs, and on the real columns they are r_j = y.A_j >= 0 for
+    some y with y.b < 0, the negated phase-1 value: Farkas' certificate
+    that no x >= 0 solves A x = b.
     """
     nvars, nrows = len(a_rows[0]), len(a_rows)
     # Phase 1: one artificial variable per row, each row signed so b >= 0.
@@ -122,7 +137,8 @@ def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | N
                     + [Fraction(sign * v)])
     tab = _Tableau(rows, nvars, [nvars + r for r in range(nrows)])
     if tab.minimize([Fraction(0)] * nvars + [Fraction(1)] * nrows) != 0:
-        return None
+        tab.infeasible = True
+        return tab
 
     # Drive artificials out of the basis where possible; a row whose
     # artificial cannot leave is zero on every real column, so redundant.
@@ -139,30 +155,21 @@ def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau | N
     return tab
 
 
-def _circulation(
-    eq_rows: Sequence[Sequence],
-    nvars: int,
-    required: Sequence[int],
-) -> list[Fraction] | None:
-    """Find f with A f = 0, f >= 0 and f(j) >= 1 for j in `required`, or None."""
-    if nvars == 0:
-        return []
-    # Substitute f = g + 1_required with g >= 0:  A g = -A 1_required.
-    if not eq_rows:  # every g >= 0 solves it, and solve_standard cannot size g
-        f = [Fraction(0)] * nvars
-    else:
-        tab = solve_standard(eq_rows, [-sum(row[j] for j in required) for row in eq_rows])
-        if tab is None:
-            return None
-        f = tab.solution()
-    for j in required:
-        f[j] += 1
-    return f
+def _circulation(eq_rows: Sequence[Sequence]) -> _Tableau:
+    """Phase 1 of A f = 0, f >= 1 as A g = -A 1 over g = f - 1 >= 0; A has a row.
+
+    If it is infeasible, its reduced costs cut columns.  With each row
+    signed so that b' = -A' 1 >= 0, phase 1 ends with reduced costs
+    r_j = y.A'_j >= 0 on the real columns, y the negated dual, and value
+    -y.b' = sum_j r_j > 0.  Every f >= 0 with A f = 0 has
+    sum_j r_j f_j = y.A' f = 0, so f_j = 0 wherever r_j > 0.
+    """
+    return solve_standard(eq_rows, [-sum(row) for row in eq_rows])
 
 
-def _unforced_columns(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
-    """The columns no chain of one-signed rows forces to 0, ascending."""
-    alive = list(range(nvars))
+def _unforced_columns(eq_rows: Sequence[Sequence], columns: Sequence[int]) -> list[int]:
+    """The `columns` no chain of one-signed rows forces to 0, in order."""
+    alive = list(columns)
     while True:
         forced: set[int] = set()
         for row in eq_rows:
@@ -184,9 +191,12 @@ def positive_circulation(
     one-signed row forces some column to 0 the answer is None without an
     LP; otherwise the LP is the one over the rows exactly as given.
     """
-    if len(_unforced_columns(eq_rows, nvars)) < nvars:
+    if len(_unforced_columns(eq_rows, range(nvars))) < nvars:
         return None
-    return _circulation(eq_rows, nvars, range(nvars))
+    if not eq_rows:  # every f >= 1 solves it, and solve_standard cannot size f
+        return [Fraction(1)] * nvars
+    tab = _circulation(eq_rows)
+    return None if tab.infeasible else [x + 1 for x in tab.solution()]
 
 
 def _cone_key(rows: Sequence[Sequence], n: int) -> tuple:
@@ -208,42 +218,31 @@ def max_positive_support(
 ) -> list[int]:
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
-    Columns that one-signed rows force to 0 are dropped first, with no
-    LP.  A balanced check runs next, before the memo and the all-index
-    LP: if every row sums to 0 over the live columns, f = 1 on them and 0
-    on the forced ones solves A f = 0, and no solution is positive on a
-    forced column, so the live columns are exactly the maximal support.
-    It needs no LP and adds no memo entry.  Otherwise the system is
-    solved on the live columns only.  Supports of solutions are closed
-    under addition, so the answer is the union of the supports of f with
-    f(j) >= 1, one LP per live index j not yet covered.  The all-index
-    LP runs first: it is the common case, and a simplex vertex alone
-    covers at most rank(A) indices.  The maximal
-    support is a property of the cone, so it does not depend on which
-    vertices the simplex visits, nor on how the cone's rows are written:
-    with `solved`, a system whose presolved rows match an earlier one's
-    (see `_cone_key`) reuses its support over the live columns.
+    Each round drops the columns that one-signed rows force to 0.  If
+    every row then sums to 0 over the live columns, f = 1 on them is a
+    solution; otherwise the one LP question asks for f >= 1 on them.  A
+    yes ends the loop, and those columns are the maximal support; a no
+    cuts at least one column that every f keeps at 0 (`_circulation`).
+    With `solved`, a system whose first presolved rows match an earlier
+    one's (see `_cone_key`) reuses its support over the live columns: the
+    support is a property of the cone, not of the simplex's path or of
+    how the rows are written.  A first round that is balanced adds no
+    memo entry.
     """
-    alive = _unforced_columns(eq_rows, nvars)
-    rows = [[row[j] for j in alive] for row in eq_rows]
-    if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
-        return alive
-    n = len(alive)
-    if solved is not None:
-        key = _cone_key(rows, n)
-        if key in solved:
-            return [alive[k] for k in solved[key]]
-    if _circulation(rows, n, range(n)) is not None:
-        local = list(range(n))
-    else:
-        support: set[int] = set()
-        for j in range(n):
-            if j in support:
-                continue
-            f = _circulation(rows, n, (j,))
-            if f is not None:
-                support.update(k for k, x in enumerate(f) if x > 0)
-        local = sorted(support)
-    if solved is not None:
-        solved[key] = local
-    return [alive[k] for k in local]
+    columns, key = range(nvars), None
+    while True:
+        columns = _unforced_columns(eq_rows, columns)
+        rows = [[row[j] for j in columns] for row in eq_rows]
+        if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
+            break
+        if solved is not None and key is None:
+            alive, key = columns, _cone_key(rows, len(columns))
+            if key in solved:
+                return [alive[k] for k in solved[key]]
+        tab = _circulation(rows)
+        if not tab.infeasible:
+            break
+        columns = [j for j, r in zip(columns, tab.objective) if r == 0]
+    if key is not None:
+        solved[key] = [alive.index(j) for j in columns]
+    return columns

@@ -287,17 +287,16 @@ def cycle_walks(g: Unfolding) -> list[UnfoldingPath]:
     """Closed walks on r = states[0] whose displacements span L_G.
 
     With P the out-tree and Q the in-tree at r, the walks are P_p e Q_q
-    for each edge e = (p, q) and P_v Q_v for each state v.  Along any
-    closed walk the first kind sums to its displacement plus a sum of the
-    second kind, so together they generate the closed-walk lattice.
+    for each edge e = (p, q).  Along any closed walk they sum to its
+    displacement plus a sum of walks P_v Q_v, and each of those is the
+    walk of v's out-tree edge, or empty at v = r, so they generate the
+    closed-walk lattice.
     """
     r = g.states[0]
     out_tree, in_tree = _tree(g, r), _tree(g, r, forward=False)
     there = {v: _tree_path(out_tree, v, True) for v in g.states}
     back = {v: _tree_path(in_tree, v, False) for v in g.states}
-    walks = [(*there[p], (p, a, q), *back[q]) for p, a, q in g.transitions]
-    walks += [(*there[v], *back[v]) for v in g.states]
-    return [UnfoldingPath(r, w) for w in walks]
+    return [UnfoldingPath(r, (*there[p], (p, a, q), *back[q])) for p, a, q in g.transitions]
 
 
 def lattice_of_unfolding(g: Unfolding) -> LatticeRepresentation:

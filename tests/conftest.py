@@ -758,7 +758,7 @@ def feasible_with_epsilon(
     rows.append(row)
     b.append(Fraction(1))
     tab = solve_standard(rows, b)
-    if tab is None:
+    if tab.infeasible:
         return None
     cost = [Fraction(0)] * total
     cost[num_vars] = Fraction(-1)  # maximise eps
@@ -797,7 +797,7 @@ def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
         big_rows.append(row)
         big_b.append(Fraction(1))
     tab = solve_standard(big_rows, big_b)
-    assert tab is not None, "max-support LP is always feasible (f = s = 0)"
+    assert not tab.infeasible, "max-support LP is always feasible (f = s = 0)"
     cost = [Fraction(0)] * total
     for j in range(nvars):
         cost[nvars + j] = Fraction(-1)  # maximise sum(s)

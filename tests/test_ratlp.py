@@ -35,7 +35,7 @@ def homogeneous_systems(draw):
 # the same cascade without the self-loop forces every column: support []
 @example(([[1, -1], [-1, 1], [0, -1]], 2))
 # no row is one-signed, yet f2 = 0 (the rows sum to 2 f2 = 0): the
-# all-index LP fails and single-index LPs find f0 = f1
+# all-index LP fails, its Farkas cut drops f2, and f0 = f1 carry flow
 @example(([[1, -1, 1], [-1, 1, 1]], 3))
 def test_lp_layer_matches_the_max_support_reference(system):
     rows, nvars = system
@@ -139,8 +139,8 @@ def test_simplex_matches_basis_enumeration(system):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratlp._Tableau, "_pivot", counted)
         tab = solve_standard(a, b)
-        assert (tab is None) == (not vertices)
-        if tab is None:
+        assert tab.infeasible == (not vertices)
+        if tab.infeasible:
             return
         assert tab.solution() in vertices
         value = tab.minimize(c)
@@ -181,8 +181,13 @@ def _counting_solves(monkeypatch) -> list:
 
 def _is_balanced(rows, nvars) -> bool:
     """Every row sums to 0 over the columns the forcing-row presolve keeps."""
-    alive = ratlp._unforced_columns(rows, nvars)
+    alive = ratlp._unforced_columns(rows, range(nvars))
     return all(sum(row[j] for j in alive) == 0 for row in rows)
+
+
+def _is_presolved(rows, nvars) -> bool:
+    """No row is one-signed on the columns: the presolve forces none."""
+    return ratlp._unforced_columns(rows, range(nvars)) == list(range(nvars))
 
 
 def _recorded_questions(monkeypatch) -> list:
@@ -216,8 +221,7 @@ def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
 def test_ring3_compile_solves_each_presolved_system_once(ring3, monkeypatch):
     """153 support questions, of which 36 are balanced after the presolve
     and need no LP; the other 117 reduce to 72 distinct presolved systems,
-    and a system whose all-index LP fails would take one more LP per
-    uncovered column."""
+    and the all-index LP of each is feasible, so no Farkas cut runs."""
     calls = _counting_solves(monkeypatch)
     questions = _recorded_questions(monkeypatch)
     compile_mutual(ring3, PumpingParams(state_bound=4, cycle_len=4))
@@ -328,7 +332,64 @@ def test_balanced_systems_need_no_lp(system):
     balanced = _is_balanced(rows, nvars)
     assert (calls == []) == balanced
     if balanced:
-        assert support == ratlp._unforced_columns(rows, nvars)
+        assert support == ratlp._unforced_columns(rows, range(nvars))
+
+
+def test_a_farkas_cut_is_presolved_before_the_next_question(monkeypatch):
+    """Each system's rows sum to a vector >= 0, so its all-column LP fails
+    and the cut drops one column.  That leaves a one-signed row, and the
+    forcing-row presolve, not a second LP, decides the rest."""
+    calls = _counting_solves(monkeypatch)
+    assert max_positive_support([[1, -1], [-1, 2]], 2) == []
+    assert len(calls) == 1
+    # column 2 is zero in every row, so it stays
+    assert max_positive_support([[-2, 2, 0], [2, -1, 0]], 3) == [2]
+    assert len(calls) == 2
+
+
+@st.composite
+def systems_forced_by_a_sum(draw):
+    """Rows whose sum is a drawn c >= 0, so every f >= 0 with A f = 0 has
+    f_j = 0 wherever c_j > 0.  The last row is c minus the others, so a
+    single row is mostly not one-signed, and the forcing-row presolve
+    misses what only the sum of the rows forces."""
+    nvars = draw(st.integers(2, 6))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=1, max_size=3))
+    c = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+    rows.append([cj - sum(col) for cj, col in zip(c, zip(*rows))])
+    return rows, nvars
+
+
+def test_farkas_cuts_match_the_max_support_reference():
+    """When the all-column LP fails, its certificate cuts columns until the
+    LP on the rest succeeds: the support matches the reference, fresh and
+    through a shared memo, and the cut runs in the drawn examples.  Each
+    round presolves and checks the balance before its LP, so no LP sees a
+    one-signed row or a balanced system."""
+    cuts = []
+    circulation = ratlp._circulation
+
+    def recording(rows):
+        assert _is_presolved(rows, len(rows[0])) and not _is_balanced(rows, len(rows[0]))
+        tab = circulation(rows)
+        cuts.append(tab.infeasible)
+        return tab
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(systems_forced_by_a_sum(), min_size=1, max_size=4))
+    @example([([[1, -1, 1], [-1, 1, 1]], 3)])
+    def check(systems):
+        solved = {}
+        for rows, nvars in systems:
+            support = lp_max_support(rows, nvars)
+            assert max_positive_support(rows, nvars) == support
+            assert max_positive_support(rows, nvars, solved) == support
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlp, "_circulation", recording)
+        check()
+    assert sum(cuts) > 50
 
 
 COMPILES = [

@@ -16,7 +16,7 @@ from conftest import (
     reach_components,
     walked_state_sets,
 )
-from mutreach import unfolding
+from mutreach import ratlp, unfolding
 from mutreach.lattice import lattice_contains, representation_from_generators
 from mutreach.net import Action, PetriNet
 from mutreach.ratlp import max_positive_support
@@ -154,8 +154,8 @@ RING3 = PetriNet(
 
 @pytest.mark.parametrize("forward_closed", [False, True])
 def test_closed_walks_span_the_simple_cycle_lattice(fixture_nets, forward_closed):
-    """On every unfolding the |E| + |V| closed walks are genuine closed
-    walks on the first state and span what the simple cycles span."""
+    """On every unfolding the |E| closed walks, one per edge, are genuine
+    closed walks on the first state and span what the simple cycles span."""
     # ring3 is capped at four states: its six-state sets cost about 40 s of
     # LPs, and the four-state ones already include the unfoldings whose
     # equality pairs come out scaled before normalisation
@@ -165,7 +165,7 @@ def test_closed_walks_span_the_simple_cycle_lattice(fixture_nets, forward_closed
         for index_set in index_sets(net.dim):
             for g in enumerate_unfoldings(net, index_set, 4, limits, forward_closed=forward_closed):
                 walks = cycle_walks(g)
-                assert len(walks) == len(g.transitions) + len(g.states)
+                assert len(walks) == len(g.transitions)
                 edges = set(g.transitions)
                 for w in walks:
                     assert w.source == w.target == g.states[0]
@@ -679,6 +679,29 @@ def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
         assert set(calls) == systems, index_set
         solved += len(calls)
     assert solved < state_sets  # systems do repeat across state sets
+
+
+def test_two_pairs_supports_take_one_lp_per_cut(monkeypatch):
+    """TWO_PAIRS' 15 proper index sets at state bound 3, with one memo:
+    891 support questions leave 411 distinct unbalanced presolved systems.
+    The all-column LP of each fails, and its Farkas cut leaves a balanced
+    system, so each takes one LP; one LP per uncovered column took 3 630."""
+    calls = []
+    solve = ratlp.solve_standard
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(ratlp, "solve_standard", counting)
+    digest, count, solved = hashlib.sha256(), 0, {}
+    for index_set in index_sets(TWO_PAIRS.dim)[:-1]:
+        for g in enumerate_unfoldings(TWO_PAIRS, index_set, 3, solved=solved):
+            digest.update(repr((g.index_set, g.states, g.transitions)).encode() + b"\n")
+            count += 1
+    assert count == 1829
+    assert digest.hexdigest() == "fa21efd6670a7c28dfdf5812d293c90215b9e792bb60d29de611d6c1f6109ff8"
+    assert len(calls) == len(solved) == 411
 
 
 def test_equal_incidence_with_different_displacements_is_solved_apart():
