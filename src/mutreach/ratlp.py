@@ -1,10 +1,10 @@
 """Exact rational linear programming over non-negative variables.
 
 A small two-phase simplex with Bland's rule, entirely in Fractions.
-Used for structural-reversibility flow systems and for maximal
-circulation supports, both posed as f >= 1 feasibility problems, and
-for the coefficient bounds of bottom lattice-box queries; problems here
-stay tiny, so clarity wins over sparsity tricks.
+Used for maximal circulation supports, which decide every enumerated
+unfolding, and for the circulation Z of one, both posed as f >= 1
+feasibility problems, and for the coefficient bounds of bottom
+lattice-box queries; problems here stay tiny, so clarity wins.
 
 `solve_standard(A, b)` runs phase 1 once and returns the tableau at a
 feasible vertex of A x = b, x >= 0, or, when there is none, the phase-1
@@ -35,10 +35,10 @@ often leave the same rows on the same number of live columns.
 `max_positive_support` takes an optional dict `solved` that a caller
 keeps across many questions; it maps each presolved system, up to row
 order, row sign, repeated rows and rows that vanish on the live columns,
-to its support, so each distinct one is solved once.  One mutual compile
-on mixed3 at state bound 5 asks 32 support questions, all balanced, so
-none reaches the simplex; on ring3 at state bound 4, 36 of 153 are
-balanced and the other 117 reduce to 72 distinct presolved systems.
+to its support, so each distinct one is solved once.  A mutual compile
+of mixed3 at state bound 5 asks 32 support questions and a bottom one 7,
+all balanced, so no LP; a mutual one of ring3 at state bound 4 asks 153:
+36 are balanced, and the other 117 reduce to 72 distinct systems.
 """
 
 from __future__ import annotations
@@ -190,6 +190,7 @@ def positive_circulation(
     systems are homogeneous, so any positive solution scales up.  When a
     one-signed row forces some column to 0 the answer is None without an
     LP; otherwise the LP is the one over the rows exactly as given.
+    It serves only `is_structurally_reversible`, which needs Z itself.
     """
     if len(_unforced_columns(eq_rows, range(nvars))) < nvars:
         return None

@@ -5,6 +5,7 @@ carry net actions consistent with the restricted firing relation.  An
 unfolding is structurally reversible when every edge's displacement can
 be cancelled by a return path, equivalently when a strictly positive
 circulation with zero total displacement exists (Euler's condition).
+The enumerator asks it as `max_positive_support` over shape-built rows.
 """
 
 from __future__ import annotations
@@ -212,16 +213,14 @@ def validate_unfolding(
 # --- structural reversibility ----------------------------------------------
 
 
-def _circulation_rows(
-    net: PetriNet, states: Sequence[State], edges: Sequence[Transition]
-) -> list[list[int]]:
-    """Flow conservation per state plus zero total displacement per axis."""
-    position = {s: k for k, s in enumerate(states)}
-    rows: list[list[int]] = [[0] * len(edges) for _ in states]
-    for j, (p, _, q) in enumerate(edges):
-        rows[position[p]][j] += 1
-        rows[position[q]][j] -= 1
-    displacements = [net.actions[a].displacement for _, a, _ in edges]
+def _circulation_rows(net: PetriNet, size: int, shape: Shape) -> list[list[int]]:
+    """Flow conservation per state position plus zero total displacement
+    per axis, over the edges of `shape` on `size` states."""
+    rows: list[list[int]] = [[0] * len(shape) for _ in range(size)]
+    for j, (k, _, m) in enumerate(shape):
+        rows[k][j] += 1
+        rows[m][j] -= 1
+    displacements = [net.actions[a].displacement for _, a, _ in shape]
     rows.extend([d[i] for d in displacements] for i in range(net.dim))
     return rows
 
@@ -229,12 +228,10 @@ def _circulation_rows(
 def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fraction] | None]:
     """Euler test: a strictly positive circulation with zero displacement."""
     if "reversible" not in g._cache:
-        rows = _circulation_rows(g.net, g.states, g.transitions)
+        rows = _circulation_rows(g.net, g.size, edge_shape(g))
         flows = positive_circulation(rows, len(g.transitions))
-        if flows is None:
-            g._cache["reversible"] = (False, None)
-        else:
-            g._cache["reversible"] = (True, dict(zip(g.transitions, flows)))
+        circulation = None if flows is None else dict(zip(g.transitions, flows))
+        g._cache["reversible"] = (flows is not None, circulation)
     return g._cache["reversible"]
 
 
@@ -493,10 +490,10 @@ def enumerate_unfoldings(
     lattice, cosets and pumping sets only grow.
 
     With `forward_closed` a state set that some enabled action leaves is
-    skipped, and the transition set is forced: all enabled edges must
-    carry a positive circulation together.  Otherwise `solved` is handed
-    to `max_positive_support`, so a caller that walks many index sets can
-    solve each distinct presolved circulation system once.
+    skipped, and the transition set is forced: the maximal support must be
+    every enabled edge.  Both modes ask `max_positive_support` with
+    `solved`, so a caller that walks many index sets can solve each
+    distinct presolved circulation system once.
 
     A state set's edges are built only as a shape, and each unfolding
     reads its transitions off its states and its kept shape, which it
@@ -560,14 +557,13 @@ def enumerate_unfoldings(
 
     # Whether a state set qualifies, and which of its edges carry a positive
     # circulation, depend only on its shape: the edges as (local position,
-    # action index, local position) over the sorted states.  Each distinct
-    # shape is decided once per call.  In a connected subset every state
-    # touches an edge, so the shape also fixes the size.  The circulation
-    # rows are a function of the shape.  Within one call distinct shapes
-    # rarely share rows, but presolved systems repeat, mostly across index
-    # sets, so the caller keeps `solved` across index sets.  Each shape maps
-    # to its kept shape, the edges that carry a positive circulation, or to
-    # None; read off the sorted states, those are in `Unfolding`'s order.
+    # action index, local position) over the sorted states, which fix the
+    # circulation rows and, since every state of a connected set touches an
+    # edge, the size.  Each distinct shape is decided once per call, and
+    # presolved systems repeat mostly across index sets, so the caller keeps
+    # `solved` across them.  Each shape maps to its kept shape, the edges
+    # that carry a positive circulation, or to None; read off the sorted
+    # states, those are in `Unfolding`'s order.
     kept: dict[Shape, Shape | None] = {}
 
     def strongly_connected(size: int, arcs: Shape) -> bool:
@@ -586,12 +582,11 @@ def enumerate_unfoldings(
             # closed component is strongly connected, and the sum of one
             # cycle through each edge is a positive circulation.
             return shape
-        rows = _circulation_rows(net, range(size), shape)
-        if forward_closed:
-            return None if positive_circulation(rows, len(shape)) is None else shape
-        support = max_positive_support(rows, len(shape), solved)
+        support = max_positive_support(_circulation_rows(net, size, shape), len(shape), solved)
         if len(support) == len(shape):
             return shape
+        if forward_closed:
+            return None
         kept_shape = tuple(shape[j] for j in support)
         if size > 1 and not strongly_connected(size, kept_shape):
             return None

@@ -302,7 +302,8 @@ def check_witness(
 ) -> MutualWitness:
     """Accept iff all restrictions are states, every configuration passes
     pumping-set membership at its own state, and every ordered pair's
-    difference lies in the corresponding coset."""
+    difference lies in the corresponding coset.  g must be structurally
+    reversible; that is not re-checked here (`witness_from_text` does)."""
     cs = tuple(sorted(set(vec(c) for c in configs)))
     if not cs:
         raise WitnessRejected("empty configuration set")

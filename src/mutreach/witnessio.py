@@ -11,7 +11,7 @@ stored witness is a checkable certificate.
 from __future__ import annotations
 
 from .net import PetriNet, fire
-from .unfolding import validate_unfolding
+from .unfolding import is_structurally_reversible, validate_unfolding
 from .vectors import vec
 from .witness import MutualWitness, PumpingParams, check_witness
 
@@ -68,8 +68,9 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
     """Rebuild a witness and its words by re-running the checker.
 
     Stored pump/coset blocks are certificates; the checker recomputes
-    them, so parsing accepts a witness only if it still validates and its
-    lines up to `end` read exactly as the recomputed witness renders.
+    them, so parsing accepts a witness only if its unfolding is
+    structurally reversible, it still validates and its lines up to `end`
+    read exactly as the recomputed witness renders.
     Every stored word must join two configurations of the `config` lines
     before it, and is replayed from its source to its target.  A line
     that does not parse raises ValueError naming its number and key, a
@@ -120,6 +121,8 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
         if key == "word" and not _fires(net, x, y, word):
             raise ValueError(f"line {lineno}: word does not fire: {line.strip()!r}")
     g = validate_unfolding(net, index_set, states, transitions)
+    if not is_structurally_reversible(g)[0]:
+        raise ValueError("unfolding is not structurally reversible")
     params = PumpingParams(header["state-bound"], header["cycle-len"], header["off-threshold"])
     w = check_witness(net, configs, g, params)
     stored = lines[: end + 1]

@@ -1,9 +1,13 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from mutreach.net import Action, PetriNet
+from mutreach.net import Action, PetriNet, load_net
 from mutreach.oracle import BoundedStateSpace, reach_graph_to_dot
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _flagged_components(net, box):
@@ -145,3 +149,24 @@ def test_verdicts_outside_the_box_raise(token_swap):
         space.mutual((0, 0), (0, 4))
     with pytest.raises(ValueError, match=r"\(4, 0\) is outside the box"):
         space.bottom((4, 0))
+
+
+@pytest.mark.parametrize(
+    "name, mutual, bottom",
+    [
+        ("two_pairs",
+         lambda x, y: x[0] + x[1] == y[0] + y[1] and x[2] + x[3] == y[2] + y[3],
+         lambda c: c[2] == c[3] == 0),
+        ("ring4", lambda x, y: sum(x) == sum(y), lambda c: True),
+    ],
+)
+def test_four_counter_fixtures_have_their_known_answers(name, mutual, bottom):
+    """Both nets keep the total, so the box holds everything that a point of
+    total at most 3 reaches and every verdict on those points is decided."""
+    space = BoundedStateSpace(load_net(FIXTURES / f"{name}.net"), 3)
+    points = [c for c in itertools.product(range(4), repeat=4) if sum(c) <= 3]
+    assert len(points) == 35
+    for x in points:
+        assert space.bottom(x) is bottom(x), x
+        for y in points:
+            assert space.mutual(x, y) is mutual(x, y), (x, y)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from conftest import (
+    REPO,
     And,
     CompareAtom,
     DivAtom,
@@ -30,10 +31,10 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutreach import presburger, unfolding, witness
+from mutreach import presburger, ratlp, unfolding, witness
 from mutreach.intlinalg import hermite_normal_form, solve_integer
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
-from mutreach.net import Action, PetriNet
+from mutreach.net import Action, PetriNet, load_net
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import (
     BottomFormula,
@@ -518,31 +519,48 @@ def test_ring3_provenance_turns_on_the_threshold_of_the_largest_unfolding(ring3)
         assert compile_mutual(ring3, params).provenance == provenance
 
 
-@pytest.mark.parametrize("name, state_bound, solves", [("mixed3", 5, 7), ("ring3", 4, 1)])
+@pytest.mark.parametrize(
+    "name, state_bound, questions, solves",
+    [("mixed3", 5, 7, 0), ("ring3", 4, 1, 0), ("two_pairs", 4, 2, 1)],
+)
 def test_bottom_compile_solves_no_lp_on_the_full_index_set(
-    mixed3, ring3, monkeypatch, name, state_bound, solves
+    mixed3, ring3, monkeypatch, name, state_bound, questions, solves
 ):
     """A closed component over the full index set carries a positive
     circulation by strong connectivity alone, so only proper index sets
-    reach `positive_circulation`."""
-    net = mixed3 if name == "mixed3" else ring3
-    index_set, calls = [None], []
-    enumerate_all, circulation = presburger.enumerate_unfoldings, unfolding.positive_circulation
+    ask `max_positive_support`, and no component asks
+    `positive_circulation`.  The presolve, the balanced check and the
+    shared memo leave mixed3 and ring3 with no LP, and `TWO_PAIRS` with
+    one; a `positive_circulation` per component took 1, 1 and 2."""
+    nets = {"mixed3": mixed3, "ring3": ring3}
+    net = nets.get(name) or load_net(REPO / "fixtures" / f"{name}.net")
+    index_set, asked, solved = [None], [], []
+    enumerate_all, support = presburger.enumerate_unfoldings, unfolding.max_positive_support
+    solve = ratlp.solve_standard
 
     def tagged(net, ix, *args, **kwargs):
         index_set[0] = tuple(ix)
         yield from enumerate_all(net, ix, *args, **kwargs)
 
-    def counting(rows, nvars):
-        calls.append(index_set[0])
-        return circulation(rows, nvars)
+    def asking(rows, nvars, memo=None):
+        asked.append(index_set[0])
+        return support(rows, nvars, memo)
+
+    def solving(*args):
+        solved.append(index_set[0])
+        return solve(*args)
+
+    def circulation(rows, nvars):
+        raise AssertionError("the bottom enumerator asked positive_circulation")
 
     monkeypatch.setattr(presburger, "enumerate_unfoldings", tagged)
-    monkeypatch.setattr(unfolding, "positive_circulation", counting)
+    monkeypatch.setattr(unfolding, "max_positive_support", asking)
+    monkeypatch.setattr(unfolding, "positive_circulation", circulation)
+    monkeypatch.setattr(ratlp, "solve_standard", solving)
     formula = compile_bottom(net, PumpingParams(state_bound=state_bound, cycle_len=4))
     assert any(t.index_set == tuple(range(net.dim)) for t in formula.tuples)
-    assert tuple(range(net.dim)) not in calls
-    assert len(calls) == solves
+    assert tuple(range(net.dim)) not in asked
+    assert (len(asked), len(solved)) == (questions, solves)
 
 
 def test_shapes_that_differ_only_in_action_labels_are_compiled_apart():

@@ -1,4 +1,5 @@
-"""Soundness and word replay on random one-counter nets.
+"""Soundness and word replay on random one-counter nets, and the bottom
+enumerator against its reference on random nets of up to three counters.
 
 With d = 1 the exact pumping threshold of the I = () unfolding is 3m^2,
 so an oracle box of 3m^2 + 24 reaches past it and the pumped disjuncts
@@ -8,15 +9,23 @@ are checked against ground truth, not only the states under the bound.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_unfoldings
 from mutreach.net import Action, PetriNet, fire
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import compile_bottom, compile_mutual, eval_bottom, eval_mutual
+from mutreach.unfolding import EnumLimits, EnumStats, enumerate_unfoldings, index_sets
 from mutreach.witness import PumpingParams, search_witness, synthesize_path
 
 _ENTRY = st.integers(0, 2)
 _ONE_COUNTER_NETS = st.lists(
     st.builds(lambda pre, post: Action((pre,), (post,)), _ENTRY, _ENTRY), min_size=1, max_size=3
 ).map(lambda actions: PetriNet(1, tuple(actions)))
+_SMALL_NETS = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.builds(Action, st.tuples(*[_ENTRY] * d), st.tuples(*[_ENTRY] * d)),
+        min_size=1, max_size=3,
+    ).map(lambda actions: PetriNet(d, tuple(actions)))
+)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -46,3 +55,21 @@ def test_random_one_counter_nets_are_sound_and_replay(net, rng):
                 word = synthesize_path(net, src, dst, res.witness)
                 assert fire(src, net.word(word)) == dst
             break
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=_SMALL_NETS)
+def test_bottom_enumerator_matches_the_reference_on_random_nets(net):
+    """Bottom mode keeps a closed component only when the maximal support
+    of its circulation system, asked through one memo for every index set,
+    is every edge; the reference asks `positive_circulation` of each
+    component's full edge set afresh."""
+    limits, solved = EnumLimits(), {}
+    for index_set in index_sets(net.dim):
+        stats, expected_stats = EnumStats(), EnumStats()
+        found = enumerate_unfoldings(net, index_set, 3, limits, stats, True, solved)
+        expected = reference_unfoldings(net, index_set, 3, limits, expected_stats, True)
+        assert [(g.states, g.transitions) for g in found] == [
+            (g.states, g.transitions) for g in expected
+        ], index_set
+        assert stats == expected_stats, index_set

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REPO,
     candidate_unfoldings,
     collect_unfoldings,
     definitional_reversible,
@@ -18,7 +19,7 @@ from conftest import (
 )
 from mutreach import ratlp, unfolding
 from mutreach.lattice import lattice_contains, representation_from_generators
-from mutreach.net import Action, PetriNet
+from mutreach.net import Action, PetriNet, load_net
 from mutreach.ratlp import max_positive_support
 from mutreach.unfolding import (
     EnumLimits,
@@ -464,6 +465,10 @@ TWO_PAIRS = PetriNet(
 )
 
 
+def test_two_pairs_is_the_checked_in_fixture():
+    assert load_net(REPO / "fixtures" / "two_pairs.net") == TWO_PAIRS
+
+
 @pytest.mark.parametrize("max_unfoldings", [5000, 2])
 @pytest.mark.parametrize("forward_closed", [False, True])
 @pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3", "two_pairs"])
@@ -530,7 +535,7 @@ def test_two_pairs_walk_crosses_components():
 
 @pytest.mark.parametrize(
     "name, bound, walked, yielded",
-    [("mixed3", 5, 516, 516), ("two_pairs", 2, 181, 180)],
+    [("mixed3", 5, 516, 516), ("two_pairs", 2, 181, 180), ("ring3", 4, 7978, 930)],
 )
 def test_walk_stays_inside_strongly_connected_components(
     mixed3, monkeypatch, name, bound, walked, yielded
@@ -538,8 +543,10 @@ def test_walk_stays_inside_strongly_connected_components(
     """Every walked state set of two or more states lies in one strongly
     connected component.  The full walk visits 12 117 sets on mixed3 at
     state bound 5 and 446 on the two pairs at state bound 2; inside
-    components it visits just over the unfoldings."""
-    net = mixed3 if name == "mixed3" else TWO_PAIRS
+    components it visits just over the unfoldings.  On ring3 at state
+    bound 4 it visits 7 978 sets for 930 unfoldings: most connected sets of
+    a ring's component are not strongly connected."""
+    net = {"mixed3": mixed3, "ring3": RING3}.get(name, TWO_PAIRS)
     subsets = []
 
     def recording(neighbors, max_size):

@@ -21,6 +21,7 @@ from mutreach.unfolding import (
     EnumStats,
     enumerate_unfoldings,
     index_sets,
+    is_structurally_reversible,
     unfolding_from_sccc,
     validate_unfolding,
 )
@@ -642,6 +643,22 @@ def test_witness_reader_rejects_words_between_other_configurations(token_swap, b
         witness_from_text(token_swap, "\n".join(lines) + "\n")
     want = f"line {len(lines) - 1}: word endpoint is not a config: {bad.strip()!r}"
     assert str(exc.value) == want
+
+
+def test_witness_reader_rejects_a_non_reversible_unfolding():
+    """Action 0 moves a token from counter 0 to counter 1 and action 1 puts
+    one on counter 0, so the two-state cycle over I = (0,) raises counter 1
+    and no circulation has zero displacement.  The checker takes its
+    unfolding as reversible and certifies (0, 2000) and (0, 2001), though
+    counter 1 never decreases; the reader refuses the file."""
+    net = PetriNet(2, (Action((1, 0), (0, 1)), Action((0, 0), (1, 0))))
+    g = validate_unfolding(net, (0,), [(0,), (1,)], [((1,), 0, (0,)), ((0,), 1, (1,))])
+    assert is_structurally_reversible(g) == (False, None)
+    w = check_witness(net, [(0, 2000), (0, 2001)], g, PumpingParams(state_bound=2, cycle_len=4))
+    assert w.certified
+    with pytest.raises(ValueError) as exc:
+        witness_from_text(net, witness_to_text(w, {}))
+    assert str(exc.value) == "unfolding is not structurally reversible"
 
 
 def test_singleton_unfolding_collects_zero_displacement_loops():
