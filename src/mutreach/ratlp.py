@@ -4,7 +4,11 @@ A small two-phase simplex with Bland's rule, entirely in Fractions.
 Used for maximal circulation supports, which decide every enumerated
 unfolding, and for the circulation Z of one, both posed as f >= 1
 feasibility problems, and for the coefficient bounds of bottom
-lattice-box queries; problems here stay tiny, so clarity wins.
+lattice-box queries.  The rows are mostly zeros, and nearly all the time
+goes to Fraction arithmetic in pivots, so a pivot updates only the pivot
+row's nonzero columns, and only in rows with a nonzero factor: a zero
+stays an exact zero, and every other entry gets the value a full row
+operation gives it.
 
 `solve_standard(A, b)` runs phase 1 once and returns the tableau at a
 feasible vertex of A x = b, x >= 0, or, when there is none, the phase-1
@@ -56,7 +60,9 @@ class _Tableau:
     right-hand side, which at a vertex is the value of the row's basic
     variable.  `minimize` carries its objective as one more row of the same
     layout, [reduced costs | -value], so a pivot is one row operation
-    applied alike to every row.
+    applied alike to every row with a nonzero factor, the objective too.
+    It touches only the pivot row's nonzero columns: on the others it
+    would subtract 0, so every entry there stays as it is, zeros exact.
     """
 
     def __init__(self, rows: list[Row], nvars: int, basis: list[int]):
@@ -68,13 +74,18 @@ class _Tableau:
 
     def _pivot(self, row: int, col: int, objective: Row | None = None):
         """Make `col` basic in `row`, eliminating it from every other row
-        and from `objective`, which is updated in place."""
-        inv = Fraction(1) / self.rows[row][col]
-        pivot = self.rows[row] = [x * inv for x in self.rows[row]]
+        and from `objective`; each row is updated in place, on the pivot
+        row's nonzero columns only."""
+        pivot = self.rows[row]
+        inv = Fraction(1) / pivot[col]
+        nonzero = [(j, x * inv) for j, x in enumerate(pivot) if x]
+        for j, y in nonzero:
+            pivot[j] = y
         for other in self.rows if objective is None else (*self.rows, objective):
             factor = other[col]
             if factor != 0 and other is not pivot:
-                other[:] = [x - factor * y for x, y in zip(other, pivot)]
+                for j, y in nonzero:
+                    other[j] -= factor * y
         self.basis[row] = col
 
     def minimize(self, cost: Sequence) -> Fraction:

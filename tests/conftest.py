@@ -11,7 +11,8 @@ rendered whole and with text rendered line by line, and the reference Hermite no
 rows by rational elimination before any integer column operation, the
 reference witness search enumerates every index set, and the reference
 violation search queries the whole product of one short coordinate per
-consequent; word hurdles are computed right to left over the whole word.
+consequent; word hurdles are computed right to left over the whole word;
+the reference simplex pivot applies its row operation to every column.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from mutreach.presburger import (
     mutual_var_names,
     smt_numeral,
 )
-from mutreach.ratlp import positive_circulation, solve_standard
+from mutreach.ratlp import _Tableau, positive_circulation, solve_standard
 from mutreach.unfolding import (
     EnumLimits,
     EnumStats,
@@ -702,6 +703,33 @@ def simple_cycles(g):
 
 
 # --- LP cross-checks ------------------------------------------------------------
+
+
+def dense_pivot(self, row: int, col: int, objective=None):
+    """Reference for `ratlp._Tableau._pivot`: the full row operation on
+    every column of every row with a nonzero factor, and of `objective`,
+    with the pivot row scaled into a fresh list."""
+    inv = Fraction(1) / self.rows[row][col]
+    pivot = self.rows[row] = [x * inv for x in self.rows[row]]
+    for other in self.rows if objective is None else (*self.rows, objective):
+        factor = other[col]
+        if factor != 0 and other is not pivot:
+            other[:] = [x - factor * y for x, y in zip(other, pivot)]
+    self.basis[row] = col
+
+
+def count_pivots(monkeypatch) -> list:
+    """A list that gets the (row, col) of each `ratlp._Tableau._pivot`
+    call from now on."""
+    calls = []
+    pivot = _Tableau._pivot
+
+    def counting(self, row, col, objective=None):
+        calls.append((row, col))
+        pivot(self, row, col, objective)
+
+    monkeypatch.setattr(_Tableau, "_pivot", counting)
+    return calls
 
 
 def rational_lp_feasible(

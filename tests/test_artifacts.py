@@ -3,7 +3,9 @@
 Digests of `mutreach compile` output for the four fixtures at default
 settings, for mixed3 at state bound 5 (the scaled setting, where many
 unfoldings share one circulation system), and for the benchmark's ring3
-net at default settings (the only net whose bottom lattices have rank 2).  A change that alters
+net at default settings (the only net whose bottom lattices have rank 2),
+and for the mutual text of the 4-counter `two_pairs` fixture at state
+bound 3, the one CI's 4-counter step also checks.  A change that alters
 these bytes on purpose updates the digests here and says why in
 CHANGES.md.  The `.smt2` digests last changed when negative integers
 became `(- n)` terms: SMT-LIB numerals are non-negative, and a strict
@@ -29,6 +31,10 @@ from mutreach.presburger import bottom_from_text, bottom_to_text, mutual_from_te
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RING3 = FIXTURES.parent / "perfbench" / "nets" / "ring3.net"
+
+# the 4-counter fixture's mutual text, the LP-heaviest compile here: its
+# support LPs fail and are cut (about 1.6-1.9 s at state bound 3)
+TWO_PAIRS_MRF = "508b30e0b1f70d449903de515eb798e76cb47c1a87124eb171d794fb3f1319ab"
 
 DIGESTS = {
     "token_swap-mutual.json": "ccbff5fe39c320ad70ac2d0d73f98c60f6c1c79420595cc91352d2062563ab39",
@@ -130,3 +136,13 @@ def test_ring3_artifacts_are_byte_identical(mode, tmp_path, capsys):
     expected = {k: v for k, v in RING3_DIGESTS.items() if k.startswith(f"ring3-{mode}.")}
     assert len(expected) == 3
     assert produced == expected
+
+
+def test_two_pairs_text_artifact_is_byte_identical(tmp_path, capsys):
+    base = tmp_path / "tp"
+    code = main(["compile", str(FIXTURES / "two_pairs.net"), "--state-bound", "3",
+                 "--formats", "text", "--out", str(base)])
+    assert code == 0
+    assert "17760 disjuncts (certified)" in capsys.readouterr().out
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert produced == {"tp.mrf": TWO_PAIRS_MRF}

@@ -12,6 +12,7 @@ from conftest import (
     Or,
     SmtScript,
     bottom_wrapper,
+    count_pivots,
     eval_bottom_by_enumeration,
     eval_formula,
     leibniz_determinant,
@@ -1094,6 +1095,22 @@ def test_rank_two_box_query_runs_one_phase_one(ring3, monkeypatch):
         calls.clear()
         assert lattice_box_feasible(tup.basis, lows, [None] * 3) is expected
         assert len(calls) == 1, lows
+
+
+def test_ring3_bottom_evaluation_takes_a_pinned_pivot_path(ring3, monkeypatch):
+    """eval_bottom of ring3's bottom formula at 50 points drawn as the
+    benchmark's bottom-rank2 workload draws them (seed 1): each coordinate
+    from [m (3 d m)^d + 32, m (3 d m)^d + 288).  Exact arithmetic makes the
+    pivot count repeat, and a change to the pivot kernel must keep it."""
+    f = compile_bottom(ring3, PumpingParams(state_bound=4, cycle_len=4))
+    d, m = ring3.dim, ring3.norm
+    low = m * (3 * d * m) ** d + 32
+    rng = random.Random(1)
+    points = [tuple(rng.randrange(low, low + 256) for _ in range(d)) for _ in range(50)]
+    calls = count_pivots(monkeypatch)
+    for c in points:
+        eval_bottom(f, c)
+    assert len(calls) == 300
 
 
 # --- quantified wrapper -------------------------------------------------------------

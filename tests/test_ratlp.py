@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lp_max_support
+from conftest import dense_pivot, lp_max_support
 from mutreach import ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
@@ -106,18 +106,38 @@ def standard_systems(draw):
     return a, b, c
 
 
+def _pivot_budget(a) -> int:
+    """Pivots that phase 1, driving out and `minimize` may take on A x = b
+    with Bland's rule: phases 1 and 2 each visit at most C(n + m, m)
+    bases, and driving out takes m pivots."""
+    nrows, nvars = len(a), len(a[0])
+    return 2 * comb(nvars + nrows, nrows) + nrows
+
+
+STANDARD_EXAMPLES = [
+    # a repeated row, so one artificial cannot leave and its row is dropped
+    ([[1, 1, 0], [1, 1, 0]], [2, 2], [1, 2, 0]),
+    # infeasible: x0 + x1 = -1 with x >= 0
+    ([[1, 1]], [-1], [0, 0]),
+    # degenerate: b = 0, so every pivot keeps the objective and ties the ratios
+    ([[1, -1, 1, 0], [2, 0, -1, 1], [0, 1, -2, 2]], [0, 0, 0], [1, 0, 2, 1]),
+    # seven columns, past the drawn sizes, and b = 0: a ratio test that broke
+    # ties by row order instead of by the least basic index cycles here
+    ([[-1, 1, -2, 0, 0, 2, -2], [-2, -1, 1, 2, 0, 0, -1], [-1, 1, 1, 1, 0, -1, 2]],
+     [0, 0, 0], [0, 3, 2, 0, 0, 0, 0]),
+]
+
+
+def standard_examples(test):
+    """`test` with each of STANDARD_EXAMPLES as a Hypothesis example."""
+    for system in reversed(STANDARD_EXAMPLES):
+        test = example(system)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(standard_systems())
-# a repeated row, so one artificial cannot leave and its row is dropped
-@example(([[1, 1, 0], [1, 1, 0]], [2, 2], [1, 2, 0]))
-# infeasible: x0 + x1 = -1 with x >= 0
-@example(([[1, 1]], [-1], [0, 0]))
-# degenerate: b = 0, so every pivot keeps the objective and ties the ratios
-@example(([[1, -1, 1, 0], [2, 0, -1, 1], [0, 1, -2, 2]], [0, 0, 0], [1, 0, 2, 1]))
-# seven columns, past the drawn sizes, and b = 0: a ratio test that broke
-# ties by row order instead of by the least basic index cycles here
-@example(([[-1, 1, -2, 0, 0, 2, -2], [-2, -1, 1, 2, 0, 0, -1], [-1, 1, 1, 1, 0, -1, 2]],
-          [0, 0, 0], [0, 3, 2, 0, 0, 0, 0]))
+@standard_examples
 def test_simplex_matches_basis_enumeration(system):
     """Phase 1 is feasible exactly when some basic feasible solution is,
     each vertex the tableau reads is one of them, and `minimize` reaches
@@ -125,9 +145,7 @@ def test_simplex_matches_basis_enumeration(system):
     run of more pivots than there are bases is cycling."""
     a, b, c = system
     vertices = _basic_feasible_solutions(a, b)
-    nrows, nvars = len(a), len(a[0])
-    # phases 1 and 2 each visit at most C(n + m, m) bases; driving out takes m pivots
-    budget = 2 * comb(nvars + nrows, nrows) + nrows
+    budget = _pivot_budget(a)
     pivot = ratlp._Tableau._pivot
 
     def counted(self, *args):
@@ -147,6 +165,40 @@ def test_simplex_matches_basis_enumeration(system):
     assert value == min(_dot(c, x) for x in vertices)
     x = tab.solution()
     assert x in vertices and _dot(c, x) == value
+
+
+def _pivot_trace(kernel, system) -> list:
+    """Phase 1 and then `minimize` with `kernel` as `_Tableau._pivot`: for
+    each pivot, its (row, col), every row after it and the objective row
+    it updated, if any."""
+    a, b, c = system
+    trace, budget = [], _pivot_budget(a)
+
+    def recording(self, row, col, objective=None):
+        assert len(trace) < budget, "the simplex is cycling"
+        kernel(self, row, col, objective)
+        after = None if objective is None else list(objective)
+        trace.append(((row, col), [list(r) for r in self.rows], after))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlp._Tableau, "_pivot", recording)
+        tab = solve_standard(a, b)
+        if not tab.infeasible:
+            tab.minimize(c)
+    return trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_systems())
+@standard_examples
+def test_sparse_pivot_matches_the_dense_row_operation(system):
+    """The pivot that updates only the pivot row's nonzero columns takes
+    the same pivots as the full row operation, and leaves every row, the
+    objective included, equal entry for entry after each one."""
+    sparse = _pivot_trace(ratlp._Tableau._pivot, system)
+    dense = _pivot_trace(dense_pivot, system)
+    assert [step for step, *_ in sparse] == [step for step, *_ in dense]
+    assert sparse == dense
 
 
 def test_empty_system_supports_every_index():

@@ -8,6 +8,7 @@ from conftest import (
     REPO,
     candidate_unfoldings,
     collect_unfoldings,
+    count_pivots,
     definitional_reversible,
     reaches_everything,
     reference_circulation_rows,
@@ -692,7 +693,8 @@ def test_two_pairs_supports_take_one_lp_per_cut(monkeypatch):
     """TWO_PAIRS' 15 proper index sets at state bound 3, with one memo:
     891 support questions leave 411 distinct unbalanced presolved systems.
     The all-column LP of each fails, and its Farkas cut leaves a balanced
-    system, so each takes one LP; one LP per uncovered column took 3 630."""
+    system, so each takes one LP; one LP per uncovered column took 3 630.
+    The 411 LPs take 1 649 pivots, which exact arithmetic repeats."""
     calls = []
     solve = ratlp.solve_standard
 
@@ -701,6 +703,7 @@ def test_two_pairs_supports_take_one_lp_per_cut(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(ratlp, "solve_standard", counting)
+    pivots = count_pivots(monkeypatch)
     digest, count, solved = hashlib.sha256(), 0, {}
     for index_set in index_sets(TWO_PAIRS.dim)[:-1]:
         for g in enumerate_unfoldings(TWO_PAIRS, index_set, 3, solved=solved):
@@ -709,6 +712,7 @@ def test_two_pairs_supports_take_one_lp_per_cut(monkeypatch):
     assert count == 1829
     assert digest.hexdigest() == "fa21efd6670a7c28dfdf5812d293c90215b9e792bb60d29de611d6c1f6109ff8"
     assert len(calls) == len(solved) == 411
+    assert len(pivots) == 1649
 
 
 def test_equal_incidence_with_different_displacements_is_solved_apart():
