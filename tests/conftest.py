@@ -718,15 +718,23 @@ def dense_pivot(self, row: int, col: int, objective=None):
     self.basis[row] = col
 
 
-def count_pivots(monkeypatch) -> list:
+def count_pivots(monkeypatch, budget=None, snapshot=False) -> list:
     """A list that gets the (row, col) of each `ratlp._Tableau._pivot`
-    call from now on."""
+    call from now on.  With `snapshot`, each entry is instead the (row,
+    col), every row after the pivot and the objective row it updated, if
+    any.  Bland's rule visits no basis twice, so with a `budget` (the
+    bases there are) a call past it fails as cycling."""
     calls = []
     pivot = _Tableau._pivot
 
     def counting(self, row, col, objective=None):
-        calls.append((row, col))
+        assert budget is None or len(calls) < budget, "the simplex is cycling"
         pivot(self, row, col, objective)
+        if snapshot:
+            after = None if objective is None else list(objective)
+            calls.append(((row, col), [list(r) for r in self.rows], after))
+        else:
+            calls.append((row, col))
 
     monkeypatch.setattr(_Tableau, "_pivot", counting)
     return calls

@@ -83,8 +83,3 @@ def test_only_a_median_worse_by_more_than_its_bound_is_named(better, change, wor
     assert summary["worse_than_bound"] == worse
     assert summary["quartiles"]["m"] == {"parent": [1.0, 1.0], "change": [change, change]}
 
-
-def test_seed_lists():
-    assert paired_bench._seeds("1-10") == list(range(1, 11))
-    assert paired_bench._seeds("2,5") == [2, 5]
-    assert paired_bench._seeds("7") == [7]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_pivot, lp_max_support
+from conftest import count_pivots, dense_pivot, lp_max_support
 from mutreach import ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
@@ -145,17 +145,8 @@ def test_simplex_matches_basis_enumeration(system):
     run of more pivots than there are bases is cycling."""
     a, b, c = system
     vertices = _basic_feasible_solutions(a, b)
-    budget = _pivot_budget(a)
-    pivot = ratlp._Tableau._pivot
-
-    def counted(self, *args):
-        nonlocal budget
-        budget -= 1
-        assert budget >= 0, "the simplex is cycling"
-        pivot(self, *args)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratlp._Tableau, "_pivot", counted)
+        count_pivots(mp, _pivot_budget(a))
         tab = solve_standard(a, b)
         assert tab.infeasible == (not vertices)
         if tab.infeasible:
@@ -172,16 +163,9 @@ def _pivot_trace(kernel, system) -> list:
     each pivot, its (row, col), every row after it and the objective row
     it updated, if any."""
     a, b, c = system
-    trace, budget = [], _pivot_budget(a)
-
-    def recording(self, row, col, objective=None):
-        assert len(trace) < budget, "the simplex is cycling"
-        kernel(self, row, col, objective)
-        after = None if objective is None else list(objective)
-        trace.append(((row, col), [list(r) for r in self.rows], after))
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratlp._Tableau, "_pivot", recording)
+        mp.setattr(ratlp._Tableau, "_pivot", kernel)
+        trace = count_pivots(mp, _pivot_budget(a), snapshot=True)
         tab = solve_standard(a, b)
         if not tab.infeasible:
             tab.minimize(c)

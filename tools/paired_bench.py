@@ -1,15 +1,18 @@
 """Paired benchmark runs: a parent revision against the working tree.
 
-    python3 tools/paired_bench.py --parent HEAD --seeds 1-10 --out BENCH_n.json \\
-        --change "what the change does" [--workload bottom-rank2 ...] [--seconds 15]
+    python3 tools/paired_bench.py --parent <base commit> --out BENCH_n.json \\
+        --change "what the change does"
 
 Both trees are exported with `git archive`: the parent revision as
 committed, and the working tree through a temporary index, so files
 that are new but not ignored are part of it and the real index is left
-alone.  Each run extracts its tree into a fresh directory and runs that
-tree's own, unmodified `perfbench/run.py --trace 0` there with
-PYTHONDONTWRITEBYTECODE=1, so no run reads or writes a bytecode cache.
-The change runs first on odd seeds and the parent on even seeds.
+alone.  A parent with the working tree's own files is refused: there
+would be nothing to compare.  Every workload in BENCHMARK.json runs on
+seeds 1-10 for BENCHMARK.json's `run_seconds`.  Each run extracts its
+tree into a fresh directory and runs that tree's own, unmodified
+`perfbench/run.py --trace 0` there with PYTHONDONTWRITEBYTECODE=1, so no
+run reads or writes a bytecode cache.  The change runs first on odd
+seeds and the parent on even seeds.
 
 The JSON written holds every run and, per workload, each side's median
 and quartiles (statistics.quantiles(n=4, method='inclusive'), first and
@@ -36,17 +39,25 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = range(1, 11)
 
 
-def export(rev: str | None, dest: Path) -> Path:
-    """A tar of `rev`, or of the working tree when `rev` is None."""
-    env = None
-    if rev is None:
-        env = {**os.environ, "GIT_INDEX_FILE": str(dest.with_suffix(".index"))}
-        subprocess.run(["git", "add", "-A"], cwd=REPO, env=env, check=True)
-        rev = subprocess.run(["git", "write-tree"], cwd=REPO, env=env, check=True,
-                             capture_output=True, text=True).stdout.strip()
-    subprocess.run(["git", "archive", "--format=tar", "-o", str(dest), rev], cwd=REPO, check=True)
+def git(*args: str, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=REPO, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def working_tree(index: Path) -> str:
+    """The working tree's tree id, written through the temporary index
+    `index`."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
+
+
+def export(tree: str, dest: Path) -> Path:
+    """A tar of `tree`."""
+    git("archive", "--format=tar", "-o", str(dest), tree)
     return dest
 
 
@@ -119,29 +130,15 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(q1, 4), round(q3, 4)]
 
 
-def _seeds(text: str) -> list[int]:
-    """"1-10" or "1,3,5"."""
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD", help="revision to compare against")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run, repeatable (default: every one in BENCHMARK.json)")
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-10"))
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
+    parser.add_argument("--parent", required=True, help="revision to compare against")
     parser.add_argument("--change", default="", help="one line on what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     bench = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
-    parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=REPO, check=True,
-                            capture_output=True, text=True).stdout.strip()
+    seconds = bench["run_seconds"]
+    parent = git("rev-parse", "--short", args.parent)
     report = {
         "change": args.change,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds:g} --trace 0, "
@@ -157,11 +154,14 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
         workdir = Path(tmp)
-        tars = {"parent": export(args.parent, workdir / "parent.tar"),
-                "change": export(None, workdir / "change.tar")}
-        for workload in workloads:
+        trees = {"parent": git("rev-parse", f"{args.parent}^{{tree}}"),
+                 "change": working_tree(workdir / "change.index")}
+        if trees["parent"] == trees["change"]:
+            parser.error(f"{args.parent} has the working tree's own files: nothing to compare")
+        tars = {side: export(tree, workdir / f"{side}.tar") for side, tree in trees.items()}
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
-            for seed in args.seeds:
+            for seed in SEEDS:
                 first = "change" if seed % 2 else "parent"
                 order = (first, *[s for s in SIDES if s != first])
                 results = {side: run_once(tars[side], workload, seed, seconds, workdir) for side in order}
