@@ -22,7 +22,6 @@ from .net import PetriNet
 from .ratlp import max_positive_support, solve_standard
 from .unfolding import (
     EnumLimits,
-    EnumStats,
     Unfolding,
     edge_shape,
     elementary_path,
@@ -102,10 +101,10 @@ def _compiled_unfoldings(
     truncated, certified = False, True
     for index_set in index_sets(net.dim):
         parts: dict[tuple, _Parts] = {}  # edge shape -> parts over this index set
-        stats = EnumStats()  # `max_unfoldings` caps each index set alone
-        for g in enumerate_unfoldings(
-            net, index_set, params.state_bound, limits, stats, forward_closed, solved
-        ):
+        # the cap lives here, per index set: take `max_unfoldings`, then look ahead once
+        walk = enumerate_unfoldings(net, index_set, params.state_bound, limits,
+                                    forward_closed, solved)
+        for g in itertools.islice(walk, limits.max_unfoldings):
             key = edge_shape(g)
             if key not in parts and g.full_index:
                 paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
@@ -125,7 +124,7 @@ def _compiled_unfoldings(
                 parts[key] = _Parts(rep, tuple(tuple(e.vector for e in r) for r in rows), paths)
                 certified = certified and params.certified_for(net, g)
             out.append((g, parts[key]))
-        truncated = truncated or stats.truncated
+        truncated = truncated or next(walk, None) is not None
     return out, certified, not truncated
 
 
@@ -585,17 +584,11 @@ def _basis_of(generators: Sequence[Vec], d: int) -> list[Vec]:
 
 
 def lattice_basis(rep: LatticeRepresentation) -> list[Vec]:
-    """Integer basis of the represented lattice, via the kernel of the
-    constraint system with one auxiliary column per divisibility pair."""
+    """Integer basis of the represented lattice: the kernel of a_i . x = n_i k_i,
+    one auxiliary column per pair, projected to x.  A pair with n = 0 has a
+    zero column, whose kernel direction projects to 0."""
     d = rep.dim
-    div_pairs = [(n, a) for n, a in rep.pairs if n > 0]
-    eq_pairs = [(n, a) for n, a in rep.pairs if n == 0]
-    aux = len(div_pairs)
-    rows = []
-    for _, a in eq_pairs:
-        rows.append(list(a) + [0] * aux)
-    for j, (n, a) in enumerate(div_pairs):
-        rows.append(list(a) + [-n if jj == j else 0 for jj in range(aux)])
+    rows = [list(a) + [-n if j == i else 0 for j in range(d)] for i, (n, a) in enumerate(rep.pairs)]
     return _basis_of([tuple(v[:d]) for v in kernel_basis(rows)], d)
 
 

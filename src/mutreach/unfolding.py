@@ -430,17 +430,6 @@ class EnumLimits(Record):
         self.max_unfoldings = max_unfoldings
 
 
-class EnumStats(Record):
-    """Counts that `enumerate_unfoldings` updates as it runs."""
-
-    __slots__ = _fields = ("emitted", "truncated")
-    __hash__ = None  # mutable
-
-    def __init__(self, emitted: int = 0, truncated: bool = False):
-        self.emitted = emitted
-        self.truncated = truncated
-
-
 def index_sets(dim: int) -> list[tuple[int, ...]]:
     """Every coordinate subset, by size and then lexicographically."""
     return [ix for size in range(dim + 1) for ix in itertools.combinations(range(dim), size)]
@@ -478,11 +467,15 @@ def enumerate_unfoldings(
     index_set: Sequence[int],
     state_bound: int,
     limits: EnumLimits | None = None,
-    stats: EnumStats | None = None,
     forward_closed: bool = False,
     solved: dict | None = None,
 ) -> Iterator[Unfolding]:
     """Structurally-reversible unfoldings over states of norm < state_bound.
+
+    Every qualifying unfolding of the index set is yielded, in canonical
+    order, and `limits.max_states` bounds each state set.  The walk takes
+    no count cap: a caller takes at most `limits.max_unfoldings` of it and
+    reads truncation from one more `next`.
 
     Each qualifying state set yields its unique maximal reversible
     transition set, which subsumes all smaller ones for formula purposes:
@@ -500,7 +493,6 @@ def enumerate_unfoldings(
     carries as its `edge_shape`.
     """
     limits = limits or EnumLimits()
-    stats = stats if stats is not None else EnumStats()
     index_set = tuple(sorted(index_set))
     if state_bound < 1:
         raise UnfoldingError("state bound must be >= 1")
@@ -607,12 +599,8 @@ def enumerate_unfoldings(
         kept_shape = kept[key]
         if kept_shape is None:
             continue
-        if stats.emitted >= limits.max_unfoldings:
-            stats.truncated = True
-            return
         states = tuple(all_states[i] for i in subset)
         g = Unfolding(net, index_set, states,
                       tuple((states[k], a, states[m]) for k, a, m in kept_shape))
         g._cache["shape"] = kept_shape
         yield g
-        stats.emitted += 1

@@ -11,6 +11,7 @@ words.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .lattice import lattice_contains
@@ -18,7 +19,6 @@ from .net import Blocked, PetriNet, fire
 from .steinitz import prefix_safe_reorder, prune_zero_subsequences
 from .unfolding import (
     EnumLimits,
-    EnumStats,
     Unfolding,
     UnfoldingError,
     UnfoldingPath,
@@ -385,8 +385,8 @@ def search_witness(
     exact thresholds, which they never do at desk scale, so callers
     should cross-check with the reachability oracle.  `not-found-budget`
     means `budget` unfoldings were examined and another one was left;
-    `not-found-truncated` means the enumeration stopped at
-    `limits.max_unfoldings` for some index set that was not skipped.
+    `not-found-truncated` means the search took `limits.max_unfoldings`
+    of some index set that was not skipped and another one was left.
     """
     x, y = vec(x), vec(y)
     for c in (x, y):
@@ -406,8 +406,8 @@ def search_witness(
     for index_set in index_sets(net.dim):
         if any(i not in (fits if i in index_set else pumps) for i in range(net.dim)):
             continue
-        stats = EnumStats()
-        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+        walk = enumerate_unfoldings(net, index_set, params.state_bound, limits)
+        for g in islice(walk, limits.max_unfoldings):
             if examined >= budget:
                 return SearchResult("not-found-budget", examined=examined)
             examined += 1
@@ -419,7 +419,7 @@ def search_witness(
             except WitnessRejected:
                 continue
             return SearchResult("found", w, examined=examined)
-        truncated = truncated or stats.truncated
+        truncated = truncated or next(walk, None) is not None
     return SearchResult(
         "not-found-truncated" if truncated else "not-found-exhausted", examined=examined
     )

@@ -47,7 +47,6 @@ from mutreach.presburger import (
 from mutreach.ratlp import _Tableau, positive_circulation, solve_standard
 from mutreach.unfolding import (
     EnumLimits,
-    EnumStats,
     State,
     Unfolding,
     elementary_path,
@@ -625,10 +624,12 @@ def reference_circulation_rows(net, states, edges) -> list[list[int]]:
     return rows
 
 
-def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forward_closed=False):
+def reference_unfoldings(net, index_set, state_bound: int, limits, forward_closed=False):
     """The enumerator's loop without its shortcuts: each state set's edges
     come from a full edge scan, and every circulation system is solved
-    afresh, with strong connectivity rechecked after every support LP."""
+    afresh, with strong connectivity rechecked after every support LP.
+    Like the enumerator it yields every unfolding; `limits` bounds only
+    the size of a state set."""
     from mutreach.ratlp import max_positive_support
     from mutreach.unfolding import Unfolding, i_fires
 
@@ -648,11 +649,7 @@ def reference_unfoldings(net, index_set, state_bound: int, limits, stats, forwar
             edges = [edges[j] for j in max_positive_support(rows, len(edges))]
             if not reaches_everything(states, edges):
                 continue
-        if stats.emitted >= limits.max_unfoldings:
-            stats.truncated = True
-            return
         yield Unfolding(net, index_set, states, tuple(edges))
-        stats.emitted += 1
 
 
 def candidate_unfoldings(
@@ -921,15 +918,21 @@ def eval_bottom_by_enumeration(f, c, radius: int) -> bool | None:
 # --- listing and drawing unfoldings --------------------------------------------------
 
 
+def take(walk, cap: int) -> tuple[list, bool]:
+    """At most `cap` items of a walk, and whether another one was left."""
+    return list(itertools.islice(walk, cap)), next(walk, None) is not None
+
+
 def collect_unfoldings(
     net: PetriNet,
     index_set: Sequence[int],
     state_bound: int,
     limits: EnumLimits | None = None,
-) -> tuple[list[Unfolding], EnumStats]:
-    stats = EnumStats()
-    gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, stats))
-    return gs, stats
+) -> tuple[list[Unfolding], bool]:
+    """The unfoldings the passes take under `limits`, and whether the
+    cap cut the walk."""
+    limits = limits or EnumLimits()
+    return take(enumerate_unfoldings(net, index_set, state_bound, limits), limits.max_unfoldings)
 
 
 def unfolding_to_dot(g: Unfolding, name: str = "unfolding") -> str:
@@ -965,8 +968,9 @@ def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
     seen = set()
     certified = complete = True
     for index_set in index_sets(net.dim):
-        stats = EnumStats()
-        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+        gs, truncated = take(enumerate_unfoldings(net, index_set, params.state_bound, limits),
+                             limits.max_unfoldings)
+        for g in gs:
             certified = certified and params.certified_for(net, g)
             rep = lattice_of_unfolding(g)
             bases = {}
@@ -982,7 +986,7 @@ def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
                             if key not in seen:
                                 seen.add(key)
                                 disjuncts.append(Disjunct(*key))
-        complete = complete and not stats.truncated
+        complete = complete and not truncated
     return MutualFormula(
         dim=net.dim,
         disjuncts=tuple(disjuncts),
@@ -1000,10 +1004,11 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
     tuples = []
     certified = complete = True
     for index_set in index_sets(net.dim):
-        stats = EnumStats()
-        for g in enumerate_unfoldings(
-            net, index_set, params.state_bound, limits, stats, forward_closed=True
-        ):
+        gs, truncated = take(
+            enumerate_unfoldings(net, index_set, params.state_bound, limits, forward_closed=True),
+            limits.max_unfoldings,
+        )
+        for g in gs:
             certified = certified and params.certified_for(net, g)
             rep = lattice_of_unfolding(g)
             bases = {}
@@ -1031,7 +1036,7 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
                     membership=tuple(m.vector for m in bases[r].elements),
                     implications=tuple(implications),
                 ))
-        complete = complete and not stats.truncated
+        complete = complete and not truncated
     return BottomFormula(
         dim=net.dim,
         tuples=tuple(tuples),
@@ -1061,8 +1066,9 @@ def reference_search_witness(
     examined = 0
     truncated = False
     for index_set in index_sets(net.dim):
-        stats = EnumStats()
-        for g in enumerate_unfoldings(net, index_set, params.state_bound, limits, stats):
+        gs, cut = take(enumerate_unfoldings(net, index_set, params.state_bound, limits),
+                       limits.max_unfoldings)
+        for g in gs:
             if examined >= budget:
                 return SearchResult("not-found-budget", examined=examined)
             examined += 1
@@ -1074,7 +1080,7 @@ def reference_search_witness(
             except WitnessRejected:
                 continue
             return SearchResult("found", w, examined=examined)
-        truncated = truncated or stats.truncated
+        truncated = truncated or cut
     return SearchResult(
         "not-found-truncated" if truncated else "not-found-exhausted", examined=examined
     )

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from conftest import (
     reference_mutual_smtlib,
     reference_mutual_text,
     reference_violation_exists,
+    take,
     to_sexpr,
     to_smtlib,
     violation_by_enumeration,
@@ -317,15 +319,25 @@ def test_enumerator_hands_over_the_kept_edge_shape(fixture_nets, ring3):
                     if len(enabled) > len(g.transitions):
                         cut.add(name)
     assert cut == {"consumer", "mixed3", "ring3"}
-    stats = unfolding.EnumStats()
-    limits = unfolding.EnumLimits(max_unfoldings=7)
-    kept = list(enumerate_unfoldings(nets["mixed3"], (0, 1, 2), 5, limits, stats))
-    assert stats.truncated and len(kept) == 7
+    kept, truncated = take(enumerate_unfoldings(nets["mixed3"], (0, 1, 2), 5), 7)
+    assert truncated and len(kept) == 7
     assert all(map(handed_over, kept))
     for g in kept:
         rebuilt = unfolding.Unfolding(g.net, g.index_set, g.states, g.transitions)
         assert "shape" not in rebuilt._cache
         assert unfolding.edge_shape(rebuilt) == _shape(g)[1]
+
+
+def test_compile_cap_boundary_is_per_index_set(token_swap):
+    """token_swap's largest index set has 30 unfoldings at state bound 4.
+    A cap of 30 takes all of them and writes the default `.mrf`; a cap of
+    29 leaves one, so the compile is incomplete and one disjunct short."""
+    f = compile_mutual(token_swap, PARAMS, unfolding.EnumLimits(max_unfoldings=30))
+    digest = hashlib.sha256(mutual_to_text(f).encode()).hexdigest()
+    assert (f.complete, len(f.disjuncts)) == (True, 213)
+    assert digest == "ba51f74b34dbe49de8ca4143fecff95ada7271a5a281723e46d699c71cb05879"
+    f = compile_mutual(token_swap, PARAMS, unfolding.EnumLimits(max_unfoldings=29))
+    assert (f.complete, len(f.disjuncts)) == (False, 212)
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,11 @@ are checked against ground truth, not only the states under the bound.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_unfoldings
+from conftest import reference_unfoldings, take
 from mutreach.net import Action, PetriNet, fire
 from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import compile_bottom, compile_mutual, eval_bottom, eval_mutual
-from mutreach.unfolding import EnumLimits, EnumStats, enumerate_unfoldings, index_sets
+from mutreach.unfolding import EnumLimits, enumerate_unfoldings, index_sets
 from mutreach.witness import PumpingParams, search_witness, synthesize_path
 
 _ENTRY = st.integers(0, 2)
@@ -66,10 +66,6 @@ def test_bottom_enumerator_matches_the_reference_on_random_nets(net):
     component's full edge set afresh."""
     limits, solved = EnumLimits(), {}
     for index_set in index_sets(net.dim):
-        stats, expected_stats = EnumStats(), EnumStats()
-        found = enumerate_unfoldings(net, index_set, 3, limits, stats, True, solved)
-        expected = reference_unfoldings(net, index_set, 3, limits, expected_stats, True)
-        assert [(g.states, g.transitions) for g in found] == [
-            (g.states, g.transitions) for g in expected
-        ], index_set
-        assert stats == expected_stats, index_set
+        found = enumerate_unfoldings(net, index_set, 3, limits, True, solved)
+        expected = reference_unfoldings(net, index_set, 3, limits, True)
+        assert take(found, limits.max_unfoldings) == take(expected, limits.max_unfoldings), index_set

@@ -14,6 +14,7 @@ from conftest import (
     reference_circulation_rows,
     reference_unfoldings,
     simple_cycles,
+    take,
     unfolding_to_dot,
     reach_components,
     walked_state_sets,
@@ -24,7 +25,6 @@ from mutreach.net import Action, PetriNet, load_net
 from mutreach.ratlp import max_positive_support
 from mutreach.unfolding import (
     EnumLimits,
-    EnumStats,
     Unfolding,
     UnfoldingError,
     UnfoldingPath,
@@ -375,14 +375,14 @@ def test_elementary_path_is_elementary(token_swap):
 
 
 def test_enumeration_deterministic_and_unique(token_swap):
-    gs1, stats1 = collect_unfoldings(token_swap, (0, 1), 3)
+    gs1, truncated = collect_unfoldings(token_swap, (0, 1), 3)
     gs2, _ = collect_unfoldings(token_swap, (0, 1), 3)
     assert [(g.states, g.transitions) for g in gs1] == [
         (g.states, g.transitions) for g in gs2
     ]
     keys = [(g.states, g.transitions) for g in gs1]
     assert len(keys) == len(set(keys))
-    assert not stats1.truncated
+    assert not truncated
     level2 = unfolding_from_sccc(token_swap, [(2, 0), (1, 1), (0, 2)], (0, 1))
     assert (level2.states, level2.transitions) in keys
 
@@ -403,20 +403,20 @@ def test_enumeration_b1_single_state(consumer):
 
 def test_enumeration_truncation_flag(mixed3):
     limits = EnumLimits(max_states=4, max_unfoldings=3)
-    gs, stats = collect_unfoldings(mixed3, (0, 1), 4, limits)
-    assert stats.truncated and len(gs) == 3
+    gs, truncated = collect_unfoldings(mixed3, (0, 1), 4, limits)
+    assert truncated and len(gs) == 3
 
 
 def test_enumeration_truncation_flag_at_exact_limit(consumer, mixed3):
     """A limit equal to the count truncates nothing; one below it does."""
-    gs, stats = collect_unfoldings(consumer, (0,), 1, EnumLimits(max_unfoldings=1))
-    assert len(gs) == 1 and not stats.truncated
+    gs, truncated = collect_unfoldings(consumer, (0,), 1, EnumLimits(max_unfoldings=1))
+    assert len(gs) == 1 and not truncated
     full, _ = collect_unfoldings(mixed3, (0, 1), 4, EnumLimits(max_states=4))
     n = len(full)
     for limit, truncated in ((n, False), (n - 1, True)):
-        gs, stats = collect_unfoldings(mixed3, (0, 1), 4, EnumLimits(max_states=4, max_unfoldings=limit))
+        gs, cut = collect_unfoldings(mixed3, (0, 1), 4, EnumLimits(max_states=4, max_unfoldings=limit))
         assert [g.states for g in gs] == [g.states for g in full[:limit]]
-        assert stats.truncated == truncated
+        assert cut == truncated
 
 
 def test_transition_subset_enumeration(token_swap):
@@ -477,21 +477,15 @@ def test_enumeration_matches_unshortcut_reference(fixture_nets, name, forward_cl
                                                   max_unfoldings):
     """Walking only inside strongly connected components, solving each
     circulation system once and building edge lists per state yield the
-    same unfoldings, in the same order, with the same stats as a full walk
+    same unfoldings, in the same order, cut at the same cap, as a full walk
     with a full edge scan that solves every system afresh."""
     net = {"ring3": RING3, "two_pairs": TWO_PAIRS}.get(name) or fixture_nets[name]
     bound = 2 if name == "two_pairs" else 4
     limits = EnumLimits(max_unfoldings=max_unfoldings)
     for index_set in index_sets(net.dim):
-        stats, expected_stats = EnumStats(), EnumStats()
-        found = enumerate_unfoldings(net, index_set, bound, limits, stats, forward_closed)
-        expected = reference_unfoldings(
-            net, index_set, bound, limits, expected_stats, forward_closed
-        )
-        assert [(g.states, g.transitions) for g in found] == [
-            (g.states, g.transitions) for g in expected
-        ], index_set
-        assert stats == expected_stats, index_set
+        found = enumerate_unfoldings(net, index_set, bound, limits, forward_closed)
+        expected = reference_unfoldings(net, index_set, bound, limits, forward_closed)
+        assert take(found, max_unfoldings) == take(expected, max_unfoldings), index_set
 
 
 @settings(max_examples=200, deadline=None)
@@ -641,29 +635,18 @@ _SMALL_NETS = st.integers(1, 3).flatmap(
 def test_forward_closed_matches_reference_on_random_nets(net, bound, max_states, max_unfoldings):
     limits = EnumLimits(max_states=max_states, max_unfoldings=max_unfoldings)
     for index_set in index_sets(net.dim):
-        stats, expected_stats = EnumStats(), EnumStats()
-        found = enumerate_unfoldings(net, index_set, bound, limits, stats, forward_closed=True)
-        expected = reference_unfoldings(
-            net, index_set, bound, limits, expected_stats, forward_closed=True
-        )
-        assert [(g.states, g.transitions) for g in found] == [
-            (g.states, g.transitions) for g in expected
-        ], index_set
-        assert stats == expected_stats, index_set
+        found = enumerate_unfoldings(net, index_set, bound, limits, forward_closed=True)
+        expected = reference_unfoldings(net, index_set, bound, limits, forward_closed=True)
+        assert take(found, max_unfoldings) == take(expected, max_unfoldings), index_set
 
 
 @pytest.mark.parametrize("forward_closed", [False, True])
 def test_enumeration_matches_reference_when_truncated(mixed3, forward_closed):
     limits = EnumLimits(max_states=4, max_unfoldings=2)
-    stats, expected_stats = EnumStats(), EnumStats()
-    found = list(enumerate_unfoldings(mixed3, (0, 1, 2), 4, limits, stats, forward_closed))
-    expected = list(
-        reference_unfoldings(mixed3, (0, 1, 2), 4, limits, expected_stats, forward_closed)
-    )
-    assert [(g.states, g.transitions) for g in found] == [
-        (g.states, g.transitions) for g in expected
-    ]
-    assert stats == expected_stats == EnumStats(emitted=2, truncated=True)
+    found, truncated = take(enumerate_unfoldings(mixed3, (0, 1, 2), 4, limits, forward_closed), 2)
+    expected = take(reference_unfoldings(mixed3, (0, 1, 2), 4, limits, forward_closed), 2)
+    assert (found, truncated) == expected
+    assert (len(found), truncated) == (2, True)
 
 
 def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
@@ -728,7 +711,7 @@ def test_equal_incidence_with_different_displacements_is_solved_apart():
         ),
     )
     found = [(g.states, g.transitions) for g in enumerate_unfoldings(net, (0, 1), 2)]
-    expected = reference_unfoldings(net, (0, 1), 2, EnumLimits(), EnumStats())
+    expected = reference_unfoldings(net, (0, 1), 2, EnumLimits())
     assert found == [(g.states, g.transitions) for g in expected]
     vertical = (((0, 0), (0, 1)), (((0, 0), 2, (0, 1)), ((0, 1), 3, (0, 0))))
     assert vertical in found

@@ -18,7 +18,6 @@ from mutreach.net import Action, PetriNet, fire
 from mutreach.presburger import BottomFormula, BottomTuple, eval_bottom
 from mutreach.unfolding import (
     EnumLimits,
-    EnumStats,
     enumerate_unfoldings,
     index_sets,
     is_structurally_reversible,
@@ -210,6 +209,22 @@ def test_search_truncated_status(token_swap):
     assert (res.status, res.examined) == ("not-found-truncated", 1)
 
 
+def test_search_cap_boundary_is_per_index_set(ring):
+    """ring's pair (0,2)/(2,0) is found at the fourth unfolding of its one
+    walked index set: a cap of 4 reaches it, a cap of 3 stops one short and
+    says the walk was cut.  The non-mutual (0,2)/(0,3) walks all 21 of that
+    set, so a cap of exactly 21 cuts nothing."""
+    params = PumpingParams(state_bound=4, cycle_len=4)
+
+    def search(x, y, cap):
+        res = search_witness(ring, x, y, params, limits=EnumLimits(max_unfoldings=cap))
+        return res.status, res.examined
+
+    assert search((0, 2), (2, 0), 4) == ("found", 4)
+    assert search((0, 2), (2, 0), 3) == ("not-found-truncated", 3)
+    assert search((0, 2), (0, 3), 21) == ("not-found-exhausted", 21)
+
+
 @pytest.mark.parametrize("x, y", [((2, 0, 5), (0, 2, 5)), ((-1, 0), (0, -1)), ((2,), (0,))])
 def test_search_rejects_non_configurations(token_swap, x, y):
     with pytest.raises(WitnessRejected) as exc:
@@ -258,18 +273,12 @@ def enumerate_once(monkeypatch):
     alike; the enumerator is deterministic, so both see the same unfoldings."""
     memo = {}
 
-    def enumerate_memo(net, index_set, state_bound, limits=None, stats=None,
-                       forward_closed=False):
+    def enumerate_memo(net, index_set, state_bound, limits=None, forward_closed=False):
         key = (net, tuple(index_set), state_bound, repr(limits), forward_closed)
         if key not in memo:
-            done = EnumStats()
-            gs = list(enumerate_unfoldings(net, index_set, state_bound, limits, done,
-                                           forward_closed))
-            memo[key] = gs, done
-        gs, done = memo[key]
-        yield from gs
-        if stats is not None:
-            stats.emitted, stats.truncated = done.emitted, done.truncated
+            memo[key] = list(enumerate_unfoldings(net, index_set, state_bound, limits,
+                                                  forward_closed))
+        yield from memo[key]
 
     monkeypatch.setattr(witness, "enumerate_unfoldings", enumerate_memo)
     monkeypatch.setattr(conftest, "enumerate_unfoldings", enumerate_memo)
@@ -312,8 +321,8 @@ def test_off_floor_bounds_every_basis_entry(fixture_nets, ring3):
     for net in (*fixture_nets.values(), ring3):
         for index_set in index_sets(net.dim):
             off = [i for i in range(net.dim) if i not in index_set]
-            gs, stats = collect_unfoldings(net, index_set, 3)
-            assert not stats.truncated
+            gs, truncated = collect_unfoldings(net, index_set, 3)
+            assert not truncated
             for cycle_len in range(5):
                 for threshold in (None, 0, 2, 5):
                     params = PumpingParams(3, cycle_len, threshold)
