@@ -5,10 +5,12 @@ Used for maximal circulation supports, which decide every enumerated
 unfolding, and for the circulation Z of one, both posed as f >= 1
 feasibility problems, and for the coefficient bounds of bottom
 lattice-box queries.  The rows are mostly zeros, and nearly all the time
-goes to Fraction arithmetic in pivots, so a pivot updates only the pivot
-row's nonzero columns, and only in rows with a nonzero factor: a zero
-stays an exact zero, and every other entry gets the value a full row
-operation gives it.
+goes to Fraction arithmetic, so a pivot updates only the pivot row's
+nonzero columns, and only in rows with a nonzero factor, and the
+objective set-up prices out each basic row with a nonzero cost on that
+row's nonzero columns only: on the others it would subtract 0, so a
+zero stays an exact zero, and every other entry gets the value a full
+row operation gives it.
 
 `solve_standard(A, b)` runs phase 1 once and returns the tableau at a
 feasible vertex of A x = b, x >= 0, or, when there is none, the phase-1
@@ -61,8 +63,9 @@ class _Tableau:
     variable.  `minimize` carries its objective as one more row of the same
     layout, [reduced costs | -value], so a pivot is one row operation
     applied alike to every row with a nonzero factor, the objective too.
-    It touches only the pivot row's nonzero columns: on the others it
-    would subtract 0, so every entry there stays as it is, zeros exact.
+    It touches only the pivot row's nonzero columns, and pricing out the
+    basis touches only each basic row's: on the others they would
+    subtract 0, so every entry there stays as it is, zeros exact.
     """
 
     def __init__(self, rows: list[Row], nvars: int, basis: list[int]):
@@ -91,12 +94,19 @@ class _Tableau:
     def minimize(self, cost: Sequence) -> Fraction:
         """Run simplex with Bland's rule from the current basis; the cost
         must be bounded below on the feasible region.  The final objective
-        row, every reduced cost >= 0, stays on the tableau as `objective`."""
+        row, every reduced cost >= 0, stays on the tableau as `objective`.
+
+        The set-up prices out the basis in a fresh row, so `cost` is left
+        as given: each basic row with a nonzero cost factor is subtracted
+        in place on its nonzero columns only, which gives every entry the
+        value a subtraction over every column gives it."""
         objective = [*cost, Fraction(0)]
         for row, col in zip(self.rows, self.basis):
             factor = objective[col]
             if factor != 0:
-                objective = [x - factor * y for x, y in zip(objective, row)]
+                for j, y in enumerate(row):
+                    if y:
+                        objective[j] -= factor * y
         ncols = len(cost)
         while True:
             enter = next((j for j in range(ncols) if objective[j] < 0), None)

@@ -12,7 +12,9 @@ rows by rational elimination before any integer column operation, the
 reference witness search enumerates every index set, and the reference
 violation search queries the whole product of one short coordinate per
 consequent; word hurdles are computed right to left over the whole word;
-the reference simplex pivot applies its row operation to every column.
+the reference simplex pivot applies its row operation to every column,
+and the reference objective set-up subtracts each basic row on every
+column.
 """
 
 from __future__ import annotations
@@ -713,6 +715,34 @@ def dense_pivot(self, row: int, col: int, objective=None):
         if factor != 0 and other is not pivot:
             other[:] = [x - factor * y for x, y in zip(other, pivot)]
     self.basis[row] = col
+
+
+def dense_minimize(self, cost) -> Fraction:
+    """Reference for `ratlp._Tableau.minimize`: the same simplex, with the
+    objective set up by subtracting each basic row with a nonzero cost
+    factor on every column, into a fresh list each time."""
+    objective = [*cost, Fraction(0)]
+    for row, col in zip(self.rows, self.basis):
+        factor = objective[col]
+        if factor != 0:
+            objective = [x - factor * y for x, y in zip(objective, row)]
+    ncols = len(cost)
+    while True:
+        enter = next((j for j in range(ncols) if objective[j] < 0), None)
+        if enter is None:
+            self.objective = objective
+            return -objective[-1]
+        leave, best = None, None
+        for r, row in enumerate(self.rows):
+            coef = row[enter]
+            if coef > 0:
+                ratio = row[-1] / coef
+                if best is None or ratio < best or (
+                    ratio == best and self.basis[r] < self.basis[leave]
+                ):
+                    best, leave = ratio, r
+        assert leave is not None, "objective unbounded"
+        self._pivot(leave, enter, objective)
 
 
 def count_pivots(monkeypatch, budget=None, snapshot=False) -> list:

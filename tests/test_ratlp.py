@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pivots, dense_pivot, lp_max_support
+from conftest import count_pivots, dense_minimize, dense_pivot, lp_max_support
 from mutreach import ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
@@ -183,6 +183,66 @@ def test_sparse_pivot_matches_the_dense_row_operation(system):
     dense = _pivot_trace(dense_pivot, system)
     assert [step for step, *_ in sparse] == [step for step, *_ in dense]
     assert sparse == dense
+
+
+def _objective_trace(minimize, system, i, j) -> tuple:
+    """Phase 1 and then `minimize` of the signed unit cost e_i - e_j and of
+    its negation, in ints as `_coefficient_ranges` poses them, with
+    `minimize` as `_Tableau.minimize`: the `_pivot` trace, the phase-1
+    objective row, and each cost's value and final objective row, or
+    None for a cost unbounded below."""
+    a, b, _ = system
+    nrows, nvars = len(a), len(a[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlp._Tableau, "minimize", minimize)
+        budget = _pivot_budget(a) + comb(nvars + nrows, nrows)
+        trace = count_pivots(mp, budget, snapshot=True)
+        tab = solve_standard(a, b)
+        ends = [list(tab.objective)]
+        if not tab.infeasible:
+            cost = [(x == i) - (x == j) for x in range(nvars)]
+            for signed in (cost, [-c for c in cost]):
+                try:
+                    ends.append((tab.minimize(signed), list(tab.objective)))
+                except AssertionError as error:
+                    if not str(error).startswith("objective unbounded"):
+                        raise
+                    ends.append(None)
+    return trace, ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(standard_systems(), st.integers(0, 4), st.integers(0, 4))
+@example(STANDARD_EXAMPLES[0], 0, 2)
+@example(STANDARD_EXAMPLES[2], 0, 2)
+@example(STANDARD_EXAMPLES[3], 1, 2)
+def test_sparse_objective_set_up_matches_the_dense_one(system, i, j):
+    """Pricing out the basis on each row's nonzero columns only leaves
+    the objective row equal entry for entry to the full subtraction,
+    after phase 1 and after each signed unit cost, and takes the same
+    pivots with the same rows after each."""
+    nvars = len(system[0][0])
+    i, j = i % nvars, j % nvars
+    sparse = _objective_trace(ratlp._Tableau.minimize, system, i, j)
+    dense = _objective_trace(dense_minimize, system, i, j)
+    assert sparse[1] == dense[1]
+    assert sparse[0] == dense[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(standard_systems())
+@standard_examples
+def test_minimize_leaves_the_cost_as_given(system):
+    """`_coefficient_ranges` negates a cost after minimising it, so
+    `minimize` must not write to the caller's list."""
+    a, b, c = system
+    tab = solve_standard(a, b)
+    if tab.infeasible:
+        return
+    for cost in (list(c), [Fraction(x) for x in c]):
+        given_cost = list(cost)
+        tab.minimize(cost)
+        assert cost == given_cost
 
 
 def test_empty_system_supports_every_index():
