@@ -89,21 +89,23 @@ def _compiled_unfoldings(
     walks, whatever the index set and the state values.  They are computed
     once per shape and pass, and equal lattices are one object.  The basis
     rows cover the coordinates outside I with the threshold of the size,
-    so they are computed once per index set and shape, zero on I.  Each
-    distinct presolved circulation system is solved once per pass.
+    so they are computed once per index set and shape, zero on I.  Which
+    edges a state set keeps depends only on its shape too, so one
+    `decided` dict serves every index set of the pass, and no shape asks
+    `max_positive_support` twice.
     """
     out: list[tuple[Unfolding, _Parts]] = []
     shapes: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, cycle words per state
     zero = representation_from_generators((), net.dim)
     lattices: dict[LatticeRepresentation, LatticeRepresentation] = {zero: zero}
     zero_rows = ((0,) * net.dim,)
-    solved: dict = {}
+    decided: dict = {}
     truncated, certified = False, True
     for index_set in index_sets(net.dim):
         parts: dict[tuple, _Parts] = {}  # edge shape -> parts over this index set
         # the cap lives here, per index set: take `max_unfoldings`, then look ahead once
         walk = enumerate_unfoldings(net, index_set, params.state_bound, limits,
-                                    forward_closed, solved)
+                                    forward_closed, decided)
         for g in itertools.islice(walk, limits.max_unfoldings):
             key = edge_shape(g)
             if key not in parts and g.full_index:

@@ -36,15 +36,14 @@ see `_circulation`); it drops them, presolves again and asks again on
 fewer columns.  The forcing-row step is the same cut with a unit row
 multiplier, found with no LP.
 
-Presolved systems repeat, mostly across index sets: distinct state sets
-often leave the same rows on the same number of live columns.
-`max_positive_support` takes an optional dict `solved` that a caller
-keeps across many questions; it maps each presolved system, up to row
-order, row sign, repeated rows and rows that vanish on the live columns,
-to its support, so each distinct one is solved once.  A mutual compile
-of mixed3 at state bound 5 asks 32 support questions and a bottom one 7,
-all balanced, so no LP; a mutual one of ring3 at state bound 4 asks 153:
-36 are balanced, and the other 117 reduce to 72 distinct systems.
+The support is a pure function of the rows: a caller that asks the same
+question many times keeps its own answers.  The enumerator's caller keeps
+one per edge shape for a whole compile pass (see
+`unfolding.enumerate_unfoldings`), so no shape is asked twice in a pass.
+A mutual compile of mixed3 at state bound 5 asks 20 support questions
+and a bottom one 7, all balanced, so no LP; a mutual one of ring3 at
+state bound 4 asks 116: 26 are balanced, and the other 90 take one LP
+each, all feasible, so no Farkas cut runs.
 """
 
 from __future__ import annotations
@@ -210,34 +209,21 @@ def positive_circulation(
     Strict positivity f > 0 is equivalent to f >= 1 here because the
     systems are homogeneous, so any positive solution scales up.  When a
     one-signed row forces some column to 0 the answer is None without an
-    LP; otherwise the LP is the one over the rows exactly as given.
-    It serves only `is_structurally_reversible`, which needs Z itself.
+    LP, and when every row sums to 0 it is f = 1 without one, the vertex
+    the LP would return: its right-hand side -A 1 is 0, so every pivot is
+    degenerate and g = 0.  Otherwise the LP is the one over the rows
+    exactly as given.  It serves only `is_structurally_reversible`, which
+    needs Z itself.
     """
     if len(_unforced_columns(eq_rows, range(nvars))) < nvars:
         return None
-    if not eq_rows:  # every f >= 1 solves it, and solve_standard cannot size f
+    if all(sum(row) == 0 for row in eq_rows):
         return [Fraction(1)] * nvars
     tab = _circulation(eq_rows)
     return None if tab.infeasible else [x + 1 for x in tab.solution()]
 
 
-def _cone_key(rows: Sequence[Sequence], n: int) -> tuple:
-    """The live-column count and the distinct nonzero rows, each with its
-    first nonzero entry positive: equal keys give the same cone
-    {f >= 0 : A f = 0}, so the same maximal support."""
-    signed = set()
-    for row in rows:
-        first = next((x for x in row if x), 0)
-        if first:
-            signed.add(tuple(row) if first > 0 else tuple(-x for x in row))
-    return n, tuple(sorted(signed))
-
-
-def max_positive_support(
-    eq_rows: Sequence[Sequence],
-    nvars: int,
-    solved: dict | None = None,
-) -> list[int]:
+def max_positive_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
     """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
 
     Each round drops the columns that one-signed rows force to 0.  If
@@ -245,26 +231,14 @@ def max_positive_support(
     solution; otherwise the one LP question asks for f >= 1 on them.  A
     yes ends the loop, and those columns are the maximal support; a no
     cuts at least one column that every f keeps at 0 (`_circulation`).
-    With `solved`, a system whose first presolved rows match an earlier
-    one's (see `_cone_key`) reuses its support over the live columns: the
-    support is a property of the cone, not of the simplex's path or of
-    how the rows are written.  A first round that is balanced adds no
-    memo entry.
     """
-    columns, key = range(nvars), None
+    columns = range(nvars)
     while True:
         columns = _unforced_columns(eq_rows, columns)
         rows = [[row[j] for j in columns] for row in eq_rows]
         if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
-            break
-        if solved is not None and key is None:
-            alive, key = columns, _cone_key(rows, len(columns))
-            if key in solved:
-                return [alive[k] for k in solved[key]]
+            return columns
         tab = _circulation(rows)
         if not tab.infeasible:
-            break
+            return columns
         columns = [j for j, r in zip(columns, tab.objective) if r == 0]
-    if key is not None:
-        solved[key] = [alive.index(j) for j in columns]
-    return columns

@@ -468,7 +468,7 @@ def enumerate_unfoldings(
     state_bound: int,
     limits: EnumLimits | None = None,
     forward_closed: bool = False,
-    solved: dict | None = None,
+    decided: dict[Shape, Shape | None] | None = None,
 ) -> Iterator[Unfolding]:
     """Structurally-reversible unfoldings over states of norm < state_bound.
 
@@ -484,9 +484,14 @@ def enumerate_unfoldings(
 
     With `forward_closed` a state set that some enabled action leaves is
     skipped, and the transition set is forced: the maximal support must be
-    every enabled edge.  Both modes ask `max_positive_support` with
-    `solved`, so a caller that walks many index sets can solve each
-    distinct presolved circulation system once.
+    every enabled edge.  Both modes ask `max_positive_support`.
+
+    Whether a state set qualifies, and which edges it keeps, depend only
+    on the net, the mode and the edge shape, never on the index set (the
+    full-index shortcut gives the answer the LP would), so a caller that
+    walks many index sets in one mode may pass one dict as `decided`: it
+    maps each shape decided so far to its kept shape, or to None, and no
+    shape is decided twice.
 
     A state set's edges are built only as a shape, and each unfolding
     reads its transitions off its states and its kept shape, which it
@@ -551,12 +556,11 @@ def enumerate_unfoldings(
     # circulation, depend only on its shape: the edges as (local position,
     # action index, local position) over the sorted states, which fix the
     # circulation rows and, since every state of a connected set touches an
-    # edge, the size.  Each distinct shape is decided once per call, and
-    # presolved systems repeat mostly across index sets, so the caller keeps
-    # `solved` across them.  Each shape maps to its kept shape, the edges
-    # that carry a positive circulation, or to None; read off the sorted
-    # states, those are in `Unfolding`'s order.
-    kept: dict[Shape, Shape | None] = {}
+    # edge, the size.  Each distinct shape is decided once per `decided`
+    # dict, a fresh one unless the caller passes its own, and maps to its
+    # kept shape, the edges that carry a positive circulation, or to None;
+    # read off the sorted states, those are in `Unfolding`'s order.
+    decided = {} if decided is None else decided
 
     def strongly_connected(size: int, arcs: Shape) -> bool:
         succ: list[list[int]] = [[] for _ in range(size)]
@@ -574,7 +578,7 @@ def enumerate_unfoldings(
             # closed component is strongly connected, and the sum of one
             # cycle through each edge is a positive circulation.
             return shape
-        support = max_positive_support(_circulation_rows(net, size, shape), len(shape), solved)
+        support = max_positive_support(_circulation_rows(net, size, shape), len(shape))
         if len(support) == len(shape):
             return shape
         if forward_closed:
@@ -594,9 +598,9 @@ def enumerate_unfoldings(
                 if m is not None:
                     shape.append((k, a, m))
         key = tuple(shape)
-        if key not in kept:
-            kept[key] = decide(len(subset), key)
-        kept_shape = kept[key]
+        if key not in decided:
+            decided[key] = decide(len(subset), key)
+        kept_shape = decided[key]
         if kept_shape is None:
             continue
         states = tuple(all_states[i] for i in subset)

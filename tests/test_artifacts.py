@@ -4,8 +4,11 @@ Digests of `mutreach compile` output for the four fixtures at default
 settings, for mixed3 at state bound 5 (the scaled setting, where many
 unfoldings share one circulation system), and for the benchmark's ring3
 net at default settings (the only net whose bottom lattices have rank 2),
-and for the mutual text of the 4-counter `two_pairs` fixture at state
-bound 3, the one CI's 4-counter step also checks.  A change that alters
+and for the mutual texts of the 4-counter `two_pairs` and `ring4`
+fixtures at state bound 3 (CI's 4-counter step also checks the first).
+The ring4 digest was recorded before the compile pass came to decide
+each edge shape once for all its index sets, the change that moved its
+LP count most.  A change that alters
 these bytes on purpose updates the digests here and says why in
 CHANGES.md.  The `.smt2` digests last changed when negative integers
 became `(- n)` terms: SMT-LIB numerals are non-negative, and a strict
@@ -35,6 +38,9 @@ RING3 = FIXTURES.parent / "perfbench" / "nets" / "ring3.net"
 # the 4-counter fixture's mutual text, the LP-heaviest compile here: its
 # support LPs fail and are cut (about 1.6-1.9 s at state bound 3)
 TWO_PAIRS_MRF = "508b30e0b1f70d449903de515eb798e76cb47c1a87124eb171d794fb3f1319ab"
+
+# ring4's mutual text at state bound 3, 37 756 disjuncts (about 2 s)
+RING4_MRF = "61455c1bd0dc4dea086b5a5d53cb98c1c07339f15a5e7d45cb621b60d41c77b3"
 
 DIGESTS = {
     "token_swap-mutual.json": "ccbff5fe39c320ad70ac2d0d73f98c60f6c1c79420595cc91352d2062563ab39",
@@ -146,3 +152,13 @@ def test_two_pairs_text_artifact_is_byte_identical(tmp_path, capsys):
     assert "17760 disjuncts (certified)" in capsys.readouterr().out
     produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert produced == {"tp.mrf": TWO_PAIRS_MRF}
+
+
+def test_ring4_text_artifact_is_byte_identical(tmp_path, capsys):
+    base = tmp_path / "r4"
+    code = main(["compile", str(FIXTURES / "ring4.net"), "--state-bound", "3",
+                 "--formats", "text", "--out", str(base)])
+    assert code == 0
+    assert "37756 disjuncts (certified)" in capsys.readouterr().out
+    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert produced == {"r4.mrf": RING4_MRF}

@@ -542,9 +542,9 @@ def test_bottom_compile_solves_no_lp_on_the_full_index_set(
     """A closed component over the full index set carries a positive
     circulation by strong connectivity alone, so only proper index sets
     ask `max_positive_support`, and no component asks
-    `positive_circulation`.  The presolve, the balanced check and the
-    shared memo leave mixed3 and ring3 with no LP, and `TWO_PAIRS` with
-    one; a `positive_circulation` per component took 1, 1 and 2."""
+    `positive_circulation`.  The presolve and the balanced check leave
+    mixed3 and ring3 with no LP, and `TWO_PAIRS` with one; a
+    `positive_circulation` per component took 1, 1 and 2."""
     nets = {"mixed3": mixed3, "ring3": ring3}
     net = nets.get(name) or load_net(REPO / "fixtures" / f"{name}.net")
     index_set, asked, solved = [None], [], []
@@ -555,9 +555,9 @@ def test_bottom_compile_solves_no_lp_on_the_full_index_set(
         index_set[0] = tuple(ix)
         yield from enumerate_all(net, ix, *args, **kwargs)
 
-    def asking(rows, nvars, memo=None):
+    def asking(rows, nvars):
         asked.append(index_set[0])
-        return support(rows, nvars, memo)
+        return support(rows, nvars)
 
     def solving(*args):
         solved.append(index_set[0])

@@ -1,11 +1,13 @@
-"""Soundness and word replay on random one-counter nets, and the bottom
-enumerator against its reference on random nets of up to three counters.
+"""Soundness and word replay on random one-counter nets, and the
+enumerator of either mode against its reference on random nets of up to
+three counters.
 
 With d = 1 the exact pumping threshold of the I = () unfolding is 3m^2,
 so an oracle box of 3m^2 + 24 reaches past it and the pumped disjuncts
 are checked against ground truth, not only the states under the bound.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,15 +59,21 @@ def test_random_one_counter_nets_are_sound_and_replay(net, rng):
             break
 
 
+@pytest.mark.parametrize("forward_closed", [False, True], ids=["mutual", "bottom"])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(net=_SMALL_NETS)
-def test_bottom_enumerator_matches_the_reference_on_random_nets(net):
-    """Bottom mode keeps a closed component only when the maximal support
-    of its circulation system, asked through one memo for every index set,
-    is every edge; the reference asks `positive_circulation` of each
-    component's full edge set afresh."""
-    limits, solved = EnumLimits(), {}
+def test_one_decided_dict_matches_fresh_walks_on_random_nets(forward_closed, net):
+    """A compile pass walks every index set with one `decided` dict, so a
+    shape decided on one index set is read back on the next.  That walk
+    yields what a fresh walk per index set yields, in the same order, and
+    what the reference yields: its shortcut-free loop solves each state
+    set afresh, and in bottom mode asks `positive_circulation` of each
+    component's full edge set."""
+    limits, decided = EnumLimits(), {}
     for index_set in index_sets(net.dim):
-        found = enumerate_unfoldings(net, index_set, 3, limits, True, solved)
-        expected = reference_unfoldings(net, index_set, 3, limits, True)
-        assert take(found, limits.max_unfoldings) == take(expected, limits.max_unfoldings), index_set
+        shared = enumerate_unfoldings(net, index_set, 3, limits, forward_closed, decided)
+        fresh = enumerate_unfoldings(net, index_set, 3, limits, forward_closed)
+        expected = take(reference_unfoldings(net, index_set, 3, limits, forward_closed),
+                        limits.max_unfoldings)
+        assert take(shared, limits.max_unfoldings) == expected, index_set
+        assert take(fresh, limits.max_unfoldings) == expected, index_set

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_pivots, dense_minimize, dense_pivot, lp_max_support
-from mutreach import ratlp, unfolding
+from mutreach import presburger, ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
 from mutreach.witness import PumpingParams
@@ -287,13 +287,13 @@ def _is_presolved(rows, nvars) -> bool:
 
 
 def _recorded_questions(monkeypatch) -> list:
-    """(balanced, memo) for each support question the enumerator asks."""
+    """Whether each support question the enumerator asks is balanced."""
     questions = []
     support = unfolding.max_positive_support
 
-    def recording(rows, nvars, solved=None):
-        questions.append((_is_balanced(rows, nvars), solved))
-        return support(rows, nvars, solved)
+    def recording(rows, nvars):
+        questions.append(_is_balanced(rows, nvars))
+        return support(rows, nvars)
 
     monkeypatch.setattr(unfolding, "max_positive_support", recording)
     return questions
@@ -303,86 +303,26 @@ def test_forcing_rows_cut_the_lps_of_a_scaled_compile(mixed3, monkeypatch):
     """mixed3's consumer action has a one-signed displacement row.  Without
     the forcing-row pass this compile solves 106 LPs; with it, the edges of
     the consumer and everything they cascade to never reach the simplex,
-    which left 26, and a memo of presolved systems across index sets left
-    7.  Every one of the 32 support questions is balanced after the
-    presolve, so f = 1 on the live columns answers each, and none reaches
-    the simplex."""
+    which left 26.  Each of the 20 distinct edge shapes asks one support
+    question, and every one is balanced after the presolve, so f = 1 on
+    the live columns answers each, and none reaches the simplex."""
     calls = _counting_solves(monkeypatch)
     questions = _recorded_questions(monkeypatch)
     compile_mutual(mixed3, PumpingParams(state_bound=5, cycle_len=4))
-    assert len(questions) == 32 and all(balanced for balanced, _ in questions)
+    assert len(questions) == 20 and all(questions)
     assert calls == []
 
 
-def test_ring3_compile_solves_each_presolved_system_once(ring3, monkeypatch):
-    """153 support questions, of which 36 are balanced after the presolve
-    and need no LP; the other 117 reduce to 72 distinct presolved systems,
-    and the all-index LP of each is feasible, so no Farkas cut runs."""
+def test_ring3_compile_asks_each_edge_shape_once(ring3, monkeypatch):
+    """116 distinct edge shapes ask one support question each: 26 are
+    balanced after the presolve and need no LP, and the all-index LP of
+    each of the other 90 is feasible, so no Farkas cut runs."""
     calls = _counting_solves(monkeypatch)
     questions = _recorded_questions(monkeypatch)
     compile_mutual(ring3, PumpingParams(state_bound=4, cycle_len=4))
-    memo = questions[0][1]
-    assert len(questions) == 153 and all(solved is memo for _, solved in questions)
-    assert sum(balanced for balanced, _ in questions) == 36
-    assert len(memo) == 72
-    assert len(calls) == 72
-
-
-def test_presolved_systems_share_one_solve(monkeypatch):
-    """Row order, row sign, a repeated row and a row that is zero on the
-    live columns leave the cone {f >= 0 : A f = 0} as it is, so such
-    systems share one solve; a different live row does not.  A balanced
-    system is answered before the memo, so it adds neither."""
-    calls = _counting_solves(monkeypatch)
-    solved = {}
-    chain = [[2, -1, 0], [0, 1, -1]]  # f1 = 2 f0 = f2; the first row sums to 1
-    assert max_positive_support(chain, 3, solved) == [0, 1, 2]
-    assert len(calls) == 1
-    same_cone = [
-        [[0, 1, -1], [2, -1, 0]],  # row order
-        [[-2, 1, 0], [0, -1, 1]],  # row sign
-        [[2, -1, 0], [0, 1, -1], [2, -1, 0]],  # a repeated row
-        [[2, -1, 0], [0, 0, 0], [0, 1, -1]],  # a zero row
-    ]
-    for rows in same_cone:
-        assert max_positive_support(rows, 3, solved) == [0, 1, 2]
-    # a fourth column that a one-signed row forces to 0, before and after
-    # the live ones: that row is zero on the live columns, and the support
-    # maps back through them
-    last_forced = [[2, -1, 0, 0], [0, 1, -1, 0], [0, 0, 0, 2]]
-    first_forced = [[0, 2, -1, 0], [0, 0, 1, -1], [-1, 0, 0, 0]]
-    assert max_positive_support(last_forced, 4, solved) == [0, 1, 2]
-    assert max_positive_support(first_forced, 4, solved) == [1, 2, 3]
-    assert len(calls) == 1 and len(solved) == 1
-    # balanced, directly and once the forced fourth column is gone
-    balanced = [[1, -1, 0], [0, 1, -1]]
-    balanced_after_forcing = [[1, -1, 0, 1], [0, 1, -1, 0], [0, 0, 0, 2]]
-    assert max_positive_support(balanced, 3, solved) == [0, 1, 2]
-    assert max_positive_support(balanced_after_forcing, 4, solved) == [0, 1, 2]
-    assert len(calls) == 1 and len(solved) == 1
-    different = [[1, -1, 1], [-1, 1, 1]]  # the rows sum to 2 f2 = 0
-    assert max_positive_support(different, 3, solved) == lp_max_support(different, 3) == [0, 1]
-    assert len(calls) > 1
-    assert len(solved) == 2
-
-
-def test_the_live_column_count_is_part_of_a_system():
-    """With no row left on the live columns, only their number tells two
-    systems apart."""
-    solved = {}
-    assert max_positive_support([[0, 0]], 2, solved) == [0, 1]
-    assert max_positive_support([[0, 0, 0]], 3, solved) == [0, 1, 2]
-    assert max_positive_support([], 4, solved) == [0, 1, 2, 3]
-    # one live column after two forced ones
-    assert max_positive_support([[1, 0, 0], [0, -1, 0]], 3, solved) == [2]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(homogeneous_systems(), min_size=1, max_size=6))
-def test_a_shared_memo_answers_as_a_fresh_solve(systems):
-    solved = {}
-    for rows, nvars in systems:
-        assert max_positive_support(rows, nvars, solved) == lp_max_support(rows, nvars)
+    assert len(questions) == 116
+    assert sum(questions) == 26
+    assert len(calls) == 90
 
 
 @st.composite
@@ -431,6 +371,35 @@ def test_balanced_systems_need_no_lp(system):
         assert support == ratlp._unforced_columns(rows, range(nvars))
 
 
+@st.composite
+def zero_sum_systems(draw):
+    """Rows with entries -2..2 whose last entry makes each sum to 0; no
+    rows at all in some draws."""
+    nvars = draw(st.integers(1, 6))
+    live = st.lists(st.integers(-2, 2), min_size=nvars - 1, max_size=nvars - 1)
+    return [row + [-sum(row)] for row in draw(st.lists(live, max_size=4))], nvars
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zero_sum_systems())
+@example(([], 3))
+@example(([[0, 0]], 2))
+@example(([[1, -1, 0], [0, 1, -1]], 3))
+def test_balanced_circulations_need_no_lp(system):
+    """A system whose rows each sum to 0 has f = 1 as its positive
+    circulation, the vertex the LP returns: the right-hand side -A 1 is
+    0, so every phase-1 pivot is degenerate and leaves g = 0."""
+    rows, nvars = system
+    ones = [Fraction(1)] * nvars
+    if rows:  # with no row, solve_standard cannot size f
+        tab = ratlp._circulation(rows)
+        assert not tab.infeasible and [x + 1 for x in tab.solution()] == ones
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_solves(mp)
+        assert positive_circulation(rows, nvars) == ones
+    assert calls == []
+
+
 def test_a_farkas_cut_is_presolved_before_the_next_question(monkeypatch):
     """Each system's rows sum to a vector >= 0, so its all-column LP fails
     and the cut drops one column.  That leaves a one-signed row, and the
@@ -459,10 +428,10 @@ def systems_forced_by_a_sum(draw):
 
 def test_farkas_cuts_match_the_max_support_reference():
     """When the all-column LP fails, its certificate cuts columns until the
-    LP on the rest succeeds: the support matches the reference, fresh and
-    through a shared memo, and the cut runs in the drawn examples.  Each
-    round presolves and checks the balance before its LP, so no LP sees a
-    one-signed row or a balanced system."""
+    LP on the rest succeeds: the support matches the reference, and the
+    cut runs in the drawn examples.  Each round presolves and checks the
+    balance before its LP, so no LP sees a one-signed row or a balanced
+    system."""
     cuts = []
     circulation = ratlp._circulation
 
@@ -476,11 +445,8 @@ def test_farkas_cuts_match_the_max_support_reference():
     @given(st.lists(systems_forced_by_a_sum(), min_size=1, max_size=4))
     @example([([[1, -1, 1], [-1, 1, 1]], 3)])
     def check(systems):
-        solved = {}
         for rows, nvars in systems:
-            support = lp_max_support(rows, nvars)
-            assert max_positive_support(rows, nvars) == support
-            assert max_positive_support(rows, nvars, solved) == support
+            assert max_positive_support(rows, nvars) == lp_max_support(rows, nvars)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratlp, "_circulation", recording)
@@ -496,21 +462,34 @@ COMPILES = [
 
 
 @pytest.mark.parametrize("name, state_bound", COMPILES)
-def test_a_compile_pass_answers_each_support_as_a_fresh_solve(
+def test_a_compile_pass_asks_each_edge_shape_once(
     fixture_nets, ring3, monkeypatch, name, state_bound
 ):
-    """Every support a mutual compile reads from its shared memo is the one
-    a call without the memo returns."""
+    """The pass hands one `decided` dict to the walk of every index set, so
+    no edge shape reaches `max_positive_support` twice."""
     net = ring3 if name == "ring3" else fixture_nets[name]
-    calls = []
+    shapes, asked = {}, []
+    rows_of, support = unfolding._circulation_rows, unfolding.max_positive_support
 
-    def recording(rows, nvars, solved=None):
-        support = max_positive_support(rows, nvars, solved)
-        calls.append((rows, nvars, support, solved is not None))
-        return support
+    def building(net, size, shape):
+        rows = rows_of(net, size, shape)
+        shapes[id(rows)] = (rows, shape)  # holding rows keeps its id unique
+        return rows
 
+    def recording(rows, nvars):
+        asked.append(shapes[id(rows)][1])
+        return support(rows, nvars)
+
+    walks = []
+    enumerate_all = presburger.enumerate_unfoldings
+
+    def walking(*args):
+        walks.append(args[-1])
+        return enumerate_all(*args)
+
+    monkeypatch.setattr(unfolding, "_circulation_rows", building)
     monkeypatch.setattr(unfolding, "max_positive_support", recording)
+    monkeypatch.setattr(presburger, "enumerate_unfoldings", walking)
     compile_mutual(net, PumpingParams(state_bound=state_bound, cycle_len=4))
-    assert calls and all(shared for *_, shared in calls)
-    for rows, nvars, support, _ in calls:
-        assert support == max_positive_support(rows, nvars)
+    assert asked and len(asked) == len(set(asked))
+    assert len(walks) == 2 ** net.dim and all(d is walks[0] for d in walks)

@@ -652,9 +652,9 @@ def test_enumeration_matches_reference_when_truncated(mixed3, forward_closed):
 def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
     calls = []
 
-    def counting(rows, nvars, solved=None):
+    def counting(rows, nvars):
         calls.append(tuple(map(tuple, rows)))
-        return max_positive_support(rows, nvars, solved)
+        return max_positive_support(rows, nvars)
 
     monkeypatch.setattr(unfolding, "max_positive_support", counting)
     solved = state_sets = 0
@@ -673,34 +673,43 @@ def test_each_distinct_circulation_system_is_solved_once(mixed3, monkeypatch):
 
 
 def test_two_pairs_supports_take_one_lp_per_cut(monkeypatch):
-    """TWO_PAIRS' 15 proper index sets at state bound 3, with one memo:
-    891 support questions leave 411 distinct unbalanced presolved systems.
-    The all-column LP of each fails, and its Farkas cut leaves a balanced
-    system, so each takes one LP; one LP per uncovered column took 3 630.
-    The 411 LPs take 1 649 pivots, which exact arithmetic repeats."""
-    calls = []
-    solve = ratlp.solve_standard
+    """TWO_PAIRS' 15 proper index sets at state bound 3, with one `decided`
+    dict: 749 distinct edge shapes ask a support question, and 338 of them
+    are balanced after the presolve.  The all-column LP of each of the
+    other 411 fails, and its Farkas cut leaves a balanced system, so each
+    takes one LP; one LP per uncovered column took 3 630.  The 411 LPs
+    take 1 649 pivots, which exact arithmetic repeats."""
+    calls, questions = [], []
+    solve, support = ratlp.solve_standard, unfolding.max_positive_support
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
+    def asking(rows, nvars):
+        questions.append(rows)
+        return support(rows, nvars)
+
     monkeypatch.setattr(ratlp, "solve_standard", counting)
+    monkeypatch.setattr(unfolding, "max_positive_support", asking)
     pivots = count_pivots(monkeypatch)
-    digest, count, solved = hashlib.sha256(), 0, {}
+    digest, count, decided = hashlib.sha256(), 0, {}
     for index_set in index_sets(TWO_PAIRS.dim)[:-1]:
-        for g in enumerate_unfoldings(TWO_PAIRS, index_set, 3, solved=solved):
+        for g in enumerate_unfoldings(TWO_PAIRS, index_set, 3, decided=decided):
             digest.update(repr((g.index_set, g.states, g.transitions)).encode() + b"\n")
             count += 1
     assert count == 1829
     assert digest.hexdigest() == "fa21efd6670a7c28dfdf5812d293c90215b9e792bb60d29de611d6c1f6109ff8"
-    assert len(calls) == len(solved) == 411
+    assert len(questions) == 749
+    assert len(calls) == 411
     assert len(pivots) == 1649
 
 
 def test_equal_incidence_with_different_displacements_is_solved_apart():
     """Two state sets can share their flow rows and differ only in the
-    displacement rows; the answer for one must not be reused for the other."""
+    displacement rows; the answer for one must not be reused for the
+    other, within one index set or across the index sets of one
+    `decided` dict."""
     net = PetriNet(
         3,
         (
@@ -710,12 +719,16 @@ def test_equal_incidence_with_different_displacements_is_solved_apart():
             Action((0, 1, 0), (0, 0, 0)),  # south
         ),
     )
-    found = [(g.states, g.transitions) for g in enumerate_unfoldings(net, (0, 1), 2)]
-    expected = reference_unfoldings(net, (0, 1), 2, EnumLimits())
-    assert found == [(g.states, g.transitions) for g in expected]
-    vertical = (((0, 0), (0, 1)), (((0, 0), 2, (0, 1)), ((0, 1), 3, (0, 0))))
-    assert vertical in found
-    assert not any(states == ((0, 0), (1, 0)) for states, _ in found)
+    decided = {}
+    for index_set in index_sets(net.dim):
+        found = [(g.states, g.transitions)
+                 for g in enumerate_unfoldings(net, index_set, 2, decided=decided)]
+        expected = reference_unfoldings(net, index_set, 2, EnumLimits())
+        assert found == [(g.states, g.transitions) for g in expected], index_set
+        if index_set == (0, 1):
+            vertical = (((0, 0), (0, 1)), (((0, 0), 2, (0, 1)), ((0, 1), 3, (0, 0))))
+            assert vertical in found
+            assert not any(states == ((0, 0), (1, 0)) for states, _ in found)
 
 
 def test_dot_export(token_swap):
