@@ -22,19 +22,20 @@ rows; a caller negates a cost to maximise.  Bland's rule terminates from
 any feasible basis.
 
 Circulations ask one LP question, f >= 1 on the live columns of
-A f = 0, and first run one exact presolve step, forcing rows (Andersen
-& Andersen, *Presolving in linear programming*, Math. Programming 71,
-1995): a row of A f = 0 whose nonzero entries on the live columns share
-one sign forces those columns to 0 for every f >= 0.  Each forced column
-can leave another row one-signed, so the step repeats until no row
-forces more.  `max_positive_support` then checks whether the system is
-balanced, every presolved row summing to 0 over the live columns: then
-f = 1 on them is a solution, and the support is every live column with
-no LP.  Otherwise it asks the question, and when the answer is no, the
-certificate names columns that every f >= 0 keeps at 0 (a Farkas cut,
-see `_circulation`); it drops them, presolves again and asks again on
-fewer columns.  The forcing-row step is the same cut with a unit row
-multiplier, found with no LP.
+A f = 0, and one loop, `_support`, asks it.  Each round first runs one
+exact presolve step, forcing rows (Andersen & Andersen, *Presolving in
+linear programming*, Math. Programming 71, 1995): a row of A f = 0 whose
+nonzero entries on the live columns share one sign forces those columns
+to 0 for every f >= 0.  Each forced column can leave another row
+one-signed, so the step repeats until no row forces more.  If every
+presolved row then sums to 0 over the live columns, the system is
+balanced: f = 1 on them is a solution, with no LP.  Otherwise the round
+asks the question, and when the answer is no, the certificate names
+columns that every f >= 0 keeps at 0 (a Farkas cut); the next round runs
+on fewer columns.  The forcing-row step is the same cut with a unit row
+multiplier, found with no LP.  `max_positive_support` returns the
+columns the loop ends with, and `positive_circulation` a circulation
+when they are every column.
 
 The support is a pure function of the rows: a caller that asks the same
 question many times keeps its own answers.  The enumerator's caller keeps
@@ -175,18 +176,6 @@ def solve_standard(a_rows: Sequence[Sequence], b_vals: Sequence) -> _Tableau:
     return tab
 
 
-def _circulation(eq_rows: Sequence[Sequence]) -> _Tableau:
-    """Phase 1 of A f = 0, f >= 1 as A g = -A 1 over g = f - 1 >= 0; A has a row.
-
-    If it is infeasible, its reduced costs cut columns.  With each row
-    signed so that b' = -A' 1 >= 0, phase 1 ends with reduced costs
-    r_j = y.A'_j >= 0 on the real columns, y the negated dual, and value
-    -y.b' = sum_j r_j > 0.  Every f >= 0 with A f = 0 has
-    sum_j r_j f_j = y.A' f = 0, so f_j = 0 wherever r_j > 0.
-    """
-    return solve_standard(eq_rows, [-sum(row) for row in eq_rows])
-
-
 def _unforced_columns(eq_rows: Sequence[Sequence], columns: Sequence[int]) -> list[int]:
     """The `columns` no chain of one-signed rows forces to 0, in order."""
     alive = list(columns)
@@ -200,6 +189,32 @@ def _unforced_columns(eq_rows: Sequence[Sequence], columns: Sequence[int]) -> li
         alive = [j for j in alive if j not in forced]
 
 
+def _support(eq_rows: Sequence[Sequence], nvars: int) -> tuple[list[int], _Tableau | None]:
+    """The maximal support of A f = 0, f >= 0, and the feasible tableau of
+    its last round, or None when that round was balanced.
+
+    Each round drops the forced columns; when the rest is not balanced it
+    runs phase 1 of A' g = -A' 1 over g = f - 1 >= 0, A' the live
+    columns.  A feasible tableau ends the loop: its vertex plus 1 is an
+    f >= 1 there.  An infeasible one cuts columns.  With each row signed
+    so that b' = -A' 1 >= 0, phase 1 ends with reduced costs
+    r_j = y.A'_j >= 0 on the real columns, y the negated dual, and value
+    -y.b' = sum_j r_j > 0.  Every f >= 0 with A' f = 0 has
+    sum_j r_j f_j = y.A' f = 0, so f_j = 0 wherever r_j > 0, and as
+    they sum to more than 0, at least one column goes.
+    """
+    columns = range(nvars)
+    while True:
+        columns = _unforced_columns(eq_rows, columns)
+        rows = [[row[j] for j in columns] for row in eq_rows]
+        if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
+            return columns, None
+        tab = solve_standard(rows, [-sum(row) for row in rows])
+        if not tab.infeasible:
+            return columns, tab
+        columns = [j for j, r in zip(columns, tab.objective) if r == 0]
+
+
 def positive_circulation(
     eq_rows: Sequence[Sequence],
     nvars: int,
@@ -207,38 +222,20 @@ def positive_circulation(
     """Find f with A f = 0 and f >= 1 componentwise, or report None.
 
     Strict positivity f > 0 is equivalent to f >= 1 here because the
-    systems are homogeneous, so any positive solution scales up.  When a
-    one-signed row forces some column to 0 the answer is None without an
-    LP, and when every row sums to 0 it is f = 1 without one, the vertex
-    the LP would return: its right-hand side -A 1 is 0, so every pivot is
-    degenerate and g = 0.  Otherwise the LP is the one over the rows
-    exactly as given.  It serves only `is_structurally_reversible`, which
-    needs Z itself.
+    systems are homogeneous, so any positive solution scales up.  The
+    answer is None unless `_support` keeps every column, and then its
+    loop ran one round.  A balanced system gives f = 1, the vertex the LP
+    would return: its right-hand side -A 1 is 0, so every pivot is
+    degenerate and g = 0.  Otherwise f is the LP's vertex plus 1.  It
+    serves only `is_structurally_reversible`, which needs Z itself.
     """
-    if len(_unforced_columns(eq_rows, range(nvars))) < nvars:
+    columns, tab = _support(eq_rows, nvars)
+    if len(columns) < nvars:
         return None
-    if all(sum(row) == 0 for row in eq_rows):
-        return [Fraction(1)] * nvars
-    tab = _circulation(eq_rows)
-    return None if tab.infeasible else [x + 1 for x in tab.solution()]
+    return [Fraction(1)] * nvars if tab is None else [x + 1 for x in tab.solution()]
 
 
 def max_positive_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
-    """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0.
-
-    Each round drops the columns that one-signed rows force to 0.  If
-    every row then sums to 0 over the live columns, f = 1 on them is a
-    solution; otherwise the one LP question asks for f >= 1 on them.  A
-    yes ends the loop, and those columns are the maximal support; a no
-    cuts at least one column that every f keeps at 0 (`_circulation`).
-    """
-    columns = range(nvars)
-    while True:
-        columns = _unforced_columns(eq_rows, columns)
-        rows = [[row[j] for j in columns] for row in eq_rows]
-        if all(sum(row) == 0 for row in rows):  # f = 1 on the live columns
-            return columns
-        tab = _circulation(rows)
-        if not tab.infeasible:
-            return columns
-        columns = [j for j, r in zip(columns, tab.objective) if r == 0]
+    """Indices j for which some solution of A f = 0, f >= 0 has f(j) > 0:
+    the columns `_support` ends with.  No vertex is read."""
+    return _support(eq_rows, nvars)[0]

@@ -20,7 +20,6 @@ from .steinitz import prefix_safe_reorder, prune_zero_subsequences
 from .unfolding import (
     EnumLimits,
     Unfolding,
-    UnfoldingError,
     UnfoldingPath,
     cycle_walks,
     elementary_path,
@@ -517,40 +516,3 @@ def synthesize_path(net: PetriNet, x: Vec, y: Vec, witness: MutualWitness) -> tu
     if final != y:
         raise SynthesisError(f"synthesized word ends at {final}, expected {y}")
     return word
-
-
-# --- completeness probe --------------------------------------------------------
-
-
-class ProbeReport(NamedTuple):
-    checked: int
-    failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def completeness_probe(net: PetriNet, box) -> ProbeReport:
-    """For every reliable mutual-reachability class inside the box, the
-    full-index unfolding built from the class itself must pass the
-    witness check with degenerate parameters."""
-    from .oracle import BoundedStateSpace
-
-    space = BoundedStateSpace(net, box)
-    full = tuple(range(net.dim))
-    checked = 0
-    failures = []
-    for comp in space.components():
-        if not space.reliable(comp):
-            continue
-        checked += 1
-        configs = sorted(comp)
-        try:
-            g = unfolding_from_sccc(net, configs, full)
-            bound = max(norm_inf(c) for c in configs) + 1
-            params = PumpingParams(state_bound=bound, cycle_len=0, off_threshold=None)
-            check_witness(net, configs, g, params)
-        except (WitnessRejected, UnfoldingError) as exc:
-            failures.append((configs, str(exc)))
-    return ProbeReport(checked, failures)

@@ -869,6 +869,22 @@ def lp_max_support(eq_rows: Sequence[Sequence], nvars: int) -> list[int]:
     return [j for j in range(nvars) if x[nvars + j] == 1]
 
 
+def single_lp_circulation(eq_rows: Sequence[Sequence], nvars: int) -> list[Fraction] | None:
+    """f >= 1 with A f = 0 from at most one LP, or None.
+
+    Reference for the vertex `ratlp.positive_circulation` returns: None
+    when some row is one-signed, so that it forces its columns to 0; f = 1
+    when every row sums to 0; otherwise the phase-1 vertex g of
+    A g = -A 1 plus 1, or None when there is none.
+    """
+    if any(len({x > 0 for x in row if x}) == 1 for row in eq_rows):
+        return None
+    if all(sum(row) == 0 for row in eq_rows):
+        return [Fraction(1)] * nvars
+    tab = solve_standard(eq_rows, [-sum(row) for row in eq_rows])
+    return None if tab.infeasible else [x + 1 for x in tab.solution()]
+
+
 # --- bottom evaluation by enumeration ---------------------------------------------
 
 

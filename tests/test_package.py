@@ -1,10 +1,12 @@
 """The package ships only what the `mutreach` commands reach, and its
 records are built with no generated code."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,6 @@ from mutreach.witness import (
     BasisElement,
     MutualWitness,
     PairCertificate,
-    ProbeReport,
     PumpCertificate,
     PumpingParams,
     SearchResult,
@@ -59,6 +60,55 @@ def test_import_loads_no_submodule_and_the_cli_reaches_every_module():
     assert bare == []
     shipped = sorted(f"mutreach.{p.stem}" for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
     assert after_cli == shipped
+
+
+# --- unreferenced code ----------------------------------------------------------
+#
+# Every top-level function and class, and every method that is not a
+# dunder, is named somewhere in `src/` outside its own definition: a name
+# that only tests reach belongs in the tests.
+
+UNREFERENCED = {
+    "cli._Parser.error",  # argparse's hook, called by `parse_args`
+    "witnessio.witness_from_text",  # the witness-file reader for library callers
+}
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, node) of each top-level def and class and each
+    non-dunder method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*defs, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def _referenced_names(node: ast.AST) -> Counter:
+    """How often each name is read in the subtree: bare names and attributes."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_in_src_is_referenced():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    everywhere = sum((_referenced_names(t) for t in trees.values()), Counter())
+    unreferenced = [
+        name
+        for module, tree in trees.items()
+        for name, node in _definitions(tree, module)
+        if everywhere[node.name] == _referenced_names(node)[node.name]
+    ]
+    assert sorted(set(unreferenced) - UNREFERENCED) == []
+    assert UNREFERENCED <= set(unreferenced)
 
 
 # --- records ------------------------------------------------------------------
@@ -189,7 +239,7 @@ def test_reprs_that_are_read_stay_byte_identical():
 
 
 NAMED_TUPLES = [HnfResult, BasisElement, UpwardBasis, PumpCertificate, PairCertificate,
-                MutualWitness, MutualFormula, BottomFormula, _Parts, SearchResult, ProbeReport]
+                MutualWitness, MutualFormula, BottomFormula, _Parts, SearchResult]
 
 
 @pytest.mark.parametrize("cls", NAMED_TUPLES, ids=lambda c: c.__name__)

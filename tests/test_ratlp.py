@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_pivots, dense_minimize, dense_pivot, lp_max_support
+from conftest import (
+    count_pivots,
+    dense_minimize,
+    dense_pivot,
+    lp_max_support,
+    single_lp_circulation,
+)
 from mutreach import presburger, ratlp, unfolding
 from mutreach.presburger import compile_mutual
 from mutreach.ratlp import max_positive_support, positive_circulation, solve_standard
@@ -23,8 +29,22 @@ def homogeneous_systems(draw):
     return rows, nvars
 
 
+@st.composite
+def systems_forced_by_a_sum(draw):
+    """Rows whose sum is a drawn c >= 0, so every f >= 0 with A f = 0 has
+    f_j = 0 wherever c_j > 0.  The last row is c minus the others, so a
+    single row is mostly not one-signed, and the forcing-row presolve
+    misses what only the sum of the rows forces."""
+    nvars = draw(st.integers(2, 6))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=1, max_size=3))
+    c = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
+    rows.append([cj - sum(col) for cj, col in zip(c, zip(*rows))])
+    return rows, nvars
+
+
 @settings(max_examples=200, deadline=None)
-@given(homogeneous_systems())
+@given(st.one_of(homogeneous_systems(), systems_forced_by_a_sum()))
 # row 1 forces f2 = 0; f0 = f1 and f3 = f4 carry flow
 @example(([[1, -1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, -1]], 5))
 @example(([[1, 1]], 2))
@@ -48,6 +68,7 @@ def test_lp_layer_matches_the_max_support_reference(system):
         assert f is not None and len(f) == nvars
         assert all(x >= 1 for x in f)
         assert all(sum(a * x for a, x in zip(row, f)) == 0 for row in rows)
+        assert f == single_lp_circulation(rows, nvars)
 
 
 def _dot(u, v):
@@ -392,7 +413,7 @@ def test_balanced_circulations_need_no_lp(system):
     rows, nvars = system
     ones = [Fraction(1)] * nvars
     if rows:  # with no row, solve_standard cannot size f
-        tab = ratlp._circulation(rows)
+        tab = solve_standard(rows, [-sum(row) for row in rows])
         assert not tab.infeasible and [x + 1 for x in tab.solution()] == ones
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_solves(mp)
@@ -412,20 +433,6 @@ def test_a_farkas_cut_is_presolved_before_the_next_question(monkeypatch):
     assert len(calls) == 2
 
 
-@st.composite
-def systems_forced_by_a_sum(draw):
-    """Rows whose sum is a drawn c >= 0, so every f >= 0 with A f = 0 has
-    f_j = 0 wherever c_j > 0.  The last row is c minus the others, so a
-    single row is mostly not one-signed, and the forcing-row presolve
-    misses what only the sum of the rows forces."""
-    nvars = draw(st.integers(2, 6))
-    entry = st.integers(-2, 2)
-    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=1, max_size=3))
-    c = draw(st.lists(st.integers(0, 2), min_size=nvars, max_size=nvars))
-    rows.append([cj - sum(col) for cj, col in zip(c, zip(*rows))])
-    return rows, nvars
-
-
 def test_farkas_cuts_match_the_max_support_reference():
     """When the all-column LP fails, its certificate cuts columns until the
     LP on the rest succeeds: the support matches the reference, and the
@@ -433,11 +440,12 @@ def test_farkas_cuts_match_the_max_support_reference():
     balance before its LP, so no LP sees a one-signed row or a balanced
     system."""
     cuts = []
-    circulation = ratlp._circulation
+    solve = ratlp.solve_standard
 
-    def recording(rows):
+    def recording(rows, rhs):
+        assert rhs == [-sum(row) for row in rows]
         assert _is_presolved(rows, len(rows[0])) and not _is_balanced(rows, len(rows[0]))
-        tab = circulation(rows)
+        tab = solve(rows, rhs)
         cuts.append(tab.infeasible)
         return tab
 
@@ -449,7 +457,7 @@ def test_farkas_cuts_match_the_max_support_reference():
             assert max_positive_support(rows, nvars) == lp_max_support(rows, nvars)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratlp, "_circulation", recording)
+        mp.setattr(ratlp, "solve_standard", recording)
         check()
     assert sum(cuts) > 50
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutreach.lattice import representation_from_generators
 from mutreach.net import Action, PetriNet, fire
+from mutreach.oracle import BoundedStateSpace
 from mutreach.presburger import BottomFormula, BottomTuple, eval_bottom
 from mutreach.unfolding import (
     EnumLimits,
@@ -30,14 +31,13 @@ from mutreach.witness import (
     SynthesisError,
     WitnessRejected,
     check_witness,
-    completeness_probe,
     exact_off_threshold,
     exact_state_bound,
     search_witness,
     synthesize_path,
     upward_basis,
 )
-from mutreach.vectors import vge
+from mutreach.vectors import norm_inf, vge
 from mutreach.witnessio import witness_from_text, witness_to_text
 
 
@@ -523,11 +523,18 @@ def test_pumping_params_reject_negative_values(kwargs):
 
 
 def test_completeness_probe_fixtures(fixture_nets):
+    """Every reliable mutual-reachability class inside the box is its own
+    witness: the full-index unfolding built from the class passes the
+    check with degenerate parameters."""
     boxes = {"token_swap": 3, "consumer": 4, "ring": 3, "mixed3": 2}
     for name, net in fixture_nets.items():
-        report = completeness_probe(net, boxes[name])
-        assert report.ok, (name, report.failures)
-        assert report.checked > 0
+        space = BoundedStateSpace(net, boxes[name])
+        classes = [sorted(comp) for comp in space.components() if space.reliable(comp)]
+        assert classes, name
+        for configs in classes:
+            g = unfolding_from_sccc(net, configs, tuple(range(net.dim)))
+            bound = max(norm_inf(c) for c in configs) + 1
+            check_witness(net, configs, g, PumpingParams(bound, cycle_len=0))
 
 
 def test_witness_serialization_round_trip(token_swap):
