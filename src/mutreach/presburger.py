@@ -23,7 +23,6 @@ from .ratlp import max_positive_support, solve_standard
 from .unfolding import (
     EnumLimits,
     Unfolding,
-    edge_shape,
     elementary_path,
     enumerate_unfoldings,
     index_sets,
@@ -58,7 +57,7 @@ class MutualFormula(NamedTuple):
 
 class _Parts(NamedTuple):
     """What the compilers need of one unfolding, by state position.  The
-    basis rows are zero on I; each compiler writes the state values in."""
+    basis rows are zero on I; the compile pass writes the state values in."""
 
     rep: LatticeRepresentation
     bases: tuple[tuple[Vec, ...], ...]  # pumping-basis rows at each state, zero on I
@@ -70,11 +69,12 @@ def _compiled_unfoldings(
     params: PumpingParams,
     limits: EnumLimits,
     forward_closed: bool = False,
-) -> tuple[list[tuple[Unfolding, _Parts]], bool, bool]:
+) -> tuple[list[tuple[Unfolding, _Parts, list[tuple[Vec, ...]]]], bool, bool]:
     """Each unfolding of every index set, in canonical order, with its
-    lattice, pumping-basis rows and path displacements; then whether
-    every unfolding is certified by the parameters, and whether no
-    enumeration limit and no basis walk budget was hit.
+    lattice, pumping-basis rows and path displacements, and its basis
+    rows with its state values written in; then whether every unfolding
+    is certified by the parameters, and whether no enumeration limit and
+    no basis walk budget was hit.
 
     On the full index set (`Unfolding.full_index`) these are known in
     closed form, with no walk, once per edge shape: the lattice is {0}, a
@@ -89,12 +89,14 @@ def _compiled_unfoldings(
     walks, whatever the index set and the state values.  They are computed
     once per shape and pass, and equal lattices are one object.  The basis
     rows cover the coordinates outside I with the threshold of the size,
-    so they are computed once per index set and shape, zero on I.  Which
-    edges a state set keeps depends only on its shape too, so one
-    `decided` dict serves every index set of the pass, and no shape asks
-    `max_positive_support` twice.
+    so they, and whether that threshold certifies, are decided once per
+    index set and shape, zero on I; each unfolding's state values are
+    written onto them here, once for both compilers.  Which edges a state
+    set keeps depends only on its shape too, so one `decided` dict serves
+    every index set of the pass, and no shape asks `max_positive_support`
+    twice.
     """
-    out: list[tuple[Unfolding, _Parts]] = []
+    out: list[tuple[Unfolding, _Parts, list[tuple[Vec, ...]]]] = []
     shapes: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, cycle words per state
     zero = representation_from_generators((), net.dim)
     lattices: dict[LatticeRepresentation, LatticeRepresentation] = {zero: zero}
@@ -107,11 +109,12 @@ def _compiled_unfoldings(
         walk = enumerate_unfoldings(net, index_set, params.state_bound, limits,
                                     forward_closed, decided)
         for g in itertools.islice(walk, limits.max_unfoldings):
-            key = edge_shape(g)
+            key = g.shape
+            if key not in parts:
+                certified = certified and params.certified_for(net, g)
             if key not in parts and g.full_index:
                 paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
                 parts[key] = _Parts(zero, (zero_rows,) * g.size, paths)
-                certified = certified and params.certified_for(net, g)
             if key not in parts:
                 if key not in shapes:
                     rep = lattice_of_unfolding(g)
@@ -124,8 +127,10 @@ def _compiled_unfoldings(
                 tau = params.threshold_for(net, g)
                 rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]
                 parts[key] = _Parts(rep, tuple(tuple(e.vector for e in r) for r in rows), paths)
-                certified = certified and params.certified_for(net, g)
-            out.append((g, parts[key]))
+            shared = parts[key]
+            bases = [tuple([_with_state(v, index_set, q) for v in rows])
+                     for rows, q in zip(shared.bases, g.states)]
+            out.append((g, shared, bases))
         truncated = truncated or next(walk, None) is not None
     return out, certified, not truncated
 
@@ -147,10 +152,8 @@ def compile_mutual(
     """
     compiled, certified, complete = _compiled_unfoldings(net, params, limits or EnumLimits())
     seen: dict[tuple, None] = {}  # each key equals the disjunct made of it
-    for g, parts in compiled:
+    for _, parts, bases in compiled:
         rep = parts.rep
-        bases = [[_with_state(v, g.index_set, q) for v in rows]
-                 for rows, q in zip(parts.bases, g.states)]
         for a_vectors, paths in zip(bases, parts.paths):
             for b_vectors, v in zip(bases, paths):
                 for a in a_vectors:
@@ -533,13 +536,11 @@ def compile_bottom(
         net, params, limits or EnumLimits(), forward_closed=True
     )
     tuples: list[BottomTuple] = []
-    for g, parts in compiled:
-        bases = [tuple(_with_state(v, g.index_set, q) for v in rows)
-                 for rows, q in zip(parts.bases, g.states)]
+    for g, parts, bases in compiled:
         for k, r in enumerate(g.states):
             vp = parts.paths[k]
             implications = []
-            for p_at, aidx, q_at in edge_shape(g):
+            for p_at, aidx, q_at in g.shape:
                 a = net.actions[aidx]
                 ants = tuple(
                     sorted(

@@ -9,6 +9,10 @@ preserves the invariant, and the certificate itself proves the prefix
 bound (sum of (1 - lambda_j) weights <= d).  Each move towards a vertex
 solves one fixed-size system: a kernel direction of the d + 1 mass and
 weight constraints on d + 2 strictly fractional coordinates.
+
+`prefix_safe_reorder` is the one checked order: path synthesis fires
+repaying cycles in it, and `prune_zero_subsequences` reorders its
+residuals by it.
 """
 
 from __future__ import annotations
@@ -94,27 +98,21 @@ def check_prefix_bound(vectors: Sequence[Vec], perm: Sequence[int]) -> bool:
     return True
 
 
-def steinitz_permutation(vectors) -> tuple[int, ...]:
-    """Permutation keeping prefixes within d*m of the proportional line."""
+def prefix_safe_reorder(vectors) -> tuple[int, ...]:
+    """Permutation keeping prefixes within d*m of the proportional line,
+    checked by `check_prefix_bound`; each prefix then also has
+    prefix(i) >= min(total(i), 0) - m*d per coordinate.
+
+    Proof: for n >= d the checked bound gives prefix_n(i) >= ((n - d)/k)
+    * total(i) - d*m >= min(total(i), 0) - d*m, as (n - d)/k lies in
+    [0, 1]; for n <= d the prefix sums n entries, each at least -m.
+    """
     vs, d, _, _ = _checked(vectors)
     if len(vs) <= d:
         return tuple(range(len(vs)))
     perm = tuple(_eject_order(vs, d))
     if not check_prefix_bound(vs, perm):
         raise SteinitzError("constructive reordering failed the prefix bound")
-    return perm
-
-
-def prefix_safe_reorder(vectors) -> tuple[int, ...]:
-    """Permutation with prefix(i) >= min(total(i), 0) - m*d per coordinate."""
-    vs, d, m, total = _checked(vectors)
-    perm = steinitz_permutation(vs)
-    prefix = zero(d)
-    for j in perm:
-        prefix = vadd(prefix, vs[j])
-        assert all(
-            prefix[i] >= min(total[i], 0) - m * d for i in range(d)
-        ), "prefix-safety bound violated"
     return perm
 
 
@@ -189,7 +187,7 @@ def prune_zero_subsequences(vectors) -> tuple[int, ...]:
         ws = [w for _, w in work]
         es = _monotone_decomposition(ws, target)
         vs = [tuple(w[i] - e[i] for i in range(d)) for w, e in zip(ws, es)]
-        perm = steinitz_permutation(vs)
+        perm = prefix_safe_reorder(vs)
         ordered = [(work[j], es[j], vs[j]) for j in perm]
         prefix = zero(d)
         seen: dict[Vec, int] = {prefix: 0}

@@ -95,7 +95,7 @@ def strongly_connected_components(succ: list[list[int]]) -> list[int]:
 
 
 class Unfolding(Record):
-    __slots__ = ("net", "index_set", "states", "transitions", "_cache")
+    __slots__ = ("net", "index_set", "states", "transitions", "shape", "_cache")
     _fields = ("net", "index_set", "states", "transitions")
 
     def __init__(
@@ -104,12 +104,19 @@ class Unfolding(Record):
         index_set: Sequence[int],
         states: Iterable[State],
         transitions: Iterable[Transition],
+        shape: Shape | None = None,
     ):
         self.net = net
         self.index_set = tuple(index_set)
         self.states = tuple(sorted(states))
         self.transitions = tuple(sorted(transitions))
-        # results derived from the fields, so not part of equality or hash
+        # derived, so not part of equality or hash: the edges as (state
+        # position, action, state position) in transition order, handed
+        # over by the enumerator or computed here, and a cache of results
+        if shape is None:
+            position = {s: k for k, s in enumerate(self.states)}
+            shape = tuple((position[p], a, position[q]) for p, a, q in self.transitions)
+        self.shape = shape
         self._cache: dict = {}
 
     @property
@@ -126,16 +133,6 @@ class Unfolding(Record):
 
     def state_norm(self) -> int:
         return max((norm_inf(s) for s in self.states), default=0)
-
-
-def edge_shape(g: Unfolding) -> Shape:
-    """g's edges as (state position, action, state position), in
-    transition order.  `enumerate_unfoldings` hands it over with each
-    unfolding it yields; for any other unfolding it is computed here once."""
-    if "shape" not in g._cache:
-        position = {s: k for k, s in enumerate(g.states)}
-        g._cache["shape"] = tuple((position[p], a, position[q]) for p, a, q in g.transitions)
-    return g._cache["shape"]
 
 
 class UnfoldingPath(Record):
@@ -228,7 +225,7 @@ def _circulation_rows(net: PetriNet, size: int, shape: Shape) -> list[list[int]]
 def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fraction] | None]:
     """Euler test: a strictly positive circulation with zero displacement."""
     if "reversible" not in g._cache:
-        rows = _circulation_rows(g.net, g.size, edge_shape(g))
+        rows = _circulation_rows(g.net, g.size, g.shape)
         flows = positive_circulation(rows, len(g.transitions))
         circulation = None if flows is None else dict(zip(g.transitions, flows))
         g._cache["reversible"] = (flows is not None, circulation)
@@ -495,7 +492,7 @@ def enumerate_unfoldings(
 
     A state set's edges are built only as a shape, and each unfolding
     reads its transitions off its states and its kept shape, which it
-    carries as its `edge_shape`.
+    carries as its `shape`, the very object `decided` holds.
     """
     limits = limits or EnumLimits()
     index_set = tuple(sorted(index_set))
@@ -604,7 +601,5 @@ def enumerate_unfoldings(
         if kept_shape is None:
             continue
         states = tuple(all_states[i] for i in subset)
-        g = Unfolding(net, index_set, states,
-                      tuple((states[k], a, states[m]) for k, a, m in kept_shape))
-        g._cache["shape"] = kept_shape
-        yield g
+        yield Unfolding(net, index_set, states,
+                        tuple((states[k], a, states[m]) for k, a, m in kept_shape), kept_shape)

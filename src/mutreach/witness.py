@@ -154,7 +154,6 @@ def _cycle_words(
     actions = g.net.actions
     start = zero(g.net.dim)
     words: list[tuple[tuple[int, ...], Vec, Vec]] = [((), start, start)]
-    truncated = False
     out: dict[Vec, list] = {}
     for t in g.transitions:
         out.setdefault(t[0], []).append(t)
@@ -166,8 +165,7 @@ def _cycle_words(
             for t in out.get(state, ()):
                 explored += 1
                 if explored > WALK_BUDGET:
-                    truncated = True
-                    break
+                    return words, True
                 a = actions[t[1]]
                 entry = (
                     word + (t[1],),
@@ -177,12 +175,8 @@ def _cycle_words(
                 if t[2] == q:
                     words.append(entry)
                 nxt.append((t[2], *entry))
-            if truncated:
-                break
-        if truncated:
-            break
         frontier = nxt
-    return words, truncated
+    return words, False
 
 
 def _antichain_min(items: list[tuple[Vec, object]]) -> list[tuple[Vec, object]]:

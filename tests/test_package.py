@@ -198,7 +198,8 @@ def test_derived_fields_stay_out_of_equality():
         assert other == obj and hash(other) == hash(obj)
     g, h = _line_unfolding(), _line_unfolding()
     assert g.states == ((0,), (1,)) and g.transitions == EDGES
-    g._cache["shape"] = ((0, 0, 1), (1, 1, 0))
+    assert g.shape == ((0, 0, 1), (1, 1, 0))
+    g.shape = None
     assert g == h and hash(g) == hash(h)
     t, u = _bottom_tuple(), _bottom_tuple()
     assert t.basis == [(2,)] and t.basis is t.basis

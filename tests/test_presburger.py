@@ -296,36 +296,40 @@ def _shape(g):
 
 
 def test_enumerator_hands_over_the_kept_edge_shape(fixture_nets, ring3):
-    """Every unfolding the enumerator yields carries the shape of the edges
-    it keeps, which the compile pass keys its shapes by; on consumer,
-    mixed3 and ring3 the support cut drops edges, so there the kept shape
-    is not always the shape of every edge among the states.  An unfolding
-    built elsewhere gets its shape computed."""
+    """Every unfolding the enumerator yields carries as its `shape` the
+    value its `decided` dict holds for the shape of every edge among its
+    states: the very object, so the kept shape is handed over and not
+    recomputed.  On consumer, mixed3 and ring3 the support cut drops
+    edges, so there the kept shape is not always the shape of every edge.
+    An unfolding rebuilt from the same states and transitions computes an
+    equal shape."""
 
-    def handed_over(g) -> bool:
-        # attached by the enumerator, not computed by `edge_shape`
-        return "shape" in g._cache and unfolding.edge_shape(g) == _shape(g)[1]
+    def every_edge(g):
+        position = {s: k for k, s in enumerate(g.states)}
+        return tuple((k, a, position[q]) for k, p in enumerate(g.states)
+                     for a, action in enumerate(g.net.actions)
+                     if (q := unfolding.i_fires(action, g.index_set, p)) in position)
 
     nets = {**fixture_nets, "ring3": ring3}
     cut = set()
     for name, net in nets.items():
         for forward_closed in (False, True):
+            decided: dict = {}
             for index_set in index_sets(net.dim):
-                for g in enumerate_unfoldings(net, index_set, 4, forward_closed=forward_closed):
-                    assert handed_over(g)
-                    states = set(g.states)
-                    enabled = [q for p in g.states for a in net.actions
-                               if (q := unfolding.i_fires(a, index_set, p)) in states]
-                    if len(enabled) > len(g.transitions):
+                for g in enumerate_unfoldings(net, index_set, 4, forward_closed=forward_closed,
+                                              decided=decided):
+                    edges = every_edge(g)
+                    assert g.shape is decided[edges]
+                    rebuilt = unfolding.Unfolding(net, index_set, g.states, g.transitions)
+                    assert rebuilt.shape == g.shape == _shape(g)[1]
+                    if len(edges) > len(g.shape):
                         cut.add(name)
     assert cut == {"consumer", "mixed3", "ring3"}
-    kept, truncated = take(enumerate_unfoldings(nets["mixed3"], (0, 1, 2), 5), 7)
+    decided = {}
+    kept, truncated = take(enumerate_unfoldings(nets["mixed3"], (0, 1, 2), 5,
+                                                decided=decided), 7)
     assert truncated and len(kept) == 7
-    assert all(map(handed_over, kept))
-    for g in kept:
-        rebuilt = unfolding.Unfolding(g.net, g.index_set, g.states, g.transitions)
-        assert "shape" not in rebuilt._cache
-        assert unfolding.edge_shape(rebuilt) == _shape(g)[1]
+    assert all(g.shape is decided[every_edge(g)] for g in kept)
 
 
 def test_compile_cap_boundary_is_per_index_set(token_swap):
@@ -467,7 +471,7 @@ def _assert_full_index_parts_match_the_general_code(net, params, forward_closed)
         net, params, unfolding.EnumLimits(), forward_closed
     )
     checked = 0
-    for g, parts in compiled:
+    for g, parts, bases in compiled:
         if not g.full_index:
             continue
         checked += 1
@@ -475,10 +479,11 @@ def _assert_full_index_parts_match_the_general_code(net, params, forward_closed)
         for i, p in enumerate(g.states):
             for j, q in enumerate(g.states):
                 assert elementary_path(g, p, q).displacement(net) == vsub(q, p) == parts.paths[i][j]
-        for q, rows in zip(g.states, parts.bases):
+        for q, rows, written in zip(g.states, parts.bases, bases):
             basis = witness.upward_basis(g, q, params)
             assert [e.vector for e in basis.elements] == [q]
             assert [witness._with_state(v, full, q) for v in rows] == [q]
+            assert written == (q,)
     return checked
 
 
@@ -513,7 +518,7 @@ def test_full_index_disjuncts_relate_mutual_pairs(fixture_nets, ring3, name, sta
     compiled, _, _ = presburger._compiled_unfoldings(net, params, unfolding.EnumLimits())
     disjuncts = set(compile_mutual(net, params).disjuncts)
     space = BoundedStateSpace(net, state_bound - 1)
-    pairs = [(p, q) for g, _ in compiled if g.full_index for p in g.states for q in g.states]
+    pairs = [(p, q) for g, _, _ in compiled if g.full_index for p in g.states for q in g.states]
     assert pairs
     for p, q in pairs:
         assert (p, q, vsub(q, p), zero) in disjuncts
@@ -525,7 +530,7 @@ def test_ring3_provenance_turns_on_the_threshold_of_the_largest_unfolding(ring3)
     every unfolding, the full-index ones included; on ring3 the largest
     has the six states of the `max_states` cap."""
     compiled, _, _ = presburger._compiled_unfoldings(ring3, PARAMS, unfolding.EnumLimits())
-    assert max(g.size for g, _ in compiled if g.full_index) == 6
+    assert max(g.size for g, _, _ in compiled if g.full_index) == 6
     tau = witness._pumping_threshold(ring3, 6)
     for off, provenance in ((tau, "certified"), (tau - 1, "heuristic")):
         params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=off)

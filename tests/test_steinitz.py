@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,7 +13,6 @@ from mutreach.steinitz import (
     check_prefix_bound,
     prefix_safe_reorder,
     prune_zero_subsequences,
-    steinitz_permutation,
 )
 
 
@@ -22,12 +22,12 @@ def _total(vectors):
 
 
 def test_single_vector_identity():
-    assert steinitz_permutation([(5, -3)]) == (0,)
+    assert prefix_safe_reorder([(5, -3)]) == (0,)
 
 
 def test_alternating_ones_stay_bounded():
     vecs = [(1,), (-1,), (1,), (-1,)]
-    perm = steinitz_permutation(vecs)
+    perm = prefix_safe_reorder(vecs)
     assert sorted(perm) == [0, 1, 2, 3]
     prefix = 0
     for j in perm:
@@ -35,9 +35,7 @@ def test_alternating_ones_stay_bounded():
         assert -1 <= prefix <= 1
 
 
-@pytest.mark.parametrize(
-    "fn", [steinitz_permutation, prefix_safe_reorder, prune_zero_subsequences]
-)
+@pytest.mark.parametrize("fn", [prefix_safe_reorder, prune_zero_subsequences])
 def test_mixed_dimensions_are_rejected(fn):
     with pytest.raises(SteinitzError, match="mixed dimensions"):
         fn([(1,), (1, 2)])
@@ -69,7 +67,7 @@ def test_each_move_solves_at_most_d_plus_two_columns(monkeypatch):
     rng = random.Random(27)
     d = 2
     vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(60)]
-    perm = steinitz_permutation(vecs)
+    perm = prefix_safe_reorder(vecs)
     assert sorted(perm) == list(range(60))
     assert widths and max(widths) <= d + 2
 
@@ -80,7 +78,7 @@ def test_prefix_bound_random_bags():
         d = rng.randint(1, 3)
         k = rng.randint(1, 20)
         vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
-        perm = steinitz_permutation(vecs)
+        perm = prefix_safe_reorder(vecs)
         assert sorted(perm) == list(range(k))
         assert check_prefix_bound(vecs, perm)
 
@@ -92,7 +90,7 @@ def test_brute_force_confirms_existence_small_k():
         d = rng.randint(1, 2)
         k = rng.randint(1, 7)
         vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
-        ours = steinitz_permutation(vecs)
+        ours = prefix_safe_reorder(vecs)
         assert check_prefix_bound(vecs, ours)
         assert any(
             check_prefix_bound(vecs, perm)
@@ -102,7 +100,7 @@ def test_brute_force_confirms_existence_small_k():
 
 def test_exact_rational_targets():
     vecs = [(3, 0), (0, 3), (-3, -3), (1, 1)]
-    perm = steinitz_permutation(vecs)
+    perm = prefix_safe_reorder(vecs)
     k, d, m = 4, 2, 3
     total = _total(vecs)
     prefix = (0, 0)
@@ -111,6 +109,22 @@ def test_exact_rational_targets():
         if n >= d:
             for i in range(d):
                 assert abs(Fraction(prefix[i]) - Fraction(n - d, k) * total[i]) <= d * m
+
+
+def test_reorder_and_pruning_outputs_are_pinned():
+    """300 random bags give the orders and kept sets recorded while the
+    order had two entry points, `steinitz_permutation` and the
+    `prefix_safe_reorder` that wrapped it: one function gives them all."""
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        d = rng.randint(1, 3)
+        k = rng.randint(1, 20)
+        vecs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(k)]
+        digest.update(repr((prefix_safe_reorder(vecs), prune_zero_subsequences(vecs))).encode())
+    assert digest.hexdigest() == (
+        "cf05456bcd54443c61150d8aeaaa67436b45a301f16dd3ca193cbd034be87bf8"
+    )
 
 
 def test_prefix_safe_examples():
@@ -145,7 +159,7 @@ def test_permutations_are_bijections(data):
     d = data.draw(st.integers(1, 3))
     vec = st.tuples(*[st.integers(-2, 2) for _ in range(d)])
     vecs = data.draw(st.lists(vec, min_size=1, max_size=10))
-    perm = steinitz_permutation(vecs)
+    perm = prefix_safe_reorder(vecs)
     assert sorted(perm) == list(range(len(vecs)))
 
 

@@ -128,6 +128,19 @@ def test_cycle_words_stop_at_the_walk_budget(ring3, monkeypatch):
         assert (h, delta) == (hurdle(ring3.word(w), dim=3), displacement(ring3.word(w), dim=3))
 
 
+@pytest.mark.parametrize("budget, truncated", [(376, True), (377, False)])
+def test_cycle_words_budget_boundary(ring3, monkeypatch, budget, truncated):
+    """377 is the least budget under which this ring3 walk runs to the
+    end: one below, it stops at the last edge step, and the words and
+    the flag are the reference walk's at both budgets."""
+    monkeypatch.setattr(witness, "WALK_BUDGET", budget)
+    g = max(enumerate_unfoldings(ring3, (0,), 4), key=lambda g: len(g.transitions))
+    q = g.states[0]
+    entries, cut = witness._cycle_words(g, q, 6)
+    assert cut is truncated
+    assert ([w for w, _, _ in entries], cut) == reference_cycle_words(g, q, 6)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 3).flatmap(
     lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), max_size=30)
