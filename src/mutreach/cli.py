@@ -300,14 +300,12 @@ def cmd_explore(args) -> int:
     net = load_net(args.net)
     space = BoundedStateSpace(net, args.box)
     comps = space.components()
-    reliable = [c for c in comps if space.reliable(c)]
+    # per component, whether it is bottom, or None when it is not reliable
+    bottom = {comp: space.bottom(min(comp)) for comp in comps}
+    reliable = [c for c in comps if bottom[c] is not None]
     print(f"{sum(map(len, comps))} configurations in the box, {len(comps)} components, "
           f"{len(reliable)} reliable")
-    bottoms = []
-    for comp in reliable:
-        rep = min(comp)
-        if space.bottom(rep):
-            bottoms.append(comp)
+    bottoms = [c for c in reliable if bottom[c]]
     print(f"{len(bottoms)} bottom components (reliable only)")
     for comp in sorted(bottoms, key=min)[: args.list_limit]:
         print("  bottom:", " | ".join(",".join(map(str, c)) for c in sorted(comp)))
@@ -319,8 +317,8 @@ def cmd_explore(args) -> int:
         payload = {
             "box": list(space.box),
             "components": [
-                {"members": sorted(map(list, comp)), "reliable": space.reliable(comp),
-                 "bottom": space.bottom(min(comp)) if space.reliable(comp) else None}
+                {"members": sorted(map(list, comp)), "reliable": bottom[comp] is not None,
+                 "bottom": bottom[comp]}
                 for comp in sorted(comps, key=min)
             ],
         }

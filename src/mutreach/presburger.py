@@ -22,7 +22,6 @@ from .net import PetriNet
 from .ratlp import max_positive_support, solve_standard
 from .unfolding import (
     EnumLimits,
-    Unfolding,
     elementary_path,
     enumerate_unfoldings,
     index_sets,
@@ -55,26 +54,19 @@ class MutualFormula(NamedTuple):
     cycle_len: int
 
 
-class _Parts(NamedTuple):
-    """What the compilers need of one unfolding, by state position.  The
-    basis rows are zero on I; the compile pass writes the state values in."""
-
-    rep: LatticeRepresentation
-    bases: tuple[tuple[Vec, ...], ...]  # pumping-basis rows at each state, zero on I
-    paths: tuple[tuple[Vec, ...], ...]  # paths[i][j]: elementary path i -> j
-
-
 def _compiled_unfoldings(
     net: PetriNet,
     params: PumpingParams,
     limits: EnumLimits,
     forward_closed: bool = False,
-) -> tuple[list[tuple[Unfolding, _Parts, list[tuple[Vec, ...]]]], bool, bool]:
-    """Each unfolding of every index set, in canonical order, with its
-    lattice, pumping-basis rows and path displacements, and its basis
-    rows with its state values written in; then whether every unfolding
-    is certified by the parameters, and whether no enumeration limit and
-    no basis walk budget was hit.
+) -> tuple[list[tuple], bool, bool]:
+    """Each unfolding `g` of every index set, in canonical order, as
+    `(g, rep, paths, bases)`: its lattice, its path displacements
+    (`paths[i][j]` along the elementary path from state i to state j),
+    and its pumping-basis rows at each state with the state's values
+    written in; then whether every unfolding is certified by the
+    parameters, and whether no enumeration limit and no basis walk budget
+    was hit.
 
     On the full index set (`Unfolding.full_index`) these are known in
     closed form, with no walk, once per edge shape: the lattice is {0}, a
@@ -90,13 +82,14 @@ def _compiled_unfoldings(
     once per shape and pass, and equal lattices are one object.  The basis
     rows cover the coordinates outside I with the threshold of the size,
     so they, and whether that threshold certifies, are decided once per
-    index set and shape, zero on I; each unfolding's state values are
-    written onto them here, once for both compilers.  Which edges a state
+    index set and shape, in one memo whose rows are zero on I, the full
+    index set's closed form its first case; each unfolding's state values
+    are written onto them here, once for both compilers.  Which edges a state
     set keeps depends only on its shape too, so one `decided` dict serves
     every index set of the pass, and no shape asks `max_positive_support`
     twice.
     """
-    out: list[tuple[Unfolding, _Parts, list[tuple[Vec, ...]]]] = []
+    out: list[tuple] = []
     shapes: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, cycle words per state
     zero = representation_from_generators((), net.dim)
     lattices: dict[LatticeRepresentation, LatticeRepresentation] = {zero: zero}
@@ -104,7 +97,7 @@ def _compiled_unfoldings(
     decided: dict = {}
     truncated, certified = False, True
     for index_set in index_sets(net.dim):
-        parts: dict[tuple, _Parts] = {}  # edge shape -> parts over this index set
+        parts: dict[tuple, tuple] = {}  # edge shape -> lattice, paths, rows zero on I
         # the cap lives here, per index set: take `max_unfoldings`, then look ahead once
         walk = enumerate_unfoldings(net, index_set, params.state_bound, limits,
                                     forward_closed, decided)
@@ -112,25 +105,25 @@ def _compiled_unfoldings(
             key = g.shape
             if key not in parts:
                 certified = certified and params.certified_for(net, g)
-            if key not in parts and g.full_index:
-                paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
-                parts[key] = _Parts(zero, (zero_rows,) * g.size, paths)
-            if key not in parts:
-                if key not in shapes:
-                    rep = lattice_of_unfolding(g)
-                    paths = tuple(tuple(elementary_path(g, p, q).displacement(net)
-                                        for q in g.states) for p in g.states)
-                    walks = [_cycle_words(g, q, params.cycle_len) for q in g.states]
-                    truncated = truncated or any(cut for _, cut in walks)
-                    shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
-                rep, paths, walks = shapes[key]
-                tau = params.threshold_for(net, g)
-                rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]
-                parts[key] = _Parts(rep, tuple(tuple(e.vector for e in r) for r in rows), paths)
-            shared = parts[key]
+                if g.full_index:
+                    paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
+                    parts[key] = (zero, paths, (zero_rows,) * g.size)
+                else:
+                    if key not in shapes:
+                        rep = lattice_of_unfolding(g)
+                        paths = tuple(tuple(elementary_path(g, p, q).displacement(net)
+                                            for q in g.states) for p in g.states)
+                        walks = [_cycle_words(g, q, params.cycle_len) for q in g.states]
+                        truncated = truncated or any(cut for _, cut in walks)
+                        shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
+                    rep, paths, walks = shapes[key]
+                    tau = params.threshold_for(net, g)
+                    rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]
+                    parts[key] = (rep, paths, [[e.vector for e in r] for r in rows])
+            rep, paths, rows_at = parts[key]
             bases = [tuple([_with_state(v, index_set, q) for v in rows])
-                     for rows, q in zip(shared.bases, g.states)]
-            out.append((g, shared, bases))
+                     for rows, q in zip(rows_at, g.states)]
+            out.append((g, rep, paths, bases))
         truncated = truncated or next(walk, None) is not None
     return out, certified, not truncated
 
@@ -152,9 +145,8 @@ def compile_mutual(
     """
     compiled, certified, complete = _compiled_unfoldings(net, params, limits or EnumLimits())
     seen: dict[tuple, None] = {}  # each key equals the disjunct made of it
-    for _, parts, bases in compiled:
-        rep = parts.rep
-        for a_vectors, paths in zip(bases, parts.paths):
+    for _, rep, paths_from, bases in compiled:
+        for a_vectors, paths in zip(bases, paths_from):
             for b_vectors, v in zip(bases, paths):
                 for a in a_vectors:
                     for b in b_vectors:
@@ -536,9 +528,9 @@ def compile_bottom(
         net, params, limits or EnumLimits(), forward_closed=True
     )
     tuples: list[BottomTuple] = []
-    for g, parts, bases in compiled:
+    for g, rep, paths, bases in compiled:
         for k, r in enumerate(g.states):
-            vp = parts.paths[k]
+            vp = paths[k]
             implications = []
             for p_at, aidx, q_at in g.shape:
                 a = net.actions[aidx]
@@ -559,7 +551,7 @@ def compile_bottom(
                 BottomTuple(
                     index_set=g.index_set,
                     state=r,
-                    rep=parts.rep,
+                    rep=rep,
                     membership=bases[k],
                     implications=tuple(implications),
                 )

@@ -2,15 +2,16 @@
 
 A small two-phase simplex with Bland's rule, entirely in Fractions.
 Used for maximal circulation supports, which decide every enumerated
-unfolding, and for the circulation Z of one, both posed as f >= 1
-feasibility problems, and for the coefficient bounds of bottom
-lattice-box queries.  The rows are mostly zeros, and nearly all the time
-goes to Fraction arithmetic, so a pivot updates only the pivot row's
-nonzero columns, and only in rows with a nonzero factor, and the
-objective set-up prices out each basic row with a nonzero cost on that
-row's nonzero columns only: on the others it would subtract 0, so a
-zero stays an exact zero, and every other entry gets the value a full
-row operation gives it.
+unfolding, and for a positive circulation of one, which
+`unfolding.is_structurally_reversible` scales once to its integer
+circulation Z, both posed as f >= 1 feasibility problems, and for the
+coefficient bounds of bottom lattice-box queries.  The rows are mostly
+zeros, and nearly all the time goes to Fraction arithmetic, so a pivot
+updates only the pivot row's nonzero columns, and only in rows with a
+nonzero factor, and the objective set-up prices out each basic row with
+a nonzero cost on that row's nonzero columns only: on the others it
+would subtract 0, so a zero stays an exact zero, and every other entry
+gets the value a full row operation gives it.
 
 `solve_standard(A, b)` runs phase 1 once and returns the tableau at a
 feasible vertex of A x = b, x >= 0, or, when there is none, the phase-1
@@ -227,7 +228,8 @@ def positive_circulation(
     loop ran one round.  A balanced system gives f = 1, the vertex the LP
     would return: its right-hand side -A 1 is 0, so every pivot is
     degenerate and g = 0.  Otherwise f is the LP's vertex plus 1.  It
-    serves only `is_structurally_reversible`, which needs Z itself.
+    serves only `is_structurally_reversible`, which scales f once to the
+    integer circulation Z and keeps Z on the unfolding.
     """
     columns, tab = _support(eq_rows, nvars)
     if len(columns) < nvars:

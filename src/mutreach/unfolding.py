@@ -5,7 +5,8 @@ carry net actions consistent with the restricted firing relation.  An
 unfolding is structurally reversible when every edge's displacement can
 be cancelled by a return path, equivalently when a strictly positive
 circulation with zero total displacement exists (Euler's condition).
-The enumerator asks it as `max_positive_support` over shape-built rows.
+The enumerator asks it as `max_positive_support` over shape-built rows,
+and `is_structurally_reversible` as `positive_circulation` over the same.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import Iterable, Iterator, Sequence
@@ -92,6 +92,16 @@ def strongly_connected_components(succ: list[list[int]]) -> list[int]:
                         break
                 closed += 1
     return component
+
+
+def _shape_components(size: int, shape: Shape) -> list[int]:
+    """`strongly_connected_components` of the graph on state positions
+    0..size-1 with the edges of `shape`: strongly connected exactly when
+    every label is 0."""
+    succ: list[list[int]] = [[] for _ in range(size)]
+    for k, _, m in shape:
+        succ[k].append(m)
+    return strongly_connected_components(succ)
 
 
 class Unfolding(Record):
@@ -195,16 +205,13 @@ def validate_unfolding(
             raise UnfoldingError("unknown action index", t)
         if i_fires(net.actions[a], index_set, p) != q:
             raise UnfoldingError("transition violates the firing relation", t)
-    position = {s: k for k, s in enumerate(states)}
-    succ: list[list[int]] = [[] for _ in states]
-    for p, _, q in transitions:
-        succ[position[p]].append(position[q])
-    label = strongly_connected_components(succ)
+    g = Unfolding(net, index_set, states, transitions)
+    label = _shape_components(g.size, g.shape)
     if any(label):
         # component 0 reaches no other, so no path leaves it for the last one
         pair = (states[label.index(0)], states[label.index(max(label))])
         raise UnfoldingError("graph is not strongly connected", pair)
-    return Unfolding(net, index_set, states, transitions)
+    return g
 
 
 # --- structural reversibility ----------------------------------------------
@@ -222,14 +229,17 @@ def _circulation_rows(net: PetriNet, size: int, shape: Shape) -> list[list[int]]
     return rows
 
 
-def is_structurally_reversible(g: Unfolding) -> tuple[bool, dict[Transition, Fraction] | None]:
-    """Euler test: a strictly positive circulation with zero displacement."""
-    if "reversible" not in g._cache:
-        rows = _circulation_rows(g.net, g.size, g.shape)
-        flows = positive_circulation(rows, len(g.transitions))
-        circulation = None if flows is None else dict(zip(g.transitions, flows))
-        g._cache["reversible"] = (flows is not None, circulation)
-    return g._cache["reversible"]
+def is_structurally_reversible(g: Unfolding) -> dict[Transition, int] | None:
+    """Euler test: the integer circulation witness Z, a strictly positive
+    circulation with zero displacement scaled to integers once, or None.
+    Z is {} on an unfolding with no edge, so callers test for None."""
+    if "circulation" not in g._cache:
+        flows = positive_circulation(_circulation_rows(g.net, g.size, g.shape), len(g.transitions))
+        if flows is not None:
+            scale = reduce(lcm, (f.denominator for f in flows), 1)
+            flows = {t: int(f * scale) for t, f in zip(g.transitions, flows)}
+        g._cache["circulation"] = flows
+    return g._cache["circulation"]
 
 
 # --- cycles and the lattice L_G --------------------------------------------
@@ -301,15 +311,6 @@ def lattice_of_unfolding(g: Unfolding) -> LatticeRepresentation:
     return g._cache["lattice"]
 
 
-def _integer_circulation(g: Unfolding) -> dict[Transition, int]:
-    ok, flows = is_structurally_reversible(g)
-    if not ok:
-        raise UnfoldingError("unfolding is not structurally reversible")
-    assert flows is not None
-    scale = reduce(lcm, (f.denominator for f in flows.values()), 1)
-    return {t: int(f * scale) for t, f in flows.items()}
-
-
 def euler_circuit(g: Unfolding, counts: dict[Transition, int], anchor: State) -> UnfoldingPath:
     """A closed walk on `anchor` that takes each transition t exactly
     counts[t] times.
@@ -348,12 +349,16 @@ def euler_circuit(g: Unfolding, counts: dict[Transition, int], anchor: State) ->
     return cycle
 
 
-def _closed_walk_counts(g: Unfolding, cycle: UnfoldingPath) -> Counter:
-    """How many times the closed walk `cycle` of g takes each transition."""
+def _closed_walk_counts(g: Unfolding, cycle: UnfoldingPath) -> tuple[Counter, dict]:
+    """How many times the closed walk `cycle` of g takes each transition,
+    and g's integer circulation witness Z."""
     used = Counter(cycle.transitions)
     if not cycle.is_cycle() or not set(used) <= set(g.transitions):
         raise UnfoldingError("not a closed walk of the unfolding", cycle)
-    return used
+    z = is_structurally_reversible(g)
+    if z is None:
+        raise UnfoldingError("unfolding is not structurally reversible")
+    return used, z
 
 
 def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
@@ -364,9 +369,9 @@ def reverse_cycle(g: Unfolding, cycle: UnfoldingPath) -> UnfoldingPath:
     every transition and balanced at every state, and its displacement
     is -displacement(cycle); the walk is its Euler circuit.
     """
-    used = _closed_walk_counts(g, cycle)
+    used, circulation = _closed_walk_counts(g, cycle)
     k = 1 + max(used.values(), default=0)
-    counts = {t: k * z - used[t] for t, z in _integer_circulation(g).items()}
+    counts = {t: k * z - used[t] for t, z in circulation.items()}
     back = euler_circuit(g, counts, cycle.source)
     assert back.displacement(g.net) == tuple(-v for v in cycle.displacement(g.net))
     return back
@@ -381,8 +386,8 @@ def embed_cycle(g: Unfolding, cycle: UnfoldingPath, anchor: State) -> UnfoldingP
     is displacement(cycle); the walk is its Euler circuit.  The empty
     cycle embeds as the circuit of Z, a zero-displacement full-state cycle.
     """
-    used = _closed_walk_counts(g, cycle)
-    counts = {t: z + used[t] for t, z in _integer_circulation(g).items()}
+    used, circulation = _closed_walk_counts(g, cycle)
+    counts = {t: z + used[t] for t, z in circulation.items()}
     walk = euler_circuit(g, counts, anchor)
     assert walk.displacement(g.net) == cycle.displacement(g.net)
     return walk
@@ -405,8 +410,7 @@ def unfolding_from_sccc(net: PetriNet, configs: Iterable[Vec], index_set: Sequen
             if y in members:
                 transitions.add((restrict(x, index_set), idx, restrict(y, index_set)))
     g = validate_unfolding(net, index_set, states, transitions)
-    ok, _ = is_structurally_reversible(g)
-    if not ok:
+    if is_structurally_reversible(g) is None:
         raise UnfoldingError("constructed graph is not structurally reversible "
                              "(input was not a mutually-reachable set?)")
     return g
@@ -559,15 +563,9 @@ def enumerate_unfoldings(
     # read off the sorted states, those are in `Unfolding`'s order.
     decided = {} if decided is None else decided
 
-    def strongly_connected(size: int, arcs: Shape) -> bool:
-        succ: list[list[int]] = [[] for _ in range(size)]
-        for k, _, m in arcs:
-            succ[k].append(m)
-        return not any(strongly_connected_components(succ))
-
     def decide(size: int, shape: Shape) -> Shape | None:
         """The shape of the edges to keep, or None to skip the state set."""
-        if not forward_closed and size > 1 and not strongly_connected(size, shape):
+        if not forward_closed and any(_shape_components(size, shape)):
             return None
         if forward_closed and len(index_set) == net.dim:
             # On the full index set an edge (p, a, q) has q - p = delta_a, so
@@ -581,7 +579,7 @@ def enumerate_unfoldings(
         if forward_closed:
             return None
         kept_shape = tuple(shape[j] for j in support)
-        if size > 1 and not strongly_connected(size, kept_shape):
+        if any(_shape_components(size, kept_shape)):
             return None
         return kept_shape
 

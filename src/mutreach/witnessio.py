@@ -121,7 +121,7 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
         if key == "word" and not _fires(net, x, y, word):
             raise ValueError(f"line {lineno}: word does not fire: {line.strip()!r}")
     g = validate_unfolding(net, index_set, states, transitions)
-    if not is_structurally_reversible(g)[0]:
+    if is_structurally_reversible(g) is None:
         raise ValueError("unfolding is not structurally reversible")
     params = PumpingParams(header["state-bound"], header["cycle-len"], header["off-threshold"])
     w = check_witness(net, configs, g, params)

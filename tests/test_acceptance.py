@@ -164,12 +164,10 @@ def test_criterion_03_structural_reversibility(fixture_nets):
                 net, index_set, 4, max_states=4, max_edges=12, cap=300
             )
             for g in candidates:
-                lp, flows = is_structurally_reversible(g)
+                flows = is_structurally_reversible(g)
+                lp = flows is not None
                 if lp:
-                    scale = 1
-                    for f in flows.values():
-                        scale = scale * f.denominator // __import__("math").gcd(scale, f.denominator)
-                    budget = max(sum(int(f * scale) for f in flows.values()), 8)
+                    budget = max(sum(flows.values()), 8)
                 else:
                     budget = 24
                 assert lp == definitional_reversible(g, budget, budget), (

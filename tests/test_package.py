@@ -15,7 +15,7 @@ import mutreach
 from mutreach.intlinalg import HnfResult, LinalgError
 from mutreach.lattice import LatticeRepresentation, representation_from_generators
 from mutreach.net import Action, NetError, PetriNet
-from mutreach.presburger import BottomFormula, BottomTuple, MutualFormula, _Parts
+from mutreach.presburger import BottomFormula, BottomTuple, MutualFormula
 from mutreach.unfolding import (
     EnumLimits,
     Unfolding,
@@ -240,7 +240,7 @@ def test_reprs_that_are_read_stay_byte_identical():
 
 
 NAMED_TUPLES = [HnfResult, BasisElement, UpwardBasis, PumpCertificate, PairCertificate,
-                MutualWitness, MutualFormula, BottomFormula, _Parts, SearchResult]
+                MutualWitness, MutualFormula, BottomFormula, SearchResult]
 
 
 @pytest.mark.parametrize("cls", NAMED_TUPLES, ids=lambda c: c.__name__)

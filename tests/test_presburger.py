@@ -471,18 +471,18 @@ def _assert_full_index_parts_match_the_general_code(net, params, forward_closed)
         net, params, unfolding.EnumLimits(), forward_closed
     )
     checked = 0
-    for g, parts, bases in compiled:
+    for g, rep, paths, bases in compiled:
         if not g.full_index:
             continue
         checked += 1
-        assert lattice_of_unfolding(g) == zero == parts.rep
+        assert lattice_of_unfolding(g) == zero == rep
         for i, p in enumerate(g.states):
             for j, q in enumerate(g.states):
-                assert elementary_path(g, p, q).displacement(net) == vsub(q, p) == parts.paths[i][j]
-        for q, rows, written in zip(g.states, parts.bases, bases):
+                assert elementary_path(g, p, q).displacement(net) == vsub(q, p) == paths[i][j]
+        for q, written in zip(g.states, bases):
             basis = witness.upward_basis(g, q, params)
             assert [e.vector for e in basis.elements] == [q]
-            assert [witness._with_state(v, full, q) for v in rows] == [q]
+            assert [witness._with_state(v, full, q) for v in written] == [q]
             assert written == (q,)
     return checked
 
@@ -518,7 +518,7 @@ def test_full_index_disjuncts_relate_mutual_pairs(fixture_nets, ring3, name, sta
     compiled, _, _ = presburger._compiled_unfoldings(net, params, unfolding.EnumLimits())
     disjuncts = set(compile_mutual(net, params).disjuncts)
     space = BoundedStateSpace(net, state_bound - 1)
-    pairs = [(p, q) for g, _, _ in compiled if g.full_index for p in g.states for q in g.states]
+    pairs = [(p, q) for g, *_ in compiled if g.full_index for p in g.states for q in g.states]
     assert pairs
     for p, q in pairs:
         assert (p, q, vsub(q, p), zero) in disjuncts
@@ -530,7 +530,7 @@ def test_ring3_provenance_turns_on_the_threshold_of_the_largest_unfolding(ring3)
     every unfolding, the full-index ones included; on ring3 the largest
     has the six states of the `max_states` cap."""
     compiled, _, _ = presburger._compiled_unfoldings(ring3, PARAMS, unfolding.EnumLimits())
-    assert max(g.size for g, _, _ in compiled if g.full_index) == 6
+    assert max(g.size for g, *_ in compiled if g.full_index) == 6
     tau = witness._pumping_threshold(ring3, 6)
     for off, provenance in ((tau, "certified"), (tau - 1, "heuristic")):
         params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=off)

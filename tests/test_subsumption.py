@@ -54,7 +54,7 @@ def test_transition_subsets_add_nothing(token_swap, ring, mixed3):
                 net, index_set, params.state_bound, max_states=3, max_edges=10
             )
             for g in candidates:
-                if is_structurally_reversible(g)[0]:
+                if is_structurally_reversible(g) is not None:
                     extra.extend(_disjuncts_for(net, g, params))
         enriched = _formula_from(net, tuple(maximal.disjuncts) + tuple(extra), params)
         pts = list(itertools.product(range(3), repeat=net.dim))
@@ -72,7 +72,7 @@ def test_maximal_lattice_contains_subset_lattices(token_swap):
     maximal, _ = collect_unfoldings(token_swap, (0, 1), 3)
     by_states = {g.states: g for g in maximal}
     candidates = candidate_unfoldings(token_swap, (0, 1), 3, max_states=3, max_edges=10)
-    subsets = [g for g in candidates if is_structurally_reversible(g)[0]]
+    subsets = [g for g in candidates if is_structurally_reversible(g) is not None]
     assert subsets
     for g in subsets:
         big = by_states[g.states]

@@ -70,6 +70,26 @@ def test_validate_rejects_disconnected():
     assert "strongly connected" in exc.value.reason
 
 
+@pytest.mark.parametrize(
+    "states, edges, pair",
+    [
+        ([(2, 0), (1, 1)], [((2, 0), 0, (1, 1))], ((1, 1), (2, 0))),
+        # {(1, 1), (2, 0)} is a cycle that (0, 2) leaves for good; (3, 0) has no edge
+        ([(2, 0), (1, 1), (0, 2), (3, 0)],
+         [((2, 0), 0, (1, 1)), ((1, 1), 1, (2, 0)), ((1, 1), 0, (0, 2))],
+         ((0, 2), (3, 0))),
+    ],
+)
+def test_validate_names_a_state_pair_no_path_joins(states, edges, pair):
+    """The detail pairs a state of the first component to close, which
+    reaches no other, with a state of the last one to close."""
+    net = PetriNet(2, (Action((1, 0), (0, 1)), Action((0, 1), (1, 0))))
+    with pytest.raises(UnfoldingError) as exc:
+        validate_unfolding(net, (0, 1), states, edges)
+    assert exc.value.reason == "graph is not strongly connected"
+    assert exc.value.detail == pair
+
+
 def test_validate_rejects_bad_edge():
     net = PetriNet(2, (Action((1, 0), (0, 1)),))
     with pytest.raises(UnfoldingError) as exc:
@@ -84,12 +104,12 @@ def test_validate_rejects_bad_edge():
 def test_reversibility_examples():
     up = PetriNet(1, (Action((0,), (1,)),))
     g = validate_unfolding(up, (), [()], [((), 0, ())])
-    assert is_structurally_reversible(g)[0] is False
+    assert is_structurally_reversible(g) is None
 
     updown = PetriNet(1, (Action((0,), (1,)), Action((1,), (0,))))
     g2 = validate_unfolding(updown, (), [()], [((), 0, ()), ((), 1, ())])
-    ok, flows = is_structurally_reversible(g2)
-    assert ok and all(f > 0 for f in flows.values())
+    flows = is_structurally_reversible(g2)
+    assert flows is not None and all(f > 0 for f in flows.values())
 
 
 def test_reversibility_two_state_cycle(token_swap):
@@ -98,8 +118,8 @@ def test_reversibility_two_state_cycle(token_swap):
         [(1, 0), (0, 1)],
         [((1, 0), 0, (0, 1)), ((0, 1), 1, (1, 0))],
     )
-    ok, flows = is_structurally_reversible(g)
-    assert ok
+    flows = is_structurally_reversible(g)
+    assert flows is not None
     assert flows[((1, 0), 0, (0, 1))] == flows[((0, 1), 1, (1, 0))]
 
 
@@ -112,10 +132,10 @@ def test_lp_matches_definitional_search_on_candidates(fixture_nets):
                 net, index_set[0], 3, max_states=3, max_edges=8, cap=150
             )
             for g in candidates:
-                lp, flows = is_structurally_reversible(g)
+                flows = is_structurally_reversible(g)
+                lp = flows is not None
                 if lp:
-                    total = sum(int(f * f.denominator) for f in flows.values())
-                    budget = max(total, 8)
+                    budget = max(sum(flows.values()), 8)
                 else:
                     budget = 24
                 search = definitional_reversible(g, length_budget=budget, disp_bound=budget)
@@ -355,13 +375,13 @@ def test_unfolding_from_sccc_examples(token_swap, ring):
     g = unfolding_from_sccc(token_swap, [(2, 0), (1, 1), (0, 2)], (0, 1))
     assert g.states == ((0, 2), (1, 1), (2, 0))
     assert len(g.transitions) == 4
-    assert is_structurally_reversible(g)[0]
+    assert is_structurally_reversible(g) is not None
 
     single = unfolding_from_sccc(token_swap, [(0, 0)], (0, 1))
     assert single.states == ((0, 0),) and single.transitions == ()
 
     g2 = unfolding_from_sccc(ring, [(2, 0), (1, 1), (0, 2)], (0, 1))
-    assert is_structurally_reversible(g2)[0]
+    assert is_structurally_reversible(g2) is not None
 
     with pytest.raises(UnfoldingError):
         unfolding_from_sccc(token_swap, [(1, 0), (0, 0)], (0, 1))
@@ -392,7 +412,7 @@ def test_enumeration_all_reversible(fixture_nets):
         for index_set in ((), (0,)):
             gs, _ = collect_unfoldings(net, index_set, 3)
             for g in gs:
-                assert is_structurally_reversible(g)[0], (g.states, g.transitions)
+                assert is_structurally_reversible(g) is not None, (g.states, g.transitions)
 
 
 def test_enumeration_b1_single_state(consumer):
@@ -421,11 +441,11 @@ def test_enumeration_truncation_flag_at_exact_limit(consumer, mixed3):
 
 def test_transition_subset_enumeration(token_swap):
     candidates = candidate_unfoldings(token_swap, (0,), 2, max_states=2, max_edges=14)
-    gs = [g for g in candidates if is_structurally_reversible(g)[0]]
+    gs = [g for g in candidates if is_structurally_reversible(g) is not None]
     keys = [(g.states, g.transitions) for g in gs]
     assert len(keys) == len(set(keys))
     for g in gs:
-        assert is_structurally_reversible(g)[0]
+        assert is_structurally_reversible(g) is not None
     # the two-state set admits exactly one valid transition set (both edges)
     two_state = [g for g in gs if len(g.states) == 2]
     assert len(two_state) == 1 and len(two_state[0].transitions) == 2
@@ -442,7 +462,8 @@ def test_forward_closed_enumeration_matches_reference(fixture_nets):
                 targets = {i_fires(a, index_set, p) for p in states for a in net.actions}
                 if not targets - {None} <= set(states):
                     continue
-                if is_structurally_reversible(Unfolding(net, index_set, states, tuple(edges)))[0]:
+                g = Unfolding(net, index_set, states, tuple(edges))
+                if is_structurally_reversible(g) is not None:
                     expected.append((states, tuple(edges)))
             found = enumerate_unfoldings(net, index_set, 3, forward_closed=True)
             assert [(g.states, g.transitions) for g in found] == expected, index_set
@@ -588,7 +609,7 @@ def test_forward_closed_yields_are_closed_components(mixed3, name, bound, max_st
                 (p, k, q) for p in states for k, a in enumerate(net.actions)
                 if (q := i_fires(a, index_set, p)) is not None
             )
-            if is_structurally_reversible(Unfolding(net, index_set, states, edges))[0]:
+            if is_structurally_reversible(Unfolding(net, index_set, states, edges)) is not None:
                 expected.append((states, edges))
         found = enumerate_unfoldings(net, index_set, bound, limits, forward_closed=True)
         assert [(g.states, g.transitions) for g in found] == expected, index_set
@@ -638,6 +659,32 @@ def test_forward_closed_matches_reference_on_random_nets(net, bound, max_states,
         found = enumerate_unfoldings(net, index_set, bound, limits, forward_closed=True)
         expected = reference_unfoldings(net, index_set, bound, limits, forward_closed=True)
         assert take(found, max_unfoldings) == take(expected, max_unfoldings), index_set
+
+
+def _assert_enumerated_unfoldings_validate(net, bound, forward_closed, limits=None):
+    """Every unfolding the enumerator yields is the one `validate_unfolding`
+    builds from its states and transitions, with the same edge shape."""
+    count = 0
+    for index_set in index_sets(net.dim):
+        for g in enumerate_unfoldings(net, index_set, bound, limits, forward_closed):
+            checked = validate_unfolding(net, index_set, g.states, g.transitions)
+            assert checked == g and checked.shape == g.shape, (index_set, g.states)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("forward_closed", [False, True], ids=["mutual", "bottom"])
+@pytest.mark.parametrize("name", ["token_swap", "consumer", "ring", "mixed3", "ring3"])
+def test_enumerated_unfoldings_pass_validation(fixture_nets, name, forward_closed):
+    net = RING3 if name == "ring3" else fixture_nets[name]
+    assert _assert_enumerated_unfoldings_validate(net, 4, forward_closed) > 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=_SMALL_NETS, bound=st.integers(2, 4), max_states=st.integers(1, 6))
+def test_enumerated_unfoldings_pass_validation_on_random_nets(net, bound, max_states):
+    for forward_closed in (False, True):
+        _assert_enumerated_unfoldings_validate(net, bound, forward_closed, EnumLimits(max_states))
 
 
 @pytest.mark.parametrize("forward_closed", [False, True])
@@ -751,7 +798,7 @@ def test_charge_net_circulation_is_pinned():
         net, (0,), [(0,), (1,)],
         [((1,), 0, (0,)), ((0,), 1, (1,)), ((0,), 2, (0,)), ((1,), 2, (1,))],
     )
-    assert unfolding._integer_circulation(g) == {
+    assert is_structurally_reversible(g) == {
         ((0,), 1, (1,)): 2, ((0,), 2, (0,)): 1, ((1,), 0, (0,)): 2, ((1,), 2, (1,)): 1,
     }
 
@@ -763,7 +810,7 @@ def test_ring3_circulations_are_pinned(ring3):
     count = 0
     for index_set in index_sets(ring3.dim):
         for g in enumerate_unfoldings(ring3, index_set, 4):
-            z = sorted(unfolding._integer_circulation(g).items())
+            z = sorted(is_structurally_reversible(g).items())
             digest.update(repr((g.index_set, g.states, z)).encode() + b"\n")
             count += 1
     assert count == 930
