@@ -108,9 +108,9 @@ def _add_param_flags(p: argparse.ArgumentParser):
                    help="pumping cycle-word length cap")
     p.add_argument("--off-threshold", type=_off_threshold, default="exact",
                    help="'exact' for the per-unfolding certified value, or an integer")
-    p.add_argument("--max-states", type=_positive, default=6,
+    p.add_argument("--max-states", type=_positive, default=EnumLimits().max_states,
                    help="largest unfolding state-set size enumerated")
-    p.add_argument("--max-unfoldings", type=_natural, default=5000)
+    p.add_argument("--max-unfoldings", type=_natural, default=EnumLimits().max_unfoldings)
 
 
 def _check_output_paths(*paths: str | None) -> None:

@@ -95,8 +95,6 @@ def solve_integer(m: Sequence[Sequence[int]], target: Sequence[int]) -> list[int
         raise LinalgError("target length does not match row count")
     res = hermite_normal_form(m)
     cols = len(res.u)
-    if res.rank == 0:
-        return [0] * cols if all(t == 0 for t in target) else None
     # Back-substitute on the pivot rows: H w = target[pivot rows].
     h = res.h
     w: list[int] = []

@@ -18,7 +18,7 @@ from .vectors import Record, Vec, norm_inf, vdot, vec
 class LatticeRepresentation(Record):
     """Exactly d pairs (n_i, a_i); n = 0 means equality a.x = 0."""
 
-    __slots__ = ("dim", "pairs", "norm", "_hash")
+    __slots__ = ("dim", "pairs", "_hash")
     _fields = ("dim", "pairs")
 
     def __init__(self, dim: int, pairs: Sequence[tuple[int, Sequence[int]]]):
@@ -32,7 +32,6 @@ class LatticeRepresentation(Record):
                 raise LinalgError("coefficient vector has wrong dimension")
         self.dim = dim
         self.pairs = pairs
-        self.norm = max((max(n, norm_inf(a)) for n, a in pairs), default=0)
         # formulas key their dedupe and writer caches by lattice, so the
         # hash of `pairs` is taken once
         self._hash = hash((dim, pairs))
@@ -111,7 +110,7 @@ def representation_from_generators(
             original[hnf.row_perm[j]] = c
         pairs.append((n, tuple(original)))
 
-    rep = LatticeRepresentation(dim, tuple(pairs))
     m = max(norm_inf(g) for g in gens)
-    assert rep.norm <= factorial(dim) ** 2 * m**dim, "representation norm exceeds (d!)^2 m^d"
-    return rep
+    norm = max(max(n, norm_inf(a)) for n, a in pairs)
+    assert norm <= factorial(dim) ** 2 * m**dim, "representation norm exceeds (d!)^2 m^d"
+    return LatticeRepresentation(dim, tuple(pairs))

@@ -104,7 +104,7 @@ def _compiled_unfoldings(
         for g in itertools.islice(walk, limits.max_unfoldings):
             key = g.shape
             if key not in parts:
-                certified = certified and params.certified_for(net, g)
+                certified = certified and params.certified_for(net, g.size)
                 if g.full_index:
                     paths = tuple(tuple(vsub(q, p) for q in g.states) for p in g.states)
                     parts[key] = (zero, paths, (zero_rows,) * g.size)
@@ -117,7 +117,7 @@ def _compiled_unfoldings(
                         truncated = truncated or any(cut for _, cut in walks)
                         shapes[key] = (lattices.setdefault(rep, rep), paths, [w for w, _ in walks])
                     rep, paths, walks = shapes[key]
-                    tau = params.threshold_for(net, g)
+                    tau = params.threshold_for(net, g.size)
                     rows = [_basis_rows(net, index_set, w, tau, params.cycle_len) for w in walks]
                     parts[key] = (rep, paths, [[e.vector for e in r] for r in rows])
             rep, paths, rows_at = parts[key]

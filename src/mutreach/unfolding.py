@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .lattice import LatticeRepresentation, representation_from_generators
 from .net import Action, PetriNet, step_targets
 from .ratlp import max_positive_support, positive_circulation
-from .vectors import Record, Vec, norm_inf, restrict, vadd, zero
+from .vectors import Record, Vec, restrict, vadd, zero
 
 State = Vec  # values over the unfolding's index set, in index order
 Transition = tuple[State, int, State]  # (source, action index, target)
@@ -140,9 +140,6 @@ class Unfolding(Record):
         lattice is {0}, a path p -> q has displacement q - p, and the
         pumping basis at a state is the state itself."""
         return len(self.index_set) == self.net.dim
-
-    def state_norm(self) -> int:
-        return max((norm_inf(s) for s in self.states), default=0)
 
 
 class UnfoldingPath(Record):

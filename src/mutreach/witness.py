@@ -45,15 +45,10 @@ class SynthesisError(ValueError):
     pass
 
 
-def _pumping_threshold(net: PetriNet, r: int) -> int:
-    """m r^3 (3 d r m)^d for an unfolding of r states."""
+def exact_off_threshold(net: PetriNet, r: int) -> int:
+    """The pumping threshold m r^3 (3 d r m)^d for an unfolding of r states."""
     m, d = net.norm, net.dim
     return m * r**3 * (3 * d * r * m) ** d
-
-
-def exact_off_threshold(net: PetriNet, g: Unfolding) -> int:
-    """The pumping threshold m r^3 (3 d r m)^d for this unfolding."""
-    return _pumping_threshold(net, g.size)
 
 
 class PumpingParams(Record):
@@ -75,9 +70,10 @@ class PumpingParams(Record):
         self.cycle_len = cycle_len
         self.off_threshold = off_threshold
 
-    def threshold_for(self, net: PetriNet, g: Unfolding) -> int:
+    def threshold_for(self, net: PetriNet, r: int) -> int:
+        """The threshold for an unfolding of r states."""
         if self.off_threshold is None:
-            return exact_off_threshold(net, g)
+            return exact_off_threshold(net, r)
         return self.off_threshold
 
     def off_floor(self, net: PetriNet) -> int:
@@ -88,20 +84,17 @@ class PumpingParams(Record):
         self)` and a coordinate i outside g's index set.  Then e_i >= f_i
         >= delta_u,i + tau(g), and delta_u,i >= -|u| m with m = net.norm,
         since no action moves a coordinate by more than m.  The cycle word
-        u has |u| <= cycle_len.  tau(g) is `off_threshold` when one is set;
-        otherwise it is `exact_off_threshold`, m r^3 (3 d r m)^d, which
-        does not decrease in the size r >= 1, so tau(g) >= m (3 d m)^d.
-        Hence e_i >= tau_1 - cycle_len m for that tau_1, and a
+        u has |u| <= cycle_len.  tau(g) is `threshold_for(net, r)` of g's
+        size r >= 1, which does not decrease in r, so tau(g) >= tau_1 =
+        `threshold_for(net, 1)`.  Hence e_i >= tau_1 - cycle_len m, and a
         configuration with an entry below this floor outside I lies in no
         pumping set of any unfolding over I.
         """
-        tau_1 = self.off_threshold
-        if tau_1 is None:
-            tau_1 = _pumping_threshold(net, 1)
-        return tau_1 - self.cycle_len * net.norm
+        return self.threshold_for(net, 1) - self.cycle_len * net.norm
 
-    def certified_for(self, net: PetriNet, g: Unfolding) -> bool:
-        return self.threshold_for(net, g) >= exact_off_threshold(net, g)
+    def certified_for(self, net: PetriNet, r: int) -> bool:
+        """Whether the threshold for an unfolding of r states certifies."""
+        return self.threshold_for(net, r) >= exact_off_threshold(net, r)
 
 
 def exact_state_bound(dim: int, m: int) -> tuple[str, int | None]:
@@ -131,7 +124,6 @@ class BasisElement(NamedTuple):
 
 
 class UpwardBasis(NamedTuple):
-    state: Vec
     elements: tuple[BasisElement, ...]
     truncated: bool
 
@@ -256,9 +248,10 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
     if q not in set(g.states):
         raise WitnessRejected("state not in unfolding", q)
     words, truncated = _cycle_words(g, q, params.cycle_len)
-    rows = _basis_rows(g.net, g.index_set, words, params.threshold_for(g.net, g), params.cycle_len)
+    tau = params.threshold_for(g.net, g.size)
+    rows = _basis_rows(g.net, g.index_set, words, tau, params.cycle_len)
     elements = tuple(e._replace(vector=_with_state(e.vector, g.index_set, q)) for e in rows)
-    return UpwardBasis(q, elements, truncated)
+    return UpwardBasis(elements, truncated)
 
 
 # --- witness checking ---------------------------------------------------------
@@ -266,7 +259,6 @@ def upward_basis(g: Unfolding, q: Vec, params: PumpingParams) -> UpwardBasis:
 
 class PumpCertificate(NamedTuple):
     config: Vec
-    state: Vec
     enter_word: tuple[int, ...]
     leave_word: tuple[int, ...]
     c_minus: Vec
@@ -319,7 +311,7 @@ def check_witness(
         c_plus = fire(c, net.word(elem.leave_word))
         assert fire(c_minus, net.word(elem.enter_word)) == c
         pumps.append(
-            PumpCertificate(c, q, elem.enter_word, elem.leave_word, c_minus, c_plus, elem.vector)
+            PumpCertificate(c, elem.enter_word, elem.leave_word, c_minus, c_plus, elem.vector)
         )
     pairs = []
     for x in cs:
@@ -338,8 +330,8 @@ def check_witness(
         pumps=tuple(pumps),
         pairs=tuple(pairs),
         params=params,
-        certified=params.certified_for(net, g),
-        within_state_bound=g.state_norm() < params.state_bound,
+        certified=params.certified_for(net, g.size),
+        within_state_bound=max(map(norm_inf, g.states), default=0) < params.state_bound,
     )
 
 

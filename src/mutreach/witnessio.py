@@ -11,18 +11,9 @@ stored witness is a checkable certificate.
 from __future__ import annotations
 
 from .net import PetriNet, fire
+from .presburger import _row, _vector
 from .unfolding import is_structurally_reversible, validate_unfolding
-from .vectors import vec
 from .witness import MutualWitness, PumpingParams, check_witness
-
-
-def _row(values) -> str:
-    return " ".join(map(str, values))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    """The inverse of `_row`."""
-    return tuple(int(t) for t in text.split())
 
 
 def witness_to_text(w: MutualWitness, words: dict) -> str:
@@ -93,24 +84,24 @@ def witness_from_text(net: PetriNet, text: str) -> tuple[MutualWitness, dict]:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         try:
             if key == "index-set":
-                index_set = _ints(val)
+                index_set = _vector(val, key)
             elif key in _HEADER:
-                (header[key],) = _ints(val)
+                (header[key],) = _vector(val, key)
                 if key == "dim" and header[key] != net.dim:
                     raise ValueError
             elif key == "off-threshold":
                 header[key] = None if val == "exact" else int(val)
             elif key == "state":
-                states.append(vec(_ints(val)))
+                states.append(_vector(val, key))
             elif key == "trans":
                 p_text, a_text, q_text = val.split("|")
-                transitions.append((vec(_ints(p_text)), int(a_text), vec(_ints(q_text))))
+                transitions.append((_vector(p_text, key), int(a_text), _vector(q_text, key)))
             elif key == "config":
-                configs.append(vec(_ints(val)))
+                configs.append(_vector(val, key))
             elif key == "word":
                 arrow, word_text = val.split(":")
-                x, y = (vec(_ints(t)) for t in arrow.split("->"))
-                word = _ints(word_text)
+                x, y = (_vector(t, key) for t in arrow.split("->"))
+                word = _vector(word_text, key)
                 if not all(0 <= a < len(net.actions) for a in word):
                     raise ValueError
                 words[(x, y)] = word

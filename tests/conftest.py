@@ -1017,7 +1017,7 @@ def reference_compile_mutual(net, params, limits=None) -> MutualFormula:
         gs, truncated = take(enumerate_unfoldings(net, index_set, params.state_bound, limits),
                              limits.max_unfoldings)
         for g in gs:
-            certified = certified and params.certified_for(net, g)
+            certified = certified and params.certified_for(net, g.size)
             rep = lattice_of_unfolding(g)
             bases = {}
             for q in g.states:
@@ -1055,7 +1055,7 @@ def reference_compile_bottom(net, params, limits=None) -> BottomFormula:
             limits.max_unfoldings,
         )
         for g in gs:
-            certified = certified and params.certified_for(net, g)
+            certified = certified and params.certified_for(net, g.size)
             rep = lattice_of_unfolding(g)
             bases = {}
             for q in g.states:

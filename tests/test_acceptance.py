@@ -89,7 +89,8 @@ def test_criterion_01_lattice_representation_oracle_equivalence():
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
         rep = representation_from_generators(gens, d)
         m = max((max(abs(c) for c in g) for g in gens if any(g)), default=1)
-        assert rep.norm <= factorial(d) ** 2 * m**d
+        norm = max(max(n, max(map(abs, a))) for n, a in rep.pairs)
+        assert norm <= factorial(d) ** 2 * m**d
         oracle = span_oracle(gens, d)
         points = np.array(
             list(itertools.product(range(-6, 7), repeat=d)), dtype=np.int64

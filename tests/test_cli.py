@@ -10,6 +10,7 @@ from mutreach import cli
 from mutreach.cli import main
 from mutreach.oracle import BoundedStateSpace
 from mutreach.net import load_net
+from mutreach.unfolding import EnumLimits
 from mutreach.witnessio import witness_from_text
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -511,6 +512,16 @@ def test_check_mutual_checks_its_limits_before_printing(capsys):
     assert captured.err.endswith(
         "error: argument --max-states: expected a positive integer, got '0'\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "n.net", "--out", "f"],
+    ["check-mutual", "n.net", "--x", "0", "--y", "0"],
+])
+def test_enumeration_limits_default_to_enum_limits(argv):
+    args = cli.build_parser().parse_args(argv)
+    limits = EnumLimits()
+    assert (args.max_states, args.max_unfoldings) == (limits.max_states, limits.max_unfoldings)
 
 
 @pytest.mark.parametrize("command", ["eval", "explore", "check-mutual"])

@@ -210,6 +210,14 @@ def test_solve_integer_detects_unsolvable():
     assert solve_integer([[1, 0], [0, 0]], [0, 1]) is None
 
 
+def test_solve_integer_on_rank_zero_matrices():
+    zero = [[0, 0, 0], [0, 0, 0]]
+    assert solve_integer(zero, [0, 0]) == [0, 0, 0]
+    assert solve_integer(zero, [0, 1]) is None
+    assert solve_integer([[]], [0]) == []
+    assert solve_integer([[]], [1]) is None
+
+
 def test_lp_trivial_cases():
     ok, _ = rational_lp_feasible([((1,), 0)], 1)
     assert not ok

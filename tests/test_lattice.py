@@ -93,7 +93,8 @@ def test_oracle_equivalence_random_generators():
         gens = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k)]
         rep = _agreement_check(gens, d)
         m = max((max(abs(c) for c in g) for g in gens if any(g)), default=1)
-        assert rep.norm <= factorial(d) ** 2 * m**d
+        norm = max(max(n, max(map(abs, a))) for n, a in rep.pairs)
+        assert norm <= factorial(d) ** 2 * m**d
 
 
 def test_enumerated_points_are_members():

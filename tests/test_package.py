@@ -190,9 +190,9 @@ def test_slots_records_differ_in_any_compared_field():
 def test_derived_fields_stay_out_of_equality():
     a = Action((1, 0), (0, 1))
     assert a.displacement == (-1, 1)
-    net, rep = SLOTS_RECORDS["PetriNet"](), SLOTS_RECORDS["LatticeRepresentation"]()
-    assert (net.norm, rep.norm) == (1, 3)
-    for obj, derived in ((a, "displacement"), (net, "norm"), (rep, "norm")):
+    net = SLOTS_RECORDS["PetriNet"]()
+    assert net.norm == 1
+    for obj, derived in ((a, "displacement"), (net, "norm")):
         other = type(obj)(*(getattr(obj, f) for f in obj._fields))
         setattr(other, derived, None)
         assert other == obj and hash(other) == hash(obj)

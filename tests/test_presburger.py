@@ -525,13 +525,26 @@ def test_full_index_disjuncts_relate_mutual_pairs(fixture_nets, ring3, name, sta
         assert space.mutual(p, q) is True
 
 
+def test_heuristic_threshold_artifacts_are_pinned(fixture_nets):
+    """The mutual and bottom texts of the four fixtures at off-threshold 2,
+    a threshold below every exact one; the artifact digests of
+    `tests/test_artifacts.py` cover only the exact threshold."""
+    params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=2)
+    digest = hashlib.sha256()
+    for name in ("token_swap", "consumer", "ring", "mixed3"):
+        net = fixture_nets[name]
+        digest.update(mutual_to_text(compile_mutual(net, params)).encode())
+        digest.update(bottom_to_text(compile_bottom(net, params)).encode())
+    assert digest.hexdigest() == "24f4986b9fdd493dd270332ebe223fbf479fc60ce9529fa252439802f2c6e341"
+
+
 def test_ring3_provenance_turns_on_the_threshold_of_the_largest_unfolding(ring3):
     """A heuristic threshold certifies the formula exactly when it covers
     every unfolding, the full-index ones included; on ring3 the largest
     has the six states of the `max_states` cap."""
     compiled, _, _ = presburger._compiled_unfoldings(ring3, PARAMS, unfolding.EnumLimits())
     assert max(g.size for g, *_ in compiled if g.full_index) == 6
-    tau = witness._pumping_threshold(ring3, 6)
+    tau = witness.exact_off_threshold(ring3, 6)
     for off, provenance in ((tau, "certified"), (tau - 1, "heuristic")):
         params = PumpingParams(state_bound=4, cycle_len=4, off_threshold=off)
         assert compile_mutual(ring3, params).provenance == provenance

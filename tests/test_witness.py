@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -328,6 +329,26 @@ def test_search_matches_the_full_walk(fixture_nets, enumerate_once, name, off_th
         assert _words(net, x, y, got) == _words(net, x, y, want), (x, y)
 
 
+def test_search_statuses_and_witnesses_are_pinned(token_swap, ring):
+    """Every status, count and witness file of the search on the pairs
+    x < y of [0,3]^2, at the exact threshold and at 2, which puts the
+    floor below 0 so that every index set is searched and no witness is
+    certified; 53 pairs find a witness."""
+    digest, found = hashlib.sha256(), 0
+    points = sorted(itertools.product(range(4), repeat=2))
+    for net in (token_swap, ring):
+        for off in (None, 2):
+            params = PumpingParams(4, 4, off)
+            for x, y in itertools.combinations(points, 2):
+                res = search_witness(net, x, y, params)
+                digest.update(repr((res.status, res.examined)).encode())
+                if res.witness is not None:
+                    found += 1
+                    digest.update(witness_to_text(res.witness, {}).encode())
+    assert found == 53
+    assert digest.hexdigest() == "751eea7587726568739945e23be17961ef76b5bdced4dd4f9fbbe91316439814"
+
+
 def test_off_floor_bounds_every_basis_entry(fixture_nets, ring3):
     """Every off-I entry of every pumping basis of every unfolding at
     state bound 3 is at least the floor the search skips by."""
@@ -388,7 +409,7 @@ def test_synthesis_with_nontrivial_cycle_lattice(difference):
     pruning, reordering and embedding path end to end, in both
     directions, at the certified threshold."""
     net = PetriNet(2, (Action((0, 0), (2, 0)), Action((2, 0), (0, 0))))
-    tau = exact_off_threshold(net, unfolding_from_sccc(net, [(0, 0)], (0, 1)))
+    tau = exact_off_threshold(net, unfolding_from_sccc(net, [(0, 0)], (0, 1)).size)
     x = (tau + 2, tau)
     y = (tau + 2 + difference, tau)
     params = PumpingParams(state_bound=1, cycle_len=2)
@@ -452,7 +473,7 @@ def test_synthesis_multi_state_partial_index(monkeypatch, difference):
         [(0,), (1,)],
         [((1,), 0, (0,)), ((0,), 1, (1,)), ((0,), 2, (0,)), ((1,), 2, (1,))],
     )
-    tau = exact_off_threshold(net, g2)
+    tau = exact_off_threshold(net, g2.size)
     x = (1, tau + 84)
     y = (1, tau + 84 + difference)
     res = search_witness(net, x, y, params)
@@ -508,7 +529,7 @@ def test_synthesis_heuristic_threshold_fires_or_reports_block():
 def test_exact_threshold_and_state_bound_values(token_swap):
     g = unfolding_from_sccc(token_swap, [(1, 0), (0, 1)], (0, 1))
     # m r^3 (3 d r m)^d with m=1, r=2, d=2
-    assert exact_off_threshold(token_swap, g) == 1 * 8 * (3 * 2 * 2 * 1) ** 2
+    assert exact_off_threshold(token_swap, g.size) == 1 * 8 * (3 * 2 * 2 * 1) ** 2
     assert exact_state_bound(1, 1) == ("3^3^3 = 3^27", 3**27)
     assert exact_state_bound(2, 1) == ("6^4^5 = 6^1024", None)  # 10^40 or more: symbolic
     symbolic4, value4 = exact_state_bound(4, 3)
@@ -517,11 +538,11 @@ def test_exact_threshold_and_state_bound_values(token_swap):
 
 def test_certified_flag_depends_on_threshold(token_swap):
     g = unfolding_from_sccc(token_swap, [(1, 0), (0, 1)], (0, 1))
-    exact = exact_off_threshold(token_swap, g)
-    assert PumpingParams(2, 2, off_threshold=exact).certified_for(token_swap, g)
-    assert PumpingParams(2, 2, off_threshold=exact + 5).certified_for(token_swap, g)
-    assert not PumpingParams(2, 2, off_threshold=exact - 1).certified_for(token_swap, g)
-    assert PumpingParams(2, 2).certified_for(token_swap, g)
+    exact = exact_off_threshold(token_swap, g.size)
+    assert PumpingParams(2, 2, off_threshold=exact).certified_for(token_swap, g.size)
+    assert PumpingParams(2, 2, off_threshold=exact + 5).certified_for(token_swap, g.size)
+    assert not PumpingParams(2, 2, off_threshold=exact - 1).certified_for(token_swap, g.size)
+    assert PumpingParams(2, 2).certified_for(token_swap, g.size)
 
 
 @pytest.mark.parametrize(
